@@ -1,0 +1,1 @@
+"""The repository benchmark: see ``perfbench/run.py`` and ``perfbench/README.md``."""
