@@ -12,13 +12,13 @@ pipeline.
 import pytest
 
 from benchmarks.conftest import emit
+from repro import plan
 from repro.analysis.tables import Table
 from repro.cluster.disk import Disk
 from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
 
 RING = {"a": "b", "b": "c", "c": "a"}
 
@@ -40,7 +40,7 @@ def build_cluster(items_per_pair: int, transfer_limit: int):
 def run_pipeline(items_per_pair: int, transfer_limit: int) -> float:
     cluster, target = build_cluster(items_per_pair, transfer_limit)
     ctx = cluster.migration_to(target)
-    sched = plan_migration(ctx.instance)
+    sched = plan(ctx.instance).schedule
     report = MigrationEngine(cluster).execute(ctx, sched)
     return report.total_time
 

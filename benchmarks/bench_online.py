@@ -10,10 +10,12 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.extensions.online import run_online
+from repro.extensions.online import OnlineInstance, run_online
 
 
-def bursty_arrivals(bursts: int, burst_size: int, gap: int, seed: int = 0):
+def bursty_arrivals(
+    bursts: int, burst_size: int, gap: int, seed: int = 0
+) -> OnlineInstance:
     """Deterministic bursty pattern over a small disk pool."""
     import random
 
@@ -27,7 +29,7 @@ def bursty_arrivals(bursts: int, burst_size: int, gap: int, seed: int = 0):
             batch.append((u, v))
         arrivals[b * gap] = batch
     caps = {d: rng.choice([1, 2, 4]) for d in disks}
-    return arrivals, caps
+    return OnlineInstance(arrivals, caps)
 
 
 def test_onl_policy_comparison(benchmark):
@@ -36,25 +38,26 @@ def test_onl_policy_comparison(benchmark):
         ["bursts x size / gap", "policy", "makespan", "mean resp", "max resp", "plans"],
     )
     for bursts, size, gap in ((3, 30, 2), (5, 20, 1), (2, 60, 10)):
-        arrivals, caps = bursty_arrivals(bursts, size, gap, seed=bursts)
+        workload = bursty_arrivals(bursts, size, gap, seed=bursts)
         for policy in ("replan", "fifo"):
-            report = run_online(arrivals, caps, policy=policy)
+            report = run_online(workload, policy=policy)
             table.add_row(
                 f"{bursts}x{size}/{gap}", policy, report.makespan,
                 report.mean_response, report.max_response, report.plans_computed,
             )
     emit(table)
 
-    arrivals, caps = bursty_arrivals(3, 30, 2, seed=3)
-    benchmark(run_online, arrivals, caps, "replan")
+    benchmark(run_online, bursty_arrivals(3, 30, 2, seed=3), policy="replan")
 
 
 def test_onl_replan_beats_fifo_on_cross_batch_slack(benchmark):
     """A tiny batch behind a big unrelated one: replanning interleaves."""
-    arrivals = {0: [("a", "b")] * 10, 1: [("c", "d")]}
-    caps = {"a": 1, "b": 1, "c": 1, "d": 1}
-    replan = run_online(arrivals, caps, policy="replan")
-    fifo = run_online(arrivals, caps, policy="fifo")
+    workload = OnlineInstance(
+        arrivals={0: [("a", "b")] * 10, 1: [("c", "d")]},
+        capacities={"a": 1, "b": 1, "c": 1, "d": 1},
+    )
+    replan = run_online(workload, policy="replan")
+    fifo = run_online(workload, policy="fifo")
     table = Table(
         "EXP-ONLb: response time of the straggler batch",
         ["policy", "makespan", "straggler response"],
@@ -64,4 +67,4 @@ def test_onl_replan_beats_fifo_on_cross_batch_slack(benchmark):
     emit(table)
     assert replan.timeline[10][1] <= fifo.timeline[10][1]
 
-    benchmark(run_online, arrivals, caps, "replan")
+    benchmark(run_online, workload, policy="replan")

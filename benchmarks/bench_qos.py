@@ -10,9 +10,9 @@ schedule minimizes the displacement term by finishing fastest.
 import pytest
 
 from benchmarks.conftest import emit
+from repro import plan
 from repro.analysis.tables import Table
 from repro.cluster.service import compare_degradation
-from repro.core.solver import plan_migration
 from repro.workloads.scenarios import vod_rebalance_scenario
 
 
@@ -23,7 +23,7 @@ def test_qos_scheduler_comparison(benchmark):
     )
     scenario = vod_rebalance_scenario(num_disks=12, num_items=400, seed=19)
     schedules = {
-        method: plan_migration(scenario.instance, method=method)
+        method: plan(scenario.instance, method=method).schedule
         for method in ("auto", "saia", "greedy", "homogeneous")
     }
     reports = compare_degradation(scenario.cluster, scenario.context, schedules)
@@ -46,8 +46,8 @@ def test_qos_displacement_dominates_for_hot_data(benchmark):
     """Hot items make finishing fast matter more than being gentle."""
     scenario = vod_rebalance_scenario(num_disks=10, num_items=300, alpha=1.2, seed=23)
     schedules = {
-        "auto": plan_migration(scenario.instance),
-        "homogeneous": plan_migration(scenario.instance, method="homogeneous"),
+        "auto": plan(scenario.instance).schedule,
+        "homogeneous": plan(scenario.instance, method="homogeneous").schedule,
     }
     reports = compare_degradation(scenario.cluster, scenario.context, schedules)
     table = Table(

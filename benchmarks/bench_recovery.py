@@ -11,6 +11,7 @@ re-replication copies, and compares round counts across schedulers.
 import pytest
 
 from benchmarks.conftest import emit
+from repro import plan
 from repro.analysis.tables import Table
 from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
@@ -22,7 +23,6 @@ from repro.cluster.replication import (
     validate_replication,
 )
 from repro.core.lower_bounds import lower_bound
-from repro.core.solver import plan_migration
 
 
 def build_recovery(num_disks: int, num_items: int, limit_mix, placement_seed=7,
@@ -38,8 +38,8 @@ def build_recovery(num_disks: int, num_items: int, limit_mix, placement_seed=7,
         items, disks, replicas=2, topology=topo, seed=placement_seed
     )
     survivors = [d for d in disks if d.disk_id != "d0"]
-    plan = planner(layout, "d0", survivors, topology=topo)
-    return layout, plan
+    recovery = planner(layout, "d0", survivors, topology=topo)
+    return layout, recovery
 
 
 def test_rec_scheduler_comparison(benchmark):
@@ -50,23 +50,23 @@ def test_rec_scheduler_comparison(benchmark):
          "homogeneous"],
     )
     for n, m in ((8, 120), (16, 600), (32, 2400)):
-        _layout, plan = build_recovery(n, m, limit_mix=(1, 2, 4))
-        inst = plan.instance
-        auto = plan_migration(inst).num_rounds
-        homo = plan_migration(inst, method="homogeneous").num_rounds
+        _layout, recovery = build_recovery(n, m, limit_mix=(1, 2, 4))
+        inst = recovery.instance
+        auto = plan(inst).schedule.num_rounds
+        homo = plan(inst, method="homogeneous").schedule.num_rounds
         _lb2, balanced_plan = build_recovery(
             n, m, limit_mix=(1, 2, 4), planner=recovery_moves_balanced
         )
-        balanced = plan_migration(balanced_plan.instance).num_rounds
+        balanced = plan(balanced_plan.instance).schedule.num_rounds
         table.add_row(
-            n, m, plan.num_copies, lower_bound(inst), auto, balanced, homo,
+            n, m, recovery.num_copies, lower_bound(inst), auto, balanced, homo,
         )
         assert auto <= homo
         assert balanced <= auto
     emit(table)
 
-    _layout, plan = build_recovery(16, 600, limit_mix=(1, 2, 4))
-    benchmark(plan_migration, plan.instance)
+    _layout, recovery = build_recovery(16, 600, limit_mix=(1, 2, 4))
+    benchmark(plan, recovery.instance)
 
 
 def test_rec_placement_spread_ablation(benchmark):
@@ -79,10 +79,10 @@ def test_rec_placement_spread_ablation(benchmark):
     )
     results = {}
     for label, seed in (("deterministic", None), ("randomized", 7)):
-        _layout, plan = build_recovery(9, 240, limit_mix=(4, 1, 1), placement_seed=seed)
-        rounds = plan_migration(plan.instance).num_rounds
+        _layout, recovery = build_recovery(9, 240, limit_mix=(4, 1, 1), placement_seed=seed)
+        rounds = plan(recovery.instance).schedule.num_rounds
         results[label] = rounds
-        table.add_row(label, plan.num_copies, lower_bound(plan.instance), rounds)
+        table.add_row(label, recovery.num_copies, lower_bound(recovery.instance), rounds)
     emit(table)
     assert results["randomized"] <= results["deterministic"]
 
@@ -94,7 +94,7 @@ def test_rec_replication_invariants(benchmark):
     validate_replication(layout, replicas=2)
 
     def kernel():
-        lay, plan = build_recovery(16, 600, limit_mix=(2, 4))
-        return plan.num_copies
+        lay, recovery = build_recovery(16, 600, limit_mix=(2, 4))
+        return recovery.num_copies
 
     assert benchmark(kernel) > 0

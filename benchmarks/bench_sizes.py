@@ -13,8 +13,8 @@ import random
 import pytest
 
 from benchmarks.conftest import emit
+from repro import plan
 from repro.analysis.tables import Table
-from repro.core.solver import plan_migration
 from repro.extensions.sizes import size_class_schedule, simulated_time
 from repro.workloads.generators import random_instance
 
@@ -36,7 +36,7 @@ def test_sizes_heavy_fraction_sweep(benchmark):
     )
     for pct in (0, 2, 5, 10, 25):
         inst, sizes = sized_workload(pct / 100.0, 64.0, seed=pct + 1)
-        mixed = plan_migration(inst)
+        mixed = plan(inst).schedule
         classed = size_class_schedule(inst, sizes)
         t_mixed = simulated_time(inst, mixed, sizes)
         t_classed = simulated_time(inst, classed, sizes)
@@ -74,4 +74,4 @@ def test_sizes_class_count_tradeoff(benchmark):
         )
     emit(table)
 
-    benchmark(simulated_time, inst, plan_migration(inst), sizes)
+    benchmark(simulated_time, inst, plan(inst).schedule, sizes)

@@ -11,8 +11,8 @@ post-pass — the constant-factor behaviour should be visible.
 import pytest
 
 from benchmarks.conftest import emit
+from repro import plan
 from repro.analysis.tables import Table
-from repro.core.solver import plan_migration
 from repro.extensions.space import (
     default_occupancy,
     make_space_feasible,
@@ -39,7 +39,7 @@ def build_swap(num_pairs: int, items_per_disk: int, capacity: int = 4):
         moves.extend([(a, b)] * items_per_disk)
         moves.extend([(b, a)] * items_per_disk)
     inst = MigrationInstance.from_moves(moves, {v: capacity for v in nodes})
-    sched = plan_migration(inst)
+    sched = plan(inst).schedule
     occ = default_occupancy(inst)
     return inst, sched, occ
 
@@ -52,12 +52,12 @@ def test_space_spare_sweep(benchmark):
     inst, sched, occ = build_swap(5, 12)
     for spare in (12, 6, 2, 1):
         space = {v: occ[v] + spare for v in occ}
-        plan = make_space_feasible(inst, sched, occupancy=occ, space=space)
+        spaced = make_space_feasible(inst, sched, occupancy=occ, space=space)
         table.add_row(
-            spare, sched.num_rounds, plan.num_rounds, plan.overhead,
-            len(plan.bypassed_items),
+            spare, sched.num_rounds, spaced.num_rounds, spaced.overhead,
+            len(spaced.bypassed_items),
         )
-        assert plan.overhead <= 3.0  # Hall et al.-style constant factor
+        assert spaced.overhead <= 3.0  # Hall et al.-style constant factor
     emit(table)
 
     space = {v: occ[v] + 1 for v in occ}
@@ -78,14 +78,14 @@ def test_space_cycle_bypass(benchmark):
         caps = {v: 1 for v in nodes}
         caps["spare"] = 1
         inst = MigrationInstance.from_moves(moves, caps, extra_nodes=["spare"])
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         occ = {v: 1 for v in nodes}
         occ["spare"] = 0
         space = {v: 1 for v in nodes}
         space["spare"] = 1
-        plan = make_space_feasible(inst, sched, occupancy=occ, space=space)
-        table.add_row(n, plan.num_rounds, len(plan.bypassed_items), "yes")
-        assert plan.bypassed_items
+        spaced = make_space_feasible(inst, sched, occupancy=occ, space=space)
+        table.add_row(n, spaced.num_rounds, len(spaced.bypassed_items), "yes")
+        assert spaced.bypassed_items
     emit(table)
 
     nodes = [f"n{i}" for i in range(5)]
@@ -93,7 +93,7 @@ def test_space_cycle_bypass(benchmark):
     caps = {v: 1 for v in nodes}
     caps["spare"] = 1
     inst = MigrationInstance.from_moves(moves, caps, extra_nodes=["spare"])
-    sched = plan_migration(inst)
+    sched = plan(inst).schedule
     occ = {v: 1 for v in nodes}
     occ["spare"] = 0
     space = {v: 1 for v in nodes}

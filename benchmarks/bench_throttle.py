@@ -15,9 +15,9 @@ spikes.
 import pytest
 
 from benchmarks.conftest import emit
+from repro import plan
 from repro.analysis.balance import equalize_rounds, round_size_stats
 from repro.analysis.tables import Table
-from repro.core.solver import plan_migration
 from repro.extensions.throttle import throttle_tradeoff
 from repro.workloads.generators import random_instance
 from repro.workloads.scenarios import vod_rebalance_scenario
@@ -53,7 +53,7 @@ def test_thr_round_balancing(benchmark):
     )
     for seed in (71, 72, 73):
         inst = random_instance(12, 300, capacities={1: 0.4, 2: 0.4, 4: 0.2}, seed=seed)
-        sched = plan_migration(inst, method="greedy")
+        sched = plan(inst, method="greedy").schedule
         before = round_size_stats(sched)
         balanced = equalize_rounds(sched, inst)
         after = round_size_stats(balanced)
@@ -66,5 +66,5 @@ def test_thr_round_balancing(benchmark):
     emit(table)
 
     inst = random_instance(12, 300, capacities={1: 0.4, 2: 0.4, 4: 0.2}, seed=71)
-    sched = plan_migration(inst, method="greedy")
+    sched = plan(inst, method="greedy").schedule
     benchmark(equalize_rounds, sched, inst)

@@ -11,10 +11,10 @@ single-transfer scheduling.
 Run:  python examples/disk_scaleout.py
 """
 
+from repro import plan
 from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
-from repro.core.solver import plan_migration
 from repro.workloads.scenarios import scale_out_scenario
 
 
@@ -35,7 +35,7 @@ def main() -> None:
         table.add_row(method, quality.rounds, quality.ratio)
     print(table.render())
 
-    schedule = plan_migration(instance)
+    schedule = plan(instance).schedule
     report = MigrationEngine(scenario.cluster).execute(scenario.context, schedule)
     print(f"\nexecuted {len(report.migrated_items)} transfers in "
           f"{schedule.num_rounds} rounds / {report.total_time:.1f} simulated time units")

@@ -11,9 +11,9 @@ schedule with the classic one-transfer-per-disk model.
 Run:  python examples/load_rebalance.py
 """
 
+from repro import plan
 from repro.analysis.metrics import schedule_quality
 from repro.cluster.engine import MigrationEngine
-from repro.core.solver import plan_migration
 from repro.workloads.scenarios import vod_rebalance_scenario
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     print(f"demand shift requires moving {instance.num_items} of 400 videos\n")
 
     # Heterogeneity-aware schedule (the paper's algorithms).
-    schedule = plan_migration(instance)
+    schedule = plan(instance).schedule
     quality = schedule_quality(instance, schedule)
     print(f"heterogeneous schedule ({schedule.method}): "
           f"{schedule.num_rounds} rounds "
@@ -36,7 +36,7 @@ def main() -> None:
 
     # What prior homogeneous-model work would do on the same cluster.
     homo_scenario = vod_rebalance_scenario(num_disks=12, num_items=400, alpha=0.9, seed=7)
-    homo = plan_migration(homo_scenario.instance, method="homogeneous")
+    homo = plan(homo_scenario.instance, method="homogeneous").schedule
     homo_report = MigrationEngine(homo_scenario.cluster).execute(
         homo_scenario.context, homo
     )

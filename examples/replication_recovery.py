@@ -9,6 +9,7 @@ which a second failure would lose data.
 Run:  python examples/replication_recovery.py
 """
 
+from repro import plan
 from repro.analysis.gantt import render_gantt
 from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
@@ -19,7 +20,6 @@ from repro.cluster.replication import (
     validate_replication,
 )
 from repro.core.lower_bounds import lower_bound
-from repro.core.solver import plan_migration
 
 
 def main() -> None:
@@ -40,18 +40,18 @@ def main() -> None:
 
     failed = "d0"
     survivors = [d for d in disks if d.disk_id != failed]
-    plan = recovery_moves(layout, failed, survivors, topology=topology)
-    print(f"\ndisk {failed} failed: {len(plan.degraded_items)} objects degraded, "
-          f"{plan.num_copies} copies to make")
-    print(f"re-replication lower bound: {lower_bound(plan.instance)} rounds")
+    recovery = recovery_moves(layout, failed, survivors, topology=topology)
+    print(f"\ndisk {failed} failed: {len(recovery.degraded_items)} objects degraded, "
+          f"{recovery.num_copies} copies to make")
+    print(f"re-replication lower bound: {lower_bound(recovery.instance)} rounds")
 
     for method in ("auto", "greedy", "homogeneous"):
-        sched = plan_migration(plan.instance, method=method)
+        sched = plan(recovery.instance, method=method).schedule
         print(f"  {method:12s}: {sched.num_rounds} rounds")
 
-    sched = plan_migration(plan.instance)
+    sched = plan(recovery.instance).schedule
     print("\nper-disk transfer lanes during recovery (auto schedule):")
-    print(render_gantt(plan.instance, sched, max_rounds=30))
+    print(render_gantt(recovery.instance, sched, max_rounds=30))
     validate_replication(layout, 2)  # redundancy restored in the layout
     print("\nreplication invariants hold after recovery planning.")
 

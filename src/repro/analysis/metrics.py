@@ -5,15 +5,15 @@ rounds, the certified lower bound, the ratio between them (an upper
 bound on the true approximation ratio, since ``LB <= OPT``), and the
 Theorem 5.1 budget ``LB + 2⌈√LB⌉``.
 
-Also consumes the structured JSONL traces written by
-:mod:`repro.runtime.telemetry` (:func:`load_runtime_trace` /
-:func:`summarize_runtime_trace`) — the trace format is plain JSON, so
-this module needs no runtime import and works on archived traces.
+Also folds :mod:`repro.obs` JSONL traces (read them with
+:func:`repro.obs.load_trace`): :func:`summarize_runtime_trace` for a
+supervised run, :func:`aggregate_trace` for ``repro-migrate stats`` —
+the trace format is plain JSON, so this module needs no runtime import
+and works on archived traces.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -114,33 +114,18 @@ class RuntimeSummary:
         return self.delivered / self.attempts if self.attempts else 1.0
 
 
-def load_runtime_trace(path: str) -> List[Dict[str, Any]]:
-    """Read a runtime JSONL trace back into records."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def summarize_runtime_trace(records: Sequence[Mapping[str, Any]]) -> RuntimeSummary:
-    """Fold a runtime trace into the headline numbers.
+    """Fold a runtime :mod:`repro.obs` trace into the headline numbers.
 
-    Consumes both trace dialects:
-
-    * the executor's event records (``--trace``: ``type`` per record,
-      one ``transfer`` record per attempt);
-    * the :mod:`repro.obs` span schema (``--trace-out``: ``kind`` per
-      record, ``runtime.round`` spans carrying attempt counts in their
-      attrs plus flushed ``counter``/``gauge`` records).
+    Reads the records ``repro-migrate run --trace-out`` writes:
+    ``runtime.round`` spans carry attempt counts and simulated timing in
+    their attrs, ``runtime.replan`` spans count replans, and the flushed
+    ``counter``/``gauge`` records carry failures by reason, retries,
+    defers, strandings, crashes and the finished flag.
 
     Works on a full trace or on the concatenation a resumed run
-    appends to — records are folded, not assumed contiguous.  The two
-    dialects land in different files, so nothing is double-counted:
-    event records never carry ``kind`` and span records never carry
-    ``type``.
+    appends to — records are folded, not assumed contiguous, and each
+    process flushes only the counts it added.
     """
     attempts = delivered = retries = defers = replans = 0
     stranded = crashes = rounds = 0
@@ -148,68 +133,39 @@ def summarize_runtime_trace(records: Sequence[Mapping[str, Any]]) -> RuntimeSumm
     completion_time = 0.0
     finished = False
     for record in records:
-        completion_time = max(completion_time, float(record.get("t", 0.0)))
-        kind = record.get("type")
-        if kind == "transfer":
-            attempts += 1
-            if record.get("outcome") == "done":
-                delivered += 1
-            else:
-                reason = record.get("reason", "unknown")
-                failures[reason] = failures.get(reason, 0) + 1
-                action = record.get("action")
-                if action == "retry":
-                    retries += 1
-                elif action == "defer":
-                    defers += 1
-        elif kind == "delivered_in_place":
-            delivered += 1
-        elif kind == "round_completed":
-            rounds += 1
-        elif kind == "replanned":
-            replans += 1
-        elif kind == "stranded":
-            stranded += 1
-        elif kind == "disk_crashed":
-            crashes += 1
-        elif kind == "run_completed":
-            finished = True
-        elif kind is None:
-            obs_kind = record.get("kind")
-            if obs_kind == "span":
-                attrs = record.get("attrs", {})
-                if record.get("name") == names.SPAN_ROUND:
-                    rounds += 1
-                    attempts += int(attrs.get("attempted", 0))
-                    delivered += int(attrs.get("succeeded", 0))
-                    completion_time = max(
-                        completion_time,
-                        float(attrs.get("sim_start", 0.0))
-                        + float(attrs.get("sim_duration", 0.0)),
-                    )
-                elif record.get("name") == names.SPAN_REPLAN:
-                    replans += 1
-            elif obs_kind == "counter":
-                name = record.get("name", "")
-                value = int(record.get("value", 0))
-                if name.startswith(names.FAILURE_PREFIX):
-                    reason = name[len(names.FAILURE_PREFIX):]
-                    failures[reason] = failures.get(reason, 0) + value
-                elif name == names.RETRIES:
-                    retries += value
-                elif name == names.DEFERS:
-                    defers += value
-                elif name == names.ITEMS_STRANDED:
-                    stranded += value
-                elif name == names.DISK_CRASHES:
-                    crashes += value
-                elif name == names.ITEMS_RETARGETED_IN_PLACE:
-                    delivered += value
-            elif obs_kind == "gauge":
-                if record.get("name") == names.RUNTIME_FINISHED and record.get(
-                    "value"
-                ):
-                    finished = True
+        kind = record.get("kind")
+        name = record.get("name", "")
+        if kind == "span":
+            attrs = record.get("attrs", {})
+            if name == names.SPAN_ROUND:
+                rounds += 1
+                attempts += int(attrs.get("attempted", 0))
+                delivered += int(attrs.get("succeeded", 0))
+                completion_time = max(
+                    completion_time,
+                    float(attrs.get("sim_start", 0.0))
+                    + float(attrs.get("sim_duration", 0.0)),
+                )
+            elif name == names.SPAN_REPLAN:
+                replans += 1
+        elif kind == "counter":
+            value = int(record.get("value", 0))
+            if name.startswith(names.FAILURE_PREFIX):
+                reason = name[len(names.FAILURE_PREFIX):]
+                failures[reason] = failures.get(reason, 0) + value
+            elif name == names.RETRIES:
+                retries += value
+            elif name == names.DEFERS:
+                defers += value
+            elif name == names.ITEMS_STRANDED:
+                stranded += value
+            elif name == names.DISK_CRASHES:
+                crashes += value
+            elif name == names.ITEMS_RETARGETED_IN_PLACE:
+                delivered += value
+        elif kind == "gauge":
+            if name == names.RUNTIME_FINISHED and record.get("value"):
+                finished = True
     return RuntimeSummary(
         completion_time=completion_time,
         rounds=rounds,

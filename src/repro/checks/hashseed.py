@@ -33,13 +33,13 @@ class DeterminismError(Exception):
 #: argv: num_disks num_items instance_seed method
 PLAN_DRIVER = """\
 import json, sys
-from repro.core.solver import plan_migration
+from repro.pipeline import plan
 from repro.workloads import random_instance
 
 num_disks, num_items, instance_seed = map(int, sys.argv[1:4])
 method = sys.argv[4]
 instance = random_instance(num_disks, num_items, seed=instance_seed)
-schedule = plan_migration(instance, method=method, seed=0)
+schedule = plan(instance, method=method, seed=0).schedule
 payload = {
     "method": schedule.method,
     "rounds": [list(rnd) for rnd in schedule.rounds],
@@ -78,7 +78,7 @@ sys.stdout.write(json.dumps(payload, sort_keys=True))
 #: argv: scenario_seed executor_seed
 EXECUTOR_DRIVER = """\
 import json, sys
-from repro.core.solver import plan_migration
+from repro.pipeline import plan
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.scenarios import decommission_scenario
 
@@ -88,7 +88,7 @@ faults = FaultPlan(transfer_failure_rate=0.1, crashes=(DiskCrash("new-2", 5.0),)
 executor = MigrationExecutor(
     scenario.cluster,
     scenario.context,
-    plan_migration(scenario.instance),
+    plan(scenario.instance).schedule,
     faults=faults,
     seed=executor_seed,
 )

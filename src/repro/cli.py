@@ -45,9 +45,8 @@ from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
 from repro.core.problem import MigrationInstance
-from repro.core.solver import METHODS
 from repro.pipeline.planner import plan
-from repro.pipeline.registry import BACKENDS, DEFAULT_BACKEND
+from repro.pipeline.registry import BACKENDS, DEFAULT_BACKEND, solver_names
 from repro.workloads.generators import random_instance
 from repro.workloads.scenarios import (
     decommission_scenario,
@@ -55,6 +54,9 @@ from repro.workloads.scenarios import (
     sensor_harvest_scenario,
     vod_rebalance_scenario,
 )
+
+#: Every ``--method`` choice: automatic selection, then the registry.
+_METHODS = ("auto",) + solver_names()
 
 _SCENARIOS = {
     "vod": vod_rebalance_scenario,
@@ -355,7 +357,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runtime import (
         CheckpointError,
         FaultPlan,
-        JsonlTraceWriter,
         MigrationExecutor,
         RetryPolicy,
         load_checkpoint,
@@ -392,7 +393,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     }
     resuming = args.checkpoint is not None and os.path.exists(args.checkpoint)
     scenario = _SCENARIOS[name](seed=args.seed)
-    trace = JsonlTraceWriter(args.trace, append=resuming) if args.trace else None
     tracer = _open_tracer(args.trace_out, append=resuming)
     # One cache for the run: the initial plan populates it and crash
     # replans re-solve only the components the crash touched.  With
@@ -412,8 +412,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             executor = restore_executor(
                 scenario.cluster, state, faults=faults, policy=policy,
                 time_model=args.time_model, method=args.method,
-                seed=args.seed, trace=trace, cache=plan_cache,
-                tracer=tracer,
+                seed=args.seed, cache=plan_cache, tracer=tracer,
             )
         except CheckpointError as exc:
             print(f"cannot resume: {exc}", file=sys.stderr)
@@ -427,8 +426,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         executor = MigrationExecutor(
             scenario.cluster, scenario.context, schedule,
             faults=faults, policy=policy, time_model=args.time_model,
-            method=args.method, seed=args.seed, trace=trace,
-            cache=plan_cache, tracer=tracer,
+            method=args.method, seed=args.seed, cache=plan_cache,
+            tracer=tracer,
         )
 
     remaining = args.max_rounds
@@ -447,8 +446,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             break
         if chunk is None or ran == 0:
             break
-    if trace is not None:
-        trace.close()
     if tracer is not None:
         tracer.close()
     if plan_store is not None:
@@ -924,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sched = sub.add_parser("schedule", help="schedule moves from a file")
     p_sched.add_argument("moves_file")
-    p_sched.add_argument("--method", choices=METHODS, default="auto")
+    p_sched.add_argument("--method", choices=_METHODS, default="auto")
     p_sched.add_argument("--default-capacity", type=int, default=1)
     p_sched.add_argument(
         "--json", action="store_true",
@@ -938,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
              "attribution, caching, parallel solving",
     )
     p_plan.add_argument("moves_file")
-    p_plan.add_argument("--method", choices=METHODS, default="auto")
+    p_plan.add_argument("--method", choices=_METHODS, default="auto")
     p_plan.add_argument("--default-capacity", type=int, default=1)
     p_plan.add_argument(
         "--json", action="store_true",
@@ -1005,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("scenario", nargs="?", default=None)
     p_demo.add_argument("--list", action="store_true",
                         help="list available scenarios and exit")
-    p_demo.add_argument("--method", choices=METHODS, default="auto")
+    p_demo.add_argument("--method", choices=_METHODS, default="auto")
     p_demo.add_argument("--time-model", choices=("unit", "bandwidth_split"), default="bandwidth_split")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.set_defaults(func=_cmd_demo)
@@ -1017,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", nargs="?", default=None)
     p_run.add_argument("--list", action="store_true",
                        help="list available scenarios and exit")
-    p_run.add_argument("--method", choices=METHODS, default="auto")
+    p_run.add_argument("--method", choices=_METHODS, default="auto")
     p_run.add_argument("--time-model", choices=("unit", "bandwidth_split"),
                        default="bandwidth_split")
     p_run.add_argument("--seed", type=int, default=0)
@@ -1041,8 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-rounds", type=int, default=None, metavar="N",
                        help="execute at most N rounds this invocation, then "
                             "checkpoint and exit with status 3")
-    p_run.add_argument("--trace", metavar="PATH",
-                       help="write a JSONL trace (appends when resuming)")
     p_run.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a repro.obs span/metric JSONL trace "
                             "(appends when resuming; see `stats`)")
@@ -1087,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gantt = sub.add_parser("gantt", help="render a schedule Gantt chart")
     p_gantt.add_argument("instance", help="JSON instance (see `generate`)")
-    p_gantt.add_argument("--method", choices=METHODS, default="auto")
+    p_gantt.add_argument("--method", choices=_METHODS, default="auto")
     p_gantt.add_argument("--max-rounds", type=int, default=60)
     p_gantt.set_defaults(func=_cmd_gantt)
 
@@ -1138,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-disk scrub period (0 disables scrubbing)")
     p_sim.add_argument("--latent-rate", type=float, default=0.05,
                        help="probability a scrub pass loses one fragment")
-    p_sim.add_argument("--method", choices=METHODS, default="auto",
+    p_sim.add_argument("--method", choices=_METHODS, default="auto",
                        help="planner method for repair scheduling")
     p_sim.add_argument("--no-fabric", action="store_true",
                        help="disks only: skip the rack-uplink rate model")
@@ -1231,7 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="plan a JSON instance (see `generate`), "
                               "independently certify the schedule, and print "
                               "the lower-bound certificate")
-    p_check.add_argument("--method", choices=METHODS, default="auto",
+    p_check.add_argument("--method", choices=_METHODS, default="auto",
                          help="planner method for --certify")
     p_check.add_argument("--root", default=None,
                          help="lint this directory instead of the installed "

@@ -10,14 +10,19 @@ workloads (:mod:`repro.workloads.temperature`), online arrivals
 (:mod:`repro.extensions.online`) and the incremental replanner
 (:func:`repro.plan_delta`).
 
+Moves are **directed**: ``(a, b)`` moves an item from disk ``a`` to
+disk ``b`` and is a different move from ``(b, a)``.  A delta edits the
+instance's *directed* move multiset.
+
 :func:`apply_delta` turns ``(instance, delta)`` into the patched
 instance.  The application order is fixed — **capacities, then
 retargets, then removals, then additions** — and each removal (or the
-removal half of a retarget) takes the *highest-id* parallel edge
-between its pair, so the surviving edges keep their ids and their
-pair-slot tokens (:mod:`repro.pipeline.canonical`) are stable.  New
-edges draw fresh ids from the multigraph's high-water mark, exactly as
-if they had been added to the original graph.
+removal half of a retarget) takes the *highest-id* edge carrying
+exactly its ``src → dst`` move, so the surviving edges keep their ids
+and their pair-slot tokens (:mod:`repro.pipeline.canonical`) are
+stable.  An edge running the other way never matches.  New edges draw
+fresh ids from the multigraph's high-water mark, exactly as if they
+had been added to the original graph.
 """
 
 from __future__ import annotations
@@ -155,11 +160,11 @@ class InstanceDelta:
 
         Contract: ``apply_delta(apply_delta(inst, a), b)`` and
         ``apply_delta(inst, a.compose(b))`` produce *structurally*
-        identical instances — same nodes, capacities and pair
+        identical instances — same nodes, capacities and directed move
         multiset, hence equal fingerprints — though the fresh edge ids
         may differ.  A later removal first cancels a pending addition
-        of the same pair (additions carry the highest ids, so the
-        cancelled edge is exactly the one the removal would take).
+        of the same directed move (additions carry the highest ids, so
+        the cancelled edge is exactly the one the removal would take).
         """
         caps: Dict[Node, int] = {}
         by_repr: Dict[str, Node] = {}
@@ -216,17 +221,58 @@ class InstanceDelta:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "InstanceDelta":
+    def from_json(cls, data: Any) -> "InstanceDelta":
+        """Parse :meth:`to_json` output.
+
+        Raises:
+            DeltaError: for anything :meth:`to_json` cannot produce — a
+                payload that is not a mapping, a field that is not a
+                list, an entry of the wrong length, a disk name that is
+                not a ``str`` — or an invalid move or capacity.
+        """
+        if not isinstance(data, Mapping):
+            raise DeltaError(
+                f"a delta is a JSON object, got {type(data).__name__}"
+            )
         version = data.get("schema_version")
         if version != DELTA_SCHEMA_VERSION:
             raise DeltaError(
                 f"delta schema {version!r}; this build reads {DELTA_SCHEMA_VERSION}"
             )
+
+        def entries(key: str, width: int, names: int) -> List[Tuple[Any, ...]]:
+            """Field ``key`` as tuples of ``width``; the first ``names``
+            items of each are disk names."""
+            raw = data.get(key, [])
+            if not isinstance(raw, (list, tuple)):
+                raise DeltaError(
+                    f"delta field {key!r} must be a list, got {type(raw).__name__}"
+                )
+            out: List[Tuple[Any, ...]] = []
+            for entry in raw:
+                if not isinstance(entry, (list, tuple)) or len(entry) != width:
+                    raise DeltaError(
+                        f"delta field {key!r}: each entry is a list of "
+                        f"{width}, got {entry!r}"
+                    )
+                for node in entry[:names]:
+                    if not isinstance(node, str):
+                        raise DeltaError(
+                            f"delta field {key!r}: disk names are strings, "
+                            f"got {node!r}"
+                        )
+                out.append(tuple(entry))
+            return out
+
         return cls(
-            add_moves=tuple((u, v) for u, v in data.get("add", ())),
-            remove_moves=tuple((u, v) for u, v in data.get("remove", ())),
-            retarget_moves=tuple((s, o, n) for s, o, n in data.get("retarget", ())),
-            capacity_changes=tuple((node, c) for node, c in data.get("capacities", ())),
+            add_moves=tuple((u, v) for u, v in entries("add", 2, 2)),
+            remove_moves=tuple((u, v) for u, v in entries("remove", 2, 2)),
+            retarget_moves=tuple(
+                (s, o, n) for s, o, n in entries("retarget", 3, 3)
+            ),
+            capacity_changes=tuple(
+                (node, c) for node, c in entries("capacities", 2, 1)
+            ),
         )
 
     def canonical_payload(self) -> Dict[str, Any]:
@@ -256,21 +302,24 @@ def apply_delta(instance: MigrationInstance, delta: InstanceDelta) -> MigrationI
        disk the instance has never seen *introduces* that disk (idle
        until a move touches it);
     2. **retargets** — each ``(src, old, new)`` removes the highest-id
-       parallel edge between ``src`` and ``old`` and adds a fresh
+       edge moving an item from ``src`` to ``old`` and adds a fresh
        ``(src, new)`` edge;
-    3. **removals** — each ``(u, v)`` removes the highest-id parallel
-       edge between ``u`` and ``v``;
+    3. **removals** — each ``(u, v)`` removes the highest-id edge
+       moving an item from ``u`` to ``v``;
     4. **additions** — fresh edges with fresh (strictly increasing)
        ids.
 
-    Surviving edges keep their ids, so their pair-slot tokens are
-    stable; the id high-water mark never decreases, so patched and
-    original edge ids never alias.
+    Removals and retargets match the *directed* move: an edge from
+    ``v`` to ``u`` never satisfies a removal of ``(u, v)``, so the
+    directed move multiset changes by exactly the delta.  Surviving
+    edges keep their ids, so their pair-slot tokens are stable; the id
+    high-water mark never decreases, so patched and original edge ids
+    never alias.
 
     Raises:
-        DeltaError: when a removal/retarget names a pair with no
-            pending move, or a move touches a disk with no known
-            capacity.
+        DeltaError: when a removal/retarget names a move that is not
+            pending (in that direction), or a move touches a disk with
+            no known capacity.
         InvalidInstanceError: if the patched capacities are invalid
             (propagated from :class:`MigrationInstance`).
     """
@@ -282,7 +331,9 @@ def apply_delta(instance: MigrationInstance, delta: InstanceDelta) -> MigrationI
         graph.add_node(node)
 
     def remove_one(u: Node, v: Node, kind: str) -> None:
-        eids = graph.edges_between(u, v)
+        eids = [
+            eid for eid in graph.edges_between(u, v) if graph.endpoints(eid) == (u, v)
+        ]
         if not eids:
             raise DeltaError(f"{kind} ({u!r}, {v!r}) matches no pending move")
         graph.remove_edge(max(eids))

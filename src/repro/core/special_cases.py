@@ -17,8 +17,8 @@ even) transfer constraints:
   class is common (hierarchical replication topologies).
 
 These beat the general Section V algorithm's guarantee (they are
-*exactly* optimal), so :func:`repro.core.solver.plan_migration` in
-``auto`` mode prefers them when the transfer graph qualifies.
+*exactly* optimal), so :func:`repro.plan` in ``auto`` mode prefers
+them when the transfer graph qualifies.
 """
 
 from __future__ import annotations

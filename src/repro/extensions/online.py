@@ -23,12 +23,11 @@ Policies:
   so anything else is rejected.
 
 :class:`OnlineInstance` — the ``arrivals`` mapping-plus-capacities
-bundle of the extension surface — survives as a thin adapter over the
-delta stream (:meth:`OnlineInstance.deltas` /
+bundle of the extension surface — is a thin adapter over the delta
+stream (:meth:`OnlineInstance.deltas` /
 :meth:`OnlineInstance.from_deltas`); :func:`validate_online` checks a
-finished run against it exactly as before.  Passing a bare
-mapping-of-rounds to :func:`run_online` still works but warns once per
-process (:func:`repro.compat.warn_once`).
+finished run against it.  :func:`run_online` takes either an
+:class:`OnlineInstance` or a delta stream plus capacities.
 
 :func:`run_online` reports makespan and per-item response times
 (completion round − arrival round); ``bench_online`` compares the
@@ -49,7 +48,6 @@ from typing import (
     Union,
 )
 
-from repro.compat import warn_once
 from repro.core.delta import DeltaError, InstanceDelta
 from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
@@ -64,7 +62,6 @@ OnlineSource = Union[
     "OnlineInstance",
     Sequence[InstanceDelta],
     Mapping[int, InstanceDelta],
-    Mapping[int, Sequence[Move]],
 ]
 
 
@@ -193,7 +190,7 @@ def _as_delta_stream(
 def _normalize_source(
     source: OnlineSource, capacities: Optional[Mapping[Node, int]]
 ) -> Tuple[Dict[int, InstanceDelta], Dict[Node, int]]:
-    """Resolve every accepted workload spelling to (deltas, capacities)."""
+    """Resolve either workload form to (deltas, capacities)."""
     if isinstance(source, OnlineInstance):
         if capacities is not None:
             raise ValueError(
@@ -202,16 +199,6 @@ def _normalize_source(
         return source.deltas(), dict(source.capacities)
     if capacities is None:
         raise ValueError("capacities are required")
-    if isinstance(source, Mapping):
-        values = list(source.values())
-        if values and not all(isinstance(v, InstanceDelta) for v in values):
-            warn_once(
-                "run_online(arrivals-mapping)",
-                "passing a round -> batch-of-moves mapping to run_online is "
-                "deprecated; pass a stream of repro.InstanceDelta values "
-                "(or an OnlineInstance) instead",
-            )
-            return arrivals_to_deltas(source), dict(capacities)
     return _as_delta_stream(source), dict(capacities)
 
 
@@ -227,9 +214,8 @@ def run_online(
     Args:
         source: the workload — a sequence of
             :class:`InstanceDelta` (index = round), a round -> delta
-            mapping, an :class:`OnlineInstance` (then leave
-            ``capacities`` unset), or the deprecated round -> batch
-            mapping (warns once).
+            mapping, or an :class:`OnlineInstance` (then leave
+            ``capacities`` unset).
         capacities: ``c_v`` for every disk that ever appears.
         policy: ``"replan"`` or ``"fifo"`` (arrival-only streams).
         planner: scheduler used on (sub-)instances; defaults to the
@@ -242,6 +228,9 @@ def run_online(
     Raises:
         DeltaError: when a remove or retarget names no pending move,
             or a non-arrival delta is fed to the ``fifo`` policy.
+        TypeError: when the stream holds anything but
+            :class:`InstanceDelta` values (e.g. bare batches of moves:
+            wrap them in an :class:`OnlineInstance`).
     """
     deltas, caps = _normalize_source(source, capacities)
     if policy not in POLICIES:

@@ -4,9 +4,6 @@
 certify and returns a :class:`PlanResult` carrying the validated
 schedule plus per-stage timings, per-component method attribution,
 and (when requested) a composed lower-bound certificate.
-
-:func:`repro.core.solver.plan_migration` is a thin wrapper over this
-package, kept for backward compatibility.
 """
 
 from repro.pipeline.cache import CachedPlan, CacheStats, PlanCache

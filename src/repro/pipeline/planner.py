@@ -1,9 +1,7 @@
 """The staged planner: normalize → decompose → select → solve → merge → certify.
 
-:func:`plan` is the pipeline's one entry point.  It subsumes the old
-flat ``plan_migration`` dispatch (which survives as a thin wrapper in
-:mod:`repro.core.solver`) and adds what the flat dispatcher could not
-express:
+:func:`plan` is the pipeline's one entry point.  Beyond picking one
+solver for the whole instance it adds:
 
 * **per-component solver selection** — an even-capacity or bipartite
   component is promoted to its optimal algorithm even when the global

@@ -14,10 +14,10 @@ a :class:`SolverSpec` registered through :func:`register_solver`:
   (baselines are registered but only reachable by explicit
   ``method=`` so comparisons keep working).
 
-The built-in catalog reproduces the legacy ``plan_migration`` dispatch
-order exactly — even-optimal before bipartite before general — via the
-cost hints, so single-solver instances keep their historical method
-names while mixed instances gain per-component promotion.
+The built-in catalog's cost hints order the automatic choice
+even-optimal before bipartite before general, so single-solver
+instances keep their historical method names while mixed instances
+gain per-component promotion.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def register_solver(
     """Register a solver under ``name``; use as a decorator.
 
     Args:
-        name: the public method name (``plan_migration``'s ``method=``).
+        name: the public method name (:func:`repro.plan`'s ``method=``).
         applicable: predicate gating the solver (default: always).
         cost_hint: auto-selection priority — lower wins among
             applicable auto solvers.
@@ -234,7 +234,7 @@ def select_solver(
 
 
 # ----------------------------------------------------------------------
-# built-in catalog (registration order == legacy METHODS order)
+# built-in catalog (registration order == solver_names() order)
 # ----------------------------------------------------------------------
 
 def _compact_even_optimal(

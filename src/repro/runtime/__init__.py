@@ -15,8 +15,8 @@ actually demands — migrations run while the storage system is degraded
   residual transfer graph;
 * :mod:`~repro.runtime.checkpoint` snapshots the whole run to JSON so
   a killed run resumes exactly;
-* :class:`RuntimeTelemetry` and the JSONL trace feed
-  :mod:`repro.analysis.metrics` (and the shared
+* :class:`RuntimeTelemetry` and the executor's :mod:`repro.obs` spans
+  feed :mod:`repro.analysis.metrics` (and the shared
   :class:`~repro.cluster.events.EventLog` keeps Gantt/metrics tooling
   working unchanged).
 
@@ -63,7 +63,7 @@ from repro.runtime.faults import (
     NetworkPartition,
 )
 from repro.runtime.policy import EscalationAction, RetryPolicy
-from repro.runtime.telemetry import JsonlTraceWriter, RuntimeTelemetry, read_trace
+from repro.runtime.telemetry import RuntimeTelemetry
 
 __all__ = [
     "MigrationExecutor",
@@ -76,8 +76,6 @@ __all__ = [
     "RetryPolicy",
     "EscalationAction",
     "RuntimeTelemetry",
-    "JsonlTraceWriter",
-    "read_trace",
     "save_checkpoint",
     "load_checkpoint",
     "restore_executor",

@@ -54,7 +54,7 @@ from repro.pipeline.cache import PlanCache
 from repro.pipeline.planner import plan
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.policy import EscalationAction, RetryPolicy
-from repro.runtime.telemetry import JsonlTraceWriter, RuntimeTelemetry
+from repro.runtime.telemetry import RuntimeTelemetry
 
 #: Per-transfer lifecycle states.
 PENDING = "pending"
@@ -105,7 +105,6 @@ class MigrationExecutor:
         method: planner method used for replans (``repro.plan``'s
             ``method=``).
         seed: seeds the executor RNG (fault draws + backoff jitter).
-        trace: optional :class:`JsonlTraceWriter`.
         cache: optional :class:`~repro.pipeline.cache.PlanCache`
             shared with the planning pipeline.  When a crash touches
             one connected component of the residual transfer graph,
@@ -132,7 +131,6 @@ class MigrationExecutor:
         rate_model=None,
         method: str = "auto",
         seed: int = 0,
-        trace: Optional[JsonlTraceWriter] = None,
         cache: Optional[PlanCache] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -148,7 +146,6 @@ class MigrationExecutor:
         self._rng = random.Random(seed)
         self.telemetry = RuntimeTelemetry()
         self.log = EventLog()
-        self._trace = trace
 
         self._now: float = 0.0
         self._round_index: int = 0
@@ -174,14 +171,6 @@ class MigrationExecutor:
             self._states: Dict[ItemId, str] = {
                 item: PENDING for rnd in self._queue for item in rnd
             }
-            self._emit(
-                type="run_started",
-                t=self._now,
-                moves=context.num_moves,
-                rounds=len(self._queue),
-                method=schedule.method,
-                seed=seed,
-            )
 
     # ------------------------------------------------------------------
     # plan installation (init / replan / resume share this)
@@ -239,13 +228,6 @@ class MigrationExecutor:
         report = self._report()
         if report.finished:
             self.tracer.gauge(names.RUNTIME_FINISHED, 1.0)
-            self._emit(
-                type="run_completed",
-                t=self._now,
-                delivered=len(self._delivered),
-                stranded=len(self._stranded),
-                replans=self._replans,
-            )
         return report
 
     def _count(self, name: str, n: int = 1) -> None:
@@ -264,22 +246,21 @@ class MigrationExecutor:
                 self.cluster.remove_disk(crash.disk_id)
             self.log.record(DiskRemoved(time=self._now, disk_id=crash.disk_id))
             self._count(names.DISK_CRASHES)
-            self._emit(type="disk_crashed", t=self._now, disk=crash.disk_id)
             needs_replan = False
             for item in self.pending_items:
                 src = self.cluster.layout.disk_of(item)
                 if src == crash.disk_id:
-                    self._strand(item, reason=f"source disk {crash.disk_id!r} crashed")
+                    # The only copy died with its source disk.
+                    self._strand(item)
                 elif self._targets[item] == crash.disk_id:
                     needs_replan = True
             if needs_replan:
                 self._replan(reason=f"disk {crash.disk_id!r} crashed")
 
-    def _strand(self, item: ItemId, reason: str) -> None:
+    def _strand(self, item: ItemId) -> None:
         self._states[item] = FAILED
         self._stranded.append(item)
         self._count(names.ITEMS_STRANDED)
-        self._emit(type="stranded", t=self._now, item=item, reason=reason)
 
     # ------------------------------------------------------------------
     # replanning
@@ -298,7 +279,7 @@ class MigrationExecutor:
             survivors = sorted(self.cluster.disks, key=repr)
             if not survivors:
                 for item in pending:
-                    self._strand(item, reason="no surviving disks")
+                    self._strand(item)
                 self._queue = []
                 span.set(remaining=0, rounds=0)
                 return
@@ -319,7 +300,6 @@ class MigrationExecutor:
                     self._states[item] = DONE
                     self._delivered.append(item)
                     self._count(names.ITEMS_RETARGETED_IN_PLACE)
-                    self._emit(type="delivered_in_place", t=self._now, item=item)
                     continue
                 new_target.place(item, dst)
             context = self.cluster.migration_to(new_target)
@@ -345,13 +325,6 @@ class MigrationExecutor:
                     time=self._now, reason=reason, remaining_items=context.num_moves
                 )
             )
-            self._emit(
-                type="replanned",
-                t=self._now,
-                reason=reason,
-                remaining=context.num_moves,
-                rounds=len(self._queue),
-            )
 
     # ------------------------------------------------------------------
     # round execution
@@ -370,9 +343,6 @@ class MigrationExecutor:
     ) -> None:
         self.log.record(
             RoundStarted(time=start, round_index=index, num_transfers=len(round_items))
-        )
-        self._emit(
-            type="round_started", t=start, round=index, transfers=len(round_items)
         )
 
         # Attempt every transfer: decide outcome, then durations.
@@ -421,15 +391,6 @@ class MigrationExecutor:
                         duration=duration,
                     )
                 )
-                self._emit(
-                    type="transfer",
-                    t=self._now,
-                    item=item,
-                    src=src,
-                    dst=dst,
-                    round=index,
-                    outcome="done",
-                )
                 continue
             failed += 1
             self._count(names.TRANSFERS_FAILED)
@@ -451,8 +412,7 @@ class MigrationExecutor:
             elif item in self._escalated:
                 # Second trip up the whole ladder: the failure is not
                 # transient and replanning won't change it.  Strand.
-                self._strand(item, reason="exhausted retries, defers and replan")
-                action = None
+                self._strand(item)
             else:
                 # Keep the item pending (the replan below reschedules
                 # it) with a fresh retry budget for the new plan.
@@ -461,17 +421,6 @@ class MigrationExecutor:
                 self._inject(item, 0)
                 escalate = item
                 self._count(names.ESCALATIONS)
-            self._emit(
-                type="transfer",
-                t=self._now,
-                item=item,
-                src=src,
-                dst=dst,
-                round=index,
-                outcome="failed",
-                reason=reason,
-                action=action.value if action is not None else "strand",
-            )
 
         self.telemetry.record_round(
             index, start, duration, len(outcomes), succeeded, failed
@@ -484,14 +433,6 @@ class MigrationExecutor:
             sim_duration=duration,
         )
         self.log.record(RoundCompleted(time=self._now, round_index=index, duration=duration))
-        self._emit(
-            type="round_completed",
-            t=self._now,
-            round=index,
-            duration=duration,
-            succeeded=succeeded,
-            failed=failed,
-        )
         self._round_index += 1
         if escalate is not None:
             self._replan(reason=f"transfer of {escalate!r} exhausted retries and defers")
@@ -541,10 +482,6 @@ class MigrationExecutor:
             log=self.log,
             telemetry=self.telemetry,
         )
-
-    def _emit(self, **record: Any) -> None:
-        if self._trace is not None:
-            self._trace.emit(record)
 
     # ------------------------------------------------------------------
     # checkpoint support (serialization lives in repro.runtime.checkpoint)
@@ -596,7 +533,6 @@ class MigrationExecutor:
         rate_model=None,
         method: str = "auto",
         seed: int = 0,
-        trace: Optional[JsonlTraceWriter] = None,
         cache: Optional[PlanCache] = None,
         tracer: Optional[Tracer] = None,
     ) -> "MigrationExecutor":
@@ -619,7 +555,6 @@ class MigrationExecutor:
             rate_model=rate_model,
             method=method,
             seed=seed,
-            trace=trace,
             cache=cache,
             tracer=tracer,
         )
@@ -658,10 +593,4 @@ class MigrationExecutor:
             if ex._states.get(item) == PENDING:
                 new_target.place(item, dst)
         ex._install_plan(cluster.migration_to(new_target))
-        ex._emit(
-            type="run_resumed",
-            t=ex._now,
-            round=ex._round_index,
-            pending=len(ex.pending_items),
-        )
         return ex

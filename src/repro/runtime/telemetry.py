@@ -1,4 +1,4 @@
-"""Runtime telemetry: counters, per-round timings, JSONL traces.
+"""Runtime telemetry: counters and per-round timings.
 
 The executor reports what happened through three channels:
 
@@ -7,8 +7,9 @@ The executor reports what happened through three channels:
 * a :class:`RuntimeTelemetry` aggregate — named counters plus one
   record per executed round — that is part of the checkpoint, so
   resumed runs keep accumulating the same totals;
-* an optional :class:`JsonlTraceWriter` — one JSON object per line,
-  keys sorted, suitable for offline analysis via
+* the executor's optional :class:`repro.obs.Tracer` — one span per
+  round and per replan plus the mirrored counters, written as JSONL by
+  ``repro-migrate run --trace-out`` and folded offline by
   :func:`repro.analysis.metrics.summarize_runtime_trace`.
 
 Telemetry is deliberately dumb: it never influences execution, so a
@@ -17,8 +18,7 @@ run with tracing disabled is bit-for-bit identical to one with it on.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -103,42 +103,3 @@ class RuntimeTelemetry:
             telemetry.count(name, int(value))
         telemetry._rounds = [dict(r) for r in state.get("rounds", [])]
         return telemetry
-
-
-class JsonlTraceWriter:
-    """Structured trace: one sorted-key JSON object per line.
-
-    Every record carries at least ``type`` and ``t`` (simulated time).
-    The writer appends when resuming from a checkpoint so the combined
-    file covers the whole logical run.
-    """
-
-    def __init__(self, path: str, append: bool = False):
-        self.path = str(path)
-        self._handle = open(self.path, "a" if append else "w")
-
-    def emit(self, record: Mapping[str, Any]) -> None:
-        self._handle.write(json.dumps(dict(record), sort_keys=True, default=str))
-        self._handle.write("\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def read_trace(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL trace back into a list of records."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -24,7 +24,8 @@ The server owns its wiring: a (possibly store-backed, pre-warmed)
 :class:`~repro.serve.broker.RequestBroker`, and a
 :class:`~repro.obs.Tracer` whose registry feeds ``/metrics`` (and,
 with ``trace_out``, a JSONL trace that ``repro-migrate stats`` can
-aggregate — per-worker files merge via multiple ``--trace`` flags).
+aggregate — per-worker files merge when passed to ``stats`` together,
+as positional paths).
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import plan
 from repro.analysis.balance import equalize_rounds, round_size_stats
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
 from tests.conftest import random_instance
 
 
@@ -39,7 +39,7 @@ class TestEqualizeRounds:
     @pytest.mark.parametrize("seed", range(6))
     def test_feasibility_and_makespan_preserved(self, seed):
         inst = random_instance(9, 60, capacity_choices=(1, 2, 4), seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         balanced = equalize_rounds(sched, inst)
         balanced.validate(inst)
         assert balanced.num_rounds == sched.num_rounds
@@ -47,13 +47,13 @@ class TestEqualizeRounds:
     @pytest.mark.parametrize("seed", range(6))
     def test_variance_never_increases(self, seed):
         inst = random_instance(9, 80, capacity_choices=(1, 2, 4), seed=seed + 10)
-        sched = plan_migration(inst, method="greedy")  # greedy front-loads
+        sched = plan(inst, method="greedy").schedule  # greedy front-loads
         before = round_size_stats(sched)["stdev"]
         after = round_size_stats(equalize_rounds(sched, inst))["stdev"]
         assert after <= before + 1e-9
 
     def test_single_round_noop(self):
         inst = MigrationInstance.uniform([("a", "b")], capacity=1)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         balanced = equalize_rounds(sched, inst)
         assert balanced.rounds == sched.rounds

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import plan
 from repro.analysis.gantt import render_gantt, utilization
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
 from tests.conftest import random_instance
 
 
@@ -14,7 +14,7 @@ def small():
     inst = MigrationInstance.from_moves(
         [("a", "b"), ("a", "b"), ("b", "c")], {"a": 2, "b": 2, "c": 1}
     )
-    sched = plan_migration(inst)
+    sched = plan(inst).schedule
     return inst, sched
 
 
@@ -29,7 +29,7 @@ class TestRenderGantt:
         inst = MigrationInstance.from_moves(
             [("a", "b")], {"a": 1, "b": 1, "idle": 4}, extra_nodes=["idle"]
         )
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         assert "idle" not in render_gantt(inst, sched)
         assert "idle" in render_gantt(inst, sched, only_busy=False)
 
@@ -42,7 +42,7 @@ class TestRenderGantt:
 
     def test_truncation_marker(self):
         inst = random_instance(6, 60, capacity_choices=(1,), seed=0)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         assert sched.num_rounds > 5
         out = render_gantt(inst, sched, max_rounds=5)
         assert "…" in out
@@ -52,7 +52,7 @@ class TestRenderGantt:
             [("hub", f"x{i}") for i in range(4)],
             {"hub": 4, "x0": 1, "x1": 1, "x2": 1, "x3": 1},
         )
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         out = render_gantt(inst, sched)
         assert "4" in out  # the hub runs 4 transfers in its round
 
@@ -63,7 +63,7 @@ class TestUtilization:
             [("hub", f"x{i}") for i in range(4)],
             {"hub": 4, "x0": 1, "x1": 1, "x2": 1, "x3": 1},
         )
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         util = utilization(inst, sched)
         assert util["hub"] == pytest.approx(1.0)
         for v, u in util.items():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.events import EventLog, ItemMigrated, RoundCompleted, RoundStarted
 from repro.cluster.engine import MigrationEngine
@@ -9,7 +10,6 @@ from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
 from repro.cluster.traces import MigrationTrace, replay_trace
-from repro.core.solver import plan_migration
 
 
 class TestEventLog:
@@ -42,7 +42,7 @@ def executed_migration():
     cluster = StorageCluster(disks=disks, items=items, layout=layout)
     initial = cluster.layout.copy()
     ctx = cluster.migration_to(target)
-    sched = plan_migration(ctx.instance)
+    sched = plan(ctx.instance).schedule
     report = MigrationEngine(cluster).execute(ctx, sched)
     return cluster, initial, report
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
 from repro.cluster.network import FabricTopology
@@ -13,7 +14,6 @@ from repro.cluster.replication import (
     validate_replication,
 )
 from repro.core.errors import InvalidInstanceError, ScheduleValidationError
-from repro.core.solver import plan_migration
 
 
 def fleet(n, limit=2):
@@ -76,20 +76,20 @@ class TestRecovery:
         disks = fleet(6)
         layout = place_replicated(catalog(30), disks, replicas=2)
         survivors = [d for d in disks if d.disk_id != "d0"]
-        plan = recovery_moves(layout, "d0", survivors)
-        assert plan.num_copies == len(plan.degraded_items)
+        recovery = recovery_moves(layout, "d0", survivors)
+        assert recovery.num_copies == len(recovery.degraded_items)
         validate_replication(layout, 2)  # layout already reflects the plan
         # No new replica landed on a disk already holding the item.
-        for _eid, (item, src, dst) in plan.copy_of_edge.items():
+        for _eid, (item, src, dst) in recovery.copy_of_edge.items():
             assert src != dst
 
     def test_recovery_instance_is_schedulable(self):
         disks = fleet(8, limit=3)
         layout = place_replicated(catalog(60), disks, replicas=2)
         survivors = [d for d in disks if d.disk_id != "d3"]
-        plan = recovery_moves(layout, "d3", survivors)
-        sched = plan_migration(plan.instance)
-        sched.validate(plan.instance)
+        recovery = recovery_moves(layout, "d3", survivors)
+        sched = plan(recovery.instance).schedule
+        sched.validate(recovery.instance)
 
     def test_last_replica_loss_detected(self):
         layout = ReplicatedLayout({"x": ["d0"]})
@@ -107,9 +107,9 @@ class TestRecovery:
                                       uplink_bandwidth=1.0)
         layout = place_replicated(catalog(18), disks, replicas=2, topology=topo)
         survivors = [d for d in disks if d.disk_id != "d0"]
-        plan = recovery_moves(layout, "d0", survivors, topology=topo)
+        recovery = recovery_moves(layout, "d0", survivors, topology=topo)
         # New replicas avoid the surviving holder's rack when possible.
-        for _eid, (item, _src, dst) in plan.copy_of_edge.items():
+        for _eid, (item, _src, dst) in recovery.copy_of_edge.items():
             other_holders = layout.holders(item) - {dst}
             if len({topo.rack(h) for h in other_holders}) < 3:
                 assert topo.rack(dst) not in {
@@ -128,33 +128,27 @@ class TestBalancedRecovery:
         disks = self.make_mixed_fleet()
         layout = place_replicated(catalog(120), disks, replicas=2, seed=5)
         survivors = [d for d in disks if d.disk_id != "d0"]
-        plan = recovery_moves_balanced(layout, "d0", survivors)
-        assert plan.num_copies == len(plan.degraded_items)
+        recovery = recovery_moves_balanced(layout, "d0", survivors)
+        assert recovery.num_copies == len(recovery.degraded_items)
         validate_replication(layout, 2)
-        from repro.core.solver import plan_migration as pm
-
-        pm(plan.instance).validate(plan.instance)
+        plan(recovery.instance).schedule.validate(recovery.instance)
 
     def test_never_slower_than_greedy_planner(self):
-        from repro.core.solver import plan_migration as pm
-
         disks = self.make_mixed_fleet()
         survivors = [d for d in disks if d.disk_id != "d0"]
         layout_a = place_replicated(catalog(120), disks, replicas=2, seed=5)
         layout_b = place_replicated(catalog(120), disks, replicas=2, seed=5)
-        greedy = pm(recovery_moves(layout_a, "d0", survivors).instance).num_rounds
-        balanced = pm(
-            recovery_moves_balanced(layout_b, "d0", survivors).instance
-        ).num_rounds
-        assert balanced <= greedy
+        greedy = plan(recovery_moves(layout_a, "d0", survivors).instance)
+        balanced = plan(recovery_moves_balanced(layout_b, "d0", survivors).instance)
+        assert balanced.schedule.num_rounds <= greedy.schedule.num_rounds
 
     def test_capable_disks_receive_more(self):
         disks = self.make_mixed_fleet()
         layout = place_replicated(catalog(120), disks, replicas=2, seed=5)
         survivors = [d for d in disks if d.disk_id != "d0"]
-        plan = recovery_moves_balanced(layout, "d0", survivors)
+        recovery = recovery_moves_balanced(layout, "d0", survivors)
         receives = {}
-        for _eid, (_item, _src, dst) in plan.copy_of_edge.items():
+        for _eid, (_item, _src, dst) in recovery.copy_of_edge.items():
             receives[dst] = receives.get(dst, 0) + 1
         caps = {d.disk_id: d.transfer_limit for d in survivors}
         fast = [receives.get(d, 0) for d, c in caps.items() if c == 4]
@@ -165,8 +159,8 @@ class TestBalancedRecovery:
     def test_no_degraded_items_empty_plan(self):
         disks = self.make_mixed_fleet()
         layout = ReplicatedLayout({"x": ["d1", "d2"]})
-        plan = recovery_moves_balanced(layout, "d0", [d for d in disks if d.disk_id != "d0"])
-        assert plan.num_copies == 0
+        recovery = recovery_moves_balanced(layout, "d0", [d for d in disks if d.disk_id != "d0"])
+        assert recovery.num_copies == 0
 
     def test_last_replica_loss_detected(self):
         layout = ReplicatedLayout({"x": ["d0"]})
@@ -201,11 +195,11 @@ class TestRecoveryInsufficientRacks:
         )
         layout = ReplicatedLayout({"x": ["d0", "d2"], "y": ["d0", "d3"]})
         survivors = [d for d in disks if d.disk_id in ("d2", "d3")]
-        plan = recovery_moves(layout, "d0", survivors, topology=topo)
+        recovery = recovery_moves(layout, "d0", survivors, topology=topo)
         # Rack-distinct targets are impossible (both survivors share
         # rack1 with the holders); the constraint relaxes rather than
         # failing, and replication is restored on distinct disks.
-        assert plan.num_copies == 2
+        assert recovery.num_copies == 2
         assert layout.holders("x") == {"d2", "d3"}
         assert layout.holders("y") == {"d2", "d3"}
 

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.service import compare_degradation, disk_demand, service_degradation
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
 from repro.workloads.scenarios import vod_rebalance_scenario
 
 
@@ -35,7 +35,7 @@ class TestDegradation:
     def test_empty_schedule_no_degradation(self):
         cluster = loaded_cluster()
         ctx = cluster.migration_to(cluster.layout.copy())
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = service_degradation(cluster, ctx, sched)
         assert report.total == 0.0
         assert report.duration == 0.0
@@ -45,7 +45,7 @@ class TestDegradation:
         target = cluster.layout.copy()
         target.place("warm", "d2")  # move off the hot disk
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = service_degradation(cluster, ctx, sched)
         # d0 hosts all the demand; d2 (the target) hosts none.
         assert report.per_disk["d0"] > 0.0
@@ -60,7 +60,7 @@ class TestDegradation:
         target.place("warm", "d2")
         target.place("cold", "d2")
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         # Utilization term is load/c_v <= 1, so impairment per disk
         # can never exceed duration * demand.
         report = service_degradation(cluster, ctx, sched)
@@ -73,7 +73,7 @@ class TestDegradation:
         target = cluster.layout.copy()
         target.place("warm", "d2")
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         before = cluster.layout.as_dict()
         service_degradation(cluster, ctx, sched)
         assert cluster.layout.as_dict() == before
@@ -83,8 +83,8 @@ class TestCompare:
     def test_better_scheduler_less_degradation(self):
         scenario = vod_rebalance_scenario(num_disks=10, num_items=300, seed=8)
         schedules = {
-            "auto": plan_migration(scenario.instance),
-            "homogeneous": plan_migration(scenario.instance, method="homogeneous"),
+            "auto": plan(scenario.instance).schedule,
+            "homogeneous": plan(scenario.instance, method="homogeneous").schedule,
         }
         reports = compare_degradation(scenario.cluster, scenario.context, schedules)
         assert reports["auto"].total <= reports["homogeneous"].total

@@ -100,6 +100,51 @@ class TestApplyDelta:
             )
 
 
+def antiparallel_instance(*moves):
+    """Edges in the given (src, dst) order: edge id i is ``moves[i]``."""
+    graph = Multigraph(nodes=["a", "b", "c"])
+    for u, v in moves:
+        graph.add_edge(u, v)
+    return MigrationInstance(graph, {"a": 2, "b": 2, "c": 2})
+
+
+def directed_moves(instance):
+    return sorted(
+        (eid, instance.graph.endpoints(eid)) for eid, _u, _v in instance.graph.edges()
+    )
+
+
+class TestDirectedMoves:
+    """A move is ``src -> dst``; the reverse move never matches it."""
+
+    def test_remove_takes_the_move_not_its_reverse(self):
+        instance = antiparallel_instance(("a", "b"), ("b", "a"))
+        patched = apply_delta(instance, InstanceDelta(remove_moves=(("a", "b"),)))
+        assert directed_moves(patched) == [(1, ("b", "a"))]
+
+    def test_remove_of_a_reverse_only_move_raises(self):
+        instance = antiparallel_instance(("b", "a"))
+        with pytest.raises(DeltaError, match="matches no pending move"):
+            apply_delta(instance, InstanceDelta(remove_moves=(("a", "b"),)))
+
+    def test_retarget_takes_the_move_not_its_reverse(self):
+        instance = antiparallel_instance(("a", "b"), ("b", "a"))
+        patched = apply_delta(
+            instance, InstanceDelta(retarget_moves=(("a", "b", "c"),))
+        )
+        assert directed_moves(patched) == [(1, ("b", "a")), (2, ("a", "c"))]
+
+    def test_retarget_of_a_reverse_only_move_raises(self):
+        instance = antiparallel_instance(("b", "a"))
+        with pytest.raises(DeltaError, match="matches no pending move"):
+            apply_delta(instance, InstanceDelta(retarget_moves=(("a", "b", "c"),)))
+
+    def test_remove_takes_the_highest_id_of_its_direction(self):
+        instance = antiparallel_instance(("a", "b"), ("a", "b"), ("b", "a"))
+        patched = apply_delta(instance, InstanceDelta(remove_moves=(("a", "b"),)))
+        assert directed_moves(patched) == [(0, ("a", "b")), (2, ("b", "a"))]
+
+
 class TestCompose:
     def test_later_removal_cancels_pending_add(self):
         d1 = InstanceDelta(add_moves=(("a", "b"), ("c", "d")))
@@ -142,6 +187,37 @@ class TestJson:
             capacity_changes=(("d", 2),),
         )
         assert InstanceDelta.from_json(delta.to_json()) == delta
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["not", "a", "mapping"],
+            {"schema_version": 1, "add": 5},
+            {"schema_version": 1, "remove": None},
+            {"schema_version": 1, "add": [["a", "b", "c"]]},
+            {"schema_version": 1, "retarget": [["a", "b"]]},
+            {"schema_version": 1, "capacities": [["a"]]},
+            {"schema_version": 1, "add": ["ab"]},
+            {"schema_version": 1, "add": [[["b"], "a"]]},
+            {"schema_version": 1, "retarget": [["a", "b", 3]]},
+            {"schema_version": 1, "capacities": [[7, 2]]},
+        ],
+        ids=[
+            "not-a-mapping",
+            "field-not-a-list",
+            "field-null",
+            "entry-too-long",
+            "entry-too-short",
+            "capacity-entry-too-short",
+            "entry-is-a-string",
+            "unhashable-node",
+            "int-node",
+            "int-capacity-node",
+        ],
+    )
+    def test_malformed_payload_raises_delta_error(self, payload):
+        with pytest.raises(DeltaError):
+            InstanceDelta.from_json(payload)
 
     def test_touched_nodes(self):
         delta = InstanceDelta(

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import plan
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
 from repro.extensions.completion_time import (
     disk_release_sum,
     promote_items,
@@ -30,7 +30,7 @@ class TestMetrics:
 
     def test_disk_release_sum(self):
         inst = random_instance(6, 20, seed=0)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         total = disk_release_sum(sched, inst)
         busy_disks = {
             n for eid in inst.graph.edge_ids() for n in inst.graph.endpoints(eid)
@@ -59,7 +59,7 @@ class TestReorderByWeight:
     @pytest.mark.parametrize("seed", range(5))
     def test_makespan_and_validity_preserved(self, seed):
         inst = random_instance(8, 40, seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         reordered = reorder_rounds_by_weight(sched)
         assert reordered.num_rounds == sched.num_rounds
         reordered.validate(inst)
@@ -67,7 +67,7 @@ class TestReorderByWeight:
     @pytest.mark.parametrize("seed", range(5))
     def test_never_increases_objective(self, seed):
         inst = random_instance(8, 40, seed=seed + 20)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         reordered = reorder_rounds_by_weight(sched)
         assert sum_completion_time(reordered) <= sum_completion_time(sched)
 
@@ -86,7 +86,7 @@ class TestPromoteItems:
     @pytest.mark.parametrize("seed", range(5))
     def test_validity_makespan_and_objective(self, seed):
         inst = random_instance(9, 45, capacity_choices=(1, 2), seed=seed + 40)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         promoted = promote_items(sched, inst)
         promoted.validate(inst)
         assert promoted.num_rounds <= sched.num_rounds
@@ -150,7 +150,7 @@ class TestWeightedGreedySchedule:
         weights = {eid: rng.choice([1.0, 1.0, 1.0, 20.0]) for eid in inst.graph.edge_ids()}
         greedy = weighted_greedy_schedule(inst, weights)
         tuned = promote_items(
-            reorder_rounds_by_weight(plan_migration(inst), weights), inst, weights
+            reorder_rounds_by_weight(plan(inst).schedule, weights), inst, weights
         )
         assert weighted_sum_completion_time(greedy, weights) <= (
             weighted_sum_completion_time(tuned, weights) * 1.25
@@ -169,7 +169,7 @@ class TestReorderForDiskRelease:
     @pytest.mark.parametrize("seed", range(5))
     def test_validity_and_makespan_preserved(self, seed):
         inst = random_instance(8, 40, capacity_choices=(1, 2), seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         reordered = reorder_rounds_for_disk_release(sched, inst)
         assert reordered.num_rounds == sched.num_rounds
         reordered.validate(inst)
@@ -177,13 +177,13 @@ class TestReorderForDiskRelease:
     @pytest.mark.parametrize("seed", range(5))
     def test_never_increases_release_sum_vs_initial(self, seed):
         inst = random_instance(8, 40, capacity_choices=(1, 2), seed=seed + 7)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         reordered = reorder_rounds_for_disk_release(sched, inst)
         assert disk_release_sum(reordered, inst) <= disk_release_sum(sched, inst)
 
     def test_single_round_noop(self):
         inst = random_instance(6, 3, capacity_choices=(4,), seed=1)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         if sched.num_rounds == 1:
             reordered = reorder_rounds_for_disk_release(sched, inst)
             assert reordered.rounds == sched.rounds

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import plan
 from repro.core.errors import ScheduleValidationError, SolverError
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
 from repro.extensions.space import (
     SpacePlan,
     SpaceState,
@@ -57,20 +57,20 @@ class TestMakeSpaceFeasible:
     @pytest.mark.parametrize("seed", range(8))
     def test_one_spare_unit_suffices(self, seed):
         inst = random_instance(8, 35, capacity_choices=(1, 2), seed=seed)
-        sched = plan_migration(inst)
-        plan = make_space_feasible(inst, sched)
-        assert plan.num_rounds >= sched.num_rounds or sched.num_rounds == 0
+        sched = plan(inst).schedule
+        spaced = make_space_feasible(inst, sched)
+        assert spaced.num_rounds >= sched.num_rounds or sched.num_rounds == 0
         # Hall et al.: a spare unit keeps the overhead a small constant.
-        assert plan.num_rounds <= 3 * max(sched.num_rounds, 1)
+        assert spaced.num_rounds <= 3 * max(sched.num_rounds, 1)
 
     def test_ample_space_means_no_overhead(self):
         inst = random_instance(8, 30, capacity_choices=(2,), seed=3)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         occ = default_occupancy(inst)
         roomy = {v: 10_000 for v in inst.graph.nodes}
-        plan = make_space_feasible(inst, sched, occupancy=occ, space=roomy)
-        assert plan.num_rounds == sched.num_rounds
-        assert not plan.bypassed_items
+        spaced = make_space_feasible(inst, sched, occupancy=occ, space=roomy)
+        assert spaced.num_rounds == sched.num_rounds
+        assert not spaced.bypassed_items
 
     def test_full_cycle_needs_bypass(self):
         # a -> b -> c -> a, every disk full (occupancy == space), one
@@ -80,18 +80,18 @@ class TestMakeSpaceFeasible:
             {"a": 1, "b": 1, "c": 1, "spare": 1},
             extra_nodes=["spare"],
         )
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         occ = {"a": 1, "b": 1, "c": 1, "spare": 0}
         space = {"a": 1, "b": 1, "c": 1, "spare": 1}
-        plan = make_space_feasible(inst, sched, occupancy=occ, space=space)
-        assert plan.bypassed_items, "the full cycle must be broken by a bypass"
-        validate_space(inst, plan, occ, space)
+        spaced = make_space_feasible(inst, sched, occupancy=occ, space=space)
+        assert spaced.bypassed_items, "the full cycle must be broken by a bypass"
+        validate_space(inst, spaced, occ, space)
 
     def test_impossible_without_any_free_space(self):
         inst = MigrationInstance.from_moves(
             [("a", "b"), ("b", "a")], {"a": 1, "b": 1}
         )
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         occ = {"a": 1, "b": 1}
         space = {"a": 1, "b": 1}
         with pytest.raises(SolverError):
@@ -101,23 +101,23 @@ class TestMakeSpaceFeasible:
         from repro.graphs.multigraph import Multigraph
 
         inst = MigrationInstance(Multigraph(nodes=["a"]), {"a": 1})
-        plan = make_space_feasible(inst, MigrationSchedule([]))
-        assert plan.num_rounds == 0
+        spaced = make_space_feasible(inst, MigrationSchedule([]))
+        assert spaced.num_rounds == 0
 
 
 class TestValidator:
     def test_catches_space_overflow(self):
         inst = MigrationInstance.uniform([("a", "b"), ("c", "b")], capacity=1)
         e1, e2 = inst.graph.edge_ids()
-        plan = SpacePlan(rounds=[[(e1, "a", "b"), (e2, "c", "b")]], base_rounds=1)
+        spaced = SpacePlan(rounds=[[(e1, "a", "b"), (e2, "c", "b")]], base_rounds=1)
         occ = {"a": 1, "b": 0, "c": 1}
         space = {"a": 1, "b": 1, "c": 1}  # b can hold only one
         with pytest.raises(ScheduleValidationError):
-            validate_space(inst, plan, occ, space)
+            validate_space(inst, spaced, occ, space)
 
     def test_catches_wrong_location(self):
         inst = MigrationInstance.uniform([("a", "b")], capacity=1)
         (eid,) = inst.graph.edge_ids()
-        plan = SpacePlan(rounds=[[(eid, "c", "b")]], base_rounds=1)
+        spaced = SpacePlan(rounds=[[(eid, "c", "b")]], base_rounds=1)
         with pytest.raises(ScheduleValidationError, match="hop claims"):
-            validate_space(inst, plan, {"a": 1, "b": 0}, {"a": 2, "b": 2})
+            validate_space(inst, spaced, {"a": 1, "b": 0}, {"a": 2, "b": 2})

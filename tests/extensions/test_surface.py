@@ -10,6 +10,7 @@ algorithms have their own test files.
 import pytest
 
 import repro.extensions as ext
+from repro.core.delta import InstanceDelta
 from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
 from repro.extensions import (
@@ -126,9 +127,9 @@ class TestOnlineInstance:
     def test_matches_legacy_two_mapping_call(self):
         instance = online_instance()
         bundled = run_online(instance)
-        legacy = run_online(instance.arrivals, instance.capacities)
-        assert bundled.timeline == legacy.timeline
-        assert bundled.rounds == legacy.rounds
+        unbundled = run_online(instance.deltas(), instance.capacities)
+        assert bundled.timeline == unbundled.timeline
+        assert bundled.rounds == unbundled.rounds
 
     def test_rejects_capacities_given_twice(self):
         instance = online_instance()
@@ -137,7 +138,7 @@ class TestOnlineInstance:
 
     def test_requires_capacities_for_bare_mapping(self):
         with pytest.raises(ValueError, match="required"):
-            run_online({0: [("a", "b")]})
+            run_online({0: InstanceDelta(add_moves=(("a", "b"),))})
 
 
 class TestPublicSurface:

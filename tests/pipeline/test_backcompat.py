@@ -1,18 +1,24 @@
-"""The deprecation-shim contract: ``plan_migration`` ≡ pipeline ``plan``.
+"""The CLI's ``--method`` surface: ``repro-migrate schedule`` ≡ ``repro.plan``.
 
-Every METHODS entry must produce byte-identical canonical schedules
-through the legacy wrapper and the pipeline — same rounds, same order
-within rounds, same method label — so existing callers can migrate to
-:func:`repro.pipeline.plan` (or not) without output drift.
+The ``--method`` choices come from the solver registry — ``auto``
+first, then :func:`~repro.pipeline.registry.solver_names` in
+registration order — so every registered solver stays reachable from
+the command line.  For each choice the ``schedule`` subcommand must
+print exactly the pipeline's schedule for the same input, and print it
+the same way every time, so scripts driving the CLI see the rounds
+library callers get.
 """
 
 import pytest
 
-from repro.core.problem import MigrationInstance
-from repro.core.solver import METHODS, plan_migration
-from repro.pipeline import plan
+from repro import MigrationInstance, plan
+from repro.cli import main
+from repro.pipeline.registry import solver_names
+from repro.workloads.io import load_instance, save_instance
 
 from tests.conftest import even_instance, random_instance
+
+METHOD_CHOICES = ("auto",) + solver_names()
 
 
 def instance_for(method: str) -> MigrationInstance:
@@ -32,28 +38,51 @@ def instance_for(method: str) -> MigrationInstance:
     return random_instance(9, 30, seed=3)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_wrapper_is_byte_identical_to_pipeline(method):
-    inst = instance_for(method)
-    via_wrapper = plan_migration(inst, method=method, seed=5)
-    via_pipeline = plan(inst, method=method, seed=5).schedule
-    assert via_wrapper.rounds == via_pipeline.rounds
-    assert via_wrapper.method == via_pipeline.method
-    via_wrapper.validate(inst)
+def run_schedule(capsys, path, method):
+    assert main(["schedule", str(path), "--json", "--method", method]) == 0
+    return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_wrapper_is_deterministic(method):
-    inst = instance_for(method)
-    a = plan_migration(inst, method=method, seed=7)
-    b = plan_migration(inst, method=method, seed=7)
-    assert a.rounds == b.rounds
+@pytest.fixture
+def saved(tmp_path):
+    def save(method):
+        path = tmp_path / f"{method}.json"
+        save_instance(instance_for(method), str(path))
+        return path
+
+    return save
 
 
-def test_methods_tuple_still_starts_with_auto():
-    assert METHODS[0] == "auto"
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_wrapper_is_byte_identical_to_pipeline(method, saved, capsys):
+    path = saved(method)
+    inst = load_instance(str(path))
+    schedule = plan(inst, method=method).schedule
+    schedule.validate(inst)
+    expected = [f"# method={schedule.method} rounds={schedule.num_rounds}"]
+    for i, rnd in enumerate(schedule.rounds):
+        moves = ", ".join(
+            "->".join(map(str, inst.graph.endpoints(eid))) for eid in sorted(rnd)
+        )
+        expected.append(f"round {i}: {moves}")
+    assert run_schedule(capsys, path, method) == "\n".join(expected) + "\n"
 
 
-def test_wrapper_unknown_method_message():
-    with pytest.raises(ValueError, match="unknown method"):
-        plan_migration(instance_for("general"), method="nope")
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_wrapper_is_deterministic(method, saved, capsys):
+    path = saved(method)
+    assert run_schedule(capsys, path, method) == run_schedule(capsys, path, method)
+
+
+def test_methods_tuple_still_starts_with_auto(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(METHOD_CHOICES) + "}" in capsys.readouterr().out
+
+
+def test_wrapper_unknown_method_message(saved, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", str(saved("general")), "--json", "--method", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.problem import MigrationInstance
-from repro.core.solver import METHODS
 from repro.pipeline.registry import (
     _REGISTRY,
     get_solver,
@@ -29,7 +28,6 @@ class TestCatalog:
             "exact",
             "exact_bb",
         )
-        assert METHODS == ("auto",) + solver_names()
 
     def test_get_solver_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):

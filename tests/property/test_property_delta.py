@@ -10,6 +10,8 @@ retargets drawn from disjoint live edges, adds and capacity changes
 anywhere, both engine backends, chained deltas.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +83,12 @@ def instance_and_delta(draw):
         capacity_changes=capacity_changes,
     )
     return instance, delta
+
+
+def directed_moves(instance):
+    """The instance's ``(src, dst)`` move multiset."""
+    graph = instance.graph
+    return Counter(graph.endpoints(eid) for eid, _u, _v in graph.edges())
 
 
 class TestIdentityContract:
@@ -181,6 +189,21 @@ class TestDeltaAlgebra:
         sequential = apply_delta(apply_delta(instance, delta1), delta2)
         composed = apply_delta(instance, delta1.compose(delta2))
         assert fingerprint(sequential) == fingerprint(composed)
+
+    @given(instance_and_delta())
+    @settings(deadline=None, max_examples=60)
+    def test_directed_move_multiset_changes_by_exactly_the_delta(self, case):
+        """Antiparallel pairs included: a remove never takes the reverse."""
+        instance, delta = case
+        expected = directed_moves(instance)
+        for src, old, new in delta.retarget_moves:
+            expected[(src, old)] -= 1
+            expected[(src, new)] += 1
+        for move in delta.remove_moves:
+            expected[move] -= 1
+        for move in delta.add_moves:
+            expected[move] += 1
+        assert directed_moves(apply_delta(instance, delta)) == +expected
 
     @given(instance_and_delta())
     @settings(deadline=None, max_examples=40)

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import plan
 from repro.core.problem import MigrationInstance
-from repro.core.solver import plan_migration
 from repro.extensions.cloning import (
     CloningInstance,
     cloning_lower_bound,
@@ -50,12 +50,12 @@ class TestSpaceProperties:
     @settings(deadline=None, max_examples=60)
     def test_spare_space_plans_always_validate(self, moves, caps, spare):
         inst = instance_from(moves, caps)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         occ = default_occupancy(inst)
         space = spare_space(inst, occ, spare=spare)
-        plan = make_space_feasible(inst, sched, occupancy=occ, space=space)
-        validate_space(inst, plan, occ, space)
-        assert plan.num_rounds <= 6 * max(sched.num_rounds, 1)
+        spaced = make_space_feasible(inst, sched, occupancy=occ, space=space)
+        validate_space(inst, spaced, occ, space)
+        assert spaced.num_rounds <= 6 * max(sched.num_rounds, 1)
 
 
 class TestForwardingProperties:
@@ -75,7 +75,7 @@ class TestCompletionTimeProperties:
     @settings(deadline=None, max_examples=60)
     def test_reorder_and_promote_never_hurt(self, moves, caps):
         inst = instance_from(moves, caps)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         base = sum_completion_time(sched)
         reordered = reorder_rounds_by_weight(sched)
         promoted = promote_items(reordered, inst)

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.runtime import (
     CheckpointError,
     DiskCrash,
@@ -34,15 +34,14 @@ SCENARIO_SEED = 1
 EXECUTOR_SEED = 7
 
 
-def fresh_executor(trace=None):
+def fresh_executor():
     scenario = decommission_scenario(seed=SCENARIO_SEED)
     return scenario, MigrationExecutor(
         scenario.cluster,
         scenario.context,
-        plan_migration(scenario.instance),
+        plan(scenario.instance).schedule,
         faults=FAULTS,
         seed=EXECUTOR_SEED,
-        trace=trace,
     )
 
 

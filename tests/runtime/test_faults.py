@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.events import DiskRemoved, ItemMigrated, MigrationReplanned
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
 from repro.runtime import (
     DiskCrash,
     FaultInjector,
@@ -172,7 +172,7 @@ class TestNetworkPartition:
         ctx = cluster.migration_to(target)
         faults = FaultPlan(partitions=(NetworkPartition(0.0, 2.5, ("d0",)),))
         report = MigrationExecutor(
-            cluster, ctx, plan_migration(ctx.instance), faults=faults, seed=1
+            cluster, ctx, plan(ctx.instance).schedule, faults=faults, seed=1
         ).run()
         assert report.finished and report.fully_delivered
         assert report.telemetry.counters["failures_partition"] > 0
@@ -189,7 +189,7 @@ class TestDiskCrash:
         ex = MigrationExecutor(
             scenario.cluster,
             scenario.context,
-            plan_migration(scenario.instance),
+            plan(scenario.instance).schedule,
             faults=faults,
             seed=2,
         )
@@ -210,7 +210,7 @@ class TestDiskCrash:
         ex = MigrationExecutor(
             scenario.cluster,
             scenario.context,
-            plan_migration(scenario.instance),
+            plan(scenario.instance).schedule,
             faults=faults,
             seed=5,
         )
@@ -235,7 +235,7 @@ class TestDiskCrash:
         ctx = cluster.migration_to(Layout({"x": "b", "y": "a"}))
         faults = FaultPlan(crashes=(DiskCrash("a", 0.0),))
         report = MigrationExecutor(
-            cluster, ctx, plan_migration(ctx.instance), faults=faults
+            cluster, ctx, plan(ctx.instance).schedule, faults=faults
         ).run()
         assert report.finished
         # x was sourced on the dead disk: stranded.  y targeted it: the
@@ -252,7 +252,7 @@ class TestDiskCrash:
             ex = MigrationExecutor(
                 scenario.cluster,
                 scenario.context,
-                plan_migration(scenario.instance),
+                plan(scenario.instance).schedule,
                 faults=FaultPlan(
                     transfer_failure_rate=0.1, crashes=(DiskCrash("new1", 6.0),)
                 ),

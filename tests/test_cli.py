@@ -91,12 +91,13 @@ class TestRunCommand:
     def test_trace_written(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
         assert main([
-            "run", "decommission", "--seed", "1", "--trace", str(trace),
+            "run", "decommission", "--seed", "1", "--trace-out", str(trace),
         ]) == 0
         capsys.readouterr()
-        from repro.analysis.metrics import load_runtime_trace, summarize_runtime_trace
+        from repro.analysis.metrics import summarize_runtime_trace
+        from repro.obs import load_trace
 
-        summary = summarize_runtime_trace(load_runtime_trace(str(trace)))
+        summary = summarize_runtime_trace(load_trace(str(trace)))
         assert summary.finished
         assert summary.delivered == 90
 

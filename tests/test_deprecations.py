@@ -1,29 +1,20 @@
-"""Deprecation contract: legacy entry points warn exactly once each.
+"""Retired spellings fail loudly instead of drifting back in.
 
-The consolidated planning API (``repro.plan``) left the historical
-spellings in place as compatibility shims.  Each shim must emit one
-``DeprecationWarning`` per process — per entry point, not per call —
-and keep returning the same results.
+Each finished deprecation cycle leaves one way to say a thing: a
+removed keyword is a ``TypeError`` and a removed input form is rejected
+with a typed error, never silently accepted.  (Tier-1 also turns every
+``DeprecationWarning`` raised from ``repro`` or ``tests`` into an error,
+so a warning shim cannot come back quietly either.)
 """
 
 import warnings
 
 import pytest
 
-from repro import compat
-from repro.core.solver import plan_migration
 from repro.extensions.online import run_online
 from repro.pipeline import PlanCache, plan
 from repro.runtime import MigrationExecutor
 from repro.workloads.scenarios import decommission_scenario
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test observes the warning as if in a fresh process."""
-    compat.reset_warned()
-    yield
-    compat.reset_warned()
 
 
 def scenario_executor(**kwargs):
@@ -32,29 +23,6 @@ def scenario_executor(**kwargs):
     return MigrationExecutor(
         scenario.cluster, scenario.context, schedule, **kwargs
     )
-
-
-class TestPlanMigrationShim:
-    def test_warns_once_per_process(self):
-        scenario = decommission_scenario(seed=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan_migration(scenario.instance)
-            plan_migration(scenario.instance)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.plan" in str(deprecations[0].message)
-
-    def test_matches_canonical_api(self):
-        scenario = decommission_scenario(seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_migration(scenario.instance, method="auto", seed=0)
-        canonical = plan(scenario.instance, method="auto", seed=0).schedule
-        assert legacy.rounds == canonical.rounds
-        assert legacy.method == canonical.method
 
 
 class TestExecutorCacheKwarg:
@@ -82,59 +50,19 @@ class TestExecutorCacheKwarg:
         assert executor.plan_cache is not None
 
 
-class TestOnlineArrivalsMappingShim:
-    def test_mapping_of_rounds_warns_once(self):
-        arrivals = {0: [("a", "b")], 1: [("b", "c")]}
-        caps = {"a": 1, "b": 1, "c": 1}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_online(arrivals, caps)
-            run_online(arrivals, caps)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "InstanceDelta" in str(deprecations[0].message)
+class TestRetiredSpellings:
+    def test_executor_event_trace_kwarg_is_gone(self):
+        """Runtime traces are obs spans only: pass ``tracer=``."""
+        with pytest.raises(TypeError, match="trace"):
+            scenario_executor(trace=object())
 
-    def test_shim_matches_delta_stream(self):
-        from repro.core.delta import InstanceDelta
-
-        arrivals = {0: [("a", "b"), ("a", "b")], 2: [("b", "c")]}
-        caps = {"a": 1, "b": 1, "c": 1}
-        deltas = {
-            r: InstanceDelta(add_moves=tuple(batch))
-            for r, batch in arrivals.items()
-        }
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_online(arrivals, caps)
-        canonical = run_online(deltas, caps)
-        assert legacy.rounds == canonical.rounds
-        assert legacy.timeline == canonical.timeline
-
-    def test_entry_points_warn_independently(self):
-        """One warning per entry point, not one per process total."""
+    def test_from_state_event_trace_kwarg_is_gone(self):
+        state = scenario_executor().get_state()
         scenario = decommission_scenario(seed=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan_migration(scenario.instance)
+        with pytest.raises(TypeError, match="trace"):
+            MigrationExecutor.from_state(scenario.cluster, state, trace=object())
+
+    def test_online_mapping_of_moves_is_rejected(self):
+        """A round -> batch-of-moves mapping is not a delta stream."""
+        with pytest.raises(TypeError, match="InstanceDelta"):
             run_online({0: [("a", "b")]}, {"a": 1, "b": 1})
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-
-
-class TestWarnOnce:
-    def test_keys_are_independent_and_resettable(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compat.warn_once("k1", "first")
-            compat.warn_once("k1", "first")
-            compat.warn_once("k2", "second")
-        assert len(caught) == 2
-        compat.reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compat.warn_once("k1", "first")
-        assert len(caught) == 1

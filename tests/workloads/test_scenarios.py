@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import plan
 from repro.cluster.engine import MigrationEngine
-from repro.core.solver import plan_migration
 from repro.workloads.scenarios import (
     decommission_scenario,
     scale_out_scenario,
@@ -25,7 +25,7 @@ class TestScenarioShapes:
         scenario = builder(seed=1)
         inst = scenario.instance
         assert inst.num_items > 0
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         sched.validate(inst)
 
     @pytest.mark.parametrize("builder", ALL_SCENARIOS)
@@ -78,7 +78,7 @@ class TestSensorHarvest:
 
     def test_bipartite_optimal_dispatch(self):
         scenario = sensor_harvest_scenario(seed=2)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         # Sensors -> collectors is bipartite: exactly Δ' rounds.
         assert sched.method == "bipartite_optimal"
         assert sched.num_rounds == scenario.instance.delta_prime()
@@ -88,7 +88,7 @@ class TestScenarioExecution:
     @pytest.mark.parametrize("builder", ALL_SCENARIOS)
     def test_executes_to_target(self, builder):
         scenario = builder(seed=3)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         engine = MigrationEngine(scenario.cluster, time_model="unit")
         report = engine.execute(scenario.context, sched)
         assert report.completed
