@@ -1,10 +1,11 @@
-"""EXP-ENGINE — raw-speed comparison of the two solver engines.
+"""EXP-ENGINE — raw-speed comparison of the CSR kernels and their reference.
 
-The flat CSR array backend (:mod:`repro.graphs.array_backend` plus the
-compact kernels) exists purely for speed: it must produce the *same
-bytes* as the reference object engine (`repro-migrate check --engine`
-proves that differentially) while solving large components many times
-faster.  This bench measures that factor end to end through
+The pipeline solves on flat CSR arrays (:mod:`repro.graphs.array_backend`
+plus the compact kernels) purely for speed: they must produce the *same
+bytes* as the object-engine reference solvers
+(``repro.checks.engine.reference_engine``; `repro-migrate check
+--engine` proves that differentially) while solving large components
+many times faster.  This bench measures that factor end to end through
 ``repro.plan`` — lowering cost included — on instances where the solve
 stage dominates:
 
@@ -39,6 +40,7 @@ from typing import Callable, Dict, Tuple
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
+from repro.checks.engine import reference_engine
 from repro.core.problem import MigrationInstance
 from repro.pipeline.planner import plan
 from repro.workloads.generators import random_instance, regular_instance
@@ -92,7 +94,7 @@ CASES: Tuple[BenchCase, ...] = (
 
 
 def run_case(case: BenchCase) -> Dict[str, object]:
-    """Time both backends through ``repro.plan`` on one instance.
+    """Time the reference and the kernels through ``repro.plan``.
 
     Uncached, serial, same method selection — the only variable is the
     engine.  The object run goes first so the array run can be checked
@@ -102,11 +104,12 @@ def run_case(case: BenchCase) -> Dict[str, object]:
     instance = case.factory()
 
     start = time.perf_counter()
-    obj = plan(instance, backend="object")
+    with reference_engine():
+        obj = plan(instance)
     object_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    arr = plan(instance, backend="array")
+    arr = plan(instance)
     array_seconds = time.perf_counter() - start
 
     identical = (
@@ -175,7 +178,7 @@ def append_entry(metrics: Dict[str, object]) -> Dict[str, object]:
 
 def _render_table(metrics: Dict[str, object]) -> Table:
     table = Table(
-        "EXP-ENGINE: array backend vs object engine (repro.plan wall time)",
+        "EXP-ENGINE: CSR kernels vs object reference (repro.plan wall time)",
         ["case", "edges", "Δ'", "method", "object (s)", "array (s)", "speedup"],
     )
     for name, row in metrics["cases"].items():  # type: ignore[union-attr]
@@ -191,7 +194,7 @@ def _check(metrics: Dict[str, object]) -> int:
     failures = 0
     for name, row in metrics["cases"].items():  # type: ignore[union-attr]
         if not row["identical"]:
-            print(f"FAIL {name}: backends diverged (not byte-identical)")
+            print(f"FAIL {name}: kernels diverged from the reference")
             failures += 1
         if row["speedup"] < row["target"]:
             print(
@@ -208,7 +211,7 @@ def test_engine_smoke(benchmark):
     assert _check(metrics) == 0
 
     instance = random_instance(32, 8_000, capacities={2: 0.5, 4: 0.5}, seed=7)
-    benchmark(lambda: plan(instance, backend="array"))
+    benchmark(lambda: plan(instance))
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ Three pillars, one theme: *don't trust the solver, check it*.
   harness proving schedules, executor runs, and the flow report itself
   are process-independent.
 * :mod:`repro.checks.engine` — a differential harness proving the flat
-  CSR array backend byte-identical to the reference object engine
+  CSR kernels byte-identical to their object-engine reference
   (rounds, digests, certificates) across the generator corpus, plus
   the exact-vs-heuristic battery sandwiching the Theorem 5.1 solver
   between a verified lower bound and a verified optimum.
@@ -47,8 +47,8 @@ from repro.checks.engine import (
     EngineReport,
     check_engine_equivalence,
     check_exact_vs_heuristic,
-    compare_backends,
     compare_exact_vs_heuristic,
+    compare_with_reference,
 )
 from repro.checks.flow import (
     FLOW_RULES,
@@ -95,8 +95,8 @@ __all__ = [
     "check_determinism",
     "check_engine_equivalence",
     "check_exact_vs_heuristic",
-    "compare_backends",
     "compare_exact_vs_heuristic",
+    "compare_with_reference",
     "lint_tree",
     "make_certificate",
     "parse_suppressions",

@@ -1,17 +1,18 @@
-"""Differential engine-equivalence harness (object vs array backend).
+"""Differential engine-equivalence harness (CSR kernels vs object reference).
 
-The array backend (:mod:`repro.graphs.array_backend` and the compact
-kernels registered in :mod:`repro.pipeline.registry`) claims to be
-**byte-identical** to the reference object engine — not "equally
-valid", the *same bytes*: same rounds in the same order, same method
-labels, same canonical fingerprints, same lower-bound certificates.
-That claim is what lets the plan cache, the schedule fingerprints, and
-the checkpoint/resume contract stay backend-agnostic.
+The pipeline runs the paper's hot kernels on the flat CSR arrays of
+:mod:`repro.graphs.array_backend`: the Theorem 4.1 even-capacity
+scheduler, the König bipartite scheduler and the Theorem 5.1 general
+solver are registered as ``lowered`` solvers.  Their object-engine
+implementations stay as the **reference** (:data:`REFERENCES`), and the
+kernels claim to be **byte-identical** to them — not "equally valid",
+the *same bytes*: same rounds in the same order, same method labels,
+same canonical fingerprints, same lower-bound certificates.
 
 This module proves the claim differentially instead of sampling it:
 every instance in the generator corpus (all families: even-capacity,
 bipartite, clique, hotspot, regular, mixed multi-component) is planned
-twice — ``backend="object"`` and ``backend="array"`` — under multiple
+twice — under :func:`reference_engine` and as shipped — under multiple
 seeds, and the harness requires
 
 * identical round lists (compared element by element, order included),
@@ -20,22 +21,33 @@ seeds, and the harness requires
 * identical verified lower bounds and certificate JSON
   (:mod:`repro.checks.certify` re-verifies both sides independently).
 
-Wired into ``repro-migrate check --engine`` and the CI
-``engine-bench-smoke`` job; the cross-``PYTHONHASHSEED`` battery
-(:mod:`repro.checks.hashseed`) additionally runs the comparison in
-fresh interpreters under different hash seeds.
+Wired into ``repro-migrate check --engine``; the cross-``PYTHONHASHSEED``
+battery (:mod:`repro.checks.hashseed`) additionally runs the comparison
+in fresh interpreters under different hash seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.checks.certify import certificate_to_json
+from repro.core.even_optimal import even_optimal_schedule
+from repro.core.general import (
+    GeneralSolverStats,
+    general_schedule,
+    general_schedule_compact,
+)
 from repro.core.problem import MigrationInstance
+from repro.core.schedule import MigrationSchedule
+from repro.core.special_cases import bipartite_optimal_schedule
+from repro.graphs.array_backend import lower_instance
+from repro.pipeline import registry
 from repro.pipeline.planner import PlanResult, plan
+from repro.pipeline.registry import SolveFn
 from repro.workloads.generators import (
     bipartite_instance,
     clique_instance,
@@ -46,9 +58,55 @@ from repro.workloads.generators import (
 )
 
 
+def _reference_even_optimal(
+    instance: MigrationInstance, seed: int, stats: Optional[GeneralSolverStats]
+) -> MigrationSchedule:
+    return even_optimal_schedule(instance)
+
+
+def _reference_bipartite_optimal(
+    instance: MigrationInstance, seed: int, stats: Optional[GeneralSolverStats]
+) -> MigrationSchedule:
+    return bipartite_optimal_schedule(instance)
+
+
+def _reference_general(
+    instance: MigrationInstance, seed: int, stats: Optional[GeneralSolverStats]
+) -> MigrationSchedule:
+    return general_schedule(instance, seed=seed, stats=stats)
+
+
+#: Method name -> the object-engine solver its CSR kernel must match.
+REFERENCES: Dict[str, SolveFn] = {
+    "even_optimal": _reference_even_optimal,
+    "bipartite_optimal": _reference_bipartite_optimal,
+    "general": _reference_general,
+}
+
+
+@contextmanager
+def reference_engine() -> Iterator[None]:
+    """Run the :data:`REFERENCES` solvers in place of the kernels.
+
+    For the duration of the block the registry specs of the kernel
+    methods solve on the object instance with their reference solver;
+    everything else (selection, caching, certification) is unchanged.
+    The swap is in-process only: pool workers re-import the registry
+    and would run the kernels, so code under the swap must plan
+    serially (the default ``parallel=False``).
+    """
+    saved = {name: registry.get_solver(name) for name in REFERENCES}
+    try:
+        for name, solve in REFERENCES.items():
+            registry._REGISTRY[name] = replace(saved[name], solve=solve, lowered=False)
+        yield
+    finally:
+        registry._REGISTRY.update(saved)
+
+
 @dataclass(frozen=True)
 class EngineCase:
-    """One (instance, method, seed) comparison between the backends."""
+    """One (instance, method, seed) comparison: kernels vs reference."""
 
     name: str
     ok: bool
@@ -92,10 +150,10 @@ def schedule_digest(rounds: Sequence[Sequence[int]]) -> str:
 
 
 #: The default differential corpus: every generator family, chosen so
-#: each registered compact kernel (even_optimal, bipartite_optimal,
-#: general) and the object-only fallbacks all get exercised.  Kept
-#: small enough to run in the CI smoke job; the factories are
-#: deterministic, so the corpus is too.
+#: each CSR kernel (even_optimal, bipartite_optimal, general) and the
+#: object-only solvers all get exercised.  Kept small enough to run in
+#: the CI static-analysis job; the factories are deterministic, so the
+#: corpus is too.
 DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
     (
         "random/mixed-caps",
@@ -141,20 +199,21 @@ DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
 )
 
 
-def compare_backends(
+def compare_with_reference(
     name: str,
     instance: MigrationInstance,
     method: str = "auto",
     seed: int = 0,
 ) -> EngineCase:
-    """Plan ``instance`` on both backends and compare everything.
+    """Plan ``instance`` with the reference and the kernels; compare.
 
     Both plans run uncached and certified, so the comparison covers
     rounds, method labels, the canonical schedule digest, and the
     independently verified lower bound / certificate JSON.
     """
-    obj = plan(instance, method=method, seed=seed, backend="object", certify=True)
-    arr = plan(instance, method=method, seed=seed, backend="array", certify=True)
+    with reference_engine():
+        obj = plan(instance, method=method, seed=seed, certify=True)
+    arr = plan(instance, method=method, seed=seed, certify=True)
     problems = _diff_results(obj, arr)
     if problems:
         return EngineCase(name=name, ok=False, detail="; ".join(problems))
@@ -270,11 +329,10 @@ def compare_exact_vs_heuristic(name: str, instance: MigrationInstance) -> Engine
         verify_certificate,
         verify_optimality_certificate,
     )
-    from repro.core.general import general_schedule
     from repro.exact.search import solve_exact
 
     res = solve_exact(instance)
-    heuristic = general_schedule(instance, seed=0)
+    heuristic = general_schedule_compact(lower_instance(instance), seed=0)
     lb = verify_certificate(instance, make_certificate(instance))
     problems: List[str] = []
     if res.value > heuristic.num_rounds:
@@ -320,14 +378,14 @@ def check_engine_equivalence(
     """Run the full differential battery over the corpus.
 
     Every corpus entry is compared under every seed (seeds matter for
-    the randomized general solver: the two backends must agree on every
-    seed's schedule, not just one lucky draw).
+    the randomized general solver: kernel and reference must agree on
+    every seed's schedule, not just one lucky draw).
     """
     cases: List[EngineCase] = []
     for name, method, factory in corpus or DEFAULT_CORPUS:
         for seed in seeds:
             cases.append(
-                compare_backends(
+                compare_with_reference(
                     f"{name}/seed{seed}", factory(), method=method, seed=seed
                 )
             )

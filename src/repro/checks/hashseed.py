@@ -117,14 +117,15 @@ sys.stdout.write(run_campaign(config).canonical_json())
 """
 
 
-#: Plans the same instance on the object and the array backend, fails
-#: if they diverge in-process, and prints the array schedule
-#: canonically — so the engine-equivalence contract is also checked
-#: *across* hash seeds (both backends must be hash-seed independent
-#: and agree with each other in every process).
-#: argv: num_disks num_items instance_seed method
+#: Plans the same instance with the object reference solvers
+#: (``reference_engine``) and with the CSR kernels, fails if they
+#: diverge in-process, and prints the kernel schedule canonically — so
+#: the engine-equivalence contract is also checked *across* hash seeds
+#: (both engines must be hash-seed independent and agree with each
+#: other in every process).  argv: num_disks num_items instance_seed method
 ENGINE_DRIVER = """\
 import json, sys
+from repro.checks.engine import reference_engine
 from repro.pipeline import plan
 from repro.workloads import random_instance
 
@@ -134,10 +135,11 @@ instance = random_instance(
     num_disks, num_items, capacities={1: 0.3, 2: 0.4, 4: 0.3},
     seed=instance_seed,
 )
-obj = plan(instance, method=method, seed=0, backend="object").schedule
-arr = plan(instance, method=method, seed=0, backend="array").schedule
+with reference_engine():
+    obj = plan(instance, method=method, seed=0).schedule
+arr = plan(instance, method=method, seed=0).schedule
 if obj.rounds != arr.rounds or obj.method != arr.method:
-    sys.exit("array backend diverged from object backend")
+    sys.exit("CSR kernels diverged from the object reference")
 payload = {
     "method": arr.method,
     "rounds": [list(rnd) for rnd in arr.rounds],
@@ -147,13 +149,15 @@ sys.stdout.write(json.dumps(payload, sort_keys=True))
 
 
 #: Plans a multi-component instance, applies a fixed delta through
-#: ``plan_delta`` on both engine backends, fails if they diverge
-#: in-process, and prints the patched schedule, dispositions and
-#: certificate digests canonically — the incremental replanner must be
-#: hash-seed independent end to end (token maps, patch recoloring,
-#: cache write-through, certificates).  argv: seed
+#: ``plan_delta`` with the object reference solvers and with the CSR
+#: kernels, fails if they diverge in-process, and prints the patched
+#: schedule, dispositions and certificate digests canonically — the
+#: incremental replanner must be hash-seed independent end to end
+#: (token maps, patch recoloring, cache write-through, certificates).
+#: argv: seed
 DELTA_DRIVER = """\
-import json, random, sys
+import contextlib, json, random, sys
+from repro.checks.engine import reference_engine
 from repro.core.delta import InstanceDelta
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
@@ -181,10 +185,11 @@ delta = InstanceDelta(
     capacity_changes=(("c3.d0", 2),),
 )
 payloads = []
-for backend in ("object", "array"):
+for engine in (reference_engine, contextlib.nullcontext):
     cache = PlanCache(max_entries=512)
-    prior = plan(instance, "auto", 0, cache=cache, backend=backend, certify=True)
-    result = plan_delta(prior, delta, cache=cache, backend=backend, certify=True)
+    with engine():
+        prior = plan(instance, "auto", 0, cache=cache, certify=True)
+        result = plan_delta(prior, delta, cache=cache, certify=True)
     payloads.append({
         "rounds": [list(rnd) for rnd in result.schedule.rounds],
         "dispositions": list(result.dispositions),
@@ -192,7 +197,7 @@ for backend in ("object", "array"):
         "patch_digest": result.patch_certificate.result_digest,
     })
 if payloads[0] != payloads[1]:
-    sys.exit("delta planner diverged between backends")
+    sys.exit("delta planner diverged between kernels and reference")
 sys.stdout.write(json.dumps(payloads[0], sort_keys=True))
 """
 

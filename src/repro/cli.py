@@ -31,8 +31,9 @@ Subcommands:
 * ``fuzz`` — cross-validate all schedulers on randomized instances.
 * ``check`` — correctness tooling (:mod:`repro.checks`): determinism
   linter, mypy strict gate, cross-``PYTHONHASHSEED`` harness, the
-  differential engine harness (``--engine``, array vs object backend),
-  and independent schedule certification (``--certify``).
+  differential engine harness (``--engine``, CSR kernels vs their
+  object reference, plus exact vs heuristic), and independent schedule
+  certification (``--certify``).
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
+from repro.core.errors import InvalidInstanceError
 from repro.core.problem import MigrationInstance
 from repro.pipeline.planner import plan
-from repro.pipeline.registry import BACKENDS, DEFAULT_BACKEND, solver_names
+from repro.pipeline.registry import solver_names
 from repro.workloads.generators import random_instance
 from repro.workloads.scenarios import (
     decommission_scenario,
@@ -72,6 +74,10 @@ def _parse_moves_file(path: str) -> Tuple[List[Tuple[str, str]], Dict[str, int]]
     Lines are either ``src,dst`` (one item to move) or
     ``cap,<disk>,<c_v>`` (a transfer constraint); ``#`` starts a
     comment.  Disks without an explicit constraint default to 1.
+
+    Raises:
+        InvalidInstanceError: for a line of neither shape or a
+            non-integer ``c_v`` (the message names the line).
     """
     moves: List[Tuple[str, str]] = []
     caps: Dict[str, int] = {}
@@ -82,12 +88,26 @@ def _parse_moves_file(path: str) -> Tuple[List[Tuple[str, str]], Dict[str, int]]
                 continue
             parts = [p.strip() for p in line.split(",")]
             if parts[0] == "cap" and len(parts) == 3:
-                caps[parts[1]] = int(parts[2])
+                try:
+                    caps[parts[1]] = int(parts[2])
+                except ValueError:
+                    raise InvalidInstanceError(
+                        f"line {lineno}: capacity {parts[2]!r} is not an int"
+                    ) from None
             elif len(parts) == 2:
                 moves.append((parts[0], parts[1]))
             else:
-                raise ValueError(f"{path}:{lineno}: cannot parse {raw.rstrip()!r}")
+                raise InvalidInstanceError(
+                    f"line {lineno}: cannot parse {raw.rstrip()!r}"
+                )
     return moves, caps
+
+
+def _input_error(path: str, exc: Exception) -> int:
+    """Report an unreadable or malformed input file; exit code 2."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 2
 
 
 def _load_cli_instance(args: argparse.Namespace) -> MigrationInstance:
@@ -112,7 +132,10 @@ def _open_tracer(path: Optional[str], append: bool = False):
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    instance = _load_cli_instance(args)
+    try:
+        instance = _load_cli_instance(args)
+    except (InvalidInstanceError, OSError) as exc:
+        return _input_error(args.moves_file, exc)
     schedule = plan(instance, method=args.method).schedule
     print(f"# method={schedule.method} rounds={schedule.num_rounds}")
     graph = instance.graph
@@ -144,7 +167,10 @@ def _open_plan_cache(store_path: Optional[str], no_cache: bool = False):
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    instance = _load_cli_instance(args)
+    try:
+        instance = _load_cli_instance(args)
+    except (InvalidInstanceError, OSError) as exc:
+        return _input_error(args.moves_file, exc)
     objective = None
     if args.objective:
         from repro.core.objectives import load_objective
@@ -161,7 +187,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         workers=args.workers,
         certify=args.certify,
         tracer=tracer,
-        backend=args.backend,
         objective=objective,
     )
     if store is not None:
@@ -188,12 +213,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if result.components:
         table = Table(
             "components",
-            ["#", "disks", "items", "method", "backend", "rounds", "cached"],
+            ["#", "disks", "items", "method", "rounds", "cached"],
         )
         for comp in result.components:
             table.add_row(
                 comp.index, comp.num_disks, comp.num_items,
-                comp.method, comp.backend, comp.rounds,
+                comp.method, comp.rounds,
                 "yes" if comp.cached else "no",
             )
         print(table.render())
@@ -230,7 +255,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         report = {
             "method": schedule.method,
             "rounds": schedule.num_rounds,
-            "backend": args.backend,
             "seed": args.seed,
             "objective": result.objective.kind if result.objective else "makespan",
             "objective_value": result.objective_value,
@@ -245,7 +269,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                     "disks": comp.num_disks,
                     "items": comp.num_items,
                     "method": comp.method,
-                    "backend": comp.backend,
                     "rounds": comp.rounds,
                     "cached": comp.cached,
                 }
@@ -498,7 +521,10 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.analysis.gantt import render_gantt, utilization
     from repro.workloads.io import load_instance
 
-    instance = load_instance(args.instance)
+    try:
+        instance = load_instance(args.instance)
+    except (InvalidInstanceError, OSError) as exc:
+        return _input_error(args.instance, exc)
     schedule = plan(instance, method=args.method).schedule
     print(f"# method={schedule.method} rounds={schedule.num_rounds}")
     print(render_gantt(instance, schedule, max_rounds=args.max_rounds))
@@ -775,7 +801,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.certify is not None:
         from repro.workloads.io import load_instance
 
-        instance = load_instance(args.certify)
+        try:
+            instance = load_instance(args.certify)
+        except (InvalidInstanceError, OSError) as exc:
+            return _input_error(args.certify, exc)
         schedule = plan(instance, method=args.method).schedule
         try:
             report = certify(instance, schedule)
@@ -892,7 +921,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.engine or run_all:
         engine_report = check_engine_equivalence()
         if human:
-            print("engine (array vs object backend):")
+            print("engine (CSR kernels vs object reference):")
             print(engine_report.render())
         exact_report = check_exact_vs_heuristic()
         if human:
@@ -942,15 +971,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the input as a JSON instance (see `generate`)",
     )
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                        help="engine backend for the solve stage: 'array' "
-                             "runs the flat-CSR kernels where a solver has "
-                             "one, 'object' forces the reference engine; "
-                             "schedules are byte-identical "
-                             f"(default {DEFAULT_BACKEND})")
     p_plan.add_argument("--report", metavar="PATH", default=None,
                         help="write a JSON plan report: rounds, per-component "
-                             "method/backend attribution, cache hits")
+                             "method attribution, cache hits")
     p_plan.add_argument("--parallel", action="store_true",
                         help="solve components in a process pool")
     p_plan.add_argument("--workers", type=int, default=None,
@@ -1208,8 +1231,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "async-safety, pool-boundary rules)")
     p_check.add_argument("--engine", action="store_true",
                          help="run only the differential engine harness "
-                              "(array backend byte-identical to the "
-                              "object engine across the generator corpus)")
+                              "(CSR kernels byte-identical to their object "
+                              "reference across the generator corpus) and "
+                              "the exact-vs-heuristic battery")
     p_check.add_argument("--fast", action="store_true",
                          help="skip the (slow) executor determinism case")
     p_check.add_argument("--json", action="store_true",

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 from repro.core.problem import MigrationInstance
 from repro.core.recolor import ColoringState
 from repro.core.schedule import MigrationSchedule
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.coloring.euler_split import euler_split_coloring
 from repro.graphs.coloring.kempe import kempe_coloring
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
@@ -105,10 +106,10 @@ def even_rounding_schedule(instance: MigrationInstance) -> MigrationSchedule:
                 f"disk {v!r} has c_v = 1; even-rounding needs c_v >= 2"
             )
         reduced[v] = c if c % 2 == 0 else c - 1
-    from repro.core.even_optimal import even_optimal_schedule
+    from repro.core.even_optimal import even_optimal_schedule_compact
 
     reduced_instance = MigrationInstance(instance.graph.copy(), reduced)
-    schedule = even_optimal_schedule(reduced_instance)
+    schedule = even_optimal_schedule_compact(lower_instance(reduced_instance))
     relabeled = MigrationSchedule(schedule.rounds, method="even_rounding")
     relabeled.validate(instance)
     return relabeled

@@ -43,6 +43,10 @@ from repro.graphs.multigraph import EdgeId, Multigraph, Node
 def even_optimal_schedule(instance: MigrationInstance) -> MigrationSchedule:
     """Compute an optimal (``Δ'``-round) schedule; all ``c_v`` even.
 
+    The object-engine reference: the pipeline runs
+    :func:`even_optimal_schedule_compact`, which
+    :mod:`repro.checks.engine` proves byte-identical to this function.
+
     Raises:
         InvalidInstanceError: if some transfer constraint is odd.
         SolverError: if an internal feasibility invariant breaks

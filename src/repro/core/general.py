@@ -84,6 +84,10 @@ def general_schedule(
 ) -> MigrationSchedule:
     """Schedule an arbitrary-constraint instance (Theorem 5.1).
 
+    The object-engine reference: the pipeline runs
+    :func:`general_schedule_compact`, which :mod:`repro.checks.engine`
+    proves byte-identical to this function.
+
     Args:
         instance: the migration instance.
         seed: RNG seed for sweep orders and flip tie-breaking.

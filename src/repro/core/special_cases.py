@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.graphs.array_backend import CompactInstance
+from repro.graphs.array_backend import CompactInstance, lower_instance
 from repro.graphs.coloring.bipartite import (
     NotBipartiteError,
     bipartite_coloring,
@@ -79,7 +79,10 @@ def bipartite_optimal_schedule(instance: MigrationInstance) -> MigrationSchedule
     """Optimal (``Δ'``-round) schedule for a bipartite transfer graph.
 
     Works for arbitrary transfer constraints — including the odd
-    capacities that make the general problem NP-hard.
+    capacities that make the general problem NP-hard.  The object-engine
+    reference: the pipeline runs :func:`bipartite_optimal_schedule_compact`,
+    which :mod:`repro.checks.engine` proves byte-identical to this
+    function.
 
     Raises:
         NotBipartiteError: if the transfer graph is not bipartite.
@@ -181,5 +184,5 @@ def try_special_case_schedule(
     the instance needs the general machinery.
     """
     if is_bipartite_instance(instance):
-        return bipartite_optimal_schedule(instance)
+        return bipartite_optimal_schedule_compact(lower_instance(instance))
     return None

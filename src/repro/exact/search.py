@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SolverError
-from repro.core.general import general_schedule
+from repro.core.general import general_schedule_compact
 from repro.core.lower_bounds import EXACT_LB2_NODE_LIMIT, lower_bound
 from repro.core.objectives import (
     BoundedColorObjective,
@@ -649,7 +649,7 @@ def solve_exact(
 def _solve_makespan(search: _Search) -> Tuple[List[List[int]], int, int, str]:
     instance = search.instance
     lb = lower_bound(instance)
-    heuristic = general_schedule(instance, seed=0)
+    heuristic = general_schedule_compact(search.ci, seed=0)
     upper = heuristic.num_rounds
     search._mark("L%d;U%d;" % (lb, upper))
     if upper == lb:

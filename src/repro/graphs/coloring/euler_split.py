@@ -18,13 +18,12 @@ evenizing node whenever one exists, so real degrees stay within
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.graphs.array_backend import CompactGraph
 from repro.graphs.coloring.base import inherit_palette
 from repro.graphs.coloring.kempe import kempe_coloring
-from repro.graphs.euler import compact_euler_circuits, euler_circuits
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.euler import euler_circuits
+from repro.graphs.multigraph import EdgeId, Multigraph
 
 # Below this max degree we stop splitting and hand the part to the
 # Kempe colorer, which is near-exact on such sparse leftovers.
@@ -91,157 +90,3 @@ def euler_split(graph: Multigraph) -> Tuple[Multigraph, Multigraph]:
         eid for eid in graph.edge_ids() if assignment.get(eid) == 1
     )
     return part_a, part_b
-
-
-# ----------------------------------------------------------------------
-# Array backend (byte-identical mirror of the recursion above)
-# ----------------------------------------------------------------------
-
-def compact_euler_split_coloring(graph: CompactGraph) -> Dict[EdgeId, int]:
-    """Array-backend :func:`euler_split_coloring` (byte-identical).
-
-    The split recursion — degree counting, evenizing hub, Hierholzer
-    walk, alternate assignment, part extraction — runs on flat local
-    index arrays; no object graph is materialized per level.  Children
-    relabel nodes in first-touch order of their edge list, mirroring
-    the object engine's ``edge_subgraph`` node insertion.  Leaves
-    (max degree ``<= 3``) are lifted to exactly the object subgraph the
-    object recursion would have built (same node order, edge ids, and
-    ``next_edge_id``) and handed to the same Kempe colorer, so the
-    returned ``edge_id -> color`` dict matches the object result key
-    for key, value for value, in the same insertion order.
-    """
-    edges = list(zip(graph.edge_u, graph.edge_v))
-    return _compact_split_rec(
-        graph.nodes, edges, graph.edge_ids, graph.next_edge_id
-    )
-
-
-def _compact_split_rec(
-    labels: List[Node],
-    edges: List[Tuple[int, int]],
-    eids: List[EdgeId],
-    next_edge_id: EdgeId,
-) -> Dict[EdgeId, int]:
-    for k, (u, v) in enumerate(edges):
-        if u == v:
-            raise ValueError(f"self-loop {eids[k]} cannot be properly colored")
-    if not edges:
-        return {}
-    n = len(labels)
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    if max(deg) <= _LEAF_DEGREE:
-        return kempe_coloring(_lift_part(labels, edges, eids, next_edge_id))
-    part_a, part_b = _compact_euler_split(n, deg, edges)
-    return inherit_palette(
-        {
-            0: _compact_split_rec(
-                *_relabel_part(labels, edges, eids, part_a), next_edge_id
-            ),
-            1: _compact_split_rec(
-                *_relabel_part(labels, edges, eids, part_b), next_edge_id
-            ),
-        }
-    )
-
-
-def _compact_euler_split(
-    n: int, deg: Sequence[int], edges: List[Tuple[int, int]]
-) -> Tuple[List[int], List[int]]:
-    """Array mirror of :func:`euler_split`: partition edge positions.
-
-    Local edge handles are positions in ``edges``; the evenizing hub is
-    node ``n`` and its edges take handles ``len(edges)..``, appended to
-    each odd node's row end and to the hub's row in odd-node order —
-    the exact adjacency the object engine's ``work.add_edge(_DUMMY,
-    v)`` calls produce.
-    """
-    m = len(edges)
-    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(edges):
-        rows[u].append((k, v))
-        rows[v].append((k, u))
-    odd = [v for v in range(n) if deg[v] % 2 == 1]
-    degree = list(deg)
-    num_handles = m
-    dummy = n
-    if odd:
-        rows.append([])
-        degree.append(len(odd))
-        for v in odd:
-            rows[v].append((num_handles, dummy))
-            rows[dummy].append((num_handles, v))
-            degree[v] += 1
-            num_handles += 1
-
-    indptr = [0]
-    inc_edge: List[int] = []
-    inc_other: List[int] = []
-    for row in rows:
-        for handle, other in row:
-            inc_edge.append(handle)
-            inc_other.append(other)
-        indptr.append(len(inc_edge))
-
-    assignment: Dict[int, int] = {}
-    for circuit in compact_euler_circuits(
-        indptr, inc_edge, inc_other, degree, num_handles
-    ):
-        if not circuit:
-            continue
-        if len(circuit) % 2 == 1 and odd:
-            for i, (_e, u, _v) in enumerate(circuit):
-                if u == dummy:
-                    circuit = circuit[i:] + circuit[:i]
-                    break
-        for i, (e, _u, _v) in enumerate(circuit):
-            assignment[e] = i % 2
-    part_a = [k for k in range(m) if assignment.get(k) == 0]
-    part_b = [k for k in range(m) if assignment.get(k) == 1]
-    return part_a, part_b
-
-
-def _relabel_part(
-    labels: List[Node],
-    edges: List[Tuple[int, int]],
-    eids: List[EdgeId],
-    picked: List[int],
-) -> Tuple[List[Node], List[Tuple[int, int]], List[EdgeId]]:
-    """Extract ``picked`` edge positions with first-touch relabeling.
-
-    Mirrors ``edge_subgraph`` node insertion: per edge, tail first then
-    head, keeping only touched nodes (children never carry isolated
-    nodes, exactly like the object parts).
-    """
-    remap: Dict[int, int] = {}
-    new_labels: List[Node] = []
-    new_edges: List[Tuple[int, int]] = []
-    new_eids: List[EdgeId] = []
-    for k in picked:
-        u, v = edges[k]
-        for x in (u, v):
-            if x not in remap:
-                remap[x] = len(new_labels)
-                new_labels.append(labels[x])
-        new_edges.append((remap[u], remap[v]))
-        new_eids.append(eids[k])
-    return new_labels, new_edges, new_eids
-
-
-def _lift_part(
-    labels: List[Node],
-    edges: List[Tuple[int, int]],
-    eids: List[EdgeId],
-    next_edge_id: EdgeId,
-) -> Multigraph:
-    """Rebuild the object subgraph this level stands for (leaf lift)."""
-    g = Multigraph()
-    for x in labels:
-        g.add_node(x)
-    for k, (u, v) in enumerate(edges):
-        g.restore_edge(eids[k], labels[u], labels[v])
-    g.reserve_edge_ids(next_edge_id)
-    return g

@@ -18,7 +18,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.flow import FlowNetwork, IntFlowNetwork
+from repro.graphs.flow import FlowNetwork
 
 Node = Hashable
 
@@ -223,13 +223,16 @@ class QuotaPeeler:
     def _dinic(self) -> int:
         """Dinic mirror specialized for the persistent quota network.
 
-        BFS levels are computed with a vectorized numpy gather when the
-        frontier is large (levels are a pure function of the residual
-        graph, so any BFS implementation yields the same array); the
-        blocking-flow DFS is the same iterative exact mirror as
-        :meth:`IntFlowNetwork.max_flow`, with the capacity-positivity
-        numpy mirror (``_pos_np``) kept in sync on every 0 <-> positive
-        transition so the next BFS sees the residual arcs.
+        Same residual-twin layout (twin of handle ``h`` is ``h ^ 1``),
+        phase structure and per-node arc order as
+        :meth:`FlowNetwork.max_flow`, so it performs exactly the same
+        augmentations.  BFS levels are computed with a vectorized numpy
+        gather when the frontier is large (levels are a pure function
+        of the residual graph, so any BFS implementation yields the
+        same array); the blocking-flow DFS is iterative, with the
+        capacity-positivity numpy mirror (``_pos_np``) kept in sync on
+        every 0 <-> positive transition so the next BFS sees the
+        residual arcs.
         """
         to = self._to
         cap = self._cap
@@ -286,8 +289,16 @@ class QuotaPeeler:
             # ``level`` (list) serves the scalar DFS scan, ``level_np``
             # the vectorized one; dead-end markings update both.
             it = [0] * n
-            # Iterative blocking-flow DFS; see IntFlowNetwork.max_flow
-            # for the equivalence argument to the recursive object DFS.
+            # Iterative blocking-flow DFS.  Behaviorally identical to
+            # the object engine's repeated recursive ``_dfs_push``
+            # calls: after an augmentation the recursion would unwind
+            # to the source and re-descend along the unchanged ``it``
+            # pointers, re-taking exactly the kept arcs (caps above the
+            # first saturated arc are still positive, levels unchanged)
+            # — so truncating the explicit path at that arc and
+            # continuing visits the same arcs in the same order,
+            # without the recursion depth limit on long zig-zag
+            # residual paths.
             # The current-arc scan is hybrid: a short scalar prefix,
             # then a vectorized first-admissible-arc search (argmax on
             # the same cap>0 / level==lv predicate over the CSR row

@@ -35,11 +35,10 @@ independent lower-bound certifier, and bound to their inputs by a
 
 Determinism contract: ``plan_delta(prior, delta)`` is a pure function
 of ``(prior instance, prior schedule bytes, prior seed, delta)`` —
-cache state and backend change only how much work is done, never the
-output bytes.  The patch path always runs on the object engine (warm
-starts are not a solver kernel); the ``backend`` argument affects
-fallback re-solves only, which are byte-identical across backends by
-the engine-equivalence contract.
+cache state changes only how much work is done, never the output
+bytes.  The patch path runs on the object :class:`ColoringState`
+(warm starts are not a solver kernel); fallback re-solves run the same
+registered solvers as ``plan()``.
 """
 
 from __future__ import annotations
@@ -68,12 +67,7 @@ from repro.pipeline.canonical import (
 )
 from repro.pipeline.parallel import SolveOutcome, backend_solver, solve_job
 from repro.pipeline.planner import ComponentPlan, PlanResult, _certify, _stage
-from repro.pipeline.registry import (
-    DEFAULT_BACKEND,
-    effective_backend,
-    resolve_backend,
-    select_solver,
-)
+from repro.pipeline.registry import select_solver
 from repro.pipeline.stages import decompose, merge
 
 #: delta-pipeline stages, in execution order (timing dict's key set).
@@ -156,7 +150,6 @@ def plan_delta(
     prior: PlanResult,
     delta: InstanceDelta,
     *,
-    backend: str = DEFAULT_BACKEND,
     cache: Optional[PlanCache] = None,
     certify: bool = True,
     tracer: Optional[Tracer] = None,
@@ -169,8 +162,6 @@ def plan_delta(
             instance and have been an ``"auto"`` plan; a forced-method
             prior has no per-component structure to patch.
         delta: the instance edit to absorb.
-        backend: engine for fallback re-solves (byte-identical either
-            way; the patch path itself runs on the object engine).
         cache: optional :class:`PlanCache`.  Consulted per component
             exactly like ``plan()`` and **written through** for every
             disposition, so a later ``plan(patched, cache=...)`` —
@@ -207,7 +198,6 @@ def plan_delta(
             "anchor an incremental replan"
         )
     seed = prior.seed
-    backend = resolve_backend(backend)
     tr = ensure_tracer(tracer)
     result = DeltaPlanResult(
         schedule=MigrationSchedule([], method="auto"),
@@ -245,7 +235,7 @@ def plan_delta(
         if not components:
             # Nothing to move — resolve exactly like plan()'s empty path.
             spec = select_solver(patched)
-            schedule = backend_solver(spec, patched, backend)(seed, None)
+            schedule = backend_solver(spec, patched)(seed, None)
             result.schedule = schedule
         else:
             with _stage(tr, result, "select"):
@@ -323,9 +313,7 @@ def plan_delta(
 
                     # 4. full per-component re-solve — byte-identical
                     #    to plan()'s cold path (same job, same seed).
-                    outcomes[k] = solve_job(
-                        (comp.instance, spec.name, comp_seed, backend)
-                    )
+                    outcomes[k] = solve_job((comp.instance, spec.name, comp_seed))
 
                 # Write-through: after a plan_delta, the cache serves
                 # the patched instance byte-for-byte.
@@ -372,11 +360,6 @@ def plan_delta(
                     seed=seeds[k],
                     cached=cached_flags[k],
                     fingerprint=comp.fingerprint,
-                    backend=(
-                        "object"
-                        if dispositions[k] == DISPOSITION_PATCHED
-                        else effective_backend(selections[k], backend)
-                    ),
                 )
                 for k, comp in enumerate(components)
             ]

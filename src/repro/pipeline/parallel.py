@@ -25,7 +25,7 @@ work-size threshold before spinning up a pool.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, cast
 
 from repro.core.general import GeneralSolverStats
 from repro.core.problem import MigrationInstance
@@ -38,17 +38,10 @@ from repro.pipeline.canonical import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.pipeline.registry import SolverSpec
+    from repro.pipeline.registry import LoweredSolveFn, SolveFn, SolverSpec
 
-#: One unit of work: (component instance, method name, seed) — with an
-#: optional fourth element naming the engine backend ("object" or
-#: "array"); 3-tuples keep the pre-backend meaning (the registry
-#: default).  Backends are byte-identical, so the outcome carries no
-#: backend marker and caches need none either.
-SolveJob = Union[
-    Tuple[MigrationInstance, str, int],
-    Tuple[MigrationInstance, str, int, str],
-]
+#: One unit of work: (component instance, method name, seed).
+SolveJob = Tuple[MigrationInstance, str, int]
 
 #: One result: (canonical rounds, method label the solver reported).
 SolveOutcome = Tuple[TokenRounds, str]
@@ -63,33 +56,31 @@ GENERAL_SOLVE_RESTARTS = 5
 def backend_solver(
     spec: "SolverSpec",
     instance: MigrationInstance,
-    backend: str,
 ) -> Callable[[int, Optional[GeneralSolverStats]], MigrationSchedule]:
-    """Bind ``spec`` to ``instance`` on the requested backend.
+    """Bind ``spec`` to ``instance``.
 
-    For an effective array backend the component is lowered onto the
-    CSR representation exactly once — restart attempts reuse the
-    lowered arrays.  The returned callable has the ``(seed, stats)``
-    solver signature.
+    A ``lowered`` solver gets the component lowered onto the CSR
+    representation exactly once — restart attempts reuse the lowered
+    arrays.  The returned callable has the ``(seed, stats)`` solver
+    signature.
     """
-    from repro.pipeline.registry import effective_backend
-
-    if effective_backend(spec, backend) == "array":
-        compact = spec.solve_compact
-        assert compact is not None  # implied by effective_backend
+    if spec.lowered:
+        solve_lowered = cast("LoweredSolveFn", spec.solve)
         lowered = lower_instance(instance)
 
         def solve_array(
             seed: int, stats: Optional[GeneralSolverStats]
         ) -> MigrationSchedule:
-            return compact(lowered, seed, stats)
+            return solve_lowered(lowered, seed, stats)
 
         return solve_array
+
+    solve_instance = cast("SolveFn", spec.solve)
 
     def solve_object(
         seed: int, stats: Optional[GeneralSolverStats]
     ) -> MigrationSchedule:
-        return spec.solve(instance, seed, stats)
+        return solve_instance(instance, seed, stats)
 
     return solve_object
 
@@ -108,12 +99,11 @@ def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> Solv
     private diagnostics, so a caller-provided ``stats`` describes the
     first solve only.
     """
-    instance, method, seed = job[0], job[1], job[2]
-    from repro.pipeline.registry import DEFAULT_BACKEND, get_solver
+    instance, method, seed = job
+    from repro.pipeline.registry import get_solver
 
-    backend = job[3] if len(job) > 3 else DEFAULT_BACKEND
     spec = get_solver(method)
-    solve = backend_solver(spec, instance, backend)
+    solve = backend_solver(spec, instance)
     run_stats = stats
     if run_stats is None and spec.randomized and not spec.optimal:
         run_stats = GeneralSolverStats()

@@ -56,14 +56,7 @@ from repro.pipeline.canonical import (
     rehydrate_rounds,
 )
 from repro.pipeline.parallel import SolveJob, backend_solver, solve_job, solve_jobs
-from repro.pipeline.registry import (
-    DEFAULT_BACKEND,
-    SolverSpec,
-    effective_backend,
-    get_solver,
-    resolve_backend,
-    select_solver,
-)
+from repro.pipeline.registry import SolverSpec, get_solver, select_solver
 from repro.pipeline.stages import (
     Component,
     decompose,
@@ -92,12 +85,6 @@ class ComponentPlan:
     seed: int
     cached: bool
     fingerprint: Optional[str]
-    #: engine backend that solved (or would have solved) the component:
-    #: "array" when the selected solver ran its compact CSR kernel,
-    #: "object" for the reference path.  Cache hits report the backend
-    #: the solve would have used — the bytes are identical either way,
-    #: which is also why plan-cache keys carry no backend.
-    backend: str = "object"
 
 
 @dataclass
@@ -209,7 +196,6 @@ def plan(
     seed: int = 0,
     stats: Optional[GeneralSolverStats] = None,
     *,
-    backend: str = DEFAULT_BACKEND,
     cache: Optional[PlanCache] = None,
     parallel: Union[bool, str] = False,
     workers: Optional[int] = None,
@@ -233,13 +219,6 @@ def plan(
         seed: base randomness seed.  Component solves draw from seeds
             derived per component fingerprint, so unchanged components
             reproduce their schedules across replans.
-        backend: ``"array"`` (default) lowers each component onto the
-            flat CSR engine when the selected solver has a compact
-            kernel, falling back to the object engine otherwise;
-            ``"object"`` forces the reference engine everywhere.  The
-            two backends are byte-identical by contract (enforced by
-            the differential harness), so the choice affects speed
-            only — plan-cache keys and fingerprints ignore it.
         stats: optional :class:`GeneralSolverStats`, filled by general
             solves.  Providing it disables caching and parallelism for
             this call (diagnostics require an in-process solve); under
@@ -280,7 +259,6 @@ def plan(
     if stats is not None:
         cache = None
         parallel = False
-    backend = resolve_backend(backend)
     tr = ensure_tracer(tracer)
     obj = objective if objective is not None else instance.objective
 
@@ -291,9 +269,9 @@ def plan(
         if obj.kind != "makespan":
             _plan_objective(instance, obj, method, result, tr)
         elif method != "auto":
-            _plan_forced(instance, method, seed, stats, backend, cache, result, tr)
+            _plan_forced(instance, method, seed, stats, cache, result, tr)
         else:
-            _plan_auto(instance, normalized.empty, seed, stats, backend, cache,
+            _plan_auto(instance, normalized.empty, seed, stats, cache,
                        parallel, workers, result, tr)
 
         with _stage(tr, result, "certify"):
@@ -322,7 +300,6 @@ def _plan_forced(
     method: str,
     seed: int,
     stats: Optional[GeneralSolverStats],
-    backend: str,
     cache: Optional[PlanCache],
     result: PlanResult,
     tracer: Tracer,
@@ -346,7 +323,7 @@ def _plan_forced(
             with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
                 watch = Stopwatch()
                 with watch:
-                    solved = backend_solver(spec, instance, backend)(seed, stats)
+                    solved = backend_solver(spec, instance)(seed, stats)
             accumulate(result.solver_profile, spec.name, watch)
             schedule = _round_trip(instance, solved, fp)
             if cache is not None and fp is not None:
@@ -372,7 +349,6 @@ def _plan_forced(
             seed=seed,
             cached=cached,
             fingerprint=fp,
-            backend=effective_backend(spec, backend),
         )
     ]
 
@@ -456,7 +432,6 @@ def _plan_auto(
     empty: bool,
     seed: int,
     stats: Optional[GeneralSolverStats],
-    backend: str,
     cache: Optional[PlanCache],
     parallel: Union[bool, str],
     workers: Optional[int],
@@ -470,7 +445,7 @@ def _plan_auto(
         # Nothing to move; resolve exactly like the legacy dispatcher
         # (an empty instance is trivially all-even).
         spec = select_solver(instance)
-        schedule = backend_solver(spec, instance, backend)(seed, stats)
+        schedule = backend_solver(spec, instance)(seed, stats)
         schedule.validate(instance)
         result.schedule = schedule
         return
@@ -502,7 +477,7 @@ def _plan_auto(
 
         miss_indices = [k for k, out in enumerate(outcomes) if out is None]
         jobs: List[SolveJob] = [
-            (components[k].instance, selections[k].name, seeds[k], backend)
+            (components[k].instance, selections[k].name, seeds[k])
             for k in miss_indices
         ]
         use_pool = _should_parallelize(parallel, [components[k] for k in miss_indices])
@@ -560,7 +535,6 @@ def _plan_auto(
             seed=seeds[k],
             cached=cached_flags[k],
             fingerprint=comp.fingerprint,
-            backend=effective_backend(selections[k], backend),
         )
         for k, comp in enumerate(components)
     ]

@@ -12,7 +12,12 @@ a :class:`SolverSpec` registered through :func:`register_solver`:
   algorithm even inside a globally mixed instance;
 * ``auto`` — whether the solver participates in automatic selection
   (baselines are registered but only reachable by explicit
-  ``method=`` so comparisons keep working).
+  ``method=`` so comparisons keep working);
+* ``lowered`` — the solve function takes the component lowered onto
+  the flat CSR arrays (:class:`CompactInstance`).  The three kernel
+  methods (even-optimal, bipartite-optimal, general) register this
+  way; their object-engine counterparts are kept only as the reference
+  :mod:`repro.checks.engine` compares against.
 
 The built-in catalog's cost hints order the automatic choice
 even-optimal before bipartite before general, so single-solver
@@ -23,7 +28,7 @@ gain per-component promotion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from repro.core.baselines import (
     even_rounding_schedule,
@@ -31,17 +36,12 @@ from repro.core.baselines import (
     homogeneous_schedule,
     saia_schedule,
 )
-from repro.core.even_optimal import even_optimal_schedule, even_optimal_schedule_compact
+from repro.core.even_optimal import even_optimal_schedule_compact
 from repro.core.exact import exact_optimum
-from repro.core.general import (
-    GeneralSolverStats,
-    general_schedule,
-    general_schedule_compact,
-)
+from repro.core.general import GeneralSolverStats, general_schedule_compact
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.core.special_cases import (
-    bipartite_optimal_schedule,
     bipartite_optimal_schedule_compact,
     is_bipartite_instance,
 )
@@ -58,38 +58,15 @@ SolveFn = Callable[
     [MigrationInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
 ]
 
-#: ``solve_compact(lowered, seed, stats)`` — the array-backend variant.
-#: Must produce a schedule byte-identical to ``solve`` on the source
-#: instance; the differential harness (`repro.checks.engine`) enforces
-#: this across the generator corpus.
-SolveCompactFn = Callable[
+#: The same signature over the component lowered onto the flat CSR
+#: representation, for solvers registered ``lowered=True``.
+LoweredSolveFn = Callable[
     [CompactInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
 ]
 
 ApplicableFn = Callable[[MigrationInstance], bool]
 
-#: Engine backends the solve stage can dispatch to.  ``"array"`` lowers
-#: each component onto the flat CSR representation and runs the
-#: solver's compact kernel when it registered one (solvers without a
-#: compact kernel fall back to the object path); ``"object"`` forces
-#: the reference engine.  Schedules are byte-identical either way.
-BACKENDS = ("object", "array")
-
-#: Backend used when the caller does not choose one.
-DEFAULT_BACKEND = "array"
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name.
-
-    Raises:
-        ValueError: for anything but a member of :data:`BACKENDS`.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
+_SolveT = TypeVar("_SolveT", bound=Callable[..., MigrationSchedule])
 
 
 @dataclass(frozen=True)
@@ -97,16 +74,16 @@ class SolverSpec:
     """One registered scheduling algorithm."""
 
     name: str
-    solve: SolveFn
+    solve: Union[SolveFn, LoweredSolveFn]
     applicable: ApplicableFn
     cost_hint: int
     optimal: bool
     auto: bool
     randomized: bool  # output depends on the seed → restarts can help
     order: int  # registration order; breaks cost_hint ties deterministically
-    #: array-backend kernel, byte-identical to ``solve``; None means
-    #: the solver runs on the object engine regardless of backend.
-    solve_compact: Optional[SolveCompactFn] = None
+    #: ``solve`` takes the component's :class:`CompactInstance`
+    #: (a :data:`LoweredSolveFn`) rather than the object instance.
+    lowered: bool = False
     #: objective kinds this solver can optimize (``Objective.kind``
     #: tags).  Every legacy solver optimizes makespan only; the exact
     #: branch-and-bound also handles the round-indexed objectives.
@@ -114,18 +91,6 @@ class SolverSpec:
 
     def supports_objective(self, kind: str) -> bool:
         return kind in self.objectives
-
-
-def effective_backend(spec: SolverSpec, backend: str) -> str:
-    """The backend that will actually run ``spec`` under ``backend``.
-
-    A requested ``"array"`` backend only takes effect for solvers that
-    registered a compact kernel; everything else keeps the reference
-    object path.
-    """
-    if backend == "array" and spec.solve_compact is not None:
-        return "array"
-    return "object"
 
 
 _REGISTRY: Dict[str, SolverSpec] = {}
@@ -139,9 +104,9 @@ def register_solver(
     optimal: bool = False,
     auto: bool = False,
     randomized: bool = False,
-    compact: Optional[SolveCompactFn] = None,
+    lowered: bool = False,
     objectives: Tuple[str, ...] = ("makespan",),
-) -> Callable[[SolveFn], SolveFn]:
+) -> Callable[[_SolveT], _SolveT]:
     """Register a solver under ``name``; use as a decorator.
 
     Args:
@@ -154,9 +119,10 @@ def register_solver(
         randomized: output depends on the seed, so the pipeline's solve
             stage may restart the solver with derived seeds when a
             component comes out above its lower bound.
-        compact: optional array-backend kernel; must be byte-identical
-            to the object solver (same rounds, same method label) so
-            the plan cache and fingerprints can stay backend-agnostic.
+        lowered: the solver takes the component lowered onto the flat
+            CSR representation (:class:`CompactInstance`); the solve
+            stage lowers each component once and reuses the arrays
+            across restarts.
         objectives: ``Objective.kind`` tags the solver can optimize
             (default: makespan only).
 
@@ -166,7 +132,7 @@ def register_solver(
     if name in _REGISTRY:
         raise ValueError(f"solver {name!r} is already registered")
 
-    def decorate(fn: SolveFn) -> SolveFn:
+    def decorate(fn: _SolveT) -> _SolveT:
         _REGISTRY[name] = SolverSpec(
             name=name,
             solve=fn,
@@ -176,7 +142,7 @@ def register_solver(
             auto=auto,
             randomized=randomized,
             order=len(_REGISTRY),
-            solve_compact=compact,
+            lowered=lowered,
             objectives=objectives,
         )
         return fn
@@ -237,44 +203,20 @@ def select_solver(
 # built-in catalog (registration order == solver_names() order)
 # ----------------------------------------------------------------------
 
-def _compact_even_optimal(
-    ci: CompactInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return even_optimal_schedule_compact(ci)
-
-
-def _compact_bipartite_optimal(
-    ci: CompactInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return bipartite_optimal_schedule_compact(ci)
-
-
-def _compact_general(
-    ci: CompactInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return general_schedule_compact(ci, seed=seed, stats=stats)
-
-
 @register_solver(
     "even_optimal",
     applicable=lambda inst: inst.all_even(),
     cost_hint=10,
     optimal=True,
     auto=True,
-    compact=_compact_even_optimal,
+    lowered=True,
 )
 def _solve_even_optimal(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return even_optimal_schedule(instance)
+    return even_optimal_schedule_compact(ci)
 
 
 @register_solver(
@@ -283,14 +225,14 @@ def _solve_even_optimal(
     cost_hint=20,
     optimal=True,
     auto=True,
-    compact=_compact_bipartite_optimal,
+    lowered=True,
 )
 def _solve_bipartite_optimal(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return bipartite_optimal_schedule(instance)
+    return bipartite_optimal_schedule_compact(ci)
 
 
 @register_solver(
@@ -298,14 +240,14 @@ def _solve_bipartite_optimal(
     cost_hint=100,
     auto=True,
     randomized=True,
-    compact=_compact_general,
+    lowered=True,
 )
 def _solve_general(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return general_schedule(instance, seed=seed, stats=stats)
+    return general_schedule_compact(ci, seed=seed, stats=stats)
 
 
 @register_solver("saia", cost_hint=400)

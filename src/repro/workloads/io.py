@@ -9,10 +9,11 @@ multiplicities survive the round trip; edge ids are regenerated).
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
+from repro.core.errors import InvalidInstanceError
 from repro.core.problem import MigrationInstance
-from repro.graphs.multigraph import Multigraph
+from repro.graphs.multigraph import Multigraph, Node
 
 if TYPE_CHECKING:  # runtime keeps the lazy import in plan_from_json
     from repro.core.schedule import MigrationSchedule
@@ -35,21 +36,67 @@ def instance_to_json(instance: MigrationInstance, indent: int = 2) -> str:
     return json.dumps(payload, indent=indent)
 
 
+def _field(data: Dict[str, Any], name: str, kind: type) -> Any:
+    """``data[name]``, which must be present and of JSON type ``kind``."""
+    if name not in data:
+        raise InvalidInstanceError(f"missing field {name!r}")
+    value = data[name]
+    if not isinstance(value, kind):
+        expected = "an array" if kind is list else "an object"
+        raise InvalidInstanceError(
+            f"field {name!r} must be {expected}, got {type(value).__name__}"
+        )
+    return value
+
+
 def instance_from_json(payload: str) -> MigrationInstance:
     """Inverse of :func:`instance_to_json`.
 
     Raises:
-        ValueError: on an unrecognized format or version.
+        InvalidInstanceError: on text that is not JSON, a payload that
+            is not an object, an unrecognized format or version, a
+            missing or mistyped field (``nodes`` and ``moves`` arrays,
+            ``capacities`` an object), a node name that is not a
+            string, a move that is not two names, a capacity that is
+            not an int, or an instance :class:`MigrationInstance`
+            rejects.
     """
-    data = json.loads(payload)
+    try:
+        data = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(
+            f"an instance payload is a JSON object, got {type(data).__name__}"
+        )
     if data.get("format") != "repro-migration-instance":
-        raise ValueError(f"not a migration instance payload: {data.get('format')!r}")
+        raise InvalidInstanceError(
+            f"not a migration instance payload: {data.get('format')!r}"
+        )
     if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {data.get('version')!r}")
-    graph = Multigraph(nodes=data["nodes"])
-    for u, v in data["moves"]:
-        graph.add_edge(u, v)
-    capacities = {v: int(c) for v, c in data["capacities"].items()}
+        raise InvalidInstanceError(f"unsupported version {data.get('version')!r}")
+    nodes = _field(data, "nodes", list)
+    moves = _field(data, "moves", list)
+    raw_capacities = _field(data, "capacities", dict)
+    for node in nodes:
+        if not isinstance(node, str):
+            raise InvalidInstanceError(f"node names are strings, got {node!r}")
+    graph = Multigraph(nodes=nodes)
+    for move in moves:
+        if not (
+            isinstance(move, list)
+            and len(move) == 2
+            and all(isinstance(name, str) for name in move)
+        ):
+            raise InvalidInstanceError(
+                f"a move is a [src, dst] pair of disk names, got {move!r}"
+            )
+        graph.add_edge(move[0], move[1])
+    capacities: Dict[Node, int] = {}
+    for node, c in raw_capacities.items():
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise InvalidInstanceError(f"capacity of {node!r} must be an int, got {c!r}")
+        capacities[node] = c
     return MigrationInstance(graph, capacities)
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.checks.engine import (
     DEFAULT_CORPUS,
     check_engine_equivalence,
-    compare_backends,
+    compare_with_reference,
+    reference_engine,
     schedule_digest,
 )
 from repro.checks.engine import _diff_results
@@ -27,15 +28,16 @@ class TestScheduleDigest:
 class TestCompareBackends:
     def test_ok_case_carries_digest(self):
         instance = bipartite_instance(4, 3, 25, seed=1)
-        case = compare_backends("bip", instance, method="auto", seed=0)
+        case = compare_with_reference("bip", instance, method="auto", seed=0)
         assert case.ok
         assert case.rounds > 0
         assert len(case.digest) == 64
 
     def test_divergence_is_reported(self):
         instance = random_instance(6, 25, seed=4)
-        obj = plan(instance, backend="object", certify=True)
-        arr = plan(instance, backend="array", certify=True)
+        with reference_engine():
+            obj = plan(instance, certify=True)
+        arr = plan(instance, certify=True)
         assert _diff_results(obj, arr) == []
         # Sabotage the array result: swap the first two rounds.
         rounds = arr.schedule.rounds
@@ -47,8 +49,9 @@ class TestCompareBackends:
 
     def test_lower_bound_divergence_is_reported(self):
         instance = random_instance(6, 25, seed=4)
-        obj = plan(instance, backend="object", certify=True)
-        arr = plan(instance, backend="array", certify=True)
+        with reference_engine():
+            obj = plan(instance, certify=True)
+        arr = plan(instance, certify=True)
         arr.lower_bound = (arr.lower_bound or 0) + 1
         assert any(
             "lower bounds differ" in p for p in _diff_results(obj, arr)
@@ -57,7 +60,7 @@ class TestCompareBackends:
 
 class TestBattery:
     def test_corpus_covers_every_registered_kernel(self):
-        """The corpus must exercise each compact solver at least once."""
+        """The corpus must exercise each CSR kernel at least once."""
         methods = set()
         for _name, method, factory in DEFAULT_CORPUS:
             result = plan(factory(), method=method)

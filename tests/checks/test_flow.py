@@ -13,13 +13,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.checks.callgraph import build_call_graph
 from repro.checks.flow import (
     BaselineError,
     FLOW_RULES,
     FlowConfig,
+    _reachable,
     analyze_tree,
     load_baseline,
 )
+from repro.checks.lints import default_root
 from repro.cli import CHECK_EXIT_EFFECTS, main as cli_main
 
 
@@ -50,6 +53,18 @@ class TestShippedTreeIsClean:
         # The registry mixes deterministic and randomized entries, and
         # the analyzer proves the deterministic ones transitively.
         assert any(not entry["randomized"] for entry in report.solvers)
+        # A contract proves the code the pipeline runs: the registered
+        # function of each kernel-backed method reaches its CSR kernel.
+        graph = build_call_graph(default_root())
+        function_of = {entry["solver"]: entry["function"] for entry in report.solvers}
+        for solver, kernel in (
+            ("even_optimal", "core.even_optimal.even_optimal_schedule_compact"),
+            ("bipartite_optimal",
+             "core.special_cases.bipartite_optimal_schedule_compact"),
+            ("general", "core.general.general_schedule_compact"),
+        ):
+            reached = _reachable(graph, [function_of[solver]])
+            assert kernel in reached, f"{solver} contract does not reach {kernel}"
 
     def test_report_is_byte_identical_across_runs(self):
         first = analyze_tree().canonical_json()

@@ -15,8 +15,7 @@ from repro.graphs.array_backend import (
     lift_rounds,
     lower_instance,
 )
-from repro.graphs.euler import euler_circuits, euler_circuits_of
-from repro.graphs.flow import FlowNetwork, IntFlowNetwork
+from repro.graphs.euler import compact_euler_circuits, euler_circuits
 from repro.graphs.matching import (
     InfeasibleMatchingError,
     QuotaPeeler,
@@ -168,7 +167,13 @@ class TestCompactEulerCircuits:
             g.add_edge(u, v)
         compact = CompactGraph.from_multigraph(g)
         obj = euler_circuits(g)
-        arr = euler_circuits_of(compact)
+        arr = compact_euler_circuits(
+            compact.indptr,
+            compact.inc_edge,
+            compact.inc_other,
+            compact.degree,
+            compact.num_edges,
+        )
         lifted = [
             [
                 (compact.edge_ids[e], compact.nodes[u], compact.nodes[v])
@@ -177,31 +182,6 @@ class TestCompactEulerCircuits:
             for circuit in arr
         ]
         assert lifted == obj
-
-
-class TestIntFlowNetwork:
-    def _random_network(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        n = rng.randint(4, 8)
-        obj = FlowNetwork()
-        arr = IntFlowNetwork(n)
-        handles = []
-        for _ in range(rng.randint(5, 16)):
-            u, v = rng.sample(range(n), 2)
-            cap = rng.randint(1, 5)
-            oh = obj.add_edge(u, v, cap)
-            ah = arr.add_edge(u, v, cap)
-            handles.append((oh, ah))
-        return obj, arr, handles
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_same_max_flow_and_arc_flows(self, seed):
-        obj, arr, handles = self._random_network(seed)
-        assert obj.max_flow(0, 1) == arr.max_flow(0, 1)
-        for oh, ah in handles:
-            assert obj.flow_on(oh) == arr.flow_on(ah)
 
 
 class TestQuotaPeeler:

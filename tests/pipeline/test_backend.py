@@ -1,98 +1,61 @@
-"""Backend dispatch through the solve stage (object vs array)."""
+"""The solve stage's kernels against their object reference.
+
+The kernel methods register ``lowered=True`` and solve on the CSR
+arrays; ``repro.checks.engine.reference_engine`` swaps their object
+reference solvers in for one block, which must give the same bytes.
+"""
 
 import pytest
 
+from repro.checks.engine import REFERENCES, reference_engine
 from repro.pipeline import PlanCache, plan
-from repro.pipeline.parallel import backend_solver, solve_job
-from repro.pipeline.registry import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    effective_backend,
-    get_solver,
-    resolve_backend,
-)
+from repro.pipeline.parallel import backend_solver
+from repro.pipeline.registry import get_solver, solver_names
 from repro.workloads.generators import (
     multi_component_instance,
     random_instance,
 )
 
 
-class TestResolveBackend:
-    def test_members_resolve(self):
-        for backend in BACKENDS:
-            assert resolve_backend(backend) == backend
-
-    def test_default_is_array(self):
-        assert DEFAULT_BACKEND == "array"
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("turbo")
-
-    def test_plan_rejects_unknown(self):
-        instance = random_instance(6, 20, seed=0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            plan(instance, backend="turbo")
-
-
-class TestEffectiveBackend:
-    def test_compact_solver_gets_array(self):
-        assert effective_backend(get_solver("general"), "array") == "array"
-        assert effective_backend(get_solver("even_optimal"), "array") == "array"
-
-    def test_object_request_stays_object(self):
-        assert effective_backend(get_solver("general"), "object") == "object"
-
-    def test_solver_without_kernel_falls_back(self):
-        assert effective_backend(get_solver("greedy"), "array") == "object"
-        assert effective_backend(get_solver("exact"), "array") == "object"
+def lowered_methods():
+    return {name for name in solver_names() if get_solver(name).lowered}
 
 
 class TestBackendSolver:
     def test_array_and_object_agree(self):
         instance = random_instance(8, 40, seed=2)
-        spec = get_solver("general")
-        obj = backend_solver(spec, instance, "object")(0, None)
-        arr = backend_solver(spec, instance, "array")(0, None)
+        arr = backend_solver(get_solver("general"), instance)(0, None)
+        with reference_engine():
+            obj = backend_solver(get_solver("general"), instance)(0, None)
         assert obj.rounds == arr.rounds
         assert obj.method == arr.method
-
-    def test_solve_job_tuple_arities(self):
-        instance = random_instance(8, 40, seed=3)
-        legacy = solve_job((instance, "general", 0))
-        tagged_obj = solve_job((instance, "general", 0, "object"))
-        tagged_arr = solve_job((instance, "general", 0, "array"))
-        assert legacy == tagged_obj == tagged_arr
 
 
 class TestPlanBackendAttribution:
     def test_plans_are_byte_identical(self):
         instance = multi_component_instance(3, seed=5)
-        obj = plan(instance, backend="object")
-        arr = plan(instance, backend="array")
+        with reference_engine():
+            obj = plan(instance)
+        arr = plan(instance)
         assert obj.schedule.rounds == arr.schedule.rounds
         assert obj.schedule.method == arr.schedule.method
 
     def test_component_backend_fields(self):
-        instance = multi_component_instance(3, seed=5)
-        result = plan(instance, backend="array")
-        for comp in result.components:
-            spec = get_solver(comp.method)
-            assert comp.backend == effective_backend(spec, "array")
-        result = plan(instance, backend="object")
-        assert all(c.backend == "object" for c in result.components)
+        """Exactly the referenced methods run lowered; the swap covers
+        all of them and is undone on exit, even by an exception."""
+        assert lowered_methods() == set(REFERENCES)
+        with pytest.raises(RuntimeError):
+            with reference_engine():
+                assert lowered_methods() == set()
+                raise RuntimeError("leave the block")
+        assert lowered_methods() == set(REFERENCES)
 
     def test_cache_is_backend_agnostic(self):
-        """An object-backed solve is a cache hit for an array plan."""
+        """A reference solve is a cache hit for a kernel plan."""
         instance = multi_component_instance(2, seed=9)
         cache = PlanCache()
-        cold = plan(instance, backend="object", cache=cache)
-        warm = plan(instance, backend="array", cache=cache)
+        with reference_engine():
+            cold = plan(instance, cache=cache)
+        warm = plan(instance, cache=cache)
         assert cold.schedule.rounds == warm.schedule.rounds
         assert warm.components_cached == len(warm.components)
-        # Cache hits still report the backend the solve *would* use.
-        for comp in warm.components:
-            assert comp.cached
-            assert comp.backend == effective_backend(
-                get_solver(comp.method), "array"
-            )

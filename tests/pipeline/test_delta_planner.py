@@ -1,5 +1,7 @@
 """Tests for repro.pipeline.delta: the incremental replanner."""
 
+import contextlib
+
 import pytest
 
 from repro.checks.certify import (
@@ -7,6 +9,7 @@ from repro.checks.certify import (
     rounds_digest,
     verify_patch_certificate,
 )
+from repro.checks.engine import reference_engine
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
@@ -181,13 +184,10 @@ class TestBackends:
             remove_moves=(("c1.d0", "c1.d1"),),
         )
         digests = []
-        for backend in ("object", "array"):
+        for engine in (reference_engine, contextlib.nullcontext):
             cache = PlanCache(max_entries=256)
-            prior = plan(
-                instance, "auto", 0, backend=backend, cache=cache, certify=True
-            )
-            result = plan_delta(
-                prior, delta, backend=backend, cache=cache, certify=True
-            )
+            with engine():
+                prior = plan(instance, "auto", 0, cache=cache, certify=True)
+                result = plan_delta(prior, delta, cache=cache, certify=True)
             digests.append(rounds_digest(result.schedule.rounds))
         assert digests[0] == digests[1]

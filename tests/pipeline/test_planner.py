@@ -7,7 +7,7 @@ from repro.core.lower_bounds import lower_bound
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan
-from repro.pipeline.parallel import solve_job
+from repro.pipeline.parallel import backend_solver, solve_job
 from repro.pipeline.registry import get_solver
 from repro.pipeline.stages import decompose, merged_method_name
 from repro.workloads.generators import clique_instance, multi_component_instance
@@ -104,14 +104,14 @@ class TestRestarts:
         # Seed 3 makes the general solver's first attempt land one
         # round above what other seeds reach on this K5 multigraph.
         inst = clique_instance(5, 3, capacity=1)
-        first = get_solver("general").solve(inst, 3, None).num_rounds
+        first = backend_solver(get_solver("general"), inst)(3, None).num_rounds
         tokens, _ = solve_job((inst, "general", 3))
         assert len(tokens) < first
 
     def test_restarted_solve_is_never_worse_than_first_attempt(self):
         inst = clique_instance(5, 3, capacity=1)
         for seed in range(6):
-            first = get_solver("general").solve(inst, seed, None).num_rounds
+            first = backend_solver(get_solver("general"), inst)(seed, None).num_rounds
             tokens, _ = solve_job((inst, "general", seed))
             assert len(tokens) <= first
 

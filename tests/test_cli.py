@@ -23,17 +23,67 @@ class TestScheduleCommand:
         assert "rounds=" in out
         assert "a->b" in out
 
-    def test_bad_line_rejected(self, tmp_path):
+    def test_bad_line_rejected(self, tmp_path, capsys):
         moves = tmp_path / "moves.txt"
         moves.write_text("a,b,c,d\n")
-        with pytest.raises(ValueError):
-            main(["schedule", str(moves)])
+        assert main(["schedule", str(moves)]) == 2
+        assert "line 1: cannot parse" in capsys.readouterr().err
 
     def test_method_flag(self, tmp_path, capsys):
         moves = tmp_path / "moves.txt"
         moves.write_text("a,b\ncap,a,2\ncap,b,2\n")
         assert main(["schedule", str(moves), "--method", "even_optimal"]) == 0
         assert "method=even_optimal" in capsys.readouterr().out
+
+
+_VALID_INSTANCE = {
+    "format": "repro-migration-instance",
+    "version": 1,
+    "nodes": ["a", "b"],
+    "capacities": {"a": 1, "b": 1},
+    "moves": [["a", "b"]],
+}
+
+#: (file name, content or None for a path that does not exist)
+_BAD_INSTANCE_FILES = (
+    ("list.json", "[1, 2]"),
+    ("no-nodes.json", json.dumps({"format": "repro-migration-instance", "version": 1})),
+    ("one-element-move.json", json.dumps({**_VALID_INSTANCE, "moves": [["a"]]})),
+    ("wrong-format.json", json.dumps({**_VALID_INSTANCE, "format": "other"})),
+    ("absent.json", None),
+)
+
+#: every command that reads an instance file; ``{}`` is the path.
+_INSTANCE_COMMANDS = (
+    ("plan", "{}", "--json"),
+    ("schedule", "{}", "--json"),
+    ("gantt", "{}"),
+    ("check", "--certify", "{}"),
+)
+
+MALFORMED_INPUT_CASES = [
+    pytest.param(command, name, content, id=f"{command[0]}-{name}")
+    for command in _INSTANCE_COMMANDS
+    for name, content in _BAD_INSTANCE_FILES
+] + [
+    pytest.param(("plan", "{}"), "bad-cap.txt", "cap,a,x\na,b\n", id="plan-bad-cap"),
+    pytest.param(
+        ("schedule", "{}"), "bad-cap.txt", "cap,a,x\na,b\n", id="schedule-bad-cap"
+    ),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, name, content", MALFORMED_INPUT_CASES)
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        argv = [str(path) if arg == "{}" else arg for arg in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
 
 
 class TestDemoCommand:

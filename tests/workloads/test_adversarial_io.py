@@ -1,8 +1,12 @@
 """Tests for adversarial workloads and instance serialization."""
 
+import json
+import re
+
 import pytest
 
 from repro import plan
+from repro.core.errors import InvalidInstanceError
 from repro.core.lower_bounds import lb1, lb2, lower_bound
 from repro.core.problem import MigrationInstance
 from repro.workloads.adversarial import (
@@ -90,6 +94,19 @@ class TestReplicationFanout:
             replication_fanout(2, fanout=4, num_disks=4)
 
 
+def _instance_payload(**overrides):
+    """A valid two-disk instance payload with fields replaced."""
+    payload = {
+        "format": "repro-migration-instance",
+        "version": 1,
+        "nodes": ["a", "b"],
+        "capacities": {"a": 1, "b": 1},
+        "moves": [["a", "b"]],
+    }
+    payload.update(overrides)
+    return json.dumps(payload)
+
+
 class TestInstanceIO:
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip_preserves_structure(self, seed):
@@ -124,6 +141,68 @@ class TestInstanceIO:
             ' "nodes": [], "capacities": {}, "moves": []}'
         )
         with pytest.raises(ValueError, match="unsupported version"):
+            instance_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            pytest.param("{not json", "not valid JSON", id="bad-json"),
+            pytest.param("[1, 2]", "is a JSON object, got list", id="not-an-object"),
+            pytest.param('"text"', "is a JSON object, got str", id="json-string"),
+            pytest.param(
+                json.dumps({"format": "repro-migration-instance", "version": 1}),
+                "missing field 'nodes'",
+                id="missing-nodes",
+            ),
+            pytest.param(
+                _instance_payload(moves={"a": "b"}),
+                "field 'moves' must be an array, got dict",
+                id="moves-not-array",
+            ),
+            pytest.param(
+                _instance_payload(capacities=[1, 1]),
+                "field 'capacities' must be an object, got list",
+                id="capacities-not-object",
+            ),
+            pytest.param(
+                _instance_payload(nodes=["a", ["b"]]),
+                "node names are strings",
+                id="node-not-string",
+            ),
+            pytest.param(
+                _instance_payload(moves=[["a"]]),
+                "a move is a [src, dst] pair",
+                id="one-element-move",
+            ),
+            pytest.param(
+                _instance_payload(moves=[["a", "b", "a"]]),
+                "a move is a [src, dst] pair",
+                id="three-element-move",
+            ),
+            pytest.param(
+                _instance_payload(moves=[["a", 2]]),
+                "a move is a [src, dst] pair",
+                id="move-name-not-string",
+            ),
+            pytest.param(
+                _instance_payload(capacities={"a": "2", "b": 1}),
+                "capacity of 'a' must be an int",
+                id="capacity-string",
+            ),
+            pytest.param(
+                _instance_payload(capacities={"a": 1.5, "b": 1}),
+                "capacity of 'a' must be an int",
+                id="capacity-float",
+            ),
+            pytest.param(
+                _instance_payload(format="repro-migration-plan"),
+                "not a migration instance payload",
+                id="wrong-format",
+            ),
+        ],
+    )
+    def test_malformed_payload_raises_invalid_instance_error(self, payload, reason):
+        with pytest.raises(InvalidInstanceError, match=re.escape(reason)):
             instance_from_json(payload)
 
 
