@@ -5,8 +5,8 @@ pair.  With single-transfer disks (``c = 1``) the migration needs
 ``3M`` time units; letting every disk run two transfers on half
 bandwidth (``c = 2``) needs ``M`` rounds of 2 time units = ``2M`` — a
 1.5x speedup.  This bench regenerates that series with the real
-scheduler and the bandwidth-splitting engine and times the full
-pipeline.
+scheduler and the executor under bandwidth splitting and times the
+full pipeline.
 """
 
 import pytest
@@ -15,10 +15,10 @@ from benchmarks.conftest import emit
 from repro import plan
 from repro.analysis.tables import Table
 from repro.cluster.disk import Disk
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
+from repro.runtime import MigrationExecutor
 
 RING = {"a": "b", "b": "c", "c": "a"}
 
@@ -41,7 +41,7 @@ def run_pipeline(items_per_pair: int, transfer_limit: int) -> float:
     cluster, target = build_cluster(items_per_pair, transfer_limit)
     ctx = cluster.migration_to(target)
     sched = plan(ctx.instance).schedule
-    report = MigrationEngine(cluster).execute(ctx, sched)
+    report = MigrationExecutor(cluster, ctx, sched).run()
     return report.total_time
 
 

@@ -13,8 +13,13 @@ import pytest
 from benchmarks.conftest import emit
 from repro import plan
 from repro.analysis.tables import Table
-from repro.cluster.engine import MigrationEngine
-from repro.cluster.network import FabricRates, FabricTopology, rack_locality
+from repro.cluster.network import (
+    FabricRates,
+    FabricTopology,
+    FairShareRates,
+    rack_locality,
+)
+from repro.runtime import MigrationExecutor
 from repro.workloads.scenarios import scale_out_scenario
 
 
@@ -23,8 +28,9 @@ def run_with_uplink(uplink: float, racks: int = 3, seed: int = 17):
     topo = FabricTopology.striped(scenario.cluster.disks, racks=racks,
                                   uplink_bandwidth=uplink)
     sched = plan(scenario.instance).schedule
-    engine = MigrationEngine(scenario.cluster, rate_model=FabricRates(topo))
-    report = engine.execute(scenario.context, sched)
+    report = MigrationExecutor(
+        scenario.cluster, scenario.context, sched, rate_model=FabricRates(topo)
+    ).run()
     return report.total_time, rack_locality(scenario.context, topo), sched.num_rounds
 
 
@@ -51,17 +57,18 @@ def test_net_generous_uplink_matches_paper_model(benchmark):
     """A dedicated fast fabric reduces to the disk-bound model."""
     scenario = scale_out_scenario(num_old=9, num_new=3, items_per_old_disk=30, seed=17)
     sched = plan(scenario.instance).schedule
-    plain = MigrationEngine(scenario.cluster)
+    cluster, ctx = scenario.cluster, scenario.context
+    plain = FairShareRates()
     plain_time = 0.0
     for rnd in sched.rounds:
-        plain_time += plain.round_duration(scenario.context, rnd)
+        plain_time += plain.round_duration(cluster, ctx, rnd)
 
-    topo = FabricTopology.striped(scenario.cluster.disks, racks=3,
+    topo = FabricTopology.striped(cluster.disks, racks=3,
                                   uplink_bandwidth=10_000.0)
-    fabric = MigrationEngine(scenario.cluster, rate_model=FabricRates(topo))
+    fabric = FabricRates(topo)
     fabric_time = 0.0
     for rnd in sched.rounds:
-        fabric_time += fabric.round_duration(scenario.context, rnd)
+        fabric_time += fabric.round_duration(cluster, ctx, rnd)
     assert fabric_time == pytest.approx(plain_time)
 
-    benchmark(fabric.round_duration, scenario.context, sched.rounds[0])
+    benchmark(fabric.round_duration, cluster, ctx, sched.rounds[0])

@@ -3,7 +3,7 @@
 The paper's introduction motivates migration with load-balancing
 reconfiguration and disk addition/removal.  This bench runs those
 scenarios through the full pipeline (layout diff → transfer graph →
-scheduler → bandwidth-splitting engine) and compares simulated
+scheduler → executor under bandwidth splitting) and compares simulated
 migration *time* (not just rounds) across schedulers — the end-to-end
 version of the Figure 2 claim.
 """
@@ -13,7 +13,8 @@ import pytest
 from benchmarks.conftest import emit
 from repro import plan
 from repro.analysis.tables import Table
-from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import UnitRates
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.scenarios import (
     decommission_scenario,
     scale_out_scenario,
@@ -30,8 +31,7 @@ SCENARIOS = [
 def run_scenario(builder, method: str, seed: int = 11) -> tuple:
     scenario = builder(seed=seed)
     sched = plan(scenario.instance, method=method).schedule
-    engine = MigrationEngine(scenario.cluster)  # bandwidth_split
-    report = engine.execute(scenario.context, sched)
+    report = MigrationExecutor(scenario.cluster, scenario.context, sched).run()
     return sched.num_rounds, report.total_time, scenario.instance.num_items
 
 
@@ -57,25 +57,27 @@ def test_sim_failure_replan(benchmark):
     def kernel():
         scenario = scale_out_scenario(num_old=6, num_new=3, items_per_old_disk=25, seed=13)
         sched = plan(scenario.instance).schedule
-        engine = MigrationEngine(scenario.cluster, time_model="unit")
-        return engine.execute_with_replan(
+        # Under unit rates round 0 ends at t=1, when the crash lands.
+        report = MigrationExecutor(
+            scenario.cluster,
             scenario.context,
             sched,
-            fail_after_round=0,
-            failed_disk="new2",
-            planner=lambda inst: plan(inst).schedule,
-        )
+            faults=FaultPlan(crashes=(DiskCrash("new2", 1.0),)),
+            rate_model=UnitRates(),
+        ).run()
+        return report, scenario.context.num_moves
 
-    report = kernel()
+    report, num_moves = kernel()
     table = Table(
         "EXP-SIMb: disk failure after round 0 + replan",
-        ["migrated", "stranded", "replans", "rounds executed", "total time"],
+        ["delivered", "stranded", "replans", "rounds executed", "total time"],
     )
     table.add_row(
-        len(report.migrated_items), len(report.stranded_items),
+        len(report.delivered), len(report.stranded),
         report.replans, report.rounds_executed, report.total_time,
     )
     emit(table)
     assert report.replans == 1
+    assert len(report.delivered) + len(report.stranded) == num_moves
 
     benchmark(kernel)

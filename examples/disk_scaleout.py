@@ -14,7 +14,7 @@ Run:  python examples/disk_scaleout.py
 from repro import plan
 from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
-from repro.cluster.engine import MigrationEngine
+from repro.runtime import MigrationExecutor
 from repro.workloads.scenarios import scale_out_scenario
 
 
@@ -36,8 +36,8 @@ def main() -> None:
     print(table.render())
 
     schedule = plan(instance).schedule
-    report = MigrationEngine(scenario.cluster).execute(scenario.context, schedule)
-    print(f"\nexecuted {len(report.migrated_items)} transfers in "
+    report = MigrationExecutor(scenario.cluster, scenario.context, schedule).run()
+    print(f"\nexecuted {len(report.delivered)} transfers in "
           f"{schedule.num_rounds} rounds / {report.total_time:.1f} simulated time units")
     used = scenario.cluster.space_used()
     new_load = [int(used[d]) for d in sorted(used, key=str) if str(d).startswith("new")]

@@ -2,18 +2,19 @@
 """Disk removal with a mid-migration failure and replanning.
 
 Drains three retiring disks, then injects a failure: one of the
-*receiving* disks dies after the first round.  The engine replans the
-surviving moves (re-targeting items that were headed to the dead disk)
-and finishes the drain, reporting what was migrated, re-planned and
-stranded — the disk-removal/recovery story of the paper's introduction
-made concrete.
+*receiving* disks crashes right after the first round.  The executor
+replans the surviving moves (re-targeting items that were headed to the
+dead disk) and finishes the drain, reporting what was delivered,
+re-planned and stranded — the disk-removal/recovery story of the
+paper's introduction made concrete.
 
 Run:  python examples/failure_drain.py
 """
 
 from repro import plan
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.events import DiskRemoved, MigrationReplanned
+from repro.cluster.network import UnitRates
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.scenarios import decommission_scenario
 
 
@@ -31,14 +32,14 @@ def main() -> None:
     victim = sorted(d for d in receivers if not str(d).startswith("old"))[0]
     print(f"injecting failure: disk {victim!r} dies after round 0")
 
-    engine = MigrationEngine(scenario.cluster, time_model="unit")
-    report = engine.execute_with_replan(
+    # Under unit rates round 0 ends at t=1, when the crash lands.
+    report = MigrationExecutor(
+        scenario.cluster,
         scenario.context,
         schedule,
-        fail_after_round=0,
-        failed_disk=victim,
-        planner=lambda inst: plan(inst).schedule,
-    )
+        faults=FaultPlan(crashes=(DiskCrash(victim, 1.0),)),
+        rate_model=UnitRates(),
+    ).run()
 
     print(f"\nreplans: {report.replans}")
     for event in report.log.of_type(DiskRemoved):
@@ -47,10 +48,12 @@ def main() -> None:
         print(f"  t={event.time:.1f}: replanned ({event.remaining_items} moves left) "
               f"because {event.reason}")
 
-    print(f"\nmigrated {len(set(report.migrated_items))} items in "
+    print(f"\ndelivered {len(report.delivered)} of {instance.num_items} items in "
           f"{report.rounds_executed} rounds, total time {report.total_time:.1f}")
-    if report.stranded_items:
-        print(f"stranded (source died before drain): {sorted(report.stranded_items)}")
+    # Conservation: every move is delivered or stranded, none vanish.
+    assert len(report.delivered) + len(report.stranded) == instance.num_items
+    if report.stranded:
+        print(f"stranded (source died before drain): {sorted(report.stranded)}")
     else:
         print("no items stranded — the drain completed despite the failure")
 

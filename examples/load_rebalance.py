@@ -13,7 +13,7 @@ Run:  python examples/load_rebalance.py
 
 from repro import plan
 from repro.analysis.metrics import schedule_quality
-from repro.cluster.engine import MigrationEngine
+from repro.runtime import MigrationExecutor
 from repro.workloads.scenarios import vod_rebalance_scenario
 
 
@@ -31,15 +31,15 @@ def main() -> None:
           f"{schedule.num_rounds} rounds "
           f"(lower bound {quality.lower_bound}, ratio {quality.ratio:.3f})")
 
-    report = MigrationEngine(scenario.cluster).execute(scenario.context, schedule)
+    report = MigrationExecutor(scenario.cluster, scenario.context, schedule).run()
     print(f"simulated wall-clock (bandwidth splitting): {report.total_time:.1f} time units")
 
     # What prior homogeneous-model work would do on the same cluster.
     homo_scenario = vod_rebalance_scenario(num_disks=12, num_items=400, alpha=0.9, seed=7)
     homo = plan(homo_scenario.instance, method="homogeneous").schedule
-    homo_report = MigrationEngine(homo_scenario.cluster).execute(
-        homo_scenario.context, homo
-    )
+    homo_report = MigrationExecutor(
+        homo_scenario.cluster, homo_scenario.context, homo
+    ).run()
     print(f"\nhomogeneous baseline: {homo.num_rounds} rounds, "
           f"{homo_report.total_time:.1f} time units")
     print(f"speedup from modeling heterogeneity: "

@@ -33,16 +33,18 @@ Package map:
   parallel solving and lower-bound certification.
 * :mod:`repro.graphs` — multigraph, Euler, flow, matching, coloring
   substrates.
-* :mod:`repro.cluster` — a storage-cluster simulator that executes
-  schedules with a bandwidth-splitting time model.
-* :mod:`repro.runtime` — supervised, checkpointed execution with
-  fault injection and retry/replan policies.
+* :mod:`repro.cluster` — a storage-cluster simulator: disks, layouts
+  and the rate models (unit rounds, Figure 2 bandwidth splitting, rack
+  fabrics) that turn a round into time.
+* :mod:`repro.runtime` — the schedule executor: fault-free replay, or
+  supervised, checkpointed execution with fault injection and
+  retry/replan policies.
 * :mod:`repro.extensions` — neighbouring problem variants
   (forwarding, cloning, online, completion-time objectives) behind
   one uniform result/validate surface.
 * :mod:`repro.obs` — tracing, metrics and profiling: one span/counter
-  substrate shared by the pipeline, the executor and the cluster
-  engine (``repro-migrate stats``).
+  substrate shared by the pipeline, the executor, the service and the
+  simulator (``repro-migrate stats``).
 * :mod:`repro.exact` — exact branch-and-bound optimization for small
   instances: proven-optimal schedules under makespan, bounded-color
   and group-completion objectives, tamper-evident optimality

@@ -8,8 +8,10 @@ Subcommands:
   report what it did: per-stage timings, per-component solver
   attribution, cache hits, and (``--certify``) the verified lower
   bound.
-* ``demo`` — run a named scenario end-to-end through the simulator
-  (``--list`` enumerates the scenarios).
+* ``demo`` — plan a named scenario and replay the schedule fault-free
+  through :class:`repro.runtime.MigrationExecutor` (``--time-model``
+  picks unit rounds or Figure 2 bandwidth splitting; ``--list``
+  enumerates the scenarios).
 * ``run`` — supervised execution of a scenario through
   :mod:`repro.runtime`: fault injection, retry/replan policy, JSONL
   tracing, and checkpointing (``--checkpoint`` resumes a killed run).
@@ -44,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
-from repro.cluster.engine import MigrationEngine
 from repro.core.errors import InvalidInstanceError
 from repro.core.problem import MigrationInstance
 from repro.pipeline.planner import plan
@@ -326,22 +327,33 @@ def _resolve_scenario(args: argparse.Namespace) -> Optional[str]:
     return args.scenario
 
 
+def _rate_model(time_model: str):
+    """The rate model a ``--time-model`` choice names."""
+    from repro.cluster.network import FairShareRates, UnitRates
+
+    return UnitRates() if time_model == "unit" else FairShareRates()
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.runtime import MigrationExecutor
+
     name = _resolve_scenario(args)
     if name is None:
         return 0 if args.list else 2
     scenario = _SCENARIOS[name](seed=args.seed)
     instance = scenario.instance
     schedule = plan(instance, method=args.method).schedule
-    engine = MigrationEngine(scenario.cluster, time_model=args.time_model)
-    report = engine.execute(scenario.context, schedule)
+    report = MigrationExecutor(
+        scenario.cluster, scenario.context, schedule,
+        rate_model=_rate_model(args.time_model),
+    ).run()
     print(
         f"scenario={scenario.name} disks={instance.num_disks} "
         f"moves={instance.num_items} method={schedule.method}"
     )
     print(
         f"rounds={schedule.num_rounds} simulated_time={report.total_time:.2f} "
-        f"migrated={len(report.migrated_items)}"
+        f"migrated={len(report.delivered)}"
     )
     return 0
 
@@ -434,7 +446,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 return 2
             executor = restore_executor(
                 scenario.cluster, state, faults=faults, policy=policy,
-                time_model=args.time_model, method=args.method,
+                rate_model=_rate_model(args.time_model), method=args.method,
                 seed=args.seed, cache=plan_cache, tracer=tracer,
             )
         except CheckpointError as exc:
@@ -448,7 +460,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ).schedule
         executor = MigrationExecutor(
             scenario.cluster, scenario.context, schedule,
-            faults=faults, policy=policy, time_model=args.time_model,
+            faults=faults, policy=policy,
+            rate_model=_rate_model(args.time_model),
             method=args.method, seed=args.seed, cache=plan_cache,
             tracer=tracer,
         )

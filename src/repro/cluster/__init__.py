@@ -10,9 +10,12 @@ the library is usable end-to-end:
   demand-aware target-layout computation.
 * :mod:`repro.cluster.system` — the cluster: disk add/remove, layout
   diffing into :class:`~repro.core.problem.MigrationInstance`.
-* :mod:`repro.cluster.engine` — executes a migration schedule round by
-  round under a bandwidth-splitting time model (validating the paper's
-  Figure 2 arithmetic), with failure injection and replanning.
+* :mod:`repro.cluster.network` — rate models that turn a round of
+  transfers into simulated time: unit rounds, the paper's Figure 2
+  bandwidth splitting, reserved lanes, rack fabrics.
+  :class:`repro.runtime.MigrationExecutor` executes schedules through
+  them, fault-free or with crashes and replans.
+* :mod:`repro.cluster.eager` — the round-free ablation executor.
 * :mod:`repro.cluster.events` / :mod:`repro.cluster.traces` — event log
   and serializable execution traces.
 """
@@ -21,13 +24,10 @@ from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.cluster.engine import MigrationEngine, ExecutionReport
 
 __all__ = [
     "Disk",
     "DataItem",
     "Layout",
     "StorageCluster",
-    "MigrationEngine",
-    "ExecutionReport",
 ]

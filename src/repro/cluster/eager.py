@@ -7,12 +7,12 @@ have a free slot.  This engine is the ablation for that design choice
 (``bench_ablations`` quantifies it): it executes the same transfer set
 event-driven and reports the makespan to compare with the round model.
 
-Rate model: a transfer runs at the *reserved share*
-``min(B_u / c_u, B_v / c_v)`` — each disk statically partitions its
-bandwidth into ``c_v`` lanes.  This keeps rates constant over a
-transfer's lifetime (no re-negotiation mid-flight), making the
-simulation exact, and matches the round model's worst case so the two
-makespans are directly comparable.
+Rate model: a transfer runs at the *reserved share* of
+:class:`~repro.cluster.network.ReservedLaneRates` — each disk
+statically partitions its bandwidth into ``c_v`` lanes.  This keeps
+rates constant over a transfer's lifetime (no re-negotiation
+mid-flight), making the simulation exact, and matches the round
+model's worst case so the two makespans are directly comparable.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.item import ItemId
+from repro.cluster.network import ReservedLaneRates
 from repro.cluster.system import MigrationPlanContext, StorageCluster
 from repro.core.errors import ScheduleValidationError
 from repro.graphs.multigraph import EdgeId, Node
@@ -46,6 +47,7 @@ class EagerEngine:
 
     def __init__(self, cluster: StorageCluster):
         self.cluster = cluster
+        self._rates = ReservedLaneRates()
 
     def execute(self, context: MigrationPlanContext) -> EagerReport:
         """Run all transfers of the plan eagerly; returns the report.
@@ -106,14 +108,7 @@ class EagerEngine:
         return report
 
     def _duration(self, context: MigrationPlanContext, eid: EdgeId) -> float:
-        u, v = context.instance.graph.endpoints(eid)
-        item = self.cluster.items[context.edge_items[eid]]
-        du = self.cluster.disk(u)
-        dv = self.cluster.disk(v)
-        rate = min(
-            du.bandwidth / du.transfer_limit, dv.bandwidth / dv.transfer_limit
-        )
-        return item.size / rate
+        return self._rates.round_duration(self.cluster, context, [eid])
 
     def _validate(self, context: MigrationPlanContext, report: EagerReport) -> None:
         """Sweep the timeline: concurrency never exceeds any ``c_v``."""

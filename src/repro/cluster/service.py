@@ -16,12 +16,12 @@ actually feel, not just round counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.cluster.disk import DiskId
-from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import FairShareRates
 from repro.cluster.system import MigrationPlanContext, StorageCluster
-from repro.core.schedule import MigrationSchedule
+from repro.core.schedule import MigrationSchedule, endpoint_loads
 
 
 @dataclass
@@ -70,19 +70,20 @@ def service_degradation(
     context: MigrationPlanContext,
     schedule: MigrationSchedule,
     demand: Optional[Mapping[DiskId, float]] = None,
-    engine: Optional[MigrationEngine] = None,
 ) -> DegradationReport:
     """Compute the degradation integral of a schedule.
 
-    Per round: ``duration × Σ_v demand_v × (transfers_v / c_v)``.
-    Demand defaults to the demand parked on each disk at migration
-    start (conservative: items in flight keep charging their source).
+    Per round: ``duration × Σ_v demand_v × (transfers_v / c_v)``, where
+    ``duration`` is the round's length at Figure 2's fair shares
+    (:class:`~repro.cluster.network.FairShareRates`).  Demand defaults
+    to the demand parked on each disk at migration start
+    (conservative: items in flight keep charging their source).
 
     The cluster is *not* mutated — durations are computed from the
     plan, not by executing it.
     """
     dem = dict(demand) if demand is not None else disk_demand(cluster)
-    eng = engine if engine is not None else MigrationEngine(cluster)
+    rates = FairShareRates()
     graph = context.instance.graph
     report = DegradationReport(num_rounds=schedule.num_rounds)
 
@@ -92,16 +93,11 @@ def service_degradation(
     )
 
     for round_edges in schedule.rounds:
-        duration = eng.round_duration(context, round_edges)
+        duration = rates.round_duration(cluster, context, round_edges)
         report.duration += duration
         # Items in flight this round are still displaced during it.
         report.displacement += duration * pending_demand
-        loads: Dict[DiskId, int] = {}
-        for eid in round_edges:
-            u, v = graph.endpoints(eid)
-            loads[u] = loads.get(u, 0) + 1
-            loads[v] = loads.get(v, 0) + 1
-        for disk_id, k in loads.items():
+        for disk_id, k in endpoint_loads(graph, round_edges).items():
             impairment = duration * dem.get(disk_id, 0.0) * (
                 k / context.instance.capacity(disk_id)
             )

@@ -4,18 +4,20 @@ A trace is the flat, replayable record of a migration execution: one
 row per item transfer with timing and endpoints, plus round metadata.
 Traces serialize to plain JSON so experiments can be archived and
 diffed; :func:`replay_trace` re-applies a trace to a fresh layout and
-is used by tests to confirm engine/trace agreement.
+is used by tests to confirm executor/trace agreement.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Hashable, List
 
-from repro.cluster.engine import ExecutionReport
 from repro.cluster.events import ItemMigrated, RoundCompleted
 from repro.cluster.layout import Layout
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import RunReport
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class MigrationTrace:
     total_time: float
 
     @classmethod
-    def from_report(cls, report: ExecutionReport) -> "MigrationTrace":
+    def from_report(cls, report: "RunReport") -> "MigrationTrace":
+        """The transfers and round durations recorded in ``report.log``."""
         transfers = [
             TransferRecord(
                 time=e.time,
@@ -51,7 +54,7 @@ class MigrationTrace:
         ]
         return cls(
             transfers=transfers,
-            round_durations=list(report.round_durations),
+            round_durations=[e.duration for e in report.log.of_type(RoundCompleted)],
             total_time=report.total_time,
         )
 

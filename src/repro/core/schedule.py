@@ -13,7 +13,21 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
-from repro.graphs.multigraph import EdgeId, Node
+from repro.graphs.multigraph import EdgeId, Multigraph, Node
+
+
+def endpoint_loads(graph: Multigraph, edges: Iterable[EdgeId]) -> Dict[Node, int]:
+    """Transfers each disk takes part in among ``edges`` (one round).
+
+    Disks appear in first-touch order (``u`` before ``v`` of each
+    edge), which fixes the order of any per-disk sum built from it.
+    """
+    loads: Dict[Node, int] = {}
+    for eid in edges:
+        u, v = graph.endpoints(eid)
+        loads[u] = loads.get(u, 0) + 1
+        loads[v] = loads.get(v, 0) + 1
+    return loads
 
 
 class MigrationSchedule:
@@ -85,12 +99,7 @@ class MigrationSchedule:
 
     def round_loads(self, instance: MigrationInstance, round_index: int) -> Dict[Node, int]:
         """Transfers each disk performs in the given round."""
-        loads: Dict[Node, int] = {}
-        for eid in self._rounds[round_index]:
-            u, v = instance.graph.endpoints(eid)
-            loads[u] = loads.get(u, 0) + 1
-            loads[v] = loads.get(v, 0) + 1
-        return loads
+        return endpoint_loads(instance.graph, self._rounds[round_index])
 
     def validate(self, instance: MigrationInstance) -> None:
         """Check the schedule against the instance.

@@ -1,10 +1,10 @@
 """repro.obs — unified tracing, metrics and profiling.
 
 One observability substrate for the whole stack: the planning pipeline,
-the runtime executor and the cluster engine all report through the same
-:class:`Tracer`, so a single JSONL trace answers "where did this
-schedule spend its time?" end to end — per pipeline stage, per solver,
-per executed round.
+the runtime executor, the plan service and the campaign simulator all
+report through the same :class:`Tracer`, so a single JSONL trace
+answers "where did this schedule spend its time?" end to end — per
+pipeline stage, per solver, per executed round.
 
 * :mod:`repro.obs.trace` — spans (context-manager + decorator API),
   the :class:`Tracer`, and the zero-cost :data:`NULL_TRACER` default;

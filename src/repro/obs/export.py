@@ -32,24 +32,68 @@ def meta_record() -> Dict[str, Any]:
     }
 
 
+def _seal_for_append(path: str) -> int:
+    """End the trace at ``path`` on a newline; return its largest span id.
+
+    A killed writer can leave a last line with no newline: a whole
+    record whose newline never landed, or a fragment cut mid-record.
+    Appending after either would glue the next record onto it, so a
+    whole record gets its newline and a fragment is cut off.
+    """
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        lines = data.split(b"\n")
+        tail = lines.pop()  # b"" when the file already ends on a newline
+        if tail:
+            try:
+                json.loads(tail)
+            except ValueError:
+                handle.truncate(len(data) - len(tail))
+            else:
+                handle.write(b"\n")
+                lines.append(tail)
+    top = 0
+    for line in lines:
+        try:
+            record: Any = json.loads(line)
+        except ValueError:
+            continue  # left for ``validate_trace`` to report
+        if isinstance(record, dict) and record.get("kind") == "span":
+            span_id = record.get("span")
+            if isinstance(span_id, int):
+                top = max(top, span_id)
+    return top
+
+
 class JsonlExporter(Exporter):
     """Append-structured JSONL trace file, keys sorted.
 
     Args:
         path: output file.
         append: continue an existing trace (e.g. a resumed run) —
-            skips the ``meta`` header when the file already has bytes.
+            seals a last line a killed writer left unterminated (see
+            :func:`_seal_for_append`), skips the ``meta`` header when
+            the file still has bytes, and numbers the new spans (ids
+            and parent links) above the largest span id already in the
+            file, so the two runs' span ids never collide.
     """
 
     def __init__(self, path: str, append: bool = False) -> None:
         self.path = str(path)
-        fresh = not (append and os.path.exists(self.path) and os.path.getsize(self.path))
+        resuming = append and os.path.exists(self.path)
+        self._span_offset = _seal_for_append(self.path) if resuming else 0
+        fresh = not (resuming and os.path.getsize(self.path))
         self._handle = open(self.path, "a" if append else "w")
         if fresh:
             self.export(meta_record())
 
     def export(self, record: Mapping[str, Any]) -> None:
-        self._handle.write(json.dumps(dict(record), sort_keys=True, default=str))
+        out = dict(record)
+        if self._span_offset and out.get("kind") == "span":
+            out["span"] += self._span_offset
+            if out.get("parent") is not None:
+                out["parent"] += self._span_offset
+        self._handle.write(json.dumps(out, sort_keys=True, default=str))
         self._handle.write("\n")
 
     def close(self) -> None:

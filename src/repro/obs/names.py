@@ -148,17 +148,11 @@ SPAN_SOLVE = "pipeline.solve"
 SPAN_SOLVE_POOL = "pipeline.solve.pool"
 
 #: One span per executed runtime round (attrs: round, attempted,
-#: succeeded, failed, sim_start, sim_end).
+#: succeeded, failed, sim_start, sim_duration).
 SPAN_ROUND = "runtime.round"
 
 #: One span per runtime replan (attrs: reason, remaining, rounds).
 SPAN_REPLAN = "runtime.replan"
-
-#: Root span of one synchronous engine execution.
-SPAN_CLUSTER_EXECUTE = "cluster.execute"
-
-#: One span per engine round (attrs: round, transfers, duration).
-SPAN_CLUSTER_ROUND = "cluster.round"
 
 #: One span per served request solve (attrs: fingerprint, method).
 SPAN_SERVE_SOLVE = "serve.solve"

@@ -1,13 +1,13 @@
 """repro.runtime — checkpointed, failure-tolerant migration execution.
 
-The planner (:mod:`repro.core`) answers *what to move when*; the
-simulator engine (:mod:`repro.cluster.engine`) replays that answer in
-one synchronous sweep.  This package is the layer the paper's setting
-actually demands — migrations run while the storage system is degraded
-— so it *supervises* the plan over time:
+The planner (:mod:`repro.core`) answers *what to move when*; this
+package executes that answer.  Fault-free, it replays the schedule
+round by round; but the paper's setting has migrations run while the
+storage system is degraded, so it *supervises* the plan over time:
 
 * :class:`MigrationExecutor` drives rounds transfer-by-transfer with
-  explicit per-transfer states, through the existing rate models;
+  explicit per-transfer states, pricing each round with a
+  :mod:`repro.cluster.network` rate model;
 * :class:`FaultPlan` injects transfer faults, disk crashes and
   transient network partitions, deterministically under a seed;
 * :class:`RetryPolicy` climbs the retry → defer → replan ladder,

@@ -89,7 +89,7 @@ def restore_executor(
     ``cluster`` must be reconstructed the same way as the interrupted
     run built it (same scenario and seed); remaining keyword arguments
     are forwarded to :meth:`MigrationExecutor.from_state` (faults,
-    policy, time model, method, seed, ...) and must also match the original
+    policy, rate model, method, seed, ...) and must also match the original
     run for the determinism guarantee to hold — which is why callers
     should persist them in the ``config`` block and compare before
     resuming.

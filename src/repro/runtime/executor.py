@@ -1,11 +1,13 @@
 """The migration orchestrator: supervised, resumable execution.
 
-:class:`MigrationExecutor` turns a planned :class:`MigrationSchedule`
-into a run that survives faults.  Where
-:class:`~repro.cluster.engine.MigrationEngine` replays a schedule in
-one synchronous sweep, the executor drives a *work queue* of rounds
-transfer-by-transfer through the existing rate models, with explicit
-per-transfer states (``pending → in-flight → done/failed``), so that:
+:class:`MigrationExecutor` is the one way to execute a planned
+:class:`MigrationSchedule` against a cluster.  It drives a *work queue*
+of rounds transfer-by-transfer, pricing each round with a
+:mod:`repro.cluster.network` rate model (a round lasts as long as its
+slowest transfer — the paper's Figure 2 arithmetic under the default
+:class:`~repro.cluster.network.FairShareRates`), with explicit
+per-transfer states (``pending → in-flight → done/failed``).  Without
+faults, ``run()`` replays the schedule round for round; with them:
 
 * individual transfer failures climb the policy ladder
   (retry with backoff → defer → replan, see :mod:`repro.runtime.policy`);
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.disk import DiskId
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.events import (
     DiskRemoved,
     EventLog,
@@ -46,6 +47,7 @@ from repro.cluster.events import (
     RoundStarted,
 )
 from repro.cluster.item import ItemId
+from repro.cluster.network import FairShareRates, RateModel
 from repro.cluster.system import MigrationPlanContext, StorageCluster
 from repro.core.schedule import MigrationSchedule
 from repro.obs import names
@@ -89,19 +91,20 @@ class RunReport:
 
 
 class MigrationExecutor:
-    """Drives a migration schedule to completion under faults.
+    """Drives a migration schedule to completion, with or without faults.
 
     Args:
-        cluster: the cluster to mutate (as with the engine, the
-            executor owns no hidden copies).
+        cluster: the cluster to mutate (the executor owns no hidden
+            copies).
         context: the plan context the schedule was computed for.
         schedule: a validated schedule for ``context.instance``.
         faults: what goes wrong (default: nothing).
         policy: the retry/defer/replan ladder (default knobs).
-        time_model: ``"unit"`` or ``"bandwidth_split"`` (as in the
-            engine).
-        rate_model: overrides ``time_model`` with any
-            :class:`~repro.cluster.network.RateModel`.
+        rate_model: the :class:`~repro.cluster.network.RateModel`
+            that prices each round (default: Figure 2's
+            :class:`~repro.cluster.network.FairShareRates`;
+            :class:`~repro.cluster.network.UnitRates` makes time the
+            number of rounds).
         method: planner method used for replans (``repro.plan``'s
             ``method=``).
         seed: seeds the executor RNG (fault draws + backoff jitter).
@@ -127,8 +130,7 @@ class MigrationExecutor:
         *,
         faults: Optional[FaultPlan] = None,
         policy: Optional[RetryPolicy] = None,
-        time_model: str = "bandwidth_split",
-        rate_model=None,
+        rate_model: Optional[RateModel] = None,
         method: str = "auto",
         seed: int = 0,
         cache: Optional[PlanCache] = None,
@@ -141,8 +143,7 @@ class MigrationExecutor:
         self.seed = seed
         self.plan_cache = cache
         self.tracer = ensure_tracer(tracer)
-        self._engine = MigrationEngine(cluster, time_model=time_model, rate_model=rate_model)
-        self.time_model = time_model
+        self.rate_model = rate_model if rate_model is not None else FairShareRates()
         self._rng = random.Random(seed)
         self.telemetry = RuntimeTelemetry()
         self.log = EventLog()
@@ -358,7 +359,9 @@ class MigrationExecutor:
             elif self.faults.transfer_fails(self._rng, start):
                 reason = "fault"
             elif self.policy.transfer_timeout is not None:
-                solo = self._engine.round_duration(self._context, [eid])
+                solo = self.rate_model.round_duration(
+                    self.cluster, self._context, [eid]
+                )
                 if solo > self.policy.transfer_timeout:
                     reason = "timeout"
             outcomes.append((item, src, dst, eid, reason))
@@ -367,7 +370,9 @@ class MigrationExecutor:
         # round's end, so the round lasts as long as its slowest attempt
         # — except timed-out attempts, which abort at the timeout.
         base_edges = [eid for (_i, _s, _d, eid, r) in outcomes if r != "timeout"]
-        duration = self._engine.round_duration(self._context, base_edges)
+        duration = self.rate_model.round_duration(
+            self.cluster, self._context, base_edges
+        )
         if any(r == "timeout" for (_i, _s, _d, _e, r) in outcomes):
             duration = max(duration, float(self.policy.transfer_timeout))
         self._now = start + duration
@@ -529,8 +534,7 @@ class MigrationExecutor:
         *,
         faults: Optional[FaultPlan] = None,
         policy: Optional[RetryPolicy] = None,
-        time_model: str = "bandwidth_split",
-        rate_model=None,
+        rate_model: Optional[RateModel] = None,
         method: str = "auto",
         seed: int = 0,
         cache: Optional[PlanCache] = None,
@@ -551,7 +555,6 @@ class MigrationExecutor:
             None,  # type: ignore[arg-type]
             faults=faults,
             policy=policy,
-            time_model=time_model,
             rate_model=rate_model,
             method=method,
             seed=seed,

@@ -5,9 +5,9 @@ import pytest
 from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.eager import EagerEngine
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
+from repro.cluster.network import ReservedLaneRates
 from repro.cluster.system import StorageCluster
 from repro.workloads.scenarios import scale_out_scenario, vod_rebalance_scenario
 
@@ -62,25 +62,11 @@ class TestEagerVsRounds:
 
         # Round model with the reserved-share rate: each round costs
         # the slowest transfer at full-capacity sharing.
-        def reserved_round_time() -> float:
-            total = 0.0
-            graph = scenario.instance.graph
-            for rnd in sched.rounds:
-                worst = 0.0
-                for eid in rnd:
-                    u, v = graph.endpoints(eid)
-                    du = scenario.cluster.disk(u)
-                    dv = scenario.cluster.disk(v)
-                    rate = min(
-                        du.bandwidth / du.transfer_limit,
-                        dv.bandwidth / dv.transfer_limit,
-                    )
-                    item = scenario.cluster.items[scenario.context.edge_items[eid]]
-                    worst = max(worst, item.size / rate)
-                total += worst
-            return total
-
-        round_time = reserved_round_time()
+        rates = ReservedLaneRates()
+        round_time = sum(
+            rates.round_duration(scenario.cluster, scenario.context, rnd)
+            for rnd in sched.rounds
+        )
         report = EagerEngine(scenario.cluster).execute(scenario.context)
         assert report.total_time <= 2 * round_time + 1e-9
 

@@ -1,14 +1,16 @@
-"""Tests for the migration engine and its time models."""
+"""Tests for executing schedules: rate models as the clock, crashes
+and replans (``MigrationExecutor`` fault-free and with ``DiskCrash``)."""
 
 import pytest
 
 from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.events import ItemMigrated, MigrationReplanned, RoundCompleted
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
+from repro.cluster.network import UnitRates
 from repro.cluster.system import StorageCluster
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 
 
 def figure2_cluster(items_per_pair: int, transfer_limit: int):
@@ -31,13 +33,30 @@ def figure2_cluster(items_per_pair: int, transfer_limit: int):
     return cluster, target
 
 
+def crash_run(cluster, ctx, sched, disk, at_time=1.0):
+    """Execute under unit rates with ``disk`` crashing at ``at_time``
+    (the default lands right after round 0)."""
+    return MigrationExecutor(
+        cluster, ctx, sched,
+        faults=FaultPlan(crashes=(DiskCrash(disk, at_time),)),
+        rate_model=UnitRates(),
+    ).run()
+
+
 class TestTimeModels:
     def test_unit_model_counts_rounds(self):
         cluster, target = figure2_cluster(3, transfer_limit=1)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        report = MigrationEngine(cluster, time_model="unit").execute(ctx, sched)
+        report = MigrationExecutor(cluster, ctx, sched, rate_model=UnitRates()).run()
         assert report.total_time == sched.num_rounds
+
+    def test_unit_rates_price_any_round_at_one(self):
+        cluster, target = figure2_cluster(2, transfer_limit=2)
+        ctx = cluster.migration_to(target)
+        rates = UnitRates()
+        assert rates.round_duration(cluster, ctx, list(ctx.edge_items)) == 1.0
+        assert rates.round_duration(cluster, ctx, []) == 1.0
 
     def test_figure2_arithmetic_c1_vs_c2(self):
         """The paper's Figure 2: 3M time at c=1 vs 2M at c=2."""
@@ -45,13 +64,13 @@ class TestTimeModels:
         c1, t1 = figure2_cluster(M, transfer_limit=1)
         ctx1 = c1.migration_to(t1)
         s1 = plan(ctx1.instance).schedule
-        r1 = MigrationEngine(c1).execute(ctx1, s1)
+        r1 = MigrationExecutor(c1, ctx1, s1).run()
         assert r1.total_time == pytest.approx(3 * M)
 
         c2, t2 = figure2_cluster(M, transfer_limit=2)
         ctx2 = c2.migration_to(t2)
         s2 = plan(ctx2.instance).schedule
-        r2 = MigrationEngine(c2).execute(ctx2, s2)
+        r2 = MigrationExecutor(c2, ctx2, s2).run()
         assert r2.total_time == pytest.approx(2 * M)
 
     def test_bandwidth_split_slowest_transfer_rules(self):
@@ -66,13 +85,8 @@ class TestTimeModels:
         )
         ctx = cluster.migration_to(Layout({"x": "fast"}))
         sched = plan(ctx.instance).schedule
-        report = MigrationEngine(cluster).execute(ctx, sched)
+        report = MigrationExecutor(cluster, ctx, sched).run()
         assert report.total_time == pytest.approx(1.0 / 0.5)
-
-    def test_unknown_time_model(self):
-        cluster, _ = figure2_cluster(1, 1)
-        with pytest.raises(ValueError):
-            MigrationEngine(cluster, time_model="warp")
 
 
 class TestExecution:
@@ -80,7 +94,7 @@ class TestExecution:
         cluster, target = figure2_cluster(3, transfer_limit=2)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        MigrationEngine(cluster).execute(ctx, sched)
+        MigrationExecutor(cluster, ctx, sched).run()
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
@@ -88,7 +102,7 @@ class TestExecution:
         cluster, target = figure2_cluster(2, transfer_limit=1)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        report = MigrationEngine(cluster).execute(ctx, sched)
+        report = MigrationExecutor(cluster, ctx, sched).run()
         migrations = report.log.of_type(ItemMigrated)
         assert len(migrations) == ctx.num_moves
         rounds = report.log.of_type(RoundCompleted)
@@ -98,22 +112,25 @@ class TestExecution:
         cluster, target = figure2_cluster(3, transfer_limit=2)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        report = MigrationEngine(cluster).execute(ctx, sched)
-        assert sum(report.round_durations) == pytest.approx(report.total_time)
+        report = MigrationExecutor(cluster, ctx, sched).run()
+        durations = [e.duration for e in report.log.of_type(RoundCompleted)]
+        assert sum(durations) == pytest.approx(report.total_time)
 
 
 class TestFailureInjection:
-    def test_failure_aborts_and_reports_stranded(self):
+    def test_failure_reports_stranded_and_continues(self):
         cluster, target = figure2_cluster(4, transfer_limit=1)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
         assert sched.num_rounds > 2
-        report = MigrationEngine(cluster).execute(
-            ctx, sched, fail_disk_after_round=(0, "a")
-        )
-        assert report.rounds_executed == 1
-        assert report.stranded_items
+        report = crash_run(cluster, ctx, sched, "a")
         assert "a" not in cluster.disks
+        # Moves sourced on "a" are lost; the rest still finish.
+        assert report.finished
+        assert report.stranded
+        assert all(cluster.layout.disk_of(i) == "a" for i in report.stranded)
+        assert report.rounds_executed > 1
+        assert len(report.delivered) + len(report.stranded) == ctx.num_moves
 
     def test_replan_finishes_surviving_moves(self):
         # Items flowing d0 -> d1/d2; d2 fails after round 0; moves that
@@ -126,24 +143,19 @@ class TestFailureInjection:
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d2",
-            planner=lambda inst: plan(inst).schedule,
-        )
+        report = crash_run(cluster, ctx, sched, "d2")
         assert report.replans == 1
         assert report.log.of_type(MigrationReplanned)
-        # Every item is off d0 or was already moved; none lost since
-        # the failed disk was never a source of pending moves... items
-        # already moved to d2 before the failure stay accounted for.
+        # d2 was never a source, so nothing is lost: every item is
+        # delivered, and an item moved to d2 before the crash stays
+        # accounted for there.
+        assert report.stranded == []
+        assert sorted(report.delivered) == sorted(layout.items)
         for item_id in layout.items:
             disk = cluster.layout.disk_of(item_id)
             assert disk in ("d1", "d0", "d2")
         assert not any(
-            cluster.layout.disk_of(i) == "d0" for i in report.migrated_items
+            cluster.layout.disk_of(i) == "d0" for i in report.delivered
         )
 
     def test_failure_on_last_round_needs_no_replan(self):
@@ -152,24 +164,17 @@ class TestFailureInjection:
         cluster, target = figure2_cluster(4, transfer_limit=1)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=sched.num_rounds - 1,
-            failed_disk="a",
-            planner=lambda inst: plan(inst).schedule,
-        )
+        report = crash_run(cluster, ctx, sched, "a", at_time=float(sched.num_rounds))
         assert report.replans == 0
-        assert report.stranded_items == []
-        assert len(report.migrated_items) == ctx.num_moves
+        assert report.stranded == []
+        assert len(report.delivered) == ctx.num_moves
         assert report.rounds_executed == sched.num_rounds
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
     def test_failure_of_uninvolved_disk_strands_nothing(self):
-        """A disk with zero remaining transfers dies: the replan simply
-        finishes the interrupted schedule with the original targets."""
+        """A disk with zero remaining transfers dies: nothing needs
+        replanning and the schedule finishes with the original targets."""
         disks = [Disk(disk_id=f"d{i}", transfer_limit=1) for i in range(4)]
         items = [DataItem(item_id=f"i{k}") for k in range(4)]
         layout = Layout({f"i{k}": "d0" for k in range(4)})
@@ -179,17 +184,10 @@ class TestFailureInjection:
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
         assert sched.num_rounds > 1
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d3",
-            planner=lambda inst: plan(inst).schedule,
-        )
-        assert report.stranded_items == []
-        assert sorted(report.migrated_items) == sorted(layout.items)
-        assert report.replans == 1  # the abort still re-schedules the rest
+        report = crash_run(cluster, ctx, sched, "d3")
+        assert report.stranded == []
+        assert sorted(report.delivered) == sorted(layout.items)
+        assert report.replans == 0  # no pending move touched d3
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
@@ -204,20 +202,13 @@ class TestFailureInjection:
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d0",
-            planner=lambda inst: plan(inst).schedule,
-        )
-        assert len(report.stranded_items) == len(set(report.stranded_items))
-        for item_id in report.stranded_items:
+        report = crash_run(cluster, ctx, sched, "d0")
+        assert len(report.stranded) == len(set(report.stranded))
+        for item_id in report.stranded:
             assert cluster.layout.disk_of(item_id) == "d0"
-        # Conservation: every move is migrated or stranded, never both.
-        assert not set(report.migrated_items) & set(report.stranded_items)
-        assert len(report.migrated_items) + len(report.stranded_items) == ctx.num_moves
+        # Conservation: every move is delivered or stranded, never both.
+        assert not set(report.delivered) & set(report.stranded)
+        assert len(report.delivered) + len(report.stranded) == ctx.num_moves
 
     def test_replan_reports_lost_items_from_failed_source(self):
         disks = [Disk(disk_id=f"d{i}", transfer_limit=1) for i in range(2)]
@@ -227,14 +218,7 @@ class TestFailureInjection:
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d0",
-            planner=lambda inst: plan(inst).schedule,
-        )
+        report = crash_run(cluster, ctx, sched, "d0")
         # One item moved in round 0; the rest were sourced on d0.
-        assert len(report.migrated_items) == 1
-        assert len(report.stranded_items) == 3
+        assert len(report.delivered) == 1
+        assert len(report.stranded) == 3

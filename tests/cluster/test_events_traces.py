@@ -5,11 +5,11 @@ import pytest
 from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.events import EventLog, ItemMigrated, RoundCompleted, RoundStarted
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
 from repro.cluster.traces import MigrationTrace, replay_trace
+from repro.runtime import MigrationExecutor
 
 
 class TestEventLog:
@@ -43,7 +43,7 @@ def executed_migration():
     initial = cluster.layout.copy()
     ctx = cluster.migration_to(target)
     sched = plan(ctx.instance).schedule
-    report = MigrationEngine(cluster).execute(ctx, sched)
+    report = MigrationExecutor(cluster, ctx, sched).run()
     return cluster, initial, report
 
 
@@ -51,8 +51,9 @@ class TestTraces:
     def test_trace_captures_all_transfers(self):
         _cluster, _initial, report = executed_migration()
         trace = MigrationTrace.from_report(report)
-        assert len(trace.transfers) == len(report.migrated_items)
+        assert len(trace.transfers) == len(report.delivered)
         assert trace.total_time == report.total_time
+        assert sum(trace.round_durations) == pytest.approx(report.total_time)
 
     def test_json_roundtrip(self):
         _cluster, _initial, report = executed_migration()

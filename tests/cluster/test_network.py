@@ -4,7 +4,6 @@ import pytest
 
 from repro import plan
 from repro.cluster.disk import Disk
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.network import (
@@ -15,6 +14,7 @@ from repro.cluster.network import (
     rack_locality,
 )
 from repro.cluster.system import StorageCluster
+from repro.runtime import MigrationExecutor
 
 
 def two_disk_plan(bandwidth_a=1.0, bandwidth_b=1.0, limit=2, items=2):
@@ -96,6 +96,13 @@ class TestFabric:
         fabric = FabricRates(topo)
         assert fabric.round_duration(cluster, ctx, list(ctx.edge_items)) == pytest.approx(1.0)
 
+    def test_fabric_takes_no_inner_model(self):
+        """Fabric rates are fair shares capped by uplinks; there is no
+        wrapped model to swap in."""
+        _cluster, _ctx, topo = self.build_cross_rack_plan(uplink=1.0)
+        with pytest.raises(TypeError):
+            FabricRates(topo, inner=ReservedLaneRates())
+
     def test_rack_locality_metric(self):
         cluster, ctx, topo = self.build_cross_rack_plan(uplink=1.0)
         assert rack_locality(ctx, topo) == 0.0
@@ -107,19 +114,20 @@ class TestEngineIntegration:
     def test_engine_accepts_rate_model(self):
         cluster, ctx = two_disk_plan(items=4, limit=2)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, rate_model=ReservedLaneRates())
-        report = engine.execute(ctx, sched)
+        report = MigrationExecutor(
+            cluster, ctx, sched, rate_model=ReservedLaneRates()
+        ).run()
         # 4 items, 2 lanes of 0.5 each: 2 rounds x 2 time units.
         assert report.total_time == pytest.approx(4.0)
 
     def test_default_matches_fair_share(self):
         cluster1, ctx1 = two_disk_plan(items=4, limit=2)
         sched1 = plan(ctx1.instance).schedule
-        t_default = MigrationEngine(cluster1).execute(ctx1, sched1).total_time
+        t_default = MigrationExecutor(cluster1, ctx1, sched1).run().total_time
 
         cluster2, ctx2 = two_disk_plan(items=4, limit=2)
         sched2 = plan(ctx2.instance).schedule
-        t_fair = MigrationEngine(cluster2, rate_model=FairShareRates()).execute(
-            ctx2, sched2
-        ).total_time
+        t_fair = MigrationExecutor(
+            cluster2, ctx2, sched2, rate_model=FairShareRates()
+        ).run().total_time
         assert t_default == pytest.approx(t_fair)

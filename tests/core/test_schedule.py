@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
-from repro.core.schedule import MigrationSchedule
+from repro.core.schedule import MigrationSchedule, endpoint_loads
 
 
 @pytest.fixture
@@ -73,6 +73,12 @@ class TestRoundLoads:
         e0, e1 = path_instance.graph.edge_ids()
         loads = MigrationSchedule([[e0, e1]]).round_loads(path_instance, 0)
         assert loads == {"a": 1, "b": 2, "c": 1}
+
+    def test_endpoint_loads_first_touch_order(self, path_instance):
+        e0, e1 = path_instance.graph.edge_ids()
+        assert list(endpoint_loads(path_instance.graph, [e1, e0]).items()) == [
+            ("b", 2), ("c", 1), ("a", 1),
+        ]
 
 
 class TestRestrict:

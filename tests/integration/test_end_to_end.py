@@ -6,9 +6,10 @@ import pytest
 
 from repro import MigrationInstance, lower_bound, plan
 from repro.analysis.metrics import compare_methods
-from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import UnitRates
 from repro.cluster.traces import MigrationTrace, replay_trace
 from repro.core.exact import exact_optimum_rounds
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.generators import (
     bipartite_instance,
     clique_instance,
@@ -76,7 +77,7 @@ class TestSimulatorPipeline:
         scenario = vod_rebalance_scenario(num_disks=8, num_items=150, seed=4)
         initial = scenario.cluster.layout.copy()
         sched = plan(scenario.instance).schedule
-        report = MigrationEngine(scenario.cluster).execute(scenario.context, sched)
+        report = MigrationExecutor(scenario.cluster, scenario.context, sched).run()
         trace = MigrationTrace.from_report(report)
         replayed = replay_trace(trace, initial)
         for item_id in scenario.cluster.layout.items:
@@ -93,16 +94,21 @@ class TestSimulatorPipeline:
     def test_failure_recovery_pipeline(self):
         scenario = scale_out_scenario(num_old=4, num_new=2, items_per_old_disk=20, seed=6)
         sched = plan(scenario.instance).schedule
-        engine = MigrationEngine(scenario.cluster, time_model="unit")
         failed = "new1"
-        report = engine.execute_with_replan(
+        # Under unit rates round 0 ends at t=1, when the crash lands.
+        report = MigrationExecutor(
+            scenario.cluster,
             scenario.context,
             sched,
-            fail_after_round=0,
-            failed_disk=failed,
-            planner=lambda inst: plan(inst).schedule,
-        )
+            faults=FaultPlan(crashes=(DiskCrash(failed, 1.0),)),
+            rate_model=UnitRates(),
+        ).run()
         assert report.replans == 1
-        # Nothing may sit on the failed disk afterwards except items it
-        # received before failing (which are lost to this migration).
+        # Conservation: every move is delivered or stranded.
+        assert (
+            len(report.delivered) + len(report.stranded)
+            == scenario.context.num_moves
+        )
+        # The crashed disk leaves the fleet; items it received before
+        # crashing stay counted as delivered.
         assert failed not in scenario.cluster.disks

@@ -67,6 +67,72 @@ class TestJsonlExporter:
         assert sum(1 for r in records if r["kind"] == "meta") == 1
         names = [r["name"] for r in records if r["kind"] == "span"]
         assert names == ["run1", "run2"]
+        # The second process numbers its spans after the first's.
+        assert validate_trace(records) == []
+
+    def test_append_mode_offsets_parent_links(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        for _ in range(2):
+            tracer = Tracer(JsonlExporter(str(path), append=True))
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    pass
+            tracer.close()
+
+        spans = [r for r in load_trace(str(path)) if r["kind"] == "span"]
+        assert [(r["name"], r["span"], r["parent"]) for r in spans] == [
+            ("inner", 2, 1), ("outer", 1, None),
+            ("inner", 4, 3), ("outer", 3, None),
+        ]
+
+    def test_append_mode_drops_torn_tail(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        first = Tracer(JsonlExporter(str(path)))
+        with first.span("run1"):
+            with first.span("kept"):
+                pass
+        first.close()
+        # A killed writer's last record, cut mid-line.
+        with open(path, "a") as handle:
+            handle.write('{"attrs": {}, "kind": "span", "na')
+        second = Tracer(JsonlExporter(str(path), append=True))
+        with second.span("run2"):
+            pass
+        second.close()
+
+        records = load_trace(str(path))
+        assert [r["name"] for r in records if r["kind"] == "span"] == [
+            "kept", "run1", "run2",
+        ]
+        assert validate_trace(records) == []
+
+    def test_append_mode_terminates_a_whole_last_record(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        first = Tracer(JsonlExporter(str(path)))
+        with first.span("run1"):
+            with first.span("child"):
+                pass
+        first.close()
+        # The writer died after the record but before its newline.
+        path.write_text(path.read_text()[:-1])
+        second = Tracer(JsonlExporter(str(path), append=True))
+        with second.span("run2"):
+            pass
+        second.close()
+
+        records = load_trace(str(path))
+        assert [r["name"] for r in records if r["kind"] == "span"] == [
+            "child", "run1", "run2",
+        ]
+        assert validate_trace(records) == []
+
+    def test_append_after_torn_header_writes_header(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"kind": "me')
+        JsonlExporter(str(path), append=True).close()
+        assert load_trace(str(path)) == [
+            {"kind": "meta", "schema": TRACE_SCHEMA_VERSION, "source": "repro.obs"}
+        ]
 
     def test_append_to_missing_file_writes_header(self, tmp_path):
         path = tmp_path / "fresh.jsonl"

@@ -1,4 +1,4 @@
-"""End-to-end observability tests: pipeline, runtime, engine, CLI.
+"""End-to-end observability tests: pipeline, runtime, CLI.
 
 Covers the two contract halves: with a real tracer every layer emits a
 schema-valid trace that the analysis/CLI layer can fold; with the
@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.analysis.metrics import aggregate_trace, summarize_runtime_trace
 from repro.cli import main
-from repro.cluster.engine import MigrationEngine
 from repro.obs import InMemoryExporter, Tracer, names
 from repro.obs.schema import validate_trace
 from repro.pipeline import PlanCache, plan
@@ -146,24 +145,6 @@ class TestTracedRuntime:
         assert all(t["calls"] == 1 for t in stats.stages.values())
         for row in stats.rounds:
             assert row["attempted"] >= row["succeeded"]
-
-
-class TestTracedEngine:
-    def test_engine_emits_execute_and_round_spans(self):
-        scenario = decommission_scenario(seed=1)
-        schedule = plan(scenario.instance).schedule
-
-        def go(tr):
-            engine = MigrationEngine(scenario.cluster, tracer=tr)
-            engine.execute(scenario.context, schedule)
-
-        records = traced(go)
-        assert validate_trace(records) == []
-        execute = [r for r in records if r.get("name") == names.SPAN_CLUSTER_EXECUTE]
-        rounds = [r for r in records if r.get("name") == names.SPAN_CLUSTER_ROUND]
-        assert len(execute) == 1
-        assert len(rounds) == execute[0]["attrs"]["rounds_executed"]
-        assert all(r["parent"] == execute[0]["span"] for r in rounds)
 
 
 class TestCliStats:

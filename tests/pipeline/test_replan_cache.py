@@ -11,6 +11,7 @@ from repro import plan
 from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
+from repro.cluster.network import UnitRates
 from repro.cluster.system import StorageCluster
 from repro.pipeline import PlanCache
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
@@ -52,7 +53,7 @@ def run_with_crashes(plan_cache):
     )
     ex = MigrationExecutor(
         cluster, ctx, schedule,
-        faults=faults, time_model="unit", cache=plan_cache,
+        faults=faults, rate_model=UnitRates(), cache=plan_cache,
     )
     report = ex.run()
     assert report.finished

@@ -4,10 +4,10 @@ import pytest
 
 from repro import plan
 from repro.cluster.disk import Disk
-from repro.cluster.engine import MigrationEngine
 from repro.cluster.events import ItemMigrated, RoundCompleted, RoundStarted
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
+from repro.cluster.network import FairShareRates, UnitRates
 from repro.cluster.system import StorageCluster
 from repro.runtime import FaultPlan, MigrationExecutor, RetryPolicy
 from repro.workloads.scenarios import decommission_scenario, scale_out_scenario
@@ -33,22 +33,23 @@ class TestFaultFreeExecution:
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
-    def test_matches_engine_timings(self):
-        """With no faults the executor reproduces the engine's clock."""
+    def test_clock_is_sum_of_round_durations(self):
+        """With no faults the executor replays the schedule round for
+        round: its clock is the rate model's durations summed."""
         scenario = decommission_scenario(seed=3)
         sched = plan(scenario.instance).schedule
-        engine_scenario = decommission_scenario(seed=3)
-        engine_report = MigrationEngine(engine_scenario.cluster).execute(
-            engine_scenario.context, plan(engine_scenario.instance).schedule
-        )
+        rates = FairShareRates()
+        expected = 0.0
+        for rnd in sched.rounds:
+            expected += rates.round_duration(scenario.cluster, scenario.context, rnd)
         report = MigrationExecutor(scenario.cluster, scenario.context, sched).run()
-        assert report.total_time == pytest.approx(engine_report.total_time)
-        assert report.rounds_executed == engine_report.rounds_executed
+        assert report.total_time == expected
+        assert report.rounds_executed == sched.num_rounds
 
     def test_unit_time_model(self):
         cluster, ctx, _ = small_cluster()
         sched = plan(ctx.instance).schedule
-        report = MigrationExecutor(cluster, ctx, sched, time_model="unit").run()
+        report = MigrationExecutor(cluster, ctx, sched, rate_model=UnitRates()).run()
         assert report.total_time == pytest.approx(sched.num_rounds)
 
     def test_event_log_compatible_with_engine_consumers(self):

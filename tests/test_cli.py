@@ -94,6 +94,12 @@ class TestDemoCommand:
         assert "rounds=" in out
         assert "simulated_time=" in out
 
+    def test_unit_time_model_counts_rounds(self, capsys):
+        assert main(["demo", "scale-out", "--seed", "1", "--time-model", "unit"]) == 0
+        assert "rounds=13 simulated_time=13.00 migrated=104" in capsys.readouterr().out
+        assert main(["demo", "scale-out", "--seed", "1"]) == 0
+        assert "rounds=13 simulated_time=19.00 migrated=104" in capsys.readouterr().out
+
 
 class TestDemoListing:
     def test_list_flag_enumerates_scenarios(self, capsys):
@@ -172,6 +178,21 @@ class TestRunCommand:
             line for line in resumed_out.splitlines() if line.startswith("rounds=")
         ][-1]
         assert resumed == uninterrupted
+
+    def test_resumed_trace_validates(self, tmp_path, capsys):
+        """A trace appended to by a resumed run stays one valid span
+        forest, so ``stats --validate`` accepts it."""
+        ckpt, trace = tmp_path / "run.ckpt", tmp_path / "run.jsonl"
+        args = [
+            "run", "decommission", "--seed", "1", "--fault-rate", "0.15",
+            "--crash", "new-2:5.0", "--partition", "2:6:mid-1",
+            "--checkpoint", str(ckpt), "--trace-out", str(trace),
+        ]
+        assert main(args + ["--max-rounds", "10"]) == 3
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["stats", str(trace), "--validate"]) == 0
+        assert "trace OK" in capsys.readouterr().out
 
     def test_resume_refuses_different_config(self, tmp_path, capsys):
         ckpt = tmp_path / "run.ckpt"

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import plan
-from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import UnitRates
+from repro.runtime import MigrationExecutor
 from repro.workloads.scenarios import (
     decommission_scenario,
     scale_out_scenario,
@@ -89,9 +90,10 @@ class TestScenarioExecution:
     def test_executes_to_target(self, builder):
         scenario = builder(seed=3)
         sched = plan(scenario.instance).schedule
-        engine = MigrationEngine(scenario.cluster, time_model="unit")
-        report = engine.execute(scenario.context, sched)
-        assert report.completed
+        report = MigrationExecutor(
+            scenario.cluster, scenario.context, sched, rate_model=UnitRates()
+        ).run()
+        assert report.fully_delivered
         assert report.total_time == sched.num_rounds
         for item_id in scenario.context.target.items:
             if item_id in scenario.cluster.layout:
