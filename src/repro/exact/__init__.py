@@ -31,7 +31,7 @@ from repro.exact.search import (
     solve_exact,
     verify_optimality,
 )
-from repro.exact.subsets import connected_node_subsets, connected_subsets
+from repro.exact.subsets import connected_subsets
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -42,7 +42,6 @@ __all__ = [
     "ExactResult",
     "InfeasibleObjectiveError",
     "OptimalityCertificate",
-    "connected_node_subsets",
     "connected_subsets",
     "exact_bb_schedule",
     "instance_digest",

@@ -70,7 +70,7 @@ from repro.core.objectives import (
 )
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.exact.subsets import connected_subsets
+from repro.exact.subsets import connected_subsets, mask_members, multiplicity_table
 from repro.graphs.array_backend import CompactInstance, lift_rounds, lower_instance
 
 #: Applicability cap on items: beyond this the search space is too
@@ -268,29 +268,15 @@ def _dense_subsets(ci: CompactInstance) -> List[Tuple[Tuple[int, ...], int]]:
     the exact LB2 witness.
     """
     g = ci.graph
-    caps = ci.capacities
-    adjacency: List[List[int]] = [
-        [g.inc_other[i] for i in range(g.indptr[v], g.indptr[v + 1])]
-        for v in range(g.num_nodes)
-    ]
+    table = multiplicity_table(g.num_nodes, zip(g.edge_u, g.edge_v))
     scored: List[Tuple[int, Tuple[int, ...], int]] = []
-    for combo in connected_subsets(adjacency, min_size=2):
-        mask = 0
-        capsum = 0
-        for v in combo:
-            mask |= 1 << v
-            capsum += caps[v]
-        inside = sum(
-            1
-            for e in range(g.num_edges)
-            if (mask >> g.edge_u[e]) & 1 and (mask >> g.edge_v[e]) & 1
-        )
+    for mask, inside, capsum in connected_subsets(table, ci.capacities):
         half = capsum // 2
         if inside == 0 or half == 0:
             continue
         bound = -(-inside // half)
         if bound >= 2:
-            scored.append((bound, combo, inside))
+            scored.append((bound, mask_members(mask), inside))
     scored.sort(key=lambda item: (-item[0], len(item[1]), item[1]))
     return [(combo, inside) for _bound, combo, inside in scored[:MAX_TRACKED_SUBSETS]]
 

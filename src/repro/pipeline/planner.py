@@ -153,9 +153,12 @@ class PlanResult:
 def _estimated_cost(component: Component) -> int:
     """Rough solver + lower-bound work units for one component.
 
-    The dominant kernel for small components is the exhaustive LB2
-    (``2^n`` subsets, each an ``O(m)`` scan) the general solver runs
-    for graphs of ≤ 14 nodes; larger components cost roughly ``n·m``.
+    The dominant kernel for small components is the exhaustive LB2 the
+    general solver runs for graphs of ≤ 14 nodes: up to ``2^n``
+    subsets at ``O(n)`` each, independent of ``m`` since the counts
+    ride the enumeration, so ``m · 2^n`` overstates it.  The formula
+    only steers ``parallel="auto"`` and is kept as calibrated.  Larger
+    components cost roughly ``n·m``.
     """
     n = component.num_disks
     m = component.num_items
@@ -266,19 +269,21 @@ def plan(
         with _stage(tr, result, "normalize"):
             normalized = normalize(instance)
 
+        # The auto path's decomposition, reused by the certify stage.
+        components: Optional[List[Component]] = None
         if obj.kind != "makespan":
             _plan_objective(instance, obj, method, result, tr)
         elif method != "auto":
             _plan_forced(instance, method, seed, stats, cache, result, tr)
         else:
-            _plan_auto(instance, normalized.empty, seed, stats, cache,
-                       parallel, workers, result, tr)
+            components = _plan_auto(instance, normalized.empty, seed, stats, cache,
+                                    parallel, workers, result, tr)
 
         with _stage(tr, result, "certify"):
             result.schedule.validate(instance)
             if certify:
                 if obj.kind == "makespan":
-                    _certify(instance, result, cache)
+                    _certify(instance, result, cache, components)
                 else:
                     _certify_objective(instance, result)
         if result.objective is None:
@@ -437,7 +442,8 @@ def _plan_auto(
     workers: Optional[int],
     result: PlanResult,
     tracer: Tracer,
-) -> None:
+) -> List[Component]:
+    """Plan component by component; returns ``decompose(instance)``."""
     with _stage(tracer, result, "decompose"):
         components = decompose(instance)
 
@@ -448,7 +454,7 @@ def _plan_auto(
         schedule = backend_solver(spec, instance)(seed, stats)
         schedule.validate(instance)
         result.schedule = schedule
-        return
+        return components
 
     with _stage(tracer, result, "select"):
         selections: List[SolverSpec] = [
@@ -538,6 +544,7 @@ def _plan_auto(
         )
         for k, comp in enumerate(components)
     ]
+    return components
 
 
 def _should_parallelize(
@@ -570,8 +577,9 @@ def _certify(
     import here would be circular during interpreter start-up.
 
     ``components`` lets a caller that already decomposed the instance
-    (the delta planner) skip the redundant re-decomposition; when
-    provided it must be exactly ``decompose(instance)``.
+    (the auto path of :func:`plan`, the delta planner) skip the
+    redundant re-decomposition; when provided it must be exactly
+    ``decompose(instance)``.
     """
     from repro.checks.certify import (
         LowerBoundCertificate,

@@ -86,6 +86,26 @@ class TestMalformedInput:
         assert err.startswith(f"error: {path}: ")
 
 
+class TestCheckCertify:
+    def test_prints_the_certificate_it_verified(self, tmp_path, capsys):
+        from repro.checks.certify import certificate_from_json, verify_certificate
+        from repro.workloads.io import load_instance
+
+        path = tmp_path / "inst.json"
+        assert main(["generate", str(path), "--disks", "8", "--items", "40",
+                     "--seed", "2"]) == 0
+        capsys.readouterr()
+        assert main(["check", "--certify", str(path)]) == 0
+        summary, _, body = capsys.readouterr().out.partition("\n")
+        bound = int(summary.split("verified lower bound: ")[1].split(";")[0])
+        payload = json.loads(body)
+        assert payload["bound"] == bound
+        assert payload["lb2"] is not None
+        instance = load_instance(str(path))
+        certificate = certificate_from_json(payload, instance)
+        assert verify_certificate(instance, certificate) == bound
+
+
 class TestDemoCommand:
     @pytest.mark.parametrize("scenario", ["vod", "scale-out", "decommission"])
     def test_all_scenarios_run(self, scenario, capsys):
