@@ -185,45 +185,47 @@ class TestCompactEulerCircuits:
 
 
 class TestQuotaPeeler:
-    def _peel_problem(self, seed):
+    @staticmethod
+    def _feasible_problem(seed):
+        """Quotas and a shuffled edge list that holds an exact-quota
+        subgraph: three random ones (so parallel edges) plus strays."""
         import random
 
         rng = random.Random(seed)
-        num_left, num_right, quota = 4, 4, 2
-        # quota parallel edges per (l, r) pair sampled from a perfect
-        # "rotation" template keeps every peel feasible.
+        left_quota = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+        right_quota = [0] * rng.randint(1, 5)
+        for _ in range(sum(left_quota)):
+            right_quota[rng.randrange(len(right_quota))] += 1
+        lefts = [l for l, q in enumerate(left_quota) for _ in range(q)]
         edges = []
-        for k in range(quota * 2):
-            for l in range(num_left):
-                edges.append((l, (l + k) % num_right))
+        for _copy in range(3):
+            rights = [r for r, q in enumerate(right_quota) for _ in range(q)]
+            rng.shuffle(rights)
+            edges += zip(lefts, rights)
+        edges += [
+            (rng.randrange(len(left_quota)), rng.randrange(len(right_quota)))
+            for _ in range(4)
+        ]
         rng.shuffle(edges)
-        return num_left, num_right, edges
+        return left_quota, right_quota, edges
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_fresh_dcs_per_peel(self, seed):
-        num_left, num_right, edges = self._peel_problem(seed)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_peel_matches_fresh_dcs(self, seed):
+        left_quota, right_quota, edges = self._feasible_problem(seed)
         peeler = QuotaPeeler(
-            [1] * num_left,
-            [1] * num_right,
+            left_quota,
+            right_quota,
             [l for l, _r in edges],
             [r for _l, r in edges],
         )
-        remaining = list(range(len(edges)))
-        for _round in range(4):
-            fresh = degree_constrained_subgraph(
-                [edges[k] for k in remaining],
-                {l: 1 for l in range(num_left)},
-                {r: 1 for r in range(num_right)},
-            )
-            assert peeler.peel(remaining) == fresh
-            picked = set(fresh)
-            remaining = [
-                k for pos, k in enumerate(remaining) if pos not in picked
-            ]
+        fresh = degree_constrained_subgraph(
+            edges, dict(enumerate(left_quota)), dict(enumerate(right_quota))
+        )
+        assert peeler.peel() == fresh
 
     def test_infeasible_quotas_raise(self):
         with pytest.raises(InfeasibleMatchingError):
             QuotaPeeler([2], [1], [0], [0])
         peeler = QuotaPeeler([1, 1], [1, 1], [0], [0])
         with pytest.raises(InfeasibleMatchingError):
-            peeler.peel([0])
+            peeler.peel()
