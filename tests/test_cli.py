@@ -118,7 +118,7 @@ class TestDemoCommand:
         assert main(["demo", "scale-out", "--seed", "1", "--time-model", "unit"]) == 0
         assert "rounds=13 simulated_time=13.00 migrated=104" in capsys.readouterr().out
         assert main(["demo", "scale-out", "--seed", "1"]) == 0
-        assert "rounds=13 simulated_time=19.00 migrated=104" in capsys.readouterr().out
+        assert "rounds=13 simulated_time=20.00 migrated=104" in capsys.readouterr().out
 
 
 class TestDemoListing:
