@@ -44,7 +44,7 @@ def test_rt_general_scaling(benchmark):
 
 def test_rt_even_scaling(benchmark):
     table = Table(
-        "EXP-RTb: even-capacity scheduler wall-clock vs |E| (flow peels)",
+        "EXP-RTb: even-capacity scheduler wall-clock vs |E| (Euler-partition split)",
         ["disks", "items", "Δ'", "seconds"],
     )
     for n, m in ((20, 500), (40, 2000), (80, 8000)):

@@ -4,7 +4,7 @@ The paper proves that with all ``c_v`` even, a schedule of exactly
 ``Δ' = max_v ceil(d_v/c_v)`` rounds exists.  The table sweeps instance
 size, density and capacity mixes and reports ``rounds == Δ'`` for every
 cell (optimality is *certified* because ``Δ'`` is a lower bound); the
-benchmark times the full pipeline (augment → Euler → Δ' flow peels).
+benchmark times the full pipeline (augment → Euler → Euler-partition split).
 """
 
 import pytest
