@@ -629,7 +629,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         broker = BrokerConfig(
             max_queue=args.queue_size,
             concurrency=args.concurrency,
-            batch_size=args.batch_size,
             rate_limit=args.rate,
             rate_burst=args.burst,
             default_timeout=args.timeout,
@@ -1095,8 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission queue bound (backpressure)")
     p_serve.add_argument("--concurrency", type=int, default=2,
                          help="concurrent planning threads")
-    p_serve.add_argument("--batch-size", type=int, default=8,
-                         help="micro-batch drained per consumer cycle")
     p_serve.add_argument("--rate", type=float, default=0.0,
                          help="per-client requests/second (0 = unlimited)")
     p_serve.add_argument("--burst", type=int, default=8,

@@ -73,10 +73,6 @@ class FlowNetwork:
         # Flow equals the residual capacity accumulated on the twin.
         return self._cap[handle ^ 1]
 
-    def capacity_of(self, handle: int) -> int:
-        """Remaining (residual) capacity of the edge."""
-        return self._cap[handle]
-
     # ------------------------------------------------------------------
     # Dinic
     # ------------------------------------------------------------------

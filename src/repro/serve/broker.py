@@ -1,4 +1,4 @@
-"""The request broker: admission, coalescing, batching, drain.
+"""The request broker: admission, coalescing, deadlines, drain.
 
 One broker sits between the HTTP layer and the planning pipeline and
 owns every concurrency decision the service makes:
@@ -16,12 +16,15 @@ owns every concurrency decision the service makes:
 * **deadlines** — a request whose ``timeout`` elapses answers a typed
   ``deadline`` error; a solve already running completes anyway (its
   result still lands in the cache, and coalesced waiters with looser
-  deadlines still get it);
-* **micro-batching** — a consumer drains up to ``batch_size`` queued
-  flights per cycle and solves them concurrently on the planner
-  thread pool; each solve is a :func:`repro.plan` call, which (with
-  ``parallel=`` configured) fans components into the existing
-  :mod:`repro.pipeline.parallel` ``ProcessPoolExecutor`` path;
+  deadlines still get it), and a queued flight whose deadline passed
+  is never solved;
+* **one flight per consumer** — each of ``concurrency`` consumers takes
+  one queued flight, checks its deadline, solves it on a planner
+  thread and marks it done before taking the next, so the admission
+  queue bounds every flight not being solved.  Each solve is a
+  :func:`repro.plan` call, which (with ``parallel=`` configured) fans
+  components into the existing :mod:`repro.pipeline.parallel`
+  ``ProcessPoolExecutor`` path;
 * **graceful drain** — :meth:`RequestBroker.drain` stops admission
   (new requests get a typed ``draining`` error), finishes every
   admitted solve, then retires the consumers and planner threads.
@@ -62,8 +65,6 @@ class BrokerConfig:
         max_queue: admission bound; a full queue rejects.
         concurrency: planner threads = concurrent :func:`repro.plan`
             calls.
-        batch_size: max flights one consumer cycle drains and solves
-            concurrently.
         rate_limit: per-client steady admissions/second; 0 disables.
         rate_burst: token-bucket capacity (burst allowance).
         default_timeout: deadline for requests that do not set one;
@@ -76,7 +77,6 @@ class BrokerConfig:
 
     max_queue: int = 64
     concurrency: int = 2
-    batch_size: int = 8
     rate_limit: float = 0.0
     rate_burst: int = 8
     default_timeout: Optional[float] = None
@@ -88,8 +88,6 @@ class BrokerConfig:
             raise ValueError("max_queue must be >= 1")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.rate_limit < 0:
             raise ValueError("rate_limit must be >= 0")
         if self.rate_burst < 1:
@@ -315,20 +313,11 @@ class RequestBroker:
     async def _consume(self) -> None:
         while True:
             flight = await self._queue.get()
-            batch = [flight]
-            while len(batch) < self.config.batch_size:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
             self.tracer.gauge(names.SERVE_QUEUE_DEPTH, self._queue.qsize())
             try:
-                await asyncio.gather(
-                    *(self._solve_flight(f) for f in batch)
-                )
+                await self._solve_flight(flight)
             finally:
-                for _ in batch:
-                    self._queue.task_done()
+                self._queue.task_done()
 
     async def _solve_flight(self, flight: _Flight) -> None:
         loop = asyncio.get_running_loop()
@@ -380,6 +369,11 @@ class RequestBroker:
         if error is not None:
             self.tracer.count(names.SERVE_REQUESTS_FAILED)
             future.set_exception(error)
+            # Waiters read the error through their shields; a flight
+            # whose waiters all left (an expired queued one) has no
+            # reader, so mark it retrieved instead of leaving asyncio
+            # to log it when the future is collected.
+            future.exception()
         else:
             assert result is not None
             future.set_result(result)

@@ -139,13 +139,3 @@ class TestStructure:
         h.add_edge("a", "b")
         assert g.num_edges == 1
         assert h.num_edges == 2
-
-    def test_networkx_roundtrip(self):
-        g = random_multigraph(8, 20, seed=1)
-        nxg = g.to_networkx()
-        assert nxg.number_of_edges() == g.num_edges
-        back = Multigraph.from_networkx(nxg)
-        assert back.num_edges == g.num_edges
-        assert {v: back.degree(v) for v in back.nodes} == {
-            v: g.degree(v) for v in g.nodes
-        }

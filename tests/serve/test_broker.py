@@ -6,6 +6,8 @@ ordering are deterministic rather than timing-dependent.
 """
 
 import asyncio
+import gc
+import logging
 import threading
 
 import pytest
@@ -221,6 +223,94 @@ class TestDeadlines:
         asyncio.run(scenario())
 
 
+class TestOneFlightPerConsumer:
+    def test_flight_expired_in_queue_is_never_solved(self):
+        """A consumer takes one flight at a time, so a flight whose
+        deadline passes while an earlier solve runs is answered
+        without a solve of its own."""
+
+        async def scenario():
+            broker = RequestBroker(
+                cache=PlanCache(),
+                config=BrokerConfig(concurrency=1),
+                tracer=Tracer(),
+            )
+            inner = broker._solve
+            gates = {}
+            solved = []
+
+            def gated(request):
+                solved.append(request.fingerprint)
+                gate = gates.get(request.fingerprint)
+                if gate is not None and not gate.wait(timeout=30):
+                    raise RuntimeError("gate never released")
+                return inner(request)
+
+            broker._solve = gated
+            await broker.start()
+            a = make_request(wire_instance(seed=11))
+            b = make_request(wire_instance(seed=12))
+            c = make_request(wire_instance(seed=13), timeout=0.2)
+            gates[a.fingerprint] = threading.Event()
+            gates[b.fingerprint] = threading.Event()
+            first = asyncio.ensure_future(broker.submit(a))
+            while not solved:
+                await asyncio.sleep(0.005)
+            second = asyncio.ensure_future(broker.submit(b))
+            third = asyncio.ensure_future(broker.submit(c))
+            await asyncio.sleep(0.01)
+            gates[a.fingerprint].set()
+            await first
+            with pytest.raises(DeadlineError):
+                await third
+            gates[b.fingerprint].set()
+            await second
+            await broker.drain()
+            return solved, broker, c.fingerprint
+
+        solved, broker, expired = asyncio.run(scenario())
+        assert expired not in solved
+        assert len(solved) == 2
+        assert broker.tracer.metrics.counters[names.SERVE_REQUESTS_COMPLETED] == 2
+
+    def test_error_of_a_flight_nobody_awaits_is_retrieved(self, caplog):
+        async def expect_deadline(submission):
+            try:
+                await submission
+            except DeadlineError:
+                return True
+            return False
+
+        async def scenario():
+            gated = GatedBroker(BrokerConfig(concurrency=1))
+            broker = gated.broker
+            await broker.start()
+            running = asyncio.ensure_future(
+                broker.submit(make_request(wire_instance(seed=14)))
+            )
+            while not gated.solve_started.is_set():
+                await asyncio.sleep(0.005)
+            expired = await expect_deadline(
+                broker.submit(make_request(wire_instance(seed=15), timeout=0.05))
+            )
+            gated.release()
+            await running
+            # Let the consumer answer the expired flight before drain,
+            # which would otherwise read its error itself.
+            await broker._queue.join()
+            await broker.drain()
+            # Collect the expired flight's future while the loop is open:
+            # an unretrieved error would be logged now.
+            gc.collect()
+            return expired
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            assert asyncio.run(scenario())
+        assert not [
+            r for r in caplog.records if "never retrieved" in r.getMessage()
+        ]
+
+
 class TestFailures:
     def test_solver_exception_surfaces_as_internal(self):
         async def scenario():
@@ -311,7 +401,6 @@ class TestBrokerConfig:
         [
             {"max_queue": 0},
             {"concurrency": 0},
-            {"batch_size": 0},
             {"rate_limit": -1.0},
             {"rate_burst": 0},
         ],
