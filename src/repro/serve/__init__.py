@@ -3,7 +3,7 @@
 The serving layer stands the staged pipeline up as a long-lived
 process: a JSON-over-HTTP protocol (:mod:`repro.serve.protocol`), a
 request broker with bounded admission, per-client rate limiting,
-single-flight coalescing and micro-batching
+single-flight coalescing and deadlines
 (:mod:`repro.serve.broker`), a persistent content-addressed plan
 store that survives restarts (:mod:`repro.serve.store`), and a server
 lifecycle with health/metrics endpoints and graceful SIGTERM drain

@@ -76,7 +76,7 @@ class ServerConfig:
             (:func:`repro.serve.store.open_store` rules); the cache
             is warm-started from it and writes through to it.
         cache_entries: in-memory plan-cache bound.
-        broker: admission/coalescing/batching knobs.
+        broker: admission/coalescing/deadline knobs.
         trace_out: optional JSONL trace path for this server's spans
             and metrics (flushed at drain).
         install_signal_handlers: wire SIGTERM/SIGINT to :meth:`drain`
