@@ -19,6 +19,12 @@ Every bound comes in a witness-producing form (:func:`lb1_witness`,
 :func:`lb2_witness`, :func:`lb2_exact_witness`): the returned node /
 subset is a self-contained proof of the bound that
 :mod:`repro.checks.certify` re-verifies without trusting this module.
+
+Both LB2 witnesses and :func:`lower_bound`'s value are computed once
+per instance and kept in ``MigrationInstance.memo``: the general
+solver's restarts and the certifier read the first computation.  A
+memo hit still applies :func:`lb2_exact`'s node limit, and witnesses
+come back as fresh lists that callers may sort or keep.
 """
 
 from __future__ import annotations
@@ -124,6 +130,9 @@ def lb2_exact_witness(
         raise ValueError(
             f"exact LB2 is exponential; graph has {len(nodes)} > {max_nodes} nodes"
         )
+    known: Optional[Tuple[List[Node], int]] = instance.memo.get("lb2_exact")
+    if known is not None:
+        return list(known[0]), known[1]
     index = {v: i for i, v in enumerate(nodes)}
     table = multiplicity_table(
         len(nodes), ((index[u], index[v]) for _eid, u, v in graph.edges())
@@ -138,7 +147,9 @@ def lb2_exact_witness(
         if inside > best * half:
             best = math.ceil(inside / half)
             best_mask = mask
-    return [nodes[i] for i in mask_members(best_mask)], best
+    witness = [nodes[i] for i in mask_members(best_mask)]
+    instance.memo["lb2_exact"] = (witness, best)
+    return list(witness), best
 
 
 def lb2(instance: MigrationInstance) -> int:
@@ -167,6 +178,9 @@ def lb2_witness(instance: MigrationInstance) -> Tuple[List[Node], int]:
     the returned value, so downstream certification never has to trust
     the maximization itself.
     """
+    known: Optional[Tuple[List[Node], int]] = instance.memo.get("lb2")
+    if known is not None:
+        return list(known[0]), known[1]
     graph = instance.graph
     nodes = graph.nodes
     index = {v: i for i, v in enumerate(nodes)}
@@ -219,7 +233,8 @@ def lb2_witness(instance: MigrationInstance) -> Tuple[List[Node], int]:
         if peel_value > best:
             best = peel_value
             best_subset = [nodes[i] for i in peel_subset]
-    return best_subset, best
+    instance.memo["lb2"] = (best_subset, best)
+    return list(best_subset), best
 
 
 def _peel(
@@ -283,9 +298,18 @@ def lower_bound(instance: MigrationInstance, exact_small: bool = True) -> int:
         exact_small: when the graph has at most
             :data:`EXACT_LB2_NODE_LIMIT` nodes, compute LB2 exactly
             instead of heuristically.
+
+    The value is memoized per instance and per LB2 variant, so a
+    repeated call reaches no LB2 code.
     """
-    if exact_small and instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT:
+    exact = exact_small and instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT
+    key = "lower_bound.exact" if exact else "lower_bound.heuristic"
+    known: Optional[int] = instance.memo.get(key)
+    if known is not None:
+        return known
+    if exact:
         gamma = lb2_exact(instance, max_nodes=EXACT_LB2_NODE_LIMIT)
     else:
         gamma = lb2(instance)
-    return max(lb1(instance), gamma)
+    bound = instance.memo[key] = max(lb1(instance), gamma)
+    return bound

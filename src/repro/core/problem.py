@@ -13,7 +13,7 @@ the number of rounds (see :mod:`repro.core.schedule`).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import InvalidInstanceError
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
@@ -37,6 +37,19 @@ class MigrationInstance:
 
     The instance is immutable by convention: algorithms copy the graph
     before augmenting it.
+
+    Attributes:
+        memo: facts derived from the instance alone, computed once by
+            the module that owns them and read by every later caller.
+            :mod:`repro.pipeline.canonical` keeps the fingerprint and
+            the edge id → pair-slot token map there,
+            :mod:`repro.core.lower_bounds` the LB2 witnesses and
+            ``lower_bound``'s value.  A memo is only as true as that
+            convention: never mutate an instance's graph or
+            capacities once it has been used; copy it first, as
+            ``apply_delta`` and the Theorem 4.1 augmentation do.  A
+            pickled instance (a process-pool job) carries its memo, so
+            a worker reads the canonical form its parent built.
     """
 
     def __init__(
@@ -60,6 +73,7 @@ class MigrationInstance:
         self._graph = graph
         self._capacities = {v: capacities[v] for v in graph.nodes}
         self._objective = objective
+        self.memo: Dict[str, Any] = {}
         if objective is not None:
             objective.validate(self)
 

@@ -21,6 +21,13 @@ is byte-identical whether it was solved fresh or served from cache —
 the property the runtime's checkpoint/resume determinism contract
 depends on.
 
+Both layers come from one pass over an instance's edges, memoized on
+the instance (``MigrationInstance.memo``): the fingerprint and the
+edge id → token map are built by whichever call comes first, and every
+later :func:`fingerprint`, :func:`canonicalize_rounds`,
+:func:`rehydrate_rounds` or :func:`canonical_payload` on the same
+instance reads them.
+
 Node ``repr`` collisions (two distinct nodes printing identically)
 would make tokens ambiguous; :func:`fingerprint` returns ``None`` for
 such instances and the pipeline simply skips caching them.
@@ -34,10 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.problem import MigrationInstance
-from repro.graphs.multigraph import EdgeId
+from repro.graphs.multigraph import EdgeId, Node
 
 #: ``(u_repr, v_repr, slot)`` — one scheduled transfer, edge-id free.
 PairToken = Tuple[str, str, int]
@@ -45,29 +52,80 @@ PairToken = Tuple[str, str, int]
 #: A full schedule in token form (tuple-of-tuples: hashable, immutable).
 TokenRounds = Tuple[Tuple[PairToken, ...], ...]
 
+#: The ``MigrationInstance.memo`` key of the canonical form.
+_MEMO_KEY = "canonical"
+
+
+def _canonical_form(
+    instance: MigrationInstance,
+) -> Tuple[Optional[str], Dict[EdgeId, PairToken]]:
+    """``(fingerprint, edge id → token)``, built once per instance.
+
+    One pass takes each node's ``repr`` once and counts the edges of
+    each endpoint pair; the result lives in ``instance.memo``, so every
+    later call on the same instance reads it instead.
+    """
+    form: Optional[Tuple[Optional[str], Dict[EdgeId, PairToken]]] = (
+        instance.memo.get(_MEMO_KEY)
+    )
+    if form is not None:
+        return form
+    graph = instance.graph
+    name = {v: repr(v) for v in graph.nodes}
+    edges: Iterable[Tuple[EdgeId, Node, Node]] = graph.edges()
+    ids = graph.edge_ids()
+    if ids != sorted(ids):
+        edges = sorted(edges)  # slot k is a pair's k-th edge by id
+    count: Dict[Tuple[str, str], int] = {}
+    token_of: Dict[EdgeId, PairToken] = {}
+    for eid, u, v in edges:
+        a, b = name[u], name[v]
+        if b < a:
+            a, b = b, a
+        pair = (a, b)
+        k = count.get(pair, 0)
+        count[pair] = k + 1
+        token_of[eid] = (a, b, k)
+    payload = _payload(instance, name, count)
+    fp: Optional[str] = None
+    if payload is not None:
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    form = instance.memo[_MEMO_KEY] = (fp, token_of)
+    return form
+
+
+def _payload(
+    instance: MigrationInstance,
+    name: Dict[Node, str],
+    count: Dict[Tuple[str, str], int],
+) -> Optional[Dict[str, object]]:
+    """The canonical payload from node reprs and per-pair edge counts;
+    ``None`` when two nodes share a ``repr``."""
+    if len(set(name.values())) != len(name):
+        return None
+    nodes = sorted((r, instance.capacity(v)) for v, r in name.items())
+    return {
+        "nodes": [[r, c] for r, c in nodes],
+        "edges": [[a, b, n] for (a, b), n in sorted(count.items())],
+    }
+
 
 def canonical_payload(instance: MigrationInstance) -> Optional[Dict[str, object]]:
     """The canonical JSON-ready description of an instance.
 
     Returns ``None`` when two distinct nodes share a ``repr`` — the
     canonical form would be ambiguous, so such instances are never
-    cached.
+    cached.  Rebuilt from the memoized pair slots.
     """
-    reprs = sorted(repr(v) for v in instance.graph.nodes)
-    if len(set(reprs)) != len(reprs):
+    fp, token_of = _canonical_form(instance)
+    if fp is None:
         return None
-    nodes = sorted(
-        ((repr(v), instance.capacity(v)) for v in instance.graph.nodes),
-    )
-    pairs: Dict[Tuple[str, str], int] = {}
-    for _eid, u, v in instance.graph.edges():
-        a, b = sorted((repr(u), repr(v)))
-        pairs[(a, b)] = pairs.get((a, b), 0) + 1
-    edges = sorted((a, b, count) for (a, b), count in pairs.items())
-    return {
-        "nodes": [[r, c] for r, c in nodes],
-        "edges": [[a, b, count] for a, b, count in edges],
-    }
+    count: Dict[Tuple[str, str], int] = {}
+    for a, b, _slot in token_of.values():
+        count[(a, b)] = count.get((a, b), 0) + 1
+    name = {v: repr(v) for v in instance.graph.nodes}
+    return _payload(instance, name, count)
 
 
 def reprs_unambiguous(instance: MigrationInstance) -> bool:
@@ -84,24 +142,15 @@ def reprs_unambiguous(instance: MigrationInstance) -> bool:
 
 def fingerprint(instance: MigrationInstance) -> Optional[str]:
     """SHA-256 hex digest of the canonical payload (``None`` if ambiguous)."""
-    payload = canonical_payload(instance)
-    if payload is None:
-        return None
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _canonical_form(instance)[0]
 
 
-def _pair_slots(instance: MigrationInstance) -> Dict[EdgeId, PairToken]:
-    """Map every edge id to its ``(u_repr, v_repr, slot)`` token."""
-    by_pair: Dict[Tuple[str, str], List[EdgeId]] = {}
-    for eid, u, v in instance.graph.edges():
-        a, b = sorted((repr(u), repr(v)))
-        by_pair.setdefault((a, b), []).append(eid)
-    token_of: Dict[EdgeId, PairToken] = {}
-    for (a, b), eids in by_pair.items():
-        for k, eid in enumerate(sorted(eids)):
-            token_of[eid] = (a, b, k)
-    return token_of
+def _pair_slots(instance: MigrationInstance) -> Mapping[EdgeId, PairToken]:
+    """Map every edge id to its ``(u_repr, v_repr, slot)`` token.
+
+    The map is the instance's memo: read it, never change it.
+    """
+    return _canonical_form(instance)[1]
 
 
 def canonicalize_rounds(

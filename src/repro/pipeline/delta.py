@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
@@ -253,7 +253,7 @@ def plan_delta(
                         derive_component_seed(seed, fp) if fp is not None else seed
                     )
                     seeds.append(comp_seed)
-                    comp_slots: Optional[Dict[EdgeId, PairToken]] = None
+                    comp_slots: Optional[Mapping[EdgeId, PairToken]] = None
 
                     # 1. live plan-cache entry — same key plan() uses.
                     if cache is not None and fp is not None:

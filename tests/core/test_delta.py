@@ -84,7 +84,11 @@ class TestApplyDelta:
                 add_moves=(("a", "d"),), capacity_changes=(("a", 1),)
             ),
         )
-        assert fingerprint(instance) == before
+        # Fingerprint a new instance over the same graph and
+        # capacities: ``instance`` memoizes its fingerprint, so asking
+        # it again would not look at its graph.
+        after = MigrationInstance(instance.graph, instance.capacities)
+        assert fingerprint(after) == before
 
     def test_remove_unknown_move_raises(self):
         with pytest.raises(DeltaError):

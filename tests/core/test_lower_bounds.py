@@ -168,3 +168,41 @@ class TestWitnesses:
             )
             cert = LowerBoundCertificate(bound=value, lb1=None, lb2=witness, exact=False)
             assert verify_certificate(inst, cert) == value
+
+
+class TestMemo:
+    """Bounds are computed once per instance; a memo hit must behave
+    exactly like a fresh call."""
+
+    @staticmethod
+    def fresh(instance):
+        return MigrationInstance(instance.graph.copy(), instance.capacities)
+
+    def test_node_limit_still_applies_after_a_hit(self):
+        inst = random_instance(7, 16, capacity_choices=(1, 2), seed=3)
+        lb2_exact(inst)
+        with pytest.raises(ValueError, match="exponential"):
+            lb2_exact(inst, max_nodes=inst.num_disks - 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutating_a_witness_leaves_the_next_call_intact(self, seed):
+        from repro.core.lower_bounds import lb2_exact_witness, lb2_witness
+
+        inst = random_instance(8, 22, capacity_choices=(1, 2, 3), seed=seed)
+        for witness_of in (lb2_exact_witness, lb2_witness):
+            subset, value = witness_of(inst)
+            expected = list(subset)
+            subset.append("intruder")
+            subset.reverse()
+            assert witness_of(inst) == (expected, value)
+            assert witness_of(self.fresh(inst)) == (expected, value)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_lower_bound_variant_matches_a_fresh_instance(self, seed):
+        inst = random_instance(9, 26, capacity_choices=(1, 2, 3), seed=seed)
+        for exact_small in (True, False, True):
+            assert lower_bound(inst, exact_small=exact_small) == lower_bound(
+                self.fresh(inst), exact_small=exact_small
+            )
+        assert lower_bound(inst, exact_small=False) == max(lb1(inst), lb2(inst))
+        assert lower_bound(inst) == max(lb1(inst), lb2_exact(inst))

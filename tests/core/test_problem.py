@@ -79,3 +79,25 @@ class TestProperties:
         caps = triangle_instance.capacities
         caps["a"] = 99
         assert triangle_instance.capacity("a") == 2
+
+
+class TestMemo:
+    def test_starts_empty_and_is_per_instance(self, triangle_instance):
+        from repro.core.lower_bounds import lower_bound
+
+        assert triangle_instance.memo == {}
+        lower_bound(triangle_instance)
+        assert triangle_instance.memo
+        assert triangle_instance.with_objective(None).memo == {}
+
+    def test_pickle_carries_the_memo(self, triangle_instance):
+        """A process-pool job reads the canonical form its parent built."""
+        import pickle
+
+        from repro.pipeline.canonical import _pair_slots, fingerprint
+
+        expected = fingerprint(triangle_instance)
+        back = pickle.loads(pickle.dumps(triangle_instance))
+        assert back.memo == triangle_instance.memo
+        assert fingerprint(back) == expected
+        assert _pair_slots(back) == _pair_slots(triangle_instance)

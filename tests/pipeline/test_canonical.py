@@ -1,10 +1,14 @@
 """Tests for canonical fingerprints, pair tokens, and derived seeds."""
 
+import itertools
+
 import pytest
 
+from repro import plan
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline.canonical import (
+    _pair_slots,
     canonical_payload,
     canonicalize_rounds,
     derive_component_seed,
@@ -24,6 +28,21 @@ def shifted_copy(instance: MigrationInstance):
         graph.add_edge(u, v)
     caps = {v: instance.capacity(v) for v in instance.graph.nodes}
     return MigrationInstance(graph, caps)
+
+
+class Opaque:
+    """A node whose ``repr`` does not tell instances apart."""
+
+    def __repr__(self):
+        return "opaque"
+
+
+def ambiguous_instance():
+    u, v, w = Opaque(), Opaque(), "w"
+    graph = Multigraph(nodes=[u, v, w])
+    for a, b in [(u, v), (v, w), (u, v), (w, u)]:
+        graph.add_edge(a, b)
+    return MigrationInstance(graph, {u: 1, v: 2, w: 1})
 
 
 class TestFingerprint:
@@ -46,14 +65,7 @@ class TestFingerprint:
         assert fingerprint(one) != fingerprint(two)
 
     def test_ambiguous_reprs_return_none(self):
-        class Opaque:
-            def __init__(self, cap):
-                self.cap = cap
-
-            def __repr__(self):
-                return "opaque"  # two distinct nodes, same repr
-
-        u, v = Opaque(1), Opaque(1)
+        u, v = Opaque(), Opaque()  # two distinct nodes, same repr
         graph = Multigraph(nodes=[u, v])
         graph.add_edge(u, v)
         inst = MigrationInstance(graph, {u: 1, v: 1})
@@ -99,6 +111,105 @@ class TestTokenRoundTrip:
         inst = random_instance(4, 6, seed=1)
         with pytest.raises(KeyError):
             rehydrate_rounds(inst, ((("'nope'", "'nada'", 0),),))
+
+
+def fresh(instance):
+    """The same instance (same edge ids) with nothing memoized yet."""
+    return MigrationInstance(instance.graph.copy(), instance.capacities)
+
+
+def reference_payload(instance):
+    """The canonical payload, recomputed from scratch per edge."""
+    reprs = [repr(v) for v in instance.graph.nodes]
+    if len(set(reprs)) != len(reprs):
+        return None
+    pairs = {}
+    for _eid, u, v in instance.graph.edges():
+        pair = tuple(sorted((repr(u), repr(v))))
+        pairs[pair] = pairs.get(pair, 0) + 1
+    return {
+        "nodes": [[r, c] for r, c in sorted(
+            (repr(v), instance.capacity(v)) for v in instance.graph.nodes)],
+        "edges": [[a, b, n] for (a, b), n in sorted(pairs.items())],
+    }
+
+
+def reference_slots(instance):
+    """Edge id -> token, recomputed from scratch per edge."""
+    by_pair = {}
+    for eid, u, v in instance.graph.edges():
+        by_pair.setdefault(tuple(sorted((repr(u), repr(v)))), []).append(eid)
+    return {eid: (a, b, k) for (a, b), eids in by_pair.items()
+            for k, eid in enumerate(sorted(eids))}
+
+
+def round_trip(instance):
+    """Canonicalize then rehydrate a fixed five-per-round schedule."""
+    eids = [eid for eid, _u, _v in instance.graph.edges()][::-1]
+    rounds = [eids[i:i + 5] for i in range(0, len(eids), 5)]
+    return rehydrate_rounds(instance, canonicalize_rounds(instance, rounds))
+
+
+CALLS = {
+    "fingerprint": fingerprint,
+    "payload": canonical_payload,
+    "slots": lambda inst: dict(_pair_slots(inst)),
+    "round_trip": round_trip,
+}
+
+
+def memo_cases():
+    yield "random-8x24", random_instance(8, 24, seed=5)
+    yield "random-10x30", random_instance(10, 30, seed=9)
+    yield "shifted", shifted_copy(random_instance(6, 15, seed=4))
+    yield "ambiguous", ambiguous_instance()
+
+
+class TestOnePass:
+    """The canonical form is built once per instance and memoized."""
+
+    @pytest.mark.parametrize("name, inst", list(memo_cases()),
+                             ids=[name for name, _ in memo_cases()])
+    def test_memoized_values_match_a_fresh_copy_in_any_order(self, name, inst):
+        cold = {key: call(fresh(inst)) for key, call in CALLS.items()}
+        assert cold["payload"] == reference_payload(inst)
+        assert cold["slots"] == reference_slots(inst)
+        for order in itertools.permutations(CALLS):
+            warm = fresh(inst)
+            for key in order + order:
+                assert CALLS[key](warm) == cold[key], (order, key)
+
+    def test_repr_calls_do_not_scale_with_moves(self):
+        """A certified plan takes each disk's ``repr`` a number of
+        times that depends on the disks, not on how many items move
+        between them."""
+
+        class Disk:
+            def __init__(self, name):
+                self.name = name
+                self.reprs = 0
+
+            def __repr__(self):
+                self.reprs += 1
+                return f"Disk({self.name!r})"
+
+        disks = [Disk(f"d{i}") for i in range(8)]
+        a, b = disks[:4], disks[4:]
+        moves = [(a[0], a[1]), (a[1], a[2]), (a[2], a[3]), (a[3], a[0]),
+                 (a[0], a[2]), (b[0], b[1]), (b[1], b[2]), (b[2], b[0]),
+                 (b[2], b[3])]
+        caps = {d: 2 for d in disks}
+        counts = []
+        for fold in (2, 20):
+            inst = MigrationInstance.from_moves(
+                [move for move in moves for _ in range(fold)], caps)
+            for disk in disks:
+                disk.reprs = 0
+            result = plan(inst, certify=True)
+            assert len(result.components) == 2
+            assert result.schedule.method == "even_optimal"
+            counts.append([disk.reprs for disk in disks])
+        assert counts[0] == counts[1]
 
 
 class TestDerivedSeeds:

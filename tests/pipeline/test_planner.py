@@ -1,5 +1,7 @@
 """Tests for the staged planner: decomposition, caching, parallelism."""
 
+import random
+
 import pytest
 
 from repro.core.general import GeneralSolverStats, general_schedule
@@ -237,6 +239,71 @@ class TestCertification:
         assert cache.stats.bound_misses == 3
         plan(inst, cache=cache, certify=True)
         assert cache.stats.bound_hits == 3
+
+
+def rack_fleet_instance(seed):
+    """Three mixed-capacity racks of 6-11 disks (exhaustive LB2), two
+    unit-capacity odd cycles whose general solves restart, and one
+    20-disk random component (heuristic LB2), all solved by the
+    general solver."""
+    rng = random.Random(seed)
+    moves, caps = [], {}
+
+    def chained(label, n, extra):
+        nodes = [f"{label}.d{i:02d}" for i in range(n)]
+        moves.extend(zip(nodes, nodes[1:]))
+        for _ in range(extra):
+            i, j = rng.sample(range(n), 2)
+            moves.append((nodes[i], nodes[j]))
+        for v in nodes:
+            caps[v] = rng.choice((1, 2, 3))
+
+    for r in range(3):
+        n = rng.randint(6, 11)
+        chained(f"r{r}", n, rng.randint(20, 40) - (n - 1))
+    for k, (n, repeat) in enumerate(((5, 4), (7, 3))):
+        nodes = [f"o{k}.d{i:02d}" for i in range(n)]
+        for i in range(n):
+            moves.extend([(nodes[i], nodes[(i + 1) % n])] * repeat)
+        for v in nodes:
+            caps[v] = 1
+    chained("big", 20, 60)
+    return MigrationInstance.from_moves(moves, caps)
+
+
+class TestOneBoundPerComponent:
+    """A certified plan computes each component's LB2 once: the
+    general solver's restarts and the certifier reuse it."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lb2_runs_once_per_component(self, seed, monkeypatch):
+        from repro.core import lower_bounds
+        from repro.exact import subsets
+        from repro.pipeline import registry
+
+        calls = {"enumerations": 0, "peels": 0, "general_solves": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(subsets, "connected_subsets",
+                            counted("enumerations", subsets.connected_subsets))
+        monkeypatch.setattr(lower_bounds, "_peel",
+                            counted("peels", lower_bounds._peel))
+        monkeypatch.setattr(registry, "general_schedule_compact",
+                            counted("general_solves", registry.general_schedule_compact))
+
+        result = plan(rack_fleet_instance(seed), certify=True)
+        assert result.methods_used() == {"general": 6}
+        assert calls["general_solves"] > len(result.components)  # restarts ran
+        exact = sum(1 for c in result.components
+                    if c.num_disks <= lower_bounds.EXACT_LB2_NODE_LIMIT)
+        assert calls["enumerations"] == exact == 5
+        assert calls["peels"] == len(result.components) - exact == 1
 
 
 def test_merged_method_name():
