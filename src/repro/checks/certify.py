@@ -379,9 +379,15 @@ def certificate_from_json(
     """Rebuild a certificate, resolving ``repr`` strings to real nodes.
 
     Raises:
-        CertificationError: on schema mismatch, unknown node reprs, or
-            ambiguous reprs (two instance nodes sharing one repr).
+        CertificationError: on a payload that is not a mapping, schema
+            mismatch, a missing or mistyped field, unknown node reprs,
+            or ambiguous reprs (two instance nodes sharing one repr).
     """
+    decoded: object = data  # decoded JSON, which need not be a mapping
+    if not isinstance(decoded, Mapping):
+        raise CertificationError(
+            f"a certificate is a JSON object, got {type(decoded).__name__}"
+        )
     version = data.get("schema_version")
     if version != CERTIFICATE_SCHEMA_VERSION:
         raise CertificationError(
@@ -400,30 +406,33 @@ def certificate_from_json(
             raise CertificationError(f"node repr {text} is ambiguous in this instance")
         return candidates[0]
 
-    lb1_part: Optional[LB1Witness] = None
-    raw1 = data.get("lb1")
-    if raw1 is not None:
-        lb1_part = LB1Witness(
-            node=resolve(raw1["node"]),
-            degree=int(raw1["degree"]),
-            capacity=int(raw1["capacity"]),
-            bound=int(raw1["bound"]),
+    try:
+        lb1_part: Optional[LB1Witness] = None
+        raw1 = data.get("lb1")
+        if raw1 is not None:
+            lb1_part = LB1Witness(
+                node=resolve(raw1["node"]),
+                degree=int(raw1["degree"]),
+                capacity=int(raw1["capacity"]),
+                bound=int(raw1["bound"]),
+            )
+        lb2_part: Optional[LB2Witness] = None
+        raw2 = data.get("lb2")
+        if raw2 is not None:
+            lb2_part = LB2Witness(
+                nodes=tuple(resolve(text) for text in raw2["nodes"]),
+                internal_edges=int(raw2["internal_edges"]),
+                capacity_sum=int(raw2["capacity_sum"]),
+                bound=int(raw2["bound"]),
+            )
+        return LowerBoundCertificate(
+            bound=int(data["bound"]),
+            lb1=lb1_part,
+            lb2=lb2_part,
+            exact=bool(data.get("exact", False)),
         )
-    lb2_part: Optional[LB2Witness] = None
-    raw2 = data.get("lb2")
-    if raw2 is not None:
-        lb2_part = LB2Witness(
-            nodes=tuple(resolve(text) for text in raw2["nodes"]),
-            internal_edges=int(raw2["internal_edges"]),
-            capacity_sum=int(raw2["capacity_sum"]),
-            bound=int(raw2["bound"]),
-        )
-    return LowerBoundCertificate(
-        bound=int(data["bound"]),
-        lb1=lb1_part,
-        lb2=lb2_part,
-        exact=bool(data.get("exact", False)),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificationError(f"malformed certificate: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -71,12 +71,27 @@ class MigrationTrace:
 
     @classmethod
     def from_json(cls, payload: str) -> "MigrationTrace":
+        """Inverse of :meth:`to_json`.
+
+        Raises:
+            ValueError: on text that is not JSON, a payload that is not
+                an object, or a missing or mistyped field
+                (``transfers`` a list of transfer records,
+                ``round_durations`` a list, ``total_time`` a number).
+        """
         data = json.loads(payload)
-        return cls(
-            transfers=[TransferRecord(**t) for t in data["transfers"]],
-            round_durations=list(data["round_durations"]),
-            total_time=float(data["total_time"]),
-        )
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a migration trace is a JSON object, got {type(data).__name__}"
+            )
+        try:
+            return cls(
+                transfers=[TransferRecord(**t) for t in data["transfers"]],
+                round_durations=list(data["round_durations"]),
+                total_time=float(data["total_time"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed migration trace: {exc!r}") from exc
 
 
 def replay_trace(trace: MigrationTrace, initial: Layout) -> Layout:

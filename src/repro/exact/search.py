@@ -186,25 +186,39 @@ class OptimalityCertificate:
 
     @classmethod
     def from_json(cls, payload: str) -> "OptimalityCertificate":
+        """Inverse of :meth:`to_json`.
+
+        Raises:
+            ValueError: on text that is not JSON, a payload that is not
+                an object, a format/version mismatch, a missing field,
+                or a count that is not an integer.
+        """
         data = json.loads(payload)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"an optimality certificate is a JSON object, got {type(data).__name__}"
+            )
         if data.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(
                 f"not an optimality certificate: {data.get('format')!r}"
             )
         if data.get("version") != CERTIFICATE_VERSION:
             raise ValueError(f"unsupported version {data.get('version')!r}")
-        return cls(
-            objective_kind=str(data["objective_kind"]),
-            objective_digest=str(data["objective_digest"]),
-            instance_digest=str(data["instance_digest"]),
-            value=int(data["value"]),
-            lower_bound=int(data["lower_bound"]),
-            proof=str(data["proof"]),
-            explored=int(data["explored"]),
-            budget=int(data["budget"]),
-            frontier_digest=str(data["frontier_digest"]),
-            rounds_digest=str(data["rounds_digest"]),
-        )
+        try:
+            return cls(
+                objective_kind=str(data["objective_kind"]),
+                objective_digest=str(data["objective_digest"]),
+                instance_digest=str(data["instance_digest"]),
+                value=int(data["value"]),
+                lower_bound=int(data["lower_bound"]),
+                proof=str(data["proof"]),
+                explored=int(data["explored"]),
+                budget=int(data["budget"]),
+                frontier_digest=str(data["frontier_digest"]),
+                rounds_digest=str(data["rounds_digest"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed optimality certificate: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

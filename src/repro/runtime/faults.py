@@ -130,6 +130,10 @@ class FaultPlan:
         window or group) surfaces as ``FaultPlanError`` with a message
         naming the offending entry.
         """
+        if not isinstance(data, Mapping):
+            raise FaultPlanError(
+                f"a fault plan is a JSON object, got {type(data).__name__}"
+            )
         rate = data.get("transfer_failure_rate", 0.0)
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
             raise FaultPlanError(
@@ -137,7 +141,7 @@ class FaultPlan:
             )
 
         crashes = []
-        for i, entry in enumerate(data.get("crashes", [])):
+        for i, entry in enumerate(_entries(data, "crashes")):
             try:
                 disk_id, at_time = entry
             except (TypeError, ValueError) as exc:
@@ -156,7 +160,7 @@ class FaultPlan:
             crashes.append(DiskCrash(disk_id=disk_id, at_time=float(at_time)))
 
         partitions = []
-        for i, entry in enumerate(data.get("partitions", [])):
+        for i, entry in enumerate(_entries(data, "partitions")):
             try:
                 start, end, group = entry
             except (TypeError, ValueError) as exc:
@@ -164,7 +168,10 @@ class FaultPlan:
                     f"partitions[{i}] must be a [start, end, group] "
                     f"triple, got {entry!r}"
                 ) from exc
-            if isinstance(group, str) or not isinstance(group, (list, tuple)):
+            if isinstance(group, str) or not (
+                isinstance(group, (list, tuple))
+                and all(isinstance(disk, str) for disk in group)
+            ):
                 raise FaultPlanError(
                     f"partitions[{i}] group must be a list of disk ids, "
                     f"got {group!r}"
@@ -186,6 +193,14 @@ class FaultPlan:
             crashes=tuple(crashes),
             partitions=tuple(partitions),
         )
+
+
+def _entries(data: Mapping[str, Any], field: str) -> Sequence[Any]:
+    """``data[field]`` (default empty), which must be a list."""
+    entries = data.get(field, [])
+    if not isinstance(entries, (list, tuple)):
+        raise FaultPlanError(f"{field} must be a list, got {entries!r}")
+    return entries
 
 
 class FaultInjector:

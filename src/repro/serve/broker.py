@@ -318,6 +318,9 @@ class RequestBroker:
                 await self._solve_flight(flight)
             finally:
                 self._queue.task_done()
+                # Let go of the answered flight (its request, instance
+                # and future) before waiting for the next one.
+                del flight
 
     async def _solve_flight(self, flight: _Flight) -> None:
         loop = asyncio.get_running_loop()

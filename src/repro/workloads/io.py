@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.core.errors import InvalidInstanceError
 from repro.core.problem import MigrationInstance
-from repro.graphs.multigraph import Multigraph, Node
+from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
 if TYPE_CHECKING:  # runtime keeps the lazy import in plan_from_json
     from repro.core.schedule import MigrationSchedule
@@ -75,6 +75,16 @@ def instance_from_json(payload: str) -> MigrationInstance:
         )
     if data.get("version") != FORMAT_VERSION:
         raise InvalidInstanceError(f"unsupported version {data.get('version')!r}")
+    return _instance_fields(data)[0]
+
+
+def _instance_fields(data: Dict[str, Any]) -> Tuple[MigrationInstance, List[EdgeId]]:
+    """The instance in a payload's ``nodes``/``moves``/``capacities``
+    fields, with the edge id of each move in payload order.
+
+    Raises:
+        InvalidInstanceError: as :func:`instance_from_json` lists.
+    """
     nodes = _field(data, "nodes", list)
     moves = _field(data, "moves", list)
     raw_capacities = _field(data, "capacities", dict)
@@ -82,6 +92,7 @@ def instance_from_json(payload: str) -> MigrationInstance:
         if not isinstance(node, str):
             raise InvalidInstanceError(f"node names are strings, got {node!r}")
     graph = Multigraph(nodes=nodes)
+    eids: List[EdgeId] = []
     for move in moves:
         if not (
             isinstance(move, list)
@@ -91,13 +102,13 @@ def instance_from_json(payload: str) -> MigrationInstance:
             raise InvalidInstanceError(
                 f"a move is a [src, dst] pair of disk names, got {move!r}"
             )
-        graph.add_edge(move[0], move[1])
+        eids.append(graph.add_edge(move[0], move[1]))
     capacities: Dict[Node, int] = {}
     for node, c in raw_capacities.items():
         if not isinstance(c, int) or isinstance(c, bool):
             raise InvalidInstanceError(f"capacity of {node!r} must be an int, got {c!r}")
         capacities[node] = c
-    return MigrationInstance(graph, capacities)
+    return MigrationInstance(graph, capacities), eids
 
 
 def save_instance(instance: MigrationInstance, path: str) -> None:
@@ -154,24 +165,38 @@ def plan_from_json(
     the rebuilt instance before returning.
 
     Raises:
-        ValueError: on format/version mismatch.
+        ValueError: on text that is not JSON, a payload that is not an
+            object, a format/version mismatch, an instance field
+            :func:`instance_from_json` would reject
+            (:class:`InvalidInstanceError`, a ``ValueError``), a
+            ``method`` that is not a string, or ``rounds`` that are not
+            arrays of move indices.
+        ScheduleValidationError: when the rounds are not a valid
+            schedule of the instance.
     """
     from repro.core.schedule import MigrationSchedule
 
     data = json.loads(payload)
+    if not isinstance(data, dict):
+        raise ValueError(f"a plan payload is a JSON object, got {type(data).__name__}")
     if data.get("format") != "repro-migration-plan":
         raise ValueError(f"not a migration plan payload: {data.get('format')!r}")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {data.get('version')!r}")
-    graph = Multigraph(nodes=data["nodes"])
-    eids = [graph.add_edge(u, v) for u, v in data["moves"]]
-    instance = MigrationInstance(
-        graph, {v: int(c) for v, c in data["capacities"].items()}
-    )
-    schedule = MigrationSchedule(
-        [[eids[i] for i in rnd] for rnd in data["rounds"]],
-        method=data.get("method", "unknown"),
-    )
+    instance, eids = _instance_fields(data)
+    method = data.get("method", "unknown")
+    if not isinstance(method, str):
+        raise ValueError(f"field 'method' must be a string, got {method!r}")
+    rounds = data.get("rounds")
+    if not isinstance(rounds, list) or not all(
+        isinstance(rnd, list)
+        and all(type(i) is int and 0 <= i < len(eids) for i in rnd)
+        for rnd in rounds
+    ):
+        raise ValueError(
+            f"field 'rounds' must be arrays of move indices below {len(eids)}"
+        )
+    schedule = MigrationSchedule([[eids[i] for i in rnd] for rnd in rounds], method=method)
     schedule.validate(instance)
     return instance, schedule
 

@@ -9,6 +9,7 @@ import asyncio
 import gc
 import logging
 import threading
+import weakref
 
 import pytest
 
@@ -393,6 +394,33 @@ class TestDrain:
         ticks_while_draining = asyncio.run(scenario())
         # A blocked loop yields ~0 ticks; a responsive one yields ~15.
         assert ticks_while_draining >= 3
+
+
+class TestFlightRelease:
+    def test_idle_consumers_hold_no_answered_request(self):
+        """An answered flight's request (and its instance) is freed
+        while the consumers wait for the next flight, not at drain."""
+
+        async def scenario():
+            broker = RequestBroker(
+                cache=PlanCache(), config=BrokerConfig(concurrency=2), tracer=Tracer()
+            )
+            await broker.start()
+            request = make_request(wire_instance(seed=8))
+            alive = weakref.ref(request)
+            response = await broker.submit(request)
+            del request
+            # Let every consumer get back to waiting on the queue.
+            for _ in range(5):
+                await asyncio.sleep(0)
+            gc.collect()
+            released = alive() is None
+            await broker.drain()
+            return response, released
+
+        response, released = asyncio.run(scenario())
+        assert response["num_rounds"] >= 1
+        assert released
 
 
 class TestBrokerConfig:
