@@ -17,9 +17,10 @@ stage dominates:
   DFS-bound, reported honestly as the family where flat arrays help
   least.
 
-Each run appends (or refreshes, keyed by commit) one entry in
-``BENCH_ENGINE.json`` at the repo root, so the speedups accrete per
-PR.  Run standalone with ``python -m benchmarks.bench_engine``;
+Each run appends one commit-keyed entry to ``BENCH_ENGINE.json`` at
+the repo root (a clean commit refreshes its own entry; see
+``benchmarks.conftest.append_bench_entry``), so the speedups accrete
+per PR.  Run standalone with ``python -m benchmarks.bench_engine``;
 ``--quick`` runs the small smoke case only (the CI
 ``engine-bench-smoke`` job) and fails unless the array engine wins.
 Every case also re-asserts byte-identical rounds, so the speedup
@@ -29,16 +30,13 @@ numbers can never drift away from the equivalence contract.
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import pathlib
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import append_bench_entry, emit
 from repro.analysis.tables import Table
 from repro.checks.engine import reference_engine
 from repro.core.problem import MigrationInstance
@@ -144,38 +142,6 @@ def collect_metrics(quick: bool = False) -> Dict[str, object]:
     return {"mode": "quick" if quick else "full", "cases": cases}
 
 
-def _current_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=BENCH_FILE.parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def append_entry(metrics: Dict[str, object]) -> Dict[str, object]:
-    """Append (or refresh, same commit) one entry in BENCH_ENGINE.json."""
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    else:
-        data = {"schema": BENCH_SCHEMA, "entries": []}
-    entry = {
-        "commit": _current_commit(),
-        "date": datetime.date.today().isoformat(),
-        "metrics": metrics,
-    }
-    entries = [e for e in data["entries"] if e.get("commit") != entry["commit"]]
-    entries.append(entry)
-    data["entries"] = entries
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return entry
-
-
 def _render_table(metrics: Dict[str, object]) -> Table:
     table = Table(
         "EXP-ENGINE: CSR kernels vs object reference (repro.plan wall time)",
@@ -223,8 +189,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     metrics = collect_metrics(quick=args.quick)
     print(_render_table(metrics).render())
-    entry = append_entry(metrics)
-    print(f"appended to {BENCH_FILE} (commit {entry['commit'][:12]})")
+    entry = append_bench_entry(BENCH_FILE, BENCH_SCHEMA, metrics)
+    print(f"appended to {BENCH_FILE} (commit {entry['commit']})")
     return 1 if _check(metrics) else 0
 
 

@@ -13,21 +13,21 @@ with a continuous stream of repair instances.  This bench measures
   :mod:`benchmarks.bench_sim_cluster`, folded in so one file tracks
   every simulator-level metric.
 
-Each run appends (or refreshes, keyed by commit) one entry in
-``BENCH_SIM.json`` at the repo root, so the numbers accrete per PR.
+Each run appends one commit-keyed entry to ``BENCH_SIM.json`` at the
+repo root (a clean commit refreshes its own entry; see
+``benchmarks.conftest.append_bench_entry``), so the numbers accrete
+per PR.
 Run standalone with ``python -m benchmarks.bench_sim``.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import pathlib
-import subprocess
 import time
 from typing import Dict
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import append_bench_entry, emit
 from repro.analysis.tables import Table
 from repro.obs import names
 from repro.sim import (
@@ -126,38 +126,6 @@ def collect_metrics() -> Dict[str, object]:
     }
 
 
-def _current_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=BENCH_FILE.parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def append_entry(metrics: Dict[str, object]) -> Dict[str, object]:
-    """Append (or refresh, same commit) one entry in BENCH_SIM.json."""
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    else:
-        data = {"schema": BENCH_SCHEMA, "entries": []}
-    entry = {
-        "commit": _current_commit(),
-        "date": datetime.date.today().isoformat(),
-        "metrics": metrics,
-    }
-    entries = [e for e in data["entries"] if e.get("commit") != entry["commit"]]
-    entries.append(entry)
-    data["entries"] = entries
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return entry
-
-
 def test_sim_campaign_metrics(benchmark):
     metrics = collect_metrics()
     campaign = metrics["campaign"]
@@ -184,7 +152,7 @@ def test_sim_campaign_metrics(benchmark):
         )
     emit(policy)
 
-    append_entry(metrics)
+    append_bench_entry(BENCH_FILE, BENCH_SCHEMA, metrics)
     assert campaign["incidents"] > 0
     assert campaign["planner_share"] < 1.0
 
@@ -192,7 +160,7 @@ def test_sim_campaign_metrics(benchmark):
 
 
 def main() -> int:
-    entry = append_entry(collect_metrics())
+    entry = append_bench_entry(BENCH_FILE, BENCH_SCHEMA, collect_metrics())
     print(json.dumps(entry, indent=2, sort_keys=True))
     print(f"appended to {BENCH_FILE}")
     return 0

@@ -22,8 +22,9 @@ never drift away from the correctness contract:
 
 The headline case targets **>= 10x** on a 1% delta; the sweep rows
 (0.5% / 2% / 5%) show how the advantage decays as the delta spreads
-across more components.  Each run appends (or refreshes, keyed by
-commit) one entry in ``BENCH_WORKLOADS.json`` at the repo root.  Run
+across more components.  Each run appends one commit-keyed entry to
+``BENCH_WORKLOADS.json`` at the repo root (a clean commit refreshes
+its own entry; see ``benchmarks.conftest.append_bench_entry``).  Run
 standalone with ``python -m benchmarks.bench_workloads``; ``--quick``
 runs a small smoke case only and requires the delta path to win.
 """
@@ -31,17 +32,14 @@ runs a small smoke case only and requires the delta path to win.
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import pathlib
 import random
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import append_bench_entry, emit
 from repro.analysis.tables import Table
 from repro.checks.certify import (
     rounds_digest,
@@ -282,38 +280,6 @@ def collect_metrics(quick: bool = False) -> Dict[str, object]:
     return {"mode": "quick" if quick else "full", "cases": cases}
 
 
-def _current_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=BENCH_FILE.parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def append_entry(metrics: Dict[str, object]) -> Dict[str, object]:
-    """Append (or refresh, same commit) one entry in BENCH_WORKLOADS.json."""
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    else:
-        data = {"schema": BENCH_SCHEMA, "entries": []}
-    entry = {
-        "commit": _current_commit(),
-        "date": datetime.date.today().isoformat(),
-        "metrics": metrics,
-    }
-    entries = [e for e in data["entries"] if e.get("commit") != entry["commit"]]
-    entries.append(entry)
-    data["entries"] = entries
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return entry
-
-
 def _render_table(metrics: Dict[str, object]) -> Table:
     table = Table(
         "EXP-WORKLOADS: plan_delta vs full certified replan",
@@ -371,8 +337,8 @@ def main(argv: Sequence[str] = None) -> int:
     args = parser.parse_args(argv)
     metrics = collect_metrics(quick=args.quick)
     print(_render_table(metrics).render())
-    entry = append_entry(metrics)
-    print(f"appended to {BENCH_FILE} (commit {entry['commit'][:12]})")
+    entry = append_bench_entry(BENCH_FILE, BENCH_SCHEMA, metrics)
+    print(f"appended to {BENCH_FILE} (commit {entry['commit']})")
     return 1 if _check(metrics) else 0
 
 
