@@ -1,11 +1,12 @@
 """EXP-EX — exact optimum anchoring on tiny instances.
 
 ``OPT`` itself is NP-hard, so the other experiments compare against
-the certified lower bound.  Here, on instances small enough for
-brute force, we close the loop: the table reports LB, the exact OPT,
-the even-capacity scheduler (must equal OPT when capacities are even)
-and the general algorithm (must stay within Theorem 5.1's budget of
-the true OPT, and in practice matches it).
+the certified lower bound.  Here, on instances small enough for the
+branch-and-bound solver (:func:`repro.exact.solve_exact`, whose optima
+carry verified certificates), we close the loop: the table reports LB,
+the exact OPT, the even-capacity scheduler (must equal OPT when
+capacities are even) and the general algorithm (must stay within
+Theorem 5.1's budget of the true OPT, and in practice matches it).
 """
 
 import pytest
@@ -13,9 +14,9 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.even_optimal import even_optimal_schedule
-from repro.core.exact import exact_optimum_rounds
 from repro.core.general import general_schedule
 from repro.core.lower_bounds import lower_bound
+from repro.exact import solve_exact
 from tests.conftest import even_instance, random_instance
 
 
@@ -27,7 +28,7 @@ def test_exact_anchor_general(benchmark):
     worst_gap = 0
     for seed in range(10):
         inst = random_instance(5, 9, capacity_choices=(1, 2, 3), seed=seed)
-        opt = exact_optimum_rounds(inst)
+        opt = solve_exact(inst).value
         got = general_schedule(inst).num_rounds
         lb = lower_bound(inst)
         worst_gap = max(worst_gap, got - opt)
@@ -37,7 +38,7 @@ def test_exact_anchor_general(benchmark):
     assert worst_gap <= 1
 
     inst = random_instance(5, 9, capacity_choices=(1, 2, 3), seed=0)
-    benchmark(exact_optimum_rounds, inst)
+    benchmark(solve_exact, inst)
 
 
 def test_exact_anchor_even(benchmark):
@@ -47,7 +48,7 @@ def test_exact_anchor_even(benchmark):
     )
     for seed in range(6):
         inst = even_instance(4, 8, capacity_choices=(2, 4), seed=seed)
-        opt = exact_optimum_rounds(inst)
+        opt = solve_exact(inst).value
         got = even_optimal_schedule(inst).num_rounds
         table.add_row(seed, inst.num_items, inst.delta_prime(), opt, got)
         assert got == opt == inst.delta_prime() or inst.num_items == 0

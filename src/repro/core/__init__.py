@@ -11,7 +11,6 @@
   :mod:`repro.core.recolor`.
 * :mod:`repro.core.baselines` — Saia's 1.5-approximation, the
   homogeneous (``c_v = 1``) scheduler and greedy first-fit.
-* :mod:`repro.core.exact` — brute-force optimum for tiny instances.
 * :mod:`repro.core.objectives` — scheduling objectives beyond makespan
   (bounded edge coloring, weighted group completion times), consumed
   by the branch-and-bound solver in :mod:`repro.exact`.

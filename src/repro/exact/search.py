@@ -74,8 +74,7 @@ from repro.exact.subsets import connected_subsets, mask_members, multiplicity_ta
 from repro.graphs.array_backend import CompactInstance, lift_rounds, lower_instance
 
 #: Applicability cap on items: beyond this the search space is too
-#: large for a guaranteed-exact answer (mirrors ``MAX_EXACT_ITEMS`` of
-#: the brute-force reference solver).
+#: large for a guaranteed-exact answer.
 EXACT_SEARCH_EDGE_LIMIT = 16
 
 #: Applicability cap on disks — shared with the exact LB2 enumeration,

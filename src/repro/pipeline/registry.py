@@ -37,7 +37,6 @@ from repro.core.baselines import (
     saia_schedule,
 )
 from repro.core.even_optimal import even_optimal_schedule_compact
-from repro.core.exact import exact_optimum
 from repro.core.general import GeneralSolverStats, general_schedule_compact
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
@@ -284,20 +283,6 @@ def _solve_even_rounding(
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
     return even_rounding_schedule(instance)
-
-
-@register_solver(
-    "exact",
-    applicable=lambda inst: inst.num_items <= 16,
-    cost_hint=50,
-    optimal=True,
-)
-def _solve_exact(
-    instance: MigrationInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return exact_optimum(instance)
 
 
 def _exact_bb_applicable(instance: MigrationInstance) -> bool:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.exact import exact_optimum_rounds
 from repro.core.general import GeneralSolverStats, general_schedule
 from repro.core.lower_bounds import lower_bound
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
+from tests.brute_force import brute_force_rounds
 from tests.conftest import random_instance
 
 
@@ -44,7 +44,7 @@ class TestApproximationQuality:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_exact_on_tiny_instances(self, seed):
         inst = random_instance(5, 8, capacity_choices=(1, 2, 3), seed=seed + 100)
-        opt = exact_optimum_rounds(inst)
+        opt = brute_force_rounds(inst)
         sched = general_schedule(inst)
         assert opt <= sched.num_rounds <= opt + 2
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.lower_bounds import lb1, lb2, lb2_exact, lower_bound, subset_bound
 from repro.core.problem import MigrationInstance
+from tests.brute_force import brute_force_rounds
 from tests.conftest import random_instance
 
 
@@ -78,10 +79,8 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bound_sound_vs_exact_optimum(self, seed):
-        from repro.core.exact import exact_optimum_rounds
-
         inst = random_instance(5, 9, capacity_choices=(1, 2), seed=seed)
-        assert lower_bound(inst) <= exact_optimum_rounds(inst)
+        assert lower_bound(inst) <= brute_force_rounds(inst)
 
     def test_empty_instance(self):
         from repro.graphs.multigraph import Multigraph

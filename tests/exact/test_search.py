@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.exact import exact_optimum_rounds
 from repro.core.lower_bounds import lower_bound
 from repro.core.objectives import (
     BoundedColorObjective,
@@ -22,6 +21,7 @@ from repro.exact.search import (
     solve_exact,
     verify_optimality,
 )
+from tests.brute_force import brute_force_rounds
 from tests.conftest import random_instance
 
 
@@ -39,7 +39,7 @@ class TestMakespan:
     def test_matches_brute_force(self, seed):
         inst = random_instance(5, 8, capacity_choices=(1, 2), seed=seed)
         res = solve_exact(inst)
-        assert res.value == exact_optimum_rounds(inst)
+        assert res.value == brute_force_rounds(inst)
         res.schedule.validate(inst)
 
     def test_schedule_method_label(self):

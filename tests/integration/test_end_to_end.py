@@ -8,7 +8,6 @@ from repro import MigrationInstance, lower_bound, plan
 from repro.analysis.metrics import compare_methods
 from repro.cluster.network import UnitRates
 from repro.cluster.traces import MigrationTrace, replay_trace
-from repro.core.exact import exact_optimum_rounds
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.generators import (
     bipartite_instance,
@@ -17,6 +16,7 @@ from repro.workloads.generators import (
     random_instance,
 )
 from repro.workloads.scenarios import scale_out_scenario, vod_rebalance_scenario
+from tests.brute_force import brute_force_rounds
 
 
 class TestSchedulerCrossChecks:
@@ -45,7 +45,7 @@ class TestSchedulerCrossChecks:
     @pytest.mark.parametrize("seed", range(3))
     def test_general_matches_exact_on_small_inputs(self, seed):
         inst = random_instance(5, 10, capacities={1: 0.5, 3: 0.5}, seed=seed)
-        opt = exact_optimum_rounds(inst)
+        opt = brute_force_rounds(inst)
         got = plan(inst, method="general").schedule.num_rounds
         assert got <= opt + 2 * math.isqrt(opt) + 2
 

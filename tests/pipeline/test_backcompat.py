@@ -31,7 +31,7 @@ def instance_for(method: str) -> MigrationInstance:
              ("old1", "new1"), ("old0", "new0")],
             {"old0": 1, "old1": 2, "new0": 3, "new1": 1},
         )
-    if method in ("exact", "exact_bb"):
+    if method == "exact_bb":
         return random_instance(5, 8, seed=2)  # exact search needs few items
     if method == "even_rounding":
         return random_instance(9, 30, capacity_choices=(2, 3, 4), seed=3)

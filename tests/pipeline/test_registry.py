@@ -25,7 +25,6 @@ class TestCatalog:
             "homogeneous",
             "greedy",
             "even_rounding",
-            "exact",
             "exact_bb",
         )
 
@@ -39,7 +38,7 @@ class TestCatalog:
         assert spec.auto
 
     def test_baselines_are_not_auto(self):
-        for name in ("saia", "homogeneous", "greedy", "even_rounding", "exact"):
+        for name in ("saia", "homogeneous", "greedy", "even_rounding"):
             assert not get_solver(name).auto
 
     def test_duplicate_registration_raises(self):

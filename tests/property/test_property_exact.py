@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exact import exact_optimum_rounds
 from repro.core.objectives import (
     BoundedColorObjective,
     GroupCompletionObjective,
@@ -12,6 +11,7 @@ from repro.core.objectives import (
 )
 from repro.core.problem import MigrationInstance
 from repro.exact.search import solve_exact
+from tests.brute_force import brute_force_rounds
 
 # Small multigraphs: up to 6 edges over up to 5 nodes, unit-to-3 caps.
 small_instances = st.builds(
@@ -35,7 +35,7 @@ class TestExactMatchesBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_branch_and_bound_equals_brute_force(self, inst):
         res = solve_exact(inst)
-        assert res.value == exact_optimum_rounds(inst)
+        assert res.value == brute_force_rounds(inst)
         res.schedule.validate(inst)
         assert res.value >= res.lower_bound
 
