@@ -37,12 +37,14 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.pipeline.canonical import (
-    TokenRounds,
     canonical_payload,
     canonicalize_rounds,
+    decode_token_plan,
+    encode_token_plan,
     rehydrate_rounds,
 )
 
@@ -277,11 +279,9 @@ def schedule_payload(
     ordering, so this payload — encoded with :func:`canonical_json` —
     is the byte string the determinism contract compares.
     """
-    tokens = canonicalize_rounds(instance, schedule.rounds)
-    return {
-        "method": schedule.method,
-        "rounds": [[list(token) for token in rnd] for rnd in tokens],
-    }
+    return encode_token_plan(
+        schedule.method, canonicalize_rounds(instance, schedule.rounds)
+    )
 
 
 def rehydrate_schedule(
@@ -293,17 +293,13 @@ def rehydrate_schedule(
         ProtocolError: when the payload's shape is wrong or a token
             names a pair the instance does not have.
     """
-    rounds = plan_payload.get("rounds")
-    method = plan_payload.get("method")
-    if not isinstance(method, str) or not isinstance(rounds, list):
-        raise _bad("plan payload needs 'method' (str) and 'rounds' (list)")
     try:
-        tokens: TokenRounds = tuple(
-            tuple((str(t[0]), str(t[1]), int(t[2])) for t in rnd)
-            for rnd in rounds
-        )
+        method, tokens = decode_token_plan(plan_payload)
+    except ValueError as exc:
+        raise _bad(str(exc)) from exc
+    try:
         eid_rounds = rehydrate_rounds(instance, tokens)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except ScheduleValidationError as exc:
         raise _bad(f"plan payload does not fit this instance: {exc}") from exc
     schedule = MigrationSchedule(eid_rounds, method=method)
     schedule.validate(instance)
@@ -375,33 +371,10 @@ def validate_plan_response(payload: Mapping[str, Any]) -> List[str]:
         problems.append("missing string 'fingerprint'")
     if not isinstance(payload.get("coalesced"), bool):
         problems.append("missing boolean 'coalesced'")
-    plan_field = payload.get("plan")
-    if not isinstance(plan_field, dict):
-        problems.append("missing object 'plan'")
-    else:
-        if not isinstance(plan_field.get("method"), str):
-            problems.append("plan missing string 'method'")
-        rounds = plan_field.get("rounds")
-        if not isinstance(rounds, list):
-            problems.append("plan missing list 'rounds'")
-        else:
-            for i, rnd in enumerate(rounds):
-                if not isinstance(rnd, list):
-                    problems.append(f"plan round {i} is not a list")
-                    continue
-                for token in rnd:
-                    if (
-                        not isinstance(token, list)
-                        or len(token) != 3
-                        or not isinstance(token[0], str)
-                        or not isinstance(token[1], str)
-                        or isinstance(token[2], bool)
-                        or not isinstance(token[2], int)
-                    ):
-                        problems.append(
-                            f"plan round {i} has a malformed token {token!r}"
-                        )
-                        break
+    try:
+        decode_token_plan(payload.get("plan"))
+    except ValueError as exc:
+        problems.append(str(exc))
     num_rounds = payload.get("num_rounds")
     if isinstance(num_rounds, bool) or not isinstance(num_rounds, int):
         problems.append("missing integer 'num_rounds'")
