@@ -16,8 +16,8 @@ Quickstart::
 
 :func:`repro.plan` is the planning API: it runs the staged pipeline
 and returns a :class:`PlanResult` carrying the validated schedule plus
-per-stage/per-solver profiles and per-component attribution; it
-accepts ``method``, ``seed``, ``cache``, ``parallel``, ``certify`` and
+per-stage timings and per-component attribution; it accepts
+``method``, ``seed``, ``cache``, ``parallel``, ``certify`` and
 ``tracer``.  When the instance *changes* instead of arriving fresh,
 :func:`repro.plan_delta` absorbs an
 :class:`InstanceDelta <repro.core.delta.InstanceDelta>` by patching
@@ -42,7 +42,7 @@ Package map:
 * :mod:`repro.extensions` — neighbouring problem variants
   (forwarding, cloning, online, completion-time objectives) behind
   one uniform result/validate surface.
-* :mod:`repro.obs` — tracing, metrics and profiling: one span/counter
+* :mod:`repro.obs` — tracing and metrics: one span/counter
   substrate shared by the pipeline, the executor, the service and the
   simulator (``repro-migrate stats``).
 * :mod:`repro.exact` — exact branch-and-bound optimization for small

@@ -1,4 +1,4 @@
-"""repro.obs — unified tracing, metrics and profiling.
+"""repro.obs — unified tracing and metrics.
 
 One observability substrate for the whole stack: the planning pipeline,
 the runtime executor, the plan service and the campaign simulator all
@@ -16,9 +16,7 @@ pipeline stage, per solver, per executed round.
 * :mod:`repro.obs.names` — every counter/span name as a constant, so
   a typo cannot silently zero a metric;
 * :mod:`repro.obs.schema` — the trace wire format and its validator
-  (``repro-migrate stats --validate``);
-* :mod:`repro.obs.profile` — wall/CPU stopwatches feeding
-  :class:`~repro.pipeline.planner.PlanResult` profiles.
+  (``repro-migrate stats --validate``).
 
 Everything here is observation-only: with the default no-op tracer,
 instrumented code paths are bit-for-bit identical to uninstrumented
@@ -42,7 +40,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     render_prometheus,
 )
-from repro.obs.profile import Stopwatch, Timing
 from repro.obs.schema import validate_record, validate_trace
 from repro.obs.trace import (
     NULL_TRACER,
@@ -66,9 +63,7 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "Stopwatch",
     "TRACE_SCHEMA_VERSION",
-    "Timing",
     "Tracer",
     "ensure_tracer",
     "load_trace",

@@ -37,9 +37,11 @@ from types import TracebackType
 from typing import Any, Callable, Dict, List, Optional, Type, TypeVar
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Clock
 
 F = TypeVar("F", bound=Callable[..., Any])
+
+#: An injectable zero-argument clock returning seconds.
+Clock = Callable[[], float]
 
 #: Trace wire-format version (see :mod:`repro.obs.schema`).
 TRACE_SCHEMA_VERSION = 1

@@ -36,6 +36,7 @@ meaning.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -45,7 +46,6 @@ from repro.core.objectives import Objective
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.obs import names
-from repro.obs.profile import Stopwatch, Timing, accumulate
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.pipeline.canonical import (
@@ -95,14 +95,6 @@ class PlanResult:
     requested_method: str
     components: List[ComponentPlan] = field(default_factory=list)
     stage_timings: Dict[str, float] = field(default_factory=dict)
-    #: wall/CPU/call accumulators per pipeline stage (richer sibling of
-    #: ``stage_timings``, which remains the wall-seconds compatibility
-    #: view).
-    stage_profile: Dict[str, Timing] = field(default_factory=dict)
-    #: wall/CPU/call accumulators per solver method; pooled solves are
-    #: recorded under the single key ``"pool"`` (per-solver wall time
-    #: inside a process pool is not observable from the parent).
-    solver_profile: Dict[str, Timing] = field(default_factory=dict)
     parallel: bool = False
     workers: int = 1
     #: verified ``max(LB1, LB2)``; ``None`` unless ``certify=True``.
@@ -169,14 +161,13 @@ def _estimated_cost(component: Component) -> int:
 
 @contextmanager
 def _stage(tracer: Tracer, result: PlanResult, name: str) -> Iterator[None]:
-    """Time one pipeline stage into ``stage_timings``/``stage_profile``
-    and wrap it in a ``pipeline.stage.<name>`` span."""
+    """Time one pipeline stage into ``stage_timings`` and wrap it in a
+    ``pipeline.stage.<name>`` span."""
     with tracer.span(names.stage_span(name)):
-        watch = Stopwatch()
-        with watch:
-            yield
-    result.stage_timings[name] = result.stage_timings.get(name, 0.0) + watch.wall
-    accumulate(result.stage_profile, name, watch)
+        start = time.perf_counter()
+        yield
+        wall = time.perf_counter() - start
+    result.stage_timings[name] = result.stage_timings.get(name, 0.0) + wall
 
 
 def _round_trip(
@@ -326,10 +317,7 @@ def _plan_forced(
                 tracer.count(names.PLAN_CACHE_MISSES)
         if schedule is None:
             with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
-                watch = Stopwatch()
-                with watch:
-                    solved = backend_solver(spec, instance)(seed, stats)
-            accumulate(result.solver_profile, spec.name, watch)
+                solved = backend_solver(spec, instance)(seed, stats)
             schedule = _round_trip(instance, solved, fp)
             if cache is not None and fp is not None:
                 cache.put_plan(
@@ -392,10 +380,7 @@ def _plan_objective(
 
     with _stage(tracer, result, "solve"):
         with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
-            watch = Stopwatch()
-            with watch:
-                res = solve_exact(instance, obj)
-        accumulate(result.solver_profile, spec.name, watch)
+            res = solve_exact(instance, obj)
 
     result.schedule = res.schedule
     result.objective = obj
@@ -491,18 +476,12 @@ def _plan_auto(
             # Spans cannot propagate out of pool workers; one umbrella
             # span stands in for the whole batch.
             with tracer.span(names.SPAN_SOLVE_POOL, jobs=len(jobs)):
-                watch = Stopwatch()
-                with watch:
-                    solved = solve_jobs(jobs, max_workers=workers)
-            accumulate(result.solver_profile, "pool", watch)
+                solved = solve_jobs(jobs, max_workers=workers)
         else:
             solved = []
             for k, job in zip(miss_indices, jobs):
                 with tracer.span(names.SPAN_SOLVE, method=job[1], component=k):
-                    watch = Stopwatch()
-                    with watch:
-                        solved.append(solve_job(job, stats))
-                accumulate(result.solver_profile, job[1], watch)
+                    solved.append(solve_job(job, stats))
         for k, outcome in zip(miss_indices, solved):
             outcomes[k] = outcome
             comp, spec = components[k], selections[k]
