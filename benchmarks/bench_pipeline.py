@@ -15,14 +15,9 @@ Three claims, each measured:
    producing byte-identical schedules.
 3. **Cached replanning** — after a single-component change, a cached
    replan re-solves only the affected component.
-
-Results are also written as a JSON artifact
-(``benchmarks/results/pipeline.json``) for tracking across runs.
 """
 
-import json
 import os
-import pathlib
 import random
 import time
 
@@ -35,16 +30,6 @@ from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan
 from repro.workloads.generators import multi_component_instance
-
-RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "pipeline.json"
-_ARTIFACT = {}
-
-
-def _record(key, value):
-    _ARTIFACT[key] = value
-    RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(_ARTIFACT, indent=2, sort_keys=True) + "\n")
-
 
 def heavy_multi_component(num_components, disks=14, items=150, seed=0):
     """Disjoint odd-capacity components sized so the general solver's
@@ -74,7 +59,6 @@ def test_pipe_decomposition_win_rate(benchmark):
         ["components", "instances", "ties", "wins", "max saved", "mean ratio"],
     )
     wins_total = 0
-    rows = []
     for num_components in (2, 4, 6, 8, 10):
         ties = wins = 0
         saved_max = 0
@@ -100,15 +84,8 @@ def test_pipe_decomposition_win_rate(benchmark):
         wins_total += wins
         mean_ratio = sum(ratios) / len(ratios)
         table.add_row(num_components, 10, ties, wins, saved_max, round(mean_ratio, 4))
-        rows.append({
-            "components": num_components, "ties": ties, "wins": wins,
-            "max_rounds_saved": saved_max, "mean_ratio": mean_ratio,
-        })
     emit(table)
     assert wins_total >= 1, "decomposition never improved on 50 instances"
-    _record("decomposition_sweep", {
-        "instances": 50, "wins": wins_total, "rows": rows,
-    })
 
     inst = multi_component_instance(6, disks_per_component=5,
                                     items_per_component=50, seed=42)
@@ -135,11 +112,6 @@ def test_pipe_parallel_speedup():
         f"parallel {parallel_s:.2f}s ({os.cpu_count()} cores), "
         f"speedup {speedup:.2f}x, byte-identical schedules"
     )
-    _record("parallel_8_components", {
-        "serial_seconds": serial_s, "parallel_seconds": parallel_s,
-        "speedup": speedup, "cores": os.cpu_count(),
-        "identical_schedules": True,
-    })
     if os.cpu_count() and os.cpu_count() >= 4:
         assert speedup >= 1.5, f"parallel speedup only {speedup:.2f}x"
 
@@ -168,9 +140,4 @@ def test_pipe_cached_replan():
         f"cold plan {cold_s:.2f}s (6 solves), replan {warm_s:.2f}s "
         f"(1 solve, 5 cache hits), {cold_s / warm_s:.1f}x faster"
     )
-    _record("cached_replan", {
-        "components": 6, "cold_seconds": cold_s, "warm_seconds": warm_s,
-        "resolved_components": warm.components_solved,
-        "cached_components": warm.components_cached,
-    })
     assert warm_s < cold_s

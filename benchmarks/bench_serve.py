@@ -11,14 +11,9 @@ Three claims, each measured:
    (solved) requests stay near the number of distinct instances while
    coalescing and the plan cache absorb the rest.
 3. **Latency profile** — per-request p50/p99 latency and throughput
-   at a fixed concurrency, for tracking across runs.
-
-Results are written as a JSON artifact
-(``benchmarks/results/serve.json``).
+   at a fixed concurrency.
 """
 
-import json
-import pathlib
 import random
 import threading
 import time
@@ -28,16 +23,6 @@ from repro.analysis.tables import Table
 from repro.core.problem import MigrationInstance
 from repro.serve import BrokerConfig, ServerConfig, start_in_process
 from repro.workloads.io import instance_from_json, instance_to_json
-
-RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "serve.json"
-_ARTIFACT = {}
-
-
-def _record(key, value):
-    _ARTIFACT[key] = value
-    RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(_ARTIFACT, indent=2, sort_keys=True) + "\n")
-
 
 def _wire_instance(seed, disks=10, items=60):
     rng = random.Random(seed)
@@ -130,29 +115,19 @@ def test_serve_closed_loop_load(benchmark):
     assert solved <= total
 
     latencies.sort()
-    stats = {
-        "requests": total,
-        "distinct_instances": len(instances),
-        "clients": clients,
-        "wall_seconds": round(wall, 4),
-        "throughput_rps": round(total / wall, 2),
-        "latency_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-        "latency_p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
-        "solved_requests": solved,
-        "coalesced_requests": coalesced,
-        "coalescing_hit_rate": round(coalesced / total, 4),
-    }
-    _record("closed_loop", stats)
-
     table = Table(
         "EXP-SERVE: closed-loop load (8 clients x 6 requests, 4 distinct)",
         ["metric", "value"],
     )
-    for key in (
-        "throughput_rps", "latency_p50_ms", "latency_p99_ms",
-        "solved_requests", "coalesced_requests", "coalescing_hit_rate",
+    for key, value in (
+        ("throughput_rps", round(total / wall, 2)),
+        ("latency_p50_ms", round(_percentile(latencies, 0.50) * 1e3, 3)),
+        ("latency_p99_ms", round(_percentile(latencies, 0.99) * 1e3, 3)),
+        ("solved_requests", solved),
+        ("coalesced_requests", coalesced),
+        ("coalescing_hit_rate", round(coalesced / total, 4)),
     ):
-        table.add_row(key, stats[key])
+        table.add_row(key, value)
     emit(table)
 
 
@@ -190,11 +165,6 @@ def test_serve_duplicate_burst_coalesces(benchmark):
         f"expected >= {duplicates - 1} of {duplicates} duplicates to "
         f"coalesce onto one solve, got {coalesced}"
     )
-    _record("duplicate_burst", {
-        "duplicates": duplicates,
-        "coalesced": coalesced,
-        "hit_rate": round(coalesced / duplicates, 4),
-    })
     emit_line(
         f"EXP-SERVE: duplicate burst — {coalesced}/{duplicates} requests "
         f"coalesced onto one in-flight solve"
