@@ -26,8 +26,8 @@ plan cache):
   ``incident_edges(v)`` equals the global ``edges()`` order filtered
   to the edges incident to ``v``.  This holds under any sequence of
   ``add_edge``/``remove_edge`` (both dicts delete and append
-  together) and is preserved by ``copy``/``subgraph``/
-  ``edge_subgraph``/``restore_edge``.  The CSR conversion boundary
+  together) and is preserved by ``copy``/``edge_subgraph``/
+  ``restore_edge``.  The CSR conversion boundary
   (``CompactGraph.from_multigraph``) snapshots exactly this order and
   its inverse rebuilds it, so conversion round-trips ids and orders
   exactly.
@@ -269,26 +269,6 @@ class Multigraph:
                         stack.append(other)
             components.append(comp)
         return components
-
-    def subgraph(self, nodes: Iterable[Node]) -> "Multigraph":
-        """Node-induced subgraph; edge ids are preserved."""
-        keep = set(nodes)
-        g = Multigraph()
-        for v in sorted(keep, key=repr):
-            if v in self._adj:
-                g.add_node(v)
-        g._next_id = self._next_id
-        for eid, (u, v) in self._edges.items():
-            if u in keep and v in keep:
-                g._edges[eid] = (u, v)
-                g._adj[u][eid] = v
-                if u != v:
-                    g._adj[v][eid] = u
-                    g._degree[u] += 1
-                    g._degree[v] += 1
-                else:
-                    g._degree[u] += 2
-        return g
 
     def edge_subgraph(self, eids: Iterable[EdgeId]) -> "Multigraph":
         """Subgraph containing exactly the given edges (ids preserved)."""

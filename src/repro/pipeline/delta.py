@@ -23,8 +23,11 @@ graph into one of three **dispositions**:
   exact per-component solve path of ``plan()``, byte-identical to a
   cold solve by construction (fingerprint-derived seeds).
 
-Every outcome is written through the :class:`PlanCache` under the same
-``(fingerprint, solver, seed)`` key ``plan()`` uses, so
+The triage is the reuse step of ``plan()``'s own component loop
+(:func:`repro.pipeline.planner._plan_components`), which runs it for
+each cache miss before any solve.  Every outcome is written through
+the :class:`PlanCache` under the same ``(fingerprint, solver, seed)``
+key ``plan()`` uses, so
 ``plan(patched, "auto", prior.seed, cache=shared)`` after a
 ``plan_delta(..., cache=shared)`` serves the identical bytes — the
 "fingerprint-consistent with the PlanCache" contract the property
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
@@ -54,21 +57,25 @@ from repro.core.schedule import MigrationSchedule
 from repro.graphs.multigraph import EdgeId
 from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
-from repro.pipeline.cache import CachedPlan, PlanCache
+from repro.pipeline.cache import PlanCache
 from repro.pipeline.canonical import (
     PairToken,
     TokenRounds,
     _pair_slots,
     canonicalize_rounds,
-    derive_component_seed,
     derive_patch_seed,
-    rehydrate_rounds,
     reprs_unambiguous,
 )
-from repro.pipeline.parallel import SolveOutcome, backend_solver, solve_job
-from repro.pipeline.planner import ComponentPlan, PlanResult, _certify, _stage
-from repro.pipeline.registry import select_solver
-from repro.pipeline.stages import decompose, merge
+from repro.pipeline.parallel import SolveOutcome
+from repro.pipeline.planner import PlanResult, _certify, _plan_components, _stage
+from repro.pipeline.stages import Component
+
+# Not called here: perfbench/layers.py wraps each as an attribute of
+# this module, so each must stay importable from it.
+from repro.pipeline.canonical import rehydrate_rounds  # noqa: F401  (perfbench)
+from repro.pipeline.parallel import solve_job  # noqa: F401  (perfbench)
+from repro.pipeline.registry import select_solver  # noqa: F401  (perfbench)
+from repro.pipeline.stages import decompose, merge  # noqa: F401  (perfbench)
 
 #: delta-pipeline stages, in execution order (timing dict's key set).
 DELTA_STAGES = ("apply", "decompose", "select", "patch", "merge", "certify")
@@ -229,140 +236,72 @@ def plan_delta(
                 if c.fingerprint is not None
             }
 
-        with _stage(tr, result, "decompose"):
-            components = decompose(patched)
+        # Component index -> disposition of what ``reuse`` planned; a
+        # cache hit counts as reused and anything else as re-solved.
+        dispositions: Dict[int, str] = {}
 
-        if not components:
-            # Nothing to move — resolve exactly like plan()'s empty path.
-            spec = select_solver(patched)
-            schedule = backend_solver(spec, patched)(seed, None)
-            result.schedule = schedule
-        else:
-            with _stage(tr, result, "select"):
-                selections = [select_solver(comp.instance) for comp in components]
+        def reuse(comp: Component) -> Optional[SolveOutcome]:
+            fp = comp.fingerprint
+            if not tokens_safe or fp is None:
+                return None
+            comp_slots = _pair_slots(comp.instance)
 
-            outcomes: List[Optional[SolveOutcome]] = [None] * len(components)
-            dispositions = [DISPOSITION_RESOLVED] * len(components)
-            cached_flags = [False] * len(components)
-            seeds: List[int] = []
-
-            with _stage(tr, result, "patch"):
-                for k, (comp, spec) in enumerate(zip(components, selections)):
-                    fp = comp.fingerprint
-                    comp_seed = (
-                        derive_component_seed(seed, fp) if fp is not None else seed
+            # A structurally unchanged component: the prior coloring
+            # transfers wholesale through tokens.
+            if fp in prior_method:
+                by_color: Dict[int, List[PairToken]] = {}
+                for token in comp_slots.values():
+                    color = prior_token_color.get(token)
+                    if color is None:
+                        break
+                    by_color.setdefault(color, []).append(token)
+                else:
+                    # Component round i sat in global round i (merge is
+                    # index-aligned), so grouping by ascending prior
+                    # color rebuilds the exact prior token rounds.
+                    dispositions[comp.index] = DISPOSITION_REUSED
+                    tokens: TokenRounds = tuple(
+                        tuple(sorted(by_color[c])) for c in sorted(by_color)
                     )
-                    seeds.append(comp_seed)
-                    comp_slots: Optional[Mapping[EdgeId, PairToken]] = None
+                    return tokens, prior_method[fp]
 
-                    # 1. live plan-cache entry — same key plan() uses.
-                    if cache is not None and fp is not None:
-                        hit = cache.get_plan(fp, spec.name, seed)
-                        if hit is not None:
-                            outcomes[k] = (hit.rounds, hit.method)
-                            dispositions[k] = DISPOSITION_REUSED
-                            cached_flags[k] = True
-                            tr.count(names.PLAN_CACHE_HITS)
-                            continue
-                        tr.count(names.PLAN_CACHE_MISSES)
+            # An edge-level patch around the surviving edges.
+            survivors = {
+                eid: prior_token_color[token]
+                for eid, token in comp_slots.items()
+                if token in prior_token_color
+            }
+            if not survivors:
+                return None
+            outcome, recolored = _patch_component(
+                comp.instance, survivors, derive_patch_seed(seed, fp)
+            )
+            if outcome is None:
+                result.fallbacks += 1
+                tr.count(names.DELTA_PATCH_FALLBACKS)
+                return None
+            dispositions[comp.index] = DISPOSITION_PATCHED
+            result.patched_edges += recolored
+            return outcome
 
-                    # 2. structurally unchanged component — the prior
-                    #    coloring transfers wholesale through tokens.
-                    if tokens_safe and fp is not None and fp in prior_method:
-                        comp_slots = _pair_slots(comp.instance)
-                        by_color: Dict[int, List[PairToken]] = {}
-                        complete = True
-                        for token in comp_slots.values():
-                            color = prior_token_color.get(token)
-                            if color is None:
-                                complete = False
-                                break
-                            by_color.setdefault(color, []).append(token)
-                        if complete:
-                            # Component round i sat in global round i
-                            # (merge is index-aligned), so grouping by
-                            # ascending prior color rebuilds the exact
-                            # prior token rounds.
-                            tokens: TokenRounds = tuple(
-                                tuple(sorted(by_color[c])) for c in sorted(by_color)
-                            )
-                            outcomes[k] = (tokens, prior_method[fp])
-                            dispositions[k] = DISPOSITION_REUSED
-                            continue
-
-                    # 3. edge-level patch around the surviving edges.
-                    if tokens_safe and fp is not None:
-                        if comp_slots is None:
-                            comp_slots = _pair_slots(comp.instance)
-                        survivors = {
-                            eid: prior_token_color[token]
-                            for eid, token in comp_slots.items()
-                            if token in prior_token_color
-                        }
-                        if survivors:
-                            outcome, recolored = _patch_component(
-                                comp.instance, survivors, derive_patch_seed(seed, fp)
-                            )
-                            if outcome is not None:
-                                outcomes[k] = outcome
-                                dispositions[k] = DISPOSITION_PATCHED
-                                result.patched_edges += recolored
-                                continue
-                            result.fallbacks += 1
-                            tr.count(names.DELTA_PATCH_FALLBACKS)
-
-                    # 4. full per-component re-solve — byte-identical
-                    #    to plan()'s cold path (same job, same seed).
-                    outcomes[k] = solve_job((comp.instance, spec.name, comp_seed))
-
-                # Write-through: after a plan_delta, the cache serves
-                # the patched instance byte-for-byte.
-                if cache is not None:
-                    for k, comp in enumerate(components):
-                        if comp.fingerprint is None or cached_flags[k]:
-                            continue
-                        out = outcomes[k]
-                        assert out is not None
-                        cache.put_plan(
-                            comp.fingerprint, selections[k].name, seed,
-                            CachedPlan(method=out[1], rounds=out[0]),
-                        )
-                reused = dispositions.count(DISPOSITION_REUSED)
-                patched_n = dispositions.count(DISPOSITION_PATCHED)
-                resolved = dispositions.count(DISPOSITION_RESOLVED)
-                if reused:
-                    tr.count(names.DELTA_COMPONENTS_REUSED, reused)
-                if patched_n:
-                    tr.count(names.DELTA_COMPONENTS_PATCHED, patched_n)
-                if resolved:
-                    tr.count(names.DELTA_COMPONENTS_RESOLVED, resolved)
-
-            with _stage(tr, result, "merge"):
-                component_rounds = []
-                methods = []
-                for comp, outcome in zip(components, outcomes):
-                    assert outcome is not None  # every index is filled above
-                    tokens_out, solver_method = outcome
-                    component_rounds.append(
-                        rehydrate_rounds(comp.instance, tokens_out)
-                    )
-                    methods.append(solver_method)
-                result.schedule = merge(patched, component_rounds, methods)
-
-            result.dispositions = tuple(dispositions)
-            result.components = [
-                ComponentPlan(
-                    index=comp.index,
-                    num_disks=comp.num_disks,
-                    num_items=comp.num_items,
-                    method=outcomes[k][1] if outcomes[k] else selections[k].name,
-                    rounds=len(outcomes[k][0]) if outcomes[k] else 0,
-                    seed=seeds[k],
-                    cached=cached_flags[k],
-                    fingerprint=comp.fingerprint,
-                )
-                for k, comp in enumerate(components)
-            ]
+        components = _plan_components(
+            patched, seed, stats=None, cache=cache, parallel=False, workers=None,
+            result=result, tracer=tr, reuse=reuse, solve_stage="patch",
+        )
+        result.dispositions = tuple(
+            DISPOSITION_REUSED
+            if cp.cached
+            else dispositions.get(cp.index, DISPOSITION_RESOLVED)
+            for cp in result.components
+        )
+        for disposition, counter in (
+            (DISPOSITION_REUSED, names.DELTA_COMPONENTS_REUSED),
+            (DISPOSITION_PATCHED, names.DELTA_COMPONENTS_PATCHED),
+            (DISPOSITION_RESOLVED, names.DELTA_COMPONENTS_RESOLVED),
+        ):
+            n = result.dispositions.count(disposition)
+            if n:
+                tr.count(counter, n)
 
         with _stage(tr, result, "certify"):
             result.schedule.validate(patched)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.general import GeneralSolverStats
 from repro.core.objectives import Objective
@@ -49,13 +49,18 @@ from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.pipeline.canonical import (
-    TokenRounds,
     canonicalize_rounds,
     derive_component_seed,
     fingerprint,
     rehydrate_rounds,
 )
-from repro.pipeline.parallel import SolveJob, backend_solver, solve_job, solve_jobs
+from repro.pipeline.parallel import (
+    SolveJob,
+    SolveOutcome,
+    backend_solver,
+    solve_job,
+    solve_jobs,
+)
 from repro.pipeline.registry import SolverSpec, get_solver, select_solver
 from repro.pipeline.stages import (
     Component,
@@ -258,7 +263,7 @@ def plan(
 
     with tr.span(names.SPAN_PLAN, method=method, seed=seed) as root:
         with _stage(tr, result, "normalize"):
-            normalized = normalize(instance)
+            normalize(instance)
 
         # The auto path's decomposition, reused by the certify stage.
         components: Optional[List[Component]] = None
@@ -267,8 +272,8 @@ def plan(
         elif method != "auto":
             _plan_forced(instance, method, seed, stats, cache, result, tr)
         else:
-            components = _plan_auto(instance, normalized.empty, seed, stats, cache,
-                                    parallel, workers, result, tr)
+            components = _plan_components(instance, seed, stats, cache,
+                                          parallel, workers, result, tr)
 
         with _stage(tr, result, "certify"):
             result.schedule.validate(instance)
@@ -417,9 +422,13 @@ def _certify_objective(instance: MigrationInstance, result: PlanResult) -> None:
 # auto (decomposed) path
 # ----------------------------------------------------------------------
 
-def _plan_auto(
+#: A per-component step that runs before any solve: the component's
+#: outcome without a solve, or ``None`` to solve it.
+ReuseStep = Callable[[Component], Optional[SolveOutcome]]
+
+
+def _plan_components(
     instance: MigrationInstance,
-    empty: bool,
     seed: int,
     stats: Optional[GeneralSolverStats],
     cache: Optional[PlanCache],
@@ -427,8 +436,18 @@ def _plan_auto(
     workers: Optional[int],
     result: PlanResult,
     tracer: Tracer,
+    reuse: Optional[ReuseStep] = None,
+    solve_stage: str = "solve",
 ) -> List[Component]:
-    """Plan component by component; returns ``decompose(instance)``."""
+    """Plan component by component; returns ``decompose(instance)``.
+
+    Each component is looked up in ``cache``; a miss goes to ``reuse``
+    (the delta planner's step) and then, if still unplanned, to its
+    solver.  Every outcome not served by the cache is written through,
+    and the merged schedule and per-component attribution land in
+    ``result``.  ``solve_stage`` names the stage that times the lookup,
+    reuse and solve.
+    """
     with _stage(tracer, result, "decompose"):
         components = decompose(instance)
 
@@ -436,9 +455,7 @@ def _plan_auto(
         # Nothing to move; resolve exactly like the legacy dispatcher
         # (an empty instance is trivially all-even).
         spec = select_solver(instance)
-        schedule = backend_solver(spec, instance)(seed, stats)
-        schedule.validate(instance)
-        result.schedule = schedule
+        result.schedule = backend_solver(spec, instance)(seed, stats)
         return components
 
     with _stage(tracer, result, "select"):
@@ -446,25 +463,26 @@ def _plan_auto(
             select_solver(comp.instance) for comp in components
         ]
 
-    with _stage(tracer, result, "solve"):
-        seeds: List[int] = []
-        outcomes: List[Optional[Tuple[TokenRounds, str]]] = [None] * len(components)
+    with _stage(tracer, result, solve_stage):
+        seeds = [
+            derive_component_seed(seed, comp.fingerprint)
+            if comp.fingerprint is not None
+            else seed
+            for comp in components
+        ]
+        outcomes: List[Optional[SolveOutcome]] = [None] * len(components)
         cached_flags = [False] * len(components)
         for k, (comp, spec) in enumerate(zip(components, selections)):
-            comp_seed = (
-                derive_component_seed(seed, comp.fingerprint)
-                if comp.fingerprint is not None
-                else seed
-            )
-            seeds.append(comp_seed)
             if cache is not None and comp.fingerprint is not None:
                 hit = cache.get_plan(comp.fingerprint, spec.name, seed)
                 if hit is not None:
                     outcomes[k] = (hit.rounds, hit.method)
                     cached_flags[k] = True
                     tracer.count(names.PLAN_CACHE_HITS)
-                else:
-                    tracer.count(names.PLAN_CACHE_MISSES)
+                    continue
+                tracer.count(names.PLAN_CACHE_MISSES)
+            if reuse is not None:
+                outcomes[k] = reuse(comp)
 
         miss_indices = [k for k, out in enumerate(outcomes) if out is None]
         jobs: List[SolveJob] = [
@@ -484,29 +502,30 @@ def _plan_auto(
                     solved.append(solve_job(job, stats))
         for k, outcome in zip(miss_indices, solved):
             outcomes[k] = outcome
-            comp, spec = components[k], selections[k]
-            if cache is not None and comp.fingerprint is not None:
-                cache.put_plan(
-                    comp.fingerprint, spec.name, seed,
-                    CachedPlan(method=outcome[1], rounds=outcome[0]),
-                )
+        planned = [out for out in outcomes if out is not None]
+        assert len(planned) == len(components)  # every index is filled above
+        if cache is not None:
+            for k, (comp, spec) in enumerate(zip(components, selections)):
+                if comp.fingerprint is not None and not cached_flags[k]:
+                    tokens, method = planned[k]
+                    cache.put_plan(
+                        comp.fingerprint, spec.name, seed,
+                        CachedPlan(method=method, rounds=tokens),
+                    )
         if miss_indices:
             tracer.count(names.PLAN_COMPONENTS_SOLVED, len(miss_indices))
-        if len(components) > len(miss_indices):
-            tracer.count(
-                names.PLAN_COMPONENTS_CACHED,
-                len(components) - len(miss_indices),
-            )
+        if any(cached_flags):
+            tracer.count(names.PLAN_COMPONENTS_CACHED, sum(cached_flags))
 
     with _stage(tracer, result, "merge"):
-        component_rounds = []
-        methods = []
-        for comp, outcome in zip(components, outcomes):
-            assert outcome is not None  # every index is filled above
-            tokens, solver_method = outcome
-            component_rounds.append(rehydrate_rounds(comp.instance, tokens))
-            methods.append(solver_method)
-        result.schedule = merge(instance, component_rounds, methods)
+        result.schedule = merge(
+            instance,
+            [
+                rehydrate_rounds(comp.instance, tokens)
+                for comp, (tokens, _method) in zip(components, planned)
+            ],
+            [method for _tokens, method in planned],
+        )
 
     result.parallel = use_pool
     result.workers = workers if (use_pool and workers) else 1
@@ -515,13 +534,13 @@ def _plan_auto(
             index=comp.index,
             num_disks=comp.num_disks,
             num_items=comp.num_items,
-            method=outcomes[k][1] if outcomes[k] else selections[k].name,
-            rounds=len(outcomes[k][0]) if outcomes[k] else 0,
+            method=method,
+            rounds=len(tokens),
             seed=seeds[k],
             cached=cached_flags[k],
             fingerprint=comp.fingerprint,
         )
-        for k, comp in enumerate(components)
+        for k, (comp, (tokens, method)) in enumerate(zip(components, planned))
     ]
     return components
 

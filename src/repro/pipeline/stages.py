@@ -6,9 +6,10 @@ mutation happens here; instances are immutable by convention.
 
 **Decompose** splits the transfer multigraph into its connected
 components and builds one sub-instance per component that has at least
-one edge.  Edge ids are preserved (``Multigraph.subgraph`` keeps
-them), so component schedules talk about the same edges as the parent
-instance.  Both lower bounds decompose exactly over components:
+one edge.  Edge ids are preserved (each component graph takes its
+edges, under their ids, from one scan of the parent's), so component
+schedules talk about the same edges as the parent instance.  Both
+lower bounds decompose exactly over components:
 
 * ``LB1 = max_v ⌈d_v/c_v⌉`` is a per-node maximum, and every node
   lives in exactly one component;
@@ -34,11 +35,11 @@ particular, parallel solving cannot reorder the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.graphs.multigraph import EdgeId, Node
+from repro.graphs.multigraph import EdgeId, Multigraph, Node
 from repro.pipeline.canonical import fingerprint
 
 
@@ -105,11 +106,22 @@ def decompose(instance: MigrationInstance) -> List[Component]:
         components.append(sorted(nodes, key=repr))
     components.sort(key=lambda nodes: repr(nodes[0]))
 
+    # One scan of the parent's edges fills every component graph in
+    # parent order, under the parent's ids and id high-water mark.
+    graphs: List[Multigraph] = []
+    graph_of: Dict[Node, Multigraph] = {}
+    for nodes in components:
+        sub = Multigraph(nodes=nodes)
+        sub.reserve_edge_ids(graph.next_edge_id)
+        graphs.append(sub)
+        graph_of.update((v, sub) for v in nodes)
+    for eid, u, v in graph.edges():
+        graph_of[u].restore_edge(eid, u, v)
+
     result: List[Component] = []
-    for index, nodes in enumerate(components):
-        subgraph = graph.subgraph(nodes)
+    for index, (nodes, sub) in enumerate(zip(components, graphs)):
         capacities = {v: instance.capacity(v) for v in nodes}
-        sub_instance = MigrationInstance(subgraph, capacities)
+        sub_instance = MigrationInstance(sub, capacities)
         result.append(
             Component(
                 index=index,

@@ -120,13 +120,6 @@ class TestStructure:
         assert {"d", "e"} in comps
         assert {"z"} in comps
 
-    def test_subgraph_preserves_edge_ids(self):
-        g = Multigraph(edges=[("a", "b"), ("b", "c"), ("a", "c")])
-        sub = g.subgraph(["a", "b"])
-        assert sub.num_edges == 1
-        (eid,) = sub.edge_ids()
-        assert g.endpoints(eid) == sub.endpoints(eid)
-
     def test_edge_subgraph(self):
         g = Multigraph(edges=[("a", "b"), ("b", "c"), ("a", "c")])
         keep = g.edge_ids()[:2]

@@ -15,7 +15,8 @@ from repro.analysis.metrics import aggregate_trace, summarize_runtime_trace
 from repro.cli import main
 from repro.obs import InMemoryExporter, Tracer, names
 from repro.obs.schema import validate_trace
-from repro.pipeline import PlanCache, plan
+from repro.core.delta import InstanceDelta
+from repro.pipeline import PlanCache, plan, plan_delta
 from repro.runtime import FaultPlan, MigrationExecutor
 from repro.workloads.generators import random_instance
 from repro.workloads.scenarios import decommission_scenario
@@ -71,6 +72,35 @@ class TestTracedPipeline:
         assert counter(cold, names.PLAN_CACHE_HITS) == 0
         assert counter(warm, names.PLAN_CACHE_HITS) >= 1
         assert counter(warm, names.PLAN_CACHE_MISSES) == 0
+
+    def test_delta_resolve_emits_one_solve_span_per_resolved_component(self):
+        instance = random_instance(num_disks=8, num_items=30, seed=5)
+        cache = PlanCache()
+        prior = plan(instance, cache=cache)
+        delta = InstanceDelta(
+            add_moves=(("x0", "x1"), ("y0", "y1"), ("y1", "y2")),
+            capacity_changes=tuple((v, 1) for v in ("x0", "x1", "y0", "y1", "y2")),
+        )
+        result = None
+
+        def go(tr):
+            nonlocal result
+            result = plan_delta(prior, delta, cache=cache, tracer=tr)
+
+        records = traced(go)
+        assert validate_trace(records) == []
+        assert result.components_resolved == 2
+        spans = [r for r in records if r["kind"] == "span"]
+        by_id = {r["span"]: r for r in spans}
+        solves = [r for r in spans if r["name"] == names.SPAN_SOLVE]
+        assert len(solves) == result.components_resolved
+        for solve in solves:
+            assert by_id[solve["parent"]]["name"] == names.stage_span("patch")
+        counters = {
+            r["name"]: r["value"] for r in records if r["kind"] == "counter"
+        }
+        assert counters[names.PLAN_COMPONENTS_SOLVED] == 2
+        assert counters[names.PLAN_COMPONENTS_CACHED] == result.components_cached
 
     def test_tracing_does_not_change_the_schedule(self):
         instance = random_instance(num_disks=9, num_items=40, seed=7)

@@ -52,11 +52,47 @@ class TestDecompose:
         )
 
     def test_component_edge_ids_are_parent_edge_ids(self):
-        inst = mixed_two_component_instance()
-        parent_edges = {eid for eid, _u, _v in inst.graph.edges()}
-        for comp in decompose(inst):
-            for eid, _u, _v in comp.instance.graph.edges():
-                assert eid in parent_edges
+        """Each component graph is the parent's node-induced subgraph:
+        nodes in ``repr`` order, the parent's edges in parent order
+        under their ids, the parent's adjacency orders and its id
+        high-water mark."""
+        graph = Multigraph()
+        for u, v in [("a", "b"), ("x", "y"), ("b", "c"), ("y", "z"),
+                     ("c", "a"), ("x", "y"), ("a", "b"), ("z", "x")]:
+            graph.add_edge(u, v)
+        graph.remove_edge(graph.add_edge("c", "x"))  # a retired top id
+        inst = MigrationInstance(graph, {v: 2 for v in graph.nodes})
+        comps = decompose(inst)
+        assert len(comps) == 2
+        for comp in comps:
+            sub = comp.instance.graph
+            nodes = set(sub.nodes)
+            assert sub.nodes == sorted(nodes, key=repr)
+            assert list(sub.edges()) == [
+                (eid, u, v) for eid, u, v in graph.edges() if u in nodes
+            ]
+            for v in sub.nodes:
+                assert sub.incident_edges(v) == graph.incident_edges(v)
+            assert sub.next_edge_id == graph.next_edge_id
+
+    def test_each_parent_edge_is_read_once(self):
+        """Decompose reads the parent's edge table in one scan, not
+        once per component."""
+
+        class CountingEdges(dict):
+            reads = 0
+
+            def items(self):
+                for item in super().items():
+                    CountingEdges.reads += 1
+                    yield item
+
+        inst = multi_component_instance(5, disks_per_component=5,
+                                        items_per_component=12, seed=3)
+        inst.graph._edges = CountingEdges(inst.graph._edges)
+        comps = decompose(inst)
+        assert len(comps) >= 4
+        assert CountingEdges.reads == inst.num_items
 
 
 class TestAutoDecomposedPlanning:
