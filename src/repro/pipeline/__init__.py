@@ -10,7 +10,6 @@ from repro.pipeline.cache import CachedPlan, CacheStats, PlanCache
 from repro.pipeline.canonical import (
     PairToken,
     TokenRounds,
-    canonical_payload,
     canonicalize_rounds,
     derive_component_seed,
     derive_patch_seed,
@@ -59,7 +58,6 @@ __all__ = [
     "PlanResult",
     "SolverSpec",
     "TokenRounds",
-    "canonical_payload",
     "canonicalize_rounds",
     "decompose",
     "derive_component_seed",

@@ -27,9 +27,8 @@ depends on.
 Both layers come from one pass over an instance's edges, memoized on
 the instance (``MigrationInstance.memo``): the fingerprint and the
 edge id → token map are built by whichever call comes first, and every
-later :func:`fingerprint`, :func:`canonicalize_rounds`,
-:func:`rehydrate_rounds` or :func:`canonical_payload` on the same
-instance reads them.
+later :func:`fingerprint`, :func:`canonicalize_rounds` or
+:func:`rehydrate_rounds` on the same instance reads them.
 
 Node ``repr`` collisions (two distinct nodes printing identically)
 would make tokens ambiguous; :func:`fingerprint` returns ``None`` for
@@ -90,52 +89,23 @@ def _canonical_form(
         k = count.get(pair, 0)
         count[pair] = k + 1
         token_of[eid] = (a, b, k)
-    payload = _payload(instance, name, count)
     fp: Optional[str] = None
-    if payload is not None:
+    if len(set(name.values())) == len(name):  # else two nodes share a repr
+        nodes = sorted((r, instance.capacity(v)) for v, r in name.items())
+        payload = {
+            "nodes": [[r, c] for r, c in nodes],
+            "edges": [[a, b, n] for (a, b), n in sorted(count.items())],
+        }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     form = instance.memo[_MEMO_KEY] = (fp, token_of)
     return form
 
 
-def _payload(
-    instance: MigrationInstance,
-    name: Dict[Node, str],
-    count: Dict[Tuple[str, str], int],
-) -> Optional[Dict[str, object]]:
-    """The canonical payload from node reprs and per-pair edge counts;
-    ``None`` when two nodes share a ``repr``."""
-    if len(set(name.values())) != len(name):
-        return None
-    nodes = sorted((r, instance.capacity(v)) for v, r in name.items())
-    return {
-        "nodes": [[r, c] for r, c in nodes],
-        "edges": [[a, b, n] for (a, b), n in sorted(count.items())],
-    }
-
-
-def canonical_payload(instance: MigrationInstance) -> Optional[Dict[str, object]]:
-    """The canonical JSON-ready description of an instance.
-
-    Returns ``None`` when two distinct nodes share a ``repr`` — the
-    canonical form would be ambiguous, so such instances are never
-    cached.  Rebuilt from the memoized pair slots.
-    """
-    fp, token_of = _canonical_form(instance)
-    if fp is None:
-        return None
-    count: Dict[Tuple[str, str], int] = {}
-    for a, b, _slot in token_of.values():
-        count[(a, b)] = count.get((a, b), 0) + 1
-    name = {v: repr(v) for v in instance.graph.nodes}
-    return _payload(instance, name, count)
-
-
 def reprs_unambiguous(instance: MigrationInstance) -> bool:
     """True when no two distinct nodes share a ``repr``.
 
-    The cheap prefix of :func:`canonical_payload`'s ambiguity check —
+    The cheap prefix of :func:`fingerprint`'s ambiguity check —
     ``O(n log n)`` in the node count, no edge scan — for callers that
     only need to know whether pair-slot tokens are trustworthy (the
     delta planner asks this for both sides of every replan).

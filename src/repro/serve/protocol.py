@@ -41,10 +41,10 @@ from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.pipeline.canonical import (
-    canonical_payload,
     canonicalize_rounds,
     decode_token_plan,
     encode_token_plan,
+    fingerprint,
     rehydrate_rounds,
 )
 
@@ -145,19 +145,20 @@ def request_fingerprint(
 ) -> str:
     """SHA-256 of the request's canonical form.
 
-    Uses the pipeline's relabeling-invariant instance payload, so two
-    clients submitting the same structure under different node
-    insertion orders coalesce onto one solve.
+    Hashes the pipeline's relabeling-invariant instance fingerprint
+    (memoized on the instance), so two clients submitting the same
+    structure under different node insertion orders coalesce onto one
+    solve.
     """
-    payload = canonical_payload(instance)
-    if payload is None:
+    identity: object = fingerprint(instance)
+    if identity is None:
         # Ambiguous node reprs cannot happen for wire instances (node
         # names are strings), but stay total for in-process callers.
-        payload = {"nodes": sorted(repr(v) for v in instance.graph.nodes)}
+        identity = {"nodes": sorted(repr(v) for v in instance.graph.nodes)}
     blob = canonical_json(
         {
             "certify": certify,
-            "instance": payload,
+            "instance": identity,
             "method": method,
             "seed": seed,
         }
@@ -290,19 +291,20 @@ def rehydrate_schedule(
     """Client-side inverse of :func:`schedule_payload`.
 
     Raises:
-        ProtocolError: when the payload's shape is wrong or a token
-            names a pair the instance does not have.
+        ProtocolError: when the payload's shape is wrong, a token names
+            a pair the instance does not have, or the rounds are not a
+            valid schedule of the instance (a token dropped, repeated,
+            or a disk over its capacity).
     """
     try:
         method, tokens = decode_token_plan(plan_payload)
     except ValueError as exc:
         raise _bad(str(exc)) from exc
     try:
-        eid_rounds = rehydrate_rounds(instance, tokens)
+        schedule = MigrationSchedule(rehydrate_rounds(instance, tokens), method=method)
+        schedule.validate(instance)
     except ScheduleValidationError as exc:
         raise _bad(f"plan payload does not fit this instance: {exc}") from exc
-    schedule = MigrationSchedule(eid_rounds, method=method)
-    schedule.validate(instance)
     return schedule
 
 

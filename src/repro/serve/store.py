@@ -271,7 +271,10 @@ class JsonlPlanStore(PlanStore):
                     raise PlanStoreError(
                         f"{self._log_path}:{lineno}: record has no string 'key'"
                     )
-                self._entries[key] = plan_from_payload(record.get("plan"))
+                try:
+                    self._entries[key] = plan_from_payload(record.get("plan"))
+                except PlanStoreError as exc:
+                    raise PlanStoreError(f"{self._log_path}:{lineno}: {exc}") from exc
 
     def _check_open(self) -> None:
         if self._closed:

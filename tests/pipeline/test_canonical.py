@@ -1,5 +1,6 @@
 """Tests for canonical fingerprints, pair tokens, and derived seeds."""
 
+import hashlib
 import itertools
 import json
 
@@ -11,7 +12,6 @@ from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline.canonical import (
     _pair_slots,
-    canonical_payload,
     canonicalize_rounds,
     decode_token_plan,
     derive_component_seed,
@@ -73,12 +73,7 @@ class TestFingerprint:
         graph = Multigraph(nodes=[u, v])
         graph.add_edge(u, v)
         inst = MigrationInstance(graph, {u: 1, v: 1})
-        assert canonical_payload(inst) is None
         assert fingerprint(inst) is None
-
-    def test_payload_is_deterministic(self):
-        inst = random_instance(10, 30, seed=9)
-        assert canonical_payload(inst) == canonical_payload(shifted_copy(inst))
 
 
 class TestTokenRoundTrip:
@@ -144,8 +139,8 @@ def fresh(instance):
     return MigrationInstance(instance.graph.copy(), instance.capacities)
 
 
-def reference_payload(instance):
-    """The canonical payload, recomputed from scratch per edge."""
+def reference_fingerprint(instance):
+    """The fingerprint, recomputed from scratch per edge."""
     reprs = [repr(v) for v in instance.graph.nodes]
     if len(set(reprs)) != len(reprs):
         return None
@@ -153,11 +148,13 @@ def reference_payload(instance):
     for _eid, u, v in instance.graph.edges():
         pair = tuple(sorted((repr(u), repr(v))))
         pairs[pair] = pairs.get(pair, 0) + 1
-    return {
+    payload = {
         "nodes": [[r, c] for r, c in sorted(
             (repr(v), instance.capacity(v)) for v in instance.graph.nodes)],
         "edges": [[a, b, n] for (a, b), n in sorted(pairs.items())],
     }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def reference_slots(instance):
@@ -178,7 +175,6 @@ def round_trip(instance):
 
 CALLS = {
     "fingerprint": fingerprint,
-    "payload": canonical_payload,
     "slots": lambda inst: dict(_pair_slots(inst)),
     "round_trip": round_trip,
 }
@@ -198,7 +194,7 @@ class TestOnePass:
                              ids=[name for name, _ in memo_cases()])
     def test_memoized_values_match_a_fresh_copy_in_any_order(self, name, inst):
         cold = {key: call(fresh(inst)) for key, call in CALLS.items()}
-        assert cold["payload"] == reference_payload(inst)
+        assert cold["fingerprint"] == reference_fingerprint(inst)
         assert cold["slots"] == reference_slots(inst)
         for order in itertools.permutations(CALLS):
             warm = fresh(inst)

@@ -207,9 +207,11 @@ class TestStoredTokenPlan:
     @pytest.mark.parametrize("token", BAD_TOKENS, ids=BAD_TOKEN_IDS)
     def test_jsonl_open_raises_plan_store_error(self, tmp_path, token):
         record = {"key": "k", "plan": token_plan_with(token)}
-        (tmp_path / JSONL_LOG_NAME).write_text(json.dumps(record) + "\n")
-        with pytest.raises(PlanStoreError, match="malformed token"):
+        log = tmp_path / JSONL_LOG_NAME
+        log.write_text("\n" + json.dumps(record) + "\n")
+        with pytest.raises(PlanStoreError, match="malformed token") as exc:
             JsonlPlanStore(str(tmp_path))
+        assert str(exc.value).startswith(f"{log}:2: ")
 
 
 class TestServedTokenPlan:
@@ -217,6 +219,21 @@ class TestServedTokenPlan:
     def test_rehydrate_raises_bad_request(self, token):
         with pytest.raises(ProtocolError, match="malformed token") as exc:
             rehydrate_schedule(PAIR, token_plan_with(token))
+        assert exc.value.code == "bad-request"
+
+    @pytest.mark.parametrize(
+        "rounds, message",
+        [
+            ([[["'a'", "'b'", 0]]], "never migrated"),
+            ([[["'a'", "'b'", 0]], [["'a'", "'b'", 1]], [["'a'", "'b'", 0]]],
+             "scheduled twice"),
+        ],
+        ids=["dropped-token", "repeated-token"],
+    )
+    def test_rounds_that_are_no_schedule_raise_bad_request(self, rounds, message):
+        payload = {"method": "general", "rounds": rounds}
+        with pytest.raises(ProtocolError, match=message) as exc:
+            rehydrate_schedule(PAIR, payload)
         assert exc.value.code == "bad-request"
 
 
