@@ -1,11 +1,11 @@
-"""Independent cross-validation of schedules and schedulers.
+"""Cross-validation of schedulers: the fuzz harness.
 
 Defense in depth for the correctness story: the schedulers validate
-their own output via :meth:`MigrationSchedule.validate`, and this
-module re-checks with a deliberately different implementation (numpy
-incidence counting instead of per-edge dict walks), then provides a
-fuzz harness that runs *all* schedulers on randomized instances and
-cross-checks:
+their own output via :meth:`MigrationSchedule.validate`, and the
+harness re-checks every schedule with the independent validator
+:func:`repro.checks.certify.verify_schedule` (no solver or schedule
+code reused) while it runs *all* schedulers on randomized instances
+and cross-checks:
 
 * every schedule passes both validators;
 * no scheduler beats the certified lower bound (that would expose a
@@ -27,54 +27,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.errors import ScheduleValidationError
+from repro.checks.certify import verify_schedule
 from repro.core.lower_bounds import lb1, lower_bound
-from repro.core.problem import MigrationInstance
-from repro.core.schedule import MigrationSchedule
 from repro.pipeline.planner import plan
 from repro.workloads.generators import random_instance
-
-
-def independent_validate(
-    instance: MigrationInstance, schedule: MigrationSchedule
-) -> None:
-    """Re-validate a schedule with a matrix formulation.
-
-    Builds the (rounds × nodes) incidence-count matrix with numpy and
-    checks coverage and capacity rowwise — sharing no code with the
-    dict-based validator in :mod:`repro.core.schedule`.
-
-    Raises:
-        ScheduleValidationError: on any violation.
-    """
-    graph = instance.graph
-    nodes = sorted(graph.nodes, key=repr)
-    index = {v: i for i, v in enumerate(nodes)}
-    caps = np.array([instance.capacity(v) for v in nodes], dtype=np.int64)
-
-    seen: Dict[int, int] = {}
-    rounds = schedule.rounds
-    loads = np.zeros((max(len(rounds), 1), len(nodes)), dtype=np.int64)
-    for r, round_edges in enumerate(rounds):
-        for eid in round_edges:
-            if eid in seen:
-                raise ScheduleValidationError(f"edge {eid} scheduled twice")
-            seen[eid] = r
-            u, v = graph.endpoints(eid)
-            loads[r, index[u]] += 1
-            loads[r, index[v]] += 1
-    if len(seen) != graph.num_edges:
-        raise ScheduleValidationError(
-            f"covered {len(seen)} of {graph.num_edges} edges"
-        )
-    over = loads > caps[np.newaxis, :]
-    if over.any():
-        r, i = map(int, np.argwhere(over)[0])
-        raise ScheduleValidationError(
-            f"round {r}: disk {nodes[i]!r} exceeds c_v={caps[i]} ({loads[r, i]})"
-        )
 
 
 @dataclass
@@ -127,7 +83,7 @@ def fuzz_schedulers(
             try:
                 sched = plan(inst, method=method, seed=trial).schedule
                 sched.validate(inst)
-                independent_validate(inst, sched)
+                verify_schedule(inst, sched.rounds)
             except Exception as exc:  # noqa: BLE001 - fuzz collects everything
                 report.failures.append(f"{tag}: {type(exc).__name__}: {exc}")
                 continue

@@ -3,15 +3,15 @@
 The conservation invariant of supervised execution: under *any* seeded
 fault sequence, a finished run accounts for every planned move exactly
 once — delivered or stranded, never both, never lost.  The initial
-schedule is additionally cross-checked with the independent
-(numpy-based) validator from :mod:`repro.analysis.crossval`.
+schedule is additionally cross-checked with the independent validator
+:func:`repro.checks.certify.verify_schedule`.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import plan
-from repro.analysis.crossval import independent_validate
+from repro.checks.certify import verify_schedule
 from repro.cluster.disk import Disk
 from repro.cluster.events import DiskRemoved, ItemMigrated
 from repro.cluster.item import DataItem
@@ -80,7 +80,7 @@ class TestConservationUnderFaults:
     ):
         cluster, ctx, target = build(placements, caps)
         schedule = plan(ctx.instance).schedule
-        independent_validate(ctx.instance, schedule)
+        verify_schedule(ctx.instance, schedule.rounds)
 
         report = MigrationExecutor(
             cluster, ctx, schedule, faults=faults, seed=seed

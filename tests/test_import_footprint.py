@@ -1,8 +1,9 @@
 """Planning loads no third-party package.
 
 The split kernel, the pipeline, the certifier, the server and the CLI
-are plain Python; numpy is imported only by the independent fuzz
-validator (:mod:`repro.analysis.crossval`).  A fresh interpreter
+are plain Python, and the package declares no runtime dependency at
+all (the fuzz harness validates with
+:func:`repro.checks.certify.verify_schedule`).  A fresh interpreter
 imports the entry points, plans one all-even, one odd-capacity
 bipartite and one mixed instance with certification, so the split
 kernel runs through both ``even_optimal`` and the König colorer, and
