@@ -19,6 +19,11 @@ subset fails here and names the entry.
 Rewrite the file only for an intended change of certificate output::
 
     PYTHONPATH=src python -m tests.core.test_frozen_certificates
+
+Before it writes, the rewrite prints every entry whose record changed
+with the fields that moved in it, then, under its own heading, every
+entry whose ``bound``, ``lb1`` or ``exact`` moved, so a change that
+only swaps LB2 witnesses is plain to see.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -186,8 +191,64 @@ def test_certificate_is_unchanged(name):
     assert ENTRIES[name]() == FROZEN[name], f"{name}: certificate changed"
 
 
+#: The fields a change of witnesses alone must leave as they are.
+BOUND_FIELDS = ("bound", "lb1", "exact")
+
+
+def _moved_fields(old: Optional[Record], new: Optional[Record]) -> List[str]:
+    before, after = old or {}, new or {}
+    return sorted(
+        key for key in set(before) | set(after) if before.get(key) != after.get(key)
+    )
+
+
+def change_summary(old: Dict[str, Record], new: Dict[str, Record]) -> List[str]:
+    """Report lines naming every entry that differs between two files
+    and the fields that moved in it."""
+    changed = sorted(
+        name for name in set(old) | set(new) if old.get(name) != new.get(name)
+    )
+    moved = {name: _moved_fields(old.get(name), new.get(name)) for name in changed}
+    lines = [f"{len(changed)} of {len(new)} entries changed:"]
+    lines += [f"  {name}: {', '.join(moved[name])}" for name in changed]
+    bound_moved = [
+        name for name in changed if any(key in BOUND_FIELDS for key in moved[name])
+    ]
+    lines.append(f"{len(bound_moved)} entries changed bound, lb1 or exact:")
+    for name in bound_moved:
+        before = {key: (old.get(name) or {}).get(key) for key in BOUND_FIELDS}
+        after = {key: (new.get(name) or {}).get(key) for key in BOUND_FIELDS}
+        lines.append(f"  {name}: {before} -> {after}")
+    return lines
+
+
+def test_change_summary_separates_bound_changes():
+    lb1 = {"node": "'a'", "degree": 4, "capacity": 2, "bound": 2}
+    lb2 = {"nodes": ["'a'", "'b'"], "internal_edges": 3, "capacity_sum": 3,
+           "bound": 3}
+    old = {
+        "a/exact": {"bound": 2, "exact": True, "lb1": lb1, "lb2": lb2},
+        "b/exact": {"bound": 3, "exact": True, "lb1": lb1, "lb2": lb2},
+        "c/heuristic": {"bound": 2, "exact": False, "lb1": lb1, "lb2": None},
+    }
+    new = {
+        "a/exact": {"bound": 2, "exact": True, "lb1": lb1, "lb2": None},
+        "b/exact": {"bound": 2, "exact": True, "lb1": lb1, "lb2": None},
+        "c/heuristic": {"bound": 2, "exact": False, "lb1": lb1, "lb2": None},
+    }
+    assert change_summary(old, new) == [
+        "2 of 3 entries changed:",
+        "  a/exact: lb2",
+        "  b/exact: bound, lb2",
+        "1 entries changed bound, lb1 or exact:",
+        f"  b/exact: {{'bound': 3, 'lb1': {lb1}, 'exact': True}} -> "
+        f"{{'bound': 2, 'lb1': {lb1}, 'exact': True}}",
+    ]
+
+
 def main() -> None:
     records = {name: compute() for name, compute in ENTRIES.items()}
+    print("\n".join(change_summary(FROZEN, records)))
     with open(CERTIFICATES_PATH, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(records)} entries to {CERTIFICATES_PATH}")
