@@ -167,6 +167,14 @@ def make_certificate(
     The witnesses come from :mod:`repro.core.lower_bounds`; their
     *validity* never depends on that module being right, because
     :func:`verify_certificate` recomputes everything from the instance.
+
+    When every ``c_v`` is even (Theorem 4.1's case) the certificate
+    carries the LB1 witness alone (``lb2`` is ``None``), because LB2
+    cannot exceed LB1 there: for any subset ``S``,
+    ``2|E(S)| ≤ Σ_{v∈S} d_v ≤ Δ'·Σ_{v∈S} c_v``, and ``Σ_{v∈S} c_v`` is
+    even, so ``⌈|E(S)| / ⌊Σ_{v∈S} c_v/2⌋⌉ = ⌈2|E(S)| / Σ_{v∈S} c_v⌉ ≤
+    Δ' = LB1``.  ``bound`` and ``exact`` are what the LB2 search would
+    have given.
     """
     node, delta = lb1_witness(instance)
     lb1_part: Optional[LB1Witness] = None
@@ -179,10 +187,13 @@ def make_certificate(
         )
 
     exact = exact_small and instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT
-    if exact:
-        subset, gamma = lb2_exact_witness(instance, max_nodes=EXACT_LB2_NODE_LIMIT)
-    else:
-        subset, gamma = lb2_witness(instance)
+    subset: List[Node] = []
+    gamma = 0
+    if not instance.all_even():  # else LB2 ≤ LB1, proved above
+        if exact:
+            subset, gamma = lb2_exact_witness(instance, max_nodes=EXACT_LB2_NODE_LIMIT)
+        else:
+            subset, gamma = lb2_witness(instance)
     lb2_part: Optional[LB2Witness] = None
     if subset and gamma > 0:
         ordered = sorted(subset, key=repr)

@@ -333,6 +333,7 @@ def compare_exact_vs_heuristic(name: str, instance: MigrationInstance) -> Engine
 
     res = solve_exact(instance)
     heuristic = general_schedule_compact(lower_instance(instance), seed=0)
+    heuristic.validate(instance)
     lb = verify_certificate(instance, make_certificate(instance))
     problems: List[str] = []
     if res.value > heuristic.num_rounds:

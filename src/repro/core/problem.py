@@ -81,6 +81,24 @@ class MigrationInstance:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _from_checked(
+        cls, graph: Multigraph, capacities: Dict[Node, int]
+    ) -> "MigrationInstance":
+        """A makespan instance whose edges and capacities a parent
+        instance has already checked: no self-loop or capacity scan.
+
+        ``capacities`` must map exactly ``graph.nodes``, in that order;
+        it is kept, not copied.  The pipeline builds its component
+        instances this way (:func:`repro.pipeline.stages.decompose`).
+        """
+        instance = cls.__new__(cls)
+        instance._graph = graph
+        instance._capacities = capacities
+        instance._objective = None
+        instance.memo = {}
+        return instance
+
+    @classmethod
     def from_moves(
         cls,
         moves: Sequence[Tuple[Node, Node]],

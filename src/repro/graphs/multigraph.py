@@ -27,7 +27,7 @@ plan cache):
   to the edges incident to ``v``.  This holds under any sequence of
   ``add_edge``/``remove_edge`` (both dicts delete and append
   together) and is preserved by ``copy``/``edge_subgraph``/
-  ``restore_edge``.  The CSR conversion boundary
+  ``component_graphs``/``restore_edge``.  The CSR conversion boundary
   (``CompactGraph.from_multigraph``) snapshots exactly this order and
   its inverse rebuilds it, so conversion round-trips ids and orders
   exactly.
@@ -38,7 +38,7 @@ plan cache):
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 Node = Hashable
 EdgeId = int
@@ -269,6 +269,32 @@ class Multigraph:
                         stack.append(other)
             components.append(comp)
         return components
+
+    def component_graphs(self, groups: Sequence[Sequence[Node]]) -> List["Multigraph"]:
+        """One graph per node group, copied from this graph's tables.
+
+        Every edge must lie inside one group (the groups are unions of
+        connected components that together hold every edge), so each
+        node's adjacency is copied whole.  Group ``k``'s graph has the
+        nodes of ``groups[k]`` in that order, their adjacency orders
+        and degrees, this graph's edges among them in this graph's
+        order under their ids, and this graph's id high-water mark.
+        The edge table is read once, or copied whole for one group.
+        """
+        graphs: List[Multigraph] = []
+        for nodes in groups:
+            g = Multigraph()
+            g._adj = {v: dict(self._adj[v]) for v in nodes}
+            g._degree = {v: self._degree[v] for v in nodes}
+            g._next_id = self._next_id
+            graphs.append(g)
+        if len(graphs) == 1:
+            graphs[0]._edges = dict(self._edges)
+        else:
+            table_of = {v: g._edges for g in graphs for v in g._adj}
+            for eid, uv in self._edges.items():
+                table_of[uv[0]][eid] = uv
+        return graphs
 
     def edge_subgraph(self, eids: Iterable[EdgeId]) -> "Multigraph":
         """Subgraph containing exactly the given edges (ids preserved)."""

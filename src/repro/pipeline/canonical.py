@@ -67,6 +67,10 @@ def _canonical_form(
     One pass takes each node's ``repr`` once and counts the edges of
     each endpoint pair; the result lives in ``instance.memo``, so every
     later call on the same instance reads it instead.
+
+    Pairs are counted under an integer key built from the reprs'
+    ranks in sorted order (equal reprs share a rank), so ordering the
+    payload's pairs sorts ints, in the same order as the repr pairs.
     """
     form: Optional[Tuple[Optional[str], Dict[EdgeId, PairToken]]] = (
         instance.memo.get(_MEMO_KEY)
@@ -74,27 +78,36 @@ def _canonical_form(
     if form is not None:
         return form
     graph = instance.graph
-    name = {v: repr(v) for v in graph.nodes}
+    nodes = graph.nodes
+    reprs = [repr(v) for v in nodes]
+    names = sorted(set(reprs))
+    rank_of_name = {r: i for i, r in enumerate(names)}
+    rank = {v: rank_of_name[r] for v, r in zip(nodes, reprs)}
+    width = len(names)
     edges: Iterable[Tuple[EdgeId, Node, Node]] = graph.edges()
     ids = graph.edge_ids()
     if ids != sorted(ids):
         edges = sorted(edges)  # slot k is a pair's k-th edge by id
-    count: Dict[Tuple[str, str], int] = {}
+    count: Dict[int, int] = {}
     token_of: Dict[EdgeId, PairToken] = {}
     for eid, u, v in edges:
-        a, b = name[u], name[v]
+        a, b = rank[u], rank[v]
         if b < a:
             a, b = b, a
-        pair = (a, b)
+        pair = a * width + b
         k = count.get(pair, 0)
         count[pair] = k + 1
-        token_of[eid] = (a, b, k)
+        token_of[eid] = (names[a], names[b], k)
     fp: Optional[str] = None
-    if len(set(name.values())) == len(name):  # else two nodes share a repr
-        nodes = sorted((r, instance.capacity(v)) for v, r in name.items())
+    if width == len(reprs):  # else two nodes share a repr
         payload = {
-            "nodes": [[r, c] for r, c in nodes],
-            "edges": [[a, b, n] for (a, b), n in sorted(count.items())],
+            "nodes": sorted(
+                [r, instance.capacity(v)] for v, r in zip(nodes, reprs)
+            ),
+            "edges": [
+                [names[pair // width], names[pair % width], n]
+                for pair, n in sorted(count.items())
+            ],
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -31,9 +31,10 @@ key ``plan()`` uses, so
 ``plan(patched, "auto", prior.seed, cache=shared)`` after a
 ``plan_delta(..., cache=shared)`` serves the identical bytes — the
 "fingerprint-consistent with the PlanCache" contract the property
-suite (``tests/property/test_property_delta.py``) proves.  Patched
-components are additionally validated edge-by-edge, certified by the
-independent lower-bound certifier, and bound to their inputs by a
+suite (``tests/property/test_property_delta.py``) proves.  Like every
+other component, a patched one is validated as part of the merged
+schedule before anything is written through; it is also certified by
+the independent lower-bound certifier and bound to its inputs by a
 :class:`repro.checks.certify.PatchCertificate`.
 
 Determinism contract: ``plan_delta(prior, delta)`` is a pure function
@@ -149,7 +150,6 @@ def _patch_component(
             # try_color_edge always succeeds: ≤ 1 growth per edge.
             state.add_color()
     schedule = MigrationSchedule.from_coloring(state.color, method=PATCH_METHOD)
-    schedule.validate(instance)
     return (canonicalize_rounds(instance, schedule.rounds), PATCH_METHOD), len(todo)
 
 
@@ -304,7 +304,6 @@ def plan_delta(
                 tr.count(counter, n)
 
         with _stage(tr, result, "certify"):
-            result.schedule.validate(patched)
             if certify:
                 _certify(patched, result, cache, components=components)
             from repro.checks.certify import make_patch_certificate

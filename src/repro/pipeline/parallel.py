@@ -98,6 +98,10 @@ def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> Solv
     seeds, keeping the shortest schedule.  Restart attempts run with
     private diagnostics, so a caller-provided ``stats`` describes the
     first solve only.
+
+    The schedule is not validated here: the planner validates the
+    merged schedule, which holds every component's, once before it
+    caches or returns anything.
     """
     instance, method, seed = job
     from repro.pipeline.registry import get_solver
@@ -108,14 +112,12 @@ def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> Solv
     if run_stats is None and spec.randomized and not spec.optimal:
         run_stats = GeneralSolverStats()
     schedule = solve(seed, run_stats)
-    schedule.validate(instance)
     if spec.randomized and not spec.optimal and run_stats is not None:
         for attempt in range(1, GENERAL_SOLVE_RESTARTS + 1):
             if schedule.num_rounds <= run_stats.lower_bound:
                 break
             alt = solve(derive_restart_seed(seed, attempt), None)
             if alt.num_rounds < schedule.num_rounds:
-                alt.validate(instance)
                 schedule = alt
     return canonicalize_rounds(instance, schedule.rounds), schedule.method
 

@@ -6,8 +6,8 @@ mutation happens here; instances are immutable by convention.
 
 **Decompose** splits the transfer multigraph into its connected
 components and builds one sub-instance per component that has at least
-one edge.  Edge ids are preserved (each component graph takes its
-edges, under their ids, from one scan of the parent's), so component
+one edge.  Edge ids are preserved (each component graph is copied from
+the parent's tables by ``Multigraph.component_graphs``), so component
 schedules talk about the same edges as the parent instance.  Both
 lower bounds decompose exactly over components:
 
@@ -35,11 +35,11 @@ particular, parallel solving cannot reorder the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.multigraph import EdgeId, Node
 from repro.pipeline.canonical import fingerprint
 
 
@@ -106,22 +106,14 @@ def decompose(instance: MigrationInstance) -> List[Component]:
         components.append(sorted(nodes, key=repr))
     components.sort(key=lambda nodes: repr(nodes[0]))
 
-    # One scan of the parent's edges fills every component graph in
-    # parent order, under the parent's ids and id high-water mark.
-    graphs: List[Multigraph] = []
-    graph_of: Dict[Node, Multigraph] = {}
-    for nodes in components:
-        sub = Multigraph(nodes=nodes)
-        sub.reserve_edge_ids(graph.next_edge_id)
-        graphs.append(sub)
-        graph_of.update((v, sub) for v in nodes)
-    for eid, u, v in graph.edges():
-        graph_of[u].restore_edge(eid, u, v)
-
+    # Copied from the parent's tables, which the parent instance has
+    # already checked: same orders, ids and id high-water mark.
     result: List[Component] = []
-    for index, (nodes, sub) in enumerate(zip(components, graphs)):
+    for index, (nodes, sub) in enumerate(
+        zip(components, graph.component_graphs(components))
+    ):
         capacities = {v: instance.capacity(v) for v in nodes}
-        sub_instance = MigrationInstance(sub, capacities)
+        sub_instance = MigrationInstance._from_checked(sub, capacities)
         result.append(
             Component(
                 index=index,

@@ -149,12 +149,17 @@ def request_fingerprint(
     (memoized on the instance), so two clients submitting the same
     structure under different node insertion orders coalesce onto one
     solve.
+
+    Raises:
+        ProtocolError: ``bad-request`` when two nodes share a ``repr``.
+            Such an instance has no fingerprint, and no key built from
+            its reprs alone tells it apart from another instance over
+            the same reprs.  Wire instances (string node names) never
+            get here; in-process callers do.
     """
-    identity: object = fingerprint(instance)
+    identity = fingerprint(instance)
     if identity is None:
-        # Ambiguous node reprs cannot happen for wire instances (node
-        # names are strings), but stay total for in-process callers.
-        identity = {"nodes": sorted(repr(v) for v in instance.graph.nodes)}
+        raise _bad("node reprs are ambiguous; the instance has no fingerprint")
     blob = canonical_json(
         {
             "certify": certify,

@@ -180,11 +180,35 @@ CALLS = {
 }
 
 
+def non_ascending_instance():
+    """Edge ids out of insertion order, so slots follow ids, not order."""
+    graph = Multigraph(nodes=["a", "b", "c"])
+    for eid, u, v in [(7, "b", "a"), (2, "a", "b"), (5, "c", "a"),
+                      (3, "a", "b"), (9, "c", "b"), (4, "b", "a")]:
+        graph.restore_edge(eid, u, v)
+    return MigrationInstance(graph, {"a": 1, "b": 2, "c": 1})
+
+
 def memo_cases():
     yield "random-8x24", random_instance(8, 24, seed=5)
     yield "random-10x30", random_instance(10, 30, seed=9)
     yield "shifted", shifted_copy(random_instance(6, 15, seed=4))
     yield "ambiguous", ambiguous_instance()
+    yield "shared-prefixes", MigrationInstance.from_moves(
+        [("d2", "d10"), ("d1", "d100"), ("d10", "d1"), ("d100", "d2"),
+         ("d1", "d2"), ("d10", "d100")],
+        {"d1": 1, "d2": 2, "d10": 3, "d100": 1})
+    yield "int-and-tuple-nodes", MigrationInstance.from_moves(
+        [(3, (1, 2)), ((1, 2), 10), (10, 3), (2, (0, 1)), (3, 2), ((0, 1), 10)],
+        {3: 1, (1, 2): 2, 10: 1, 2: 3, (0, 1): 2})
+    yield "json-escapes", MigrationInstance.from_moves(
+        [('q"uote', "é"), ("é", "back\\slash"), ("back\\slash", 'q"uote'),
+         ("é", "☃"), ("☃", 'q"uote')],
+        {'q"uote': 1, "é": 2, "back\\slash": 1, "☃": 3})
+    yield "parallel-edges", MigrationInstance.from_moves(
+        [("a", "b")] * 4 + [("b", "c")] * 3 + [("c", "a"), ("b", "a")],
+        {"a": 2, "b": 1, "c": 2})
+    yield "non-ascending-ids", non_ascending_instance()
 
 
 class TestOnePass:

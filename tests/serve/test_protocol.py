@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.problem import MigrationInstance
+from repro.graphs.multigraph import Multigraph
 from repro.pipeline.planner import plan
 from repro.pipeline.registry import solver_names
 from repro.serve.protocol import (
@@ -168,6 +169,28 @@ class TestRequestFingerprint:
         assert request_fingerprint(inst, "auto", 1, False) != base
         assert request_fingerprint(inst, "general", 0, False) != base
         assert request_fingerprint(inst, "auto", 0, True) != base
+
+    def test_ambiguous_reprs_are_refused(self):
+        """Two instances over look-alike nodes plan differently, but a
+        key from their reprs alone would coalesce them."""
+
+        class Opaque:
+            def __repr__(self):
+                return "opaque"
+
+        def look_alike(items):
+            u, v, w = Opaque(), Opaque(), "w"
+            graph = Multigraph(nodes=[u, v, w])
+            for _ in range(items):
+                graph.add_edge(u, v)
+            return MigrationInstance(graph, {u: 1, v: 1, w: 1})
+
+        one, four = look_alike(1), look_alike(4)
+        assert [plan(inst).num_rounds for inst in (one, four)] == [1, 4]
+        for inst in (one, four):
+            with pytest.raises(ProtocolError, match="ambiguous") as info:
+                request_fingerprint(inst, "auto", 0, False)
+            assert info.value.code == "bad-request"
 
 
 class TestSchedulePayload:
