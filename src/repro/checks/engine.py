@@ -149,11 +149,28 @@ def schedule_digest(rounds: Sequence[Sequence[int]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _odd_unit_cycles() -> MigrationInstance:
+    """Two unit-capacity odd cycles, every pair repeated.
+
+    The 5-cycle repeats each pair 4 times, the 7-cycle 3 times.  At
+    seeds 0 and 1 each cycle stalls Phase 1 once: the palette grows by
+    one color and one edge goes to Phase 2.
+    """
+    moves: List[Tuple[str, str]] = []
+    for length, repeats in ((5, 4), (7, 3)):
+        disks = [f"cyc{length}.d{i}" for i in range(length)]
+        for i in range(length):
+            moves += [(disks[i], disks[(i + 1) % length])] * repeats
+    return MigrationInstance.from_moves(moves, {v: 1 for v, _w in moves})
+
+
 #: The default differential corpus: every generator family, chosen so
 #: each CSR kernel (even_optimal, bipartite_optimal, general) and the
-#: object-only solvers all get exercised.  Kept small enough to run in
-#: the CI static-analysis job; the factories are deterministic, so the
-#: corpus is too.
+#: object-only solvers all get exercised.  ``random/wide-palette``
+#: (an 83-color palette) and ``cycles/odd-unit`` (palette growth and
+#: Phase 2) reach the general solver's paths the other entries do not.
+#: Kept small enough to run in the CI static-analysis job; the
+#: factories are deterministic, so the corpus is too.
 DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
     (
         "random/mixed-caps",
@@ -195,6 +212,16 @@ DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
         "auto",
         lambda: multi_component_instance(3, disks_per_component=6,
                                          items_per_component=25, seed=17),
+    ),
+    (
+        "random/wide-palette",
+        "auto",
+        lambda: random_instance(20, 700, capacities={1: 0.6, 2: 0.2, 3: 0.2}, seed=19),
+    ),
+    (
+        "cycles/odd-unit",
+        "auto",
+        _odd_unit_cycles,
     ),
 )
 
