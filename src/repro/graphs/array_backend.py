@@ -83,6 +83,7 @@ class CompactGraph:
     def __init__(
         self,
         nodes: List[Node],
+        index_of: Dict[Node, int],
         edge_ids: List[EdgeId],
         edge_u: List[int],
         edge_v: List[int],
@@ -93,7 +94,7 @@ class CompactGraph:
         next_edge_id: EdgeId,
     ) -> None:
         self.nodes: List[Node] = nodes
-        self.index_of: Dict[Node, int] = {v: i for i, v in enumerate(nodes)}
+        self.index_of: Dict[Node, int] = index_of
         self.num_nodes: int = len(nodes)
         self.num_edges: int = len(edge_ids)
         self.edge_ids: List[EdgeId] = edge_ids
@@ -116,32 +117,45 @@ class CompactGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_multigraph(cls, graph: Multigraph) -> "CompactGraph":
-        """Snapshot ``graph`` into CSR arrays, preserving every order."""
+        """Snapshot ``graph`` into CSR arrays, preserving every order.
+
+        One scan of ``graph.edges()`` fills the edge arrays and every
+        row: a node's incident order is the global edge order filtered
+        to that node (the ``Multigraph`` invariant
+        :meth:`to_multigraph` relies on too), so appending each edge to
+        its endpoints' rows in scan order reproduces
+        ``incident_edges(v)``.
+        """
         nodes = graph.nodes
         index_of = {v: i for i, v in enumerate(nodes)}
         edge_ids: List[EdgeId] = []
-        edge_index_of: Dict[EdgeId, int] = {}
         edge_u: List[int] = []
         edge_v: List[int] = []
-        for eid, u, v in graph.edges():
-            edge_index_of[eid] = len(edge_ids)
+        rows: List[List[int]] = [[] for _ in nodes]
+        row_others: List[List[int]] = [[] for _ in nodes]
+        degree = [0] * len(nodes)
+        for e, (eid, u, v) in enumerate(graph.edges()):
+            ui, vi = index_of[u], index_of[v]
             edge_ids.append(eid)
-            edge_u.append(index_of[u])
-            edge_v.append(index_of[v])
+            edge_u.append(ui)
+            edge_v.append(vi)
+            rows[ui].append(e)
+            row_others[ui].append(vi)
+            degree[ui] += 1
+            degree[vi] += 1  # a self-loop counts twice at its node
+            if vi != ui:
+                rows[vi].append(e)
+                row_others[vi].append(ui)
         indptr: List[int] = [0]
         inc_edge: List[int] = []
         inc_other: List[int] = []
-        degree: List[int] = []
-        for v in nodes:
-            vi = index_of[v]
-            for eid in graph.incident_edges(v):
-                e = edge_index_of[eid]
-                inc_edge.append(e)
-                inc_other.append(edge_v[e] if edge_u[e] == vi else edge_u[e])
+        for row, others in zip(rows, row_others):
+            inc_edge += row
+            inc_other += others
             indptr.append(len(inc_edge))
-            degree.append(graph.degree(v))
         return cls(
             nodes=nodes,
+            index_of=index_of,
             edge_ids=edge_ids,
             edge_u=edge_u,
             edge_v=edge_v,
