@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.recolor import ArrayColoringState, ColoringState
+from repro.core.recolor import ArrayColoringState, ColoringState, mask_bits
 from repro.graphs.multigraph import EdgeId, Node
 
 
@@ -261,10 +261,11 @@ def compact_find_strongly_missing(
     precondition).
     """
     rank = state.graph.repr_rank()
+    palette = (1 << state.q) - 1
     for v in sorted(nodes, key=rank.__getitem__):
-        for c in range(state.q):
-            if state.is_strongly_missing(v, c):
-                return (v, c)
+        strong = ~state.near[v] & palette
+        if strong:
+            return (v, (strong & -strong).bit_length() - 1)
     return None
 
 
@@ -273,13 +274,13 @@ def compact_find_shared_lightly_missing(
 ) -> Optional[Tuple[int, int, int]]:
     """Array mirror of :func:`find_shared_lightly_missing`."""
     rank = state.graph.repr_rank()
+    palette = (1 << state.q) - 1
     owner: Dict[int, int] = {}
     for v in sorted(nodes, key=rank.__getitem__):
-        for c in range(state.q):
-            if state.is_lightly_missing(v, c):
-                if c in owner and owner[c] != v:
-                    return (owner[c], v, c)
-                owner.setdefault(c, v)
+        for c in mask_bits(state.near[v] & ~state.full[v] & palette):
+            if c in owner:
+                return (owner[c], v, c)
+            owner[c] = v
     return None
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.errors import ScheduleValidationError
-from repro.core.recolor import ColoringState
+from repro.core.recolor import ArrayColoringState, ColoringState
+from repro.graphs.array_backend import CompactGraph
 from repro.graphs.multigraph import Multigraph
 from tests.conftest import random_instance
 
@@ -227,3 +228,26 @@ class TestPreload:
         first = state_a.preload({eids[0]: 0, eids[1]: 0})
         second = state_b.preload({eids2[1]: 0, eids2[0]: 0})
         assert first == second == [eids[1]]
+
+
+class TestArrayMasks:
+    def test_validate_reports_mask_drift(self):
+        g = Multigraph(nodes=["a", "b"])
+        g.add_edge("a", "b")
+        g.add_edge("a", "b")
+        state = ArrayColoringState(CompactGraph.from_multigraph(g), [2, 1], 3)
+        state.assign(0, 1)
+        assert (state.full, state.near) == ([0, 0b10], [0b10, -1])
+        state.validate()
+        for masks, v, drift in (
+            (state.full, 0, 0b100),  # color 2 claimed saturated at a
+            (state.near, 0, 0b1),  # color 0 claimed not strongly missing
+            (state.near, 1, -2),  # unit capacity: every bit must stay set
+        ):
+            saved = masks[v]
+            masks[v] ^= drift
+            with pytest.raises(ScheduleValidationError, match="mask drift"):
+                state.validate()
+            masks[v] = saved
+            state.validate()
+

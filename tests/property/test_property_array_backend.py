@@ -1,20 +1,31 @@
 """Property-based tests for the array backend (hypothesis).
 
-Two claims, attacked with randomized structure instead of fixed cases:
+Three claims, attacked with randomized structure instead of fixed cases:
 
 * the CSR snapshot is a *lossless* encoding — any Multigraph built by
   an arbitrary add/remove history round-trips byte-identically through
   ``CompactGraph`` (orders, ids, and the id allocator included);
 * the compact kernels are *byte-identical* to their object reference —
   schedules agree exactly on arbitrary inputs, not just on the curated
-  differential corpus.
+  differential corpus;
+* the array coloring state's bitmasks always say what its counts say,
+  and it answers every query as the object state does.
 """
 
-from hypothesis import given, settings
+import dataclasses
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.general import general_schedule, general_schedule_compact
+from repro.core.errors import ScheduleValidationError
+from repro.core.general import (
+    GeneralSolverStats,
+    general_schedule,
+    general_schedule_compact,
+)
 from repro.core.problem import MigrationInstance
+from repro.core.recolor import ArrayColoringState, ColoringState
 from repro.graphs.array_backend import CompactGraph, lower_instance
 from repro.graphs.multigraph import Multigraph
 
@@ -61,22 +72,145 @@ class TestRoundTripProperties:
 
     @given(edit_scripts)
     @settings(deadline=None, max_examples=60)
+    def test_rows_and_degrees_match_object_adjacency(self, script):
+        g = apply_script(script)
+        compact = CompactGraph.from_multigraph(g)
+        for i, v in enumerate(g.nodes):
+            row = compact.incident_row(i)
+            others = compact.inc_other[compact.indptr[i]:compact.indptr[i + 1]]
+            assert [compact.edge_ids[e] for e in row] == g.incident_edges(v)
+            assert [compact.nodes[w] for w in others] == [
+                g.other_endpoint(eid, v) for eid in g.incident_edges(v)
+            ]
+            assert compact.degree[i] == g.degree(v)
+
+    @given(edit_scripts)
+    @settings(deadline=None, max_examples=60)
     def test_future_ids_continue_identically(self, script):
         g = apply_script(script)
         back = CompactGraph.from_multigraph(g).to_multigraph()
         assert back.add_edge(0, 1) == g.add_edge(0, 1)
 
 
+#: A unit-capacity 5-cycle with every pair 4 times: Phase 1 stalls
+#: with every color below q saturated at one endpoint of each
+#: uncolored edge (no common missing color), grows the palette, and
+#: sends an edge to Phase 2.
+UNIT_CYCLE = [(i, (i + 1) % 5) for i in range(5) for _repeat in range(4)]
+#: Node 0 carries 66 items at capacity 1: a palette of more than 64
+#: colors, so the masks outgrow one machine word.
+WIDE_STAR = [(0, 1 + i % 5) for i in range(66)]
+
+
 class TestKernelEquivalenceProperties:
     @given(simple_edge_lists, st.lists(st.integers(1, 4), min_size=6, max_size=6),
            st.integers(0, 2))
+    @example(UNIT_CYCLE, [1] * 6, 0)
+    @example(UNIT_CYCLE, [1] * 6, 1)
+    @example(WIDE_STAR, [1, 2, 1, 3, 1, 2], 0)
     @settings(deadline=None, max_examples=50)
     def test_general_schedule_identical(self, edges, caps, seed):
         g = Multigraph(nodes=range(6))
         for u, v in edges:
             g.add_edge(u, v)
         instance = MigrationInstance(g, dict(enumerate(caps)))
-        obj = general_schedule(instance, seed=seed)
-        arr = general_schedule_compact(lower_instance(instance), seed=seed)
+        obj_stats, arr_stats = GeneralSolverStats(), GeneralSolverStats()
+        obj = general_schedule(instance, seed=seed, stats=obj_stats)
+        arr = general_schedule_compact(
+            lower_instance(instance), seed=seed, stats=arr_stats
+        )
         assert obj.rounds == arr.rounds
         assert obj.method == arr.method
+        assert dataclasses.asdict(obj_stats) == dataclasses.asdict(arr_stats)
+
+
+# One step on a coloring state: an operation and three draws that pick
+# its edge, node and colors.
+state_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["assign", "unassign", "flip", "try", "add_color"]),
+        st.integers(0, 63), st.integers(0, 63), st.integers(0, 63),
+    ),
+    max_size=40,
+)
+# Small multigraphs, self-loops included (a loop takes two uses of its
+# color at its node).
+loopy_edge_lists = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=20
+)
+
+
+def check_state(arr, obj, graph):
+    """The masks equal what the counts give; every query agrees with
+    its count definition and with the object state."""
+    q = arr.q
+    nodes = graph.nodes
+    for v in range(graph.num_nodes):
+        cap = arr.cap[v]
+        counts = [arr.count(v, c) for c in range(q)]
+        assert counts == [obj.count(nodes[v], c) for c in range(q)]
+        full = sum(1 << c for c, n in arr.counts[v].items() if n >= cap)
+        near = -1 if cap == 1 else sum(
+            1 << c for c, n in arr.counts[v].items() if n >= cap - 1
+        )
+        assert (arr.full[v], arr.near[v]) == (full, near)
+        for c, n in enumerate(counts):
+            assert arr.is_missing(v, c) == (n < cap)
+            assert arr.is_saturated(v, c) == (n >= cap)
+            assert arr.is_strongly_missing(v, c) == (n < cap - 1)
+            assert arr.is_lightly_missing(v, c) == (n == cap - 1)
+        assert arr.missing_colors(v) == [c for c, n in enumerate(counts) if n < cap]
+        assert arr.strongly_missing_colors(v) == obj.strongly_missing_colors(nodes[v])
+        for u in range(graph.num_nodes):
+            assert arr.common_missing_color(u, v) == obj.common_missing_color(
+                nodes[u], nodes[v]
+            )
+    arr.validate()
+
+
+class TestColoringMaskProperties:
+    @given(loopy_edge_lists, st.lists(st.integers(1, 3), min_size=5, max_size=5),
+           st.integers(1, 5), state_steps)
+    @settings(deadline=None, max_examples=150)
+    def test_masks_follow_counts(self, edges, caps, q, steps):
+        g = Multigraph(nodes=range(5))
+        for u, v in edges:
+            g.add_edge(u, v)
+        graph = CompactGraph.from_multigraph(g)
+        arr = ArrayColoringState(graph, caps, q, seed=3)
+        obj = ColoringState(g, dict(enumerate(caps)), q, seed=3)
+        ids = graph.edge_ids
+        check_state(arr, obj, graph)
+        for op, x, y, z in steps:
+            if op == "assign":
+                e, c = x % graph.num_edges, y % arr.q
+                if e in arr.color:
+                    continue
+                u, v = graph.edge_u[e], graph.edge_v[e]
+                fits = (
+                    arr.count(u, c) + 2 <= arr.cap[u] if u == v
+                    else arr.count(u, c) < arr.cap[u] and arr.count(v, c) < arr.cap[v]
+                )
+                if fits:
+                    arr.assign(e, c)
+                    obj.assign(ids[e], c)
+                else:
+                    with pytest.raises(ScheduleValidationError):
+                        arr.assign(e, c)
+            elif op == "unassign":
+                if arr.color:
+                    e = sorted(arr.color)[x % len(arr.color)]
+                    assert arr.unassign(e) == obj.unassign(ids[e])
+            elif op == "flip":
+                v, a, b = x % graph.num_nodes, y % arr.q, z % arr.q
+                assert arr.attempt_flip(v, a, b) == obj.attempt_flip(
+                    graph.nodes[v], a, b
+                )
+            elif op == "try":
+                if arr.uncolored:
+                    e = arr.uncolored_in_id_order()[x % len(arr.uncolored)]
+                    assert arr.try_color_edge(e) == obj.try_color_edge(ids[e])
+            else:
+                assert arr.add_color() == obj.add_color()
+            assert {ids[e]: c for e, c in arr.color.items()} == obj.color
+            check_state(arr, obj, graph)
