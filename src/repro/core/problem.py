@@ -44,9 +44,10 @@ class MigrationInstance:
             :mod:`repro.pipeline.canonical` keeps the fingerprint and
             the edge id → pair-slot token map there,
             :mod:`repro.core.lower_bounds` the LB2 witnesses and
-            ``lower_bound``'s value.  A memo is only as true as that
-            convention: never mutate an instance's graph or
-            capacities once it has been used; copy it first, as
+            ``lower_bound``'s value, :mod:`repro.exact.search` the
+            makespan optimum ``exact_bb`` proved.  A memo is only as
+            true as that convention: never mutate an instance's graph
+            or capacities once it has been used; copy it first, as
             ``apply_delta`` and the Theorem 4.1 augmentation do.  A
             pickled instance (a process-pool job) carries its memo, so
             a worker reads the canonical form its parent built.

@@ -82,6 +82,10 @@ def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule
     edge ``i`` (sequential ``add_edge``).  Copy reprs are rebuilt as
     the tuple repr strings ``"(<node repr>, <k>)"`` so the König
     colorer's repr-sorted side orders match the object engine's.
+
+    Unlike :func:`bipartite_optimal_schedule`, the schedule is returned
+    unvalidated (the ``Δ'`` round count is still asserted): the planner
+    validates each merged or forced plan once, before it is cached.
     """
     graph = ci.graph
     compact_bipartite_sides(graph)  # raises if not bipartite
@@ -114,7 +118,6 @@ def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule
     coloring = compact_konig_coloring(offset[n], split_edges, split_repr)
     original = {graph.edge_ids[e]: coloring[e] for e in range(m)}
     schedule = MigrationSchedule.from_coloring(original, method="bipartite_optimal")
-    schedule.validate(ci.source)
     assert schedule.num_rounds == ci.delta_prime(), (
         "König contraction must land exactly on Δ'"
     )
