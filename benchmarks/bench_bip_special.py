@@ -15,8 +15,13 @@ from benchmarks.conftest import emit
 from repro import plan
 from repro.analysis.tables import Table
 from repro.core.lower_bounds import lb1
-from repro.core.special_cases import bipartite_optimal_schedule
+from repro.core.special_cases import bipartite_optimal_schedule_compact
+from repro.graphs.array_backend import lower_instance
 from repro.workloads.generators import bipartite_instance
+
+
+def solve_bipartite(inst):
+    return bipartite_optimal_schedule_compact(lower_instance(inst))
 
 
 def test_bip_optimality_sweep(benchmark):
@@ -31,7 +36,8 @@ def test_bip_optimality_sweep(benchmark):
         (40, 10, 5000, 1, 9),
     ):
         inst = bipartite_instance(old, new, items, c_old, c_new, seed=items)
-        special = bipartite_optimal_schedule(inst)
+        special = solve_bipartite(inst)
+        special.validate(inst)
         general = plan(inst, method="general").schedule
         saia = plan(inst, method="saia").schedule
         table.add_row(
@@ -43,7 +49,7 @@ def test_bip_optimality_sweep(benchmark):
     emit(table)
 
     inst = bipartite_instance(12, 4, 400, 1, 5, seed=400)
-    benchmark(bipartite_optimal_schedule, inst)
+    benchmark(solve_bipartite, inst)
 
 
 def test_bip_auto_dispatch(benchmark):

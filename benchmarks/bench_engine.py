@@ -1,30 +1,28 @@
-"""EXP-ENGINE — raw-speed comparison of the CSR kernels and their reference.
+"""EXP-ENGINE — wall time of the CSR kernels through ``repro.plan``.
 
 The pipeline solves on flat CSR arrays (:mod:`repro.graphs.array_backend`
-plus the compact kernels) purely for speed: they must produce the *same
-bytes* as the object-engine reference solvers
-(``repro.checks.engine.reference_engine``; `repro-migrate check
---engine` proves that differentially) while solving large components
-many times faster.  This bench measures that factor end to end through
-``repro.plan`` — lowering cost included — on instances where the solve
-stage dominates:
+plus the kernels of Theorem 4.1, König and Theorem 5.1).  This bench
+times ``repro.plan`` end to end — lowering included — on instances
+where the solve stage dominates:
 
 * the headline: a 100k-edge even-capacity random instance
-  (Δ' ≈ 1600), where the object engine's per-edge dict/object churn is
-  the bottleneck and the array engine targets **>= 10x**;
+  (Δ' ≈ 1600);
 * a 30k-edge variant of the same family (mid-size scaling point);
 * a 3000-node 68-regular configuration-model instance — small Δ',
-  DFS-bound, reported honestly as the family where flat arrays help
-  least.
+  DFS-bound.
+
+Every case is even-capacity, so its plan must take exactly Δ' rounds
+(Theorem 4.1), and ``repro.checks.certify.verify_schedule`` must
+accept it; a case that fails either check fails the run.
 
 Each run appends one commit-keyed entry to ``BENCH_ENGINE.json`` at
 the repo root (a clean commit refreshes its own entry; see
-``benchmarks.conftest.append_bench_entry``), so the speedups accrete
-per PR.  Run standalone with ``python -m benchmarks.bench_engine``;
-``--quick`` runs the small smoke case only (the CI
-``engine-bench-smoke`` job) and fails unless the array engine wins.
-Every case also re-asserts byte-identical rounds, so the speedup
-numbers can never drift away from the equivalence contract.
+``benchmarks.conftest.append_bench_entry``).  Entries recorded while an
+object-graph twin of each kernel existed compare the two
+(``object_seconds``, ``array_seconds``, ``speedup``); later entries
+record the kernels alone (``seconds``).  Run standalone with
+``python -m benchmarks.bench_engine``; ``--quick`` runs the small smoke
+case only (the CI ``engine-bench-smoke`` job).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Callable, Dict, Tuple
 
 from benchmarks.conftest import append_bench_entry, emit
 from repro.analysis.tables import Table
-from repro.checks.engine import reference_engine
+from repro.checks.certify import CertificationError, verify_schedule
 from repro.core.problem import MigrationInstance
 from repro.pipeline.planner import plan
 from repro.workloads.generators import random_instance, regular_instance
@@ -46,17 +44,11 @@ from repro.workloads.generators import random_instance, regular_instance
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ENGINE.json"
 BENCH_SCHEMA = "bench-engine/v1"
 
-# The object engine's Euler/Kempe recursions are deep on 100k-edge
-# instances; the array engine never recurses that far.
-_RECURSION_LIMIT = 500_000
-
 
 @dataclass(frozen=True)
 class BenchCase:
     name: str
     factory: Callable[[], MigrationInstance]
-    #: minimum acceptable array-over-object speedup (1.0 = "must win").
-    target: float
     quick: bool = False
 
 
@@ -66,67 +58,46 @@ CASES: Tuple[BenchCase, ...] = (
         factory=lambda: random_instance(
             64, 100_000, capacities={2: 0.5, 4: 0.5}, seed=7
         ),
-        target=10.0,
     ),
     BenchCase(
         name="random-30k-even",
         factory=lambda: random_instance(
             64, 30_000, capacities={2: 0.5, 4: 0.5}, seed=7
         ),
-        target=5.0,
     ),
     BenchCase(
         name="regular-3000x68",
         factory=lambda: regular_instance(3000, 68, capacity=2, seed=3),
-        target=1.0,
     ),
     BenchCase(
         name="random-8k-even-smoke",
         factory=lambda: random_instance(
             32, 8_000, capacities={2: 0.5, 4: 0.5}, seed=7
         ),
-        target=1.0,
         quick=True,
     ),
 )
 
 
 def run_case(case: BenchCase) -> Dict[str, object]:
-    """Time the reference and the kernels through ``repro.plan``.
-
-    Uncached, serial, same method selection — the only variable is the
-    engine.  The object run goes first so the array run can be checked
-    byte-for-byte against it.
-    """
-    sys.setrecursionlimit(_RECURSION_LIMIT)
+    """Time one uncached, serial ``repro.plan`` and check its schedule."""
     instance = case.factory()
-
     start = time.perf_counter()
-    with reference_engine():
-        obj = plan(instance)
-    object_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    arr = plan(instance)
-    array_seconds = time.perf_counter() - start
-
-    identical = (
-        obj.schedule.rounds == arr.schedule.rounds
-        and obj.schedule.method == arr.schedule.method
-    )
+    result = plan(instance)
+    seconds = time.perf_counter() - start
+    try:
+        verify_schedule(instance, result.schedule.rounds)
+        valid = True
+    except CertificationError:
+        valid = False
     return {
         "edges": instance.num_items,
         "disks": instance.num_disks,
         "delta_prime": instance.delta_prime(),
-        "method": arr.schedule.method,
-        "rounds": arr.schedule.num_rounds,
-        "object_seconds": round(object_seconds, 3),
-        "array_seconds": round(array_seconds, 3),
-        "speedup": round(object_seconds / array_seconds, 2)
-        if array_seconds > 0
-        else 0.0,
-        "target": case.target,
-        "identical": identical,
+        "method": result.schedule.method,
+        "rounds": result.schedule.num_rounds,
+        "seconds": round(seconds, 3),
+        "valid": valid,
     }
 
 
@@ -134,38 +105,34 @@ def collect_metrics(quick: bool = False) -> Dict[str, object]:
     """One BENCH_ENGINE.json metrics payload."""
     cases: Dict[str, object] = {}
     for case in CASES:
-        if quick and not case.quick:
-            continue
-        if not quick and case.quick:
-            continue
-        cases[case.name] = run_case(case)
+        if case.quick == quick:
+            cases[case.name] = run_case(case)
     return {"mode": "quick" if quick else "full", "cases": cases}
 
 
 def _render_table(metrics: Dict[str, object]) -> Table:
     table = Table(
-        "EXP-ENGINE: CSR kernels vs object reference (repro.plan wall time)",
-        ["case", "edges", "Δ'", "method", "object (s)", "array (s)", "speedup"],
+        "EXP-ENGINE: CSR kernels (repro.plan wall time)",
+        ["case", "edges", "Δ'", "method", "rounds", "seconds"],
     )
     for name, row in metrics["cases"].items():  # type: ignore[union-attr]
         table.add_row(
             name, row["edges"], row["delta_prime"], row["method"],
-            row["object_seconds"], row["array_seconds"], f'{row["speedup"]}x',
+            row["rounds"], row["seconds"],
         )
     return table
 
 
 def _check(metrics: Dict[str, object]) -> int:
-    """0 when every case is byte-identical and meets its target."""
+    """0 when every case is valid and takes exactly Δ' rounds."""
     failures = 0
     for name, row in metrics["cases"].items():  # type: ignore[union-attr]
-        if not row["identical"]:
-            print(f"FAIL {name}: kernels diverged from the reference")
+        if not row["valid"]:
+            print(f"FAIL {name}: verify_schedule rejected the schedule")
             failures += 1
-        if row["speedup"] < row["target"]:
+        if row["rounds"] != row["delta_prime"]:
             print(
-                f"FAIL {name}: speedup {row['speedup']}x below the "
-                f"{row['target']}x target"
+                f"FAIL {name}: {row['rounds']} rounds, not Δ' = {row['delta_prime']}"
             )
             failures += 1
     return failures

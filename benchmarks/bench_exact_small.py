@@ -13,11 +13,16 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.core.even_optimal import even_optimal_schedule
-from repro.core.general import general_schedule
+from repro.core.even_optimal import even_optimal_schedule_compact
+from repro.core.general import general_schedule_compact
 from repro.core.lower_bounds import lower_bound
 from repro.exact import solve_exact
+from repro.graphs.array_backend import lower_instance
 from tests.conftest import even_instance, random_instance
+
+
+def solve_even(inst):
+    return even_optimal_schedule_compact(lower_instance(inst))
 
 
 def test_exact_anchor_general(benchmark):
@@ -29,7 +34,9 @@ def test_exact_anchor_general(benchmark):
     for seed in range(10):
         inst = random_instance(5, 9, capacity_choices=(1, 2, 3), seed=seed)
         opt = solve_exact(inst).value
-        got = general_schedule(inst).num_rounds
+        general = general_schedule_compact(lower_instance(inst))
+        general.validate(inst)
+        got = general.num_rounds
         lb = lower_bound(inst)
         worst_gap = max(worst_gap, got - opt)
         table.add_row(seed, inst.num_items, lb, opt, got, got - opt)
@@ -49,10 +56,10 @@ def test_exact_anchor_even(benchmark):
     for seed in range(6):
         inst = even_instance(4, 8, capacity_choices=(2, 4), seed=seed)
         opt = solve_exact(inst).value
-        got = even_optimal_schedule(inst).num_rounds
+        got = solve_even(inst).num_rounds
         table.add_row(seed, inst.num_items, inst.delta_prime(), opt, got)
         assert got == opt == inst.delta_prime() or inst.num_items == 0
     emit(table)
 
     inst = even_instance(4, 8, capacity_choices=(2, 4), seed=0)
-    benchmark(even_optimal_schedule, inst)
+    benchmark(solve_even, inst)

@@ -89,10 +89,18 @@ def test_orbit_growth_dynamics(benchmark):
     benchmark(kernel)
 
 
+def bad_edge_groups(state):
+    """Groups of parallel uncolored edges (Definition 5.5's bad edges)."""
+    groups = {}
+    for eid in sorted(state.uncolored):
+        u, v = state.graph.endpoints(eid)
+        key = (u, v) if repr(u) <= repr(v) else (v, u)
+        groups.setdefault(key, []).append(eid)
+    return [g for g in groups.values() if len(g) > 1]
+
+
 def test_orbit_seeds_match_bad_edges(benchmark):
     _inst, state = starved_state(4, 150, 4, seed=28)
-    from repro.core.orbits import bad_edge_groups
-
     seeds = seed_orbits(state)
     groups = bad_edge_groups(state)
     assert len(seeds) == len(groups)

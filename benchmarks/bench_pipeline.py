@@ -25,8 +25,9 @@ import pytest
 
 from benchmarks.conftest import emit, emit_line
 from repro.analysis.tables import Table
-from repro.core.general import general_schedule
+from repro.core.general import general_schedule_compact
 from repro.core.problem import MigrationInstance
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan
 from repro.workloads.generators import multi_component_instance
@@ -70,7 +71,8 @@ def test_pipe_decomposition_win_rate(benchmark):
                 items_per_component=50, seed=seed,
             )
             pipe = plan(inst, seed=seed)
-            mono = general_schedule(inst, seed=seed)
+            mono = general_schedule_compact(lower_instance(inst), seed=seed)
+            mono.validate(inst)
             assert pipe.num_rounds <= mono.num_rounds, (
                 f"pipeline worse than monolithic on seed {seed}"
             )

@@ -5,7 +5,8 @@ The paper bounds the general algorithm's runtime polynomially in
 both schedulers as ``|E|`` doubles (at fixed density and at fixed node
 count) and reports the growth factor — near-linear empirically, since
 the flip engine touches each edge a bounded number of times on these
-families.
+families.  A timing covers lowering the instance onto the CSR arrays
+and the kernel; each schedule is validated after its timing.
 """
 
 import time
@@ -14,15 +15,26 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.core.even_optimal import even_optimal_schedule
-from repro.core.general import general_schedule
+from repro.core.even_optimal import even_optimal_schedule_compact
+from repro.core.general import general_schedule_compact
+from repro.graphs.array_backend import lower_instance
 from repro.workloads.generators import random_instance
 
 
-def timed(fn, *args) -> float:
+def solve_general(inst):
+    return general_schedule_compact(lower_instance(inst))
+
+
+def solve_even(inst):
+    return even_optimal_schedule_compact(lower_instance(inst))
+
+
+def timed(solve, inst) -> float:
     start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
+    schedule = solve(inst)
+    seconds = time.perf_counter() - start
+    schedule.validate(inst)
+    return seconds
 
 
 def test_rt_general_scaling(benchmark):
@@ -33,13 +45,13 @@ def test_rt_general_scaling(benchmark):
     prev = None
     for n, m in ((20, 500), (28, 1000), (40, 2000), (56, 4000), (80, 8000)):
         inst = random_instance(n, m, capacities={1: 0.3, 3: 0.4, 5: 0.3}, seed=m)
-        sec = timed(general_schedule, inst)
+        sec = timed(solve_general, inst)
         table.add_row(n, m, sec, (sec / prev) if prev else 1.0)
         prev = sec
     emit(table)
 
     inst = random_instance(40, 2000, capacities={1: 0.3, 3: 0.4, 5: 0.3}, seed=2000)
-    benchmark(general_schedule, inst)
+    benchmark(solve_general, inst)
 
 
 def test_rt_even_scaling(benchmark):
@@ -49,9 +61,9 @@ def test_rt_even_scaling(benchmark):
     )
     for n, m in ((20, 500), (40, 2000), (80, 8000)):
         inst = random_instance(n, m, capacities={2: 0.5, 4: 0.5}, seed=m)
-        sec = timed(even_optimal_schedule, inst)
+        sec = timed(solve_even, inst)
         table.add_row(n, m, inst.delta_prime(), sec)
     emit(table)
 
     inst = random_instance(40, 2000, capacities={2: 0.5, 4: 0.5}, seed=7)
-    benchmark(even_optimal_schedule, inst)
+    benchmark(solve_even, inst)

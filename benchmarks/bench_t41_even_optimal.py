@@ -11,9 +11,15 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.core.even_optimal import even_optimal_schedule
+from repro.core.even_optimal import even_optimal_schedule_compact
 from repro.core.lower_bounds import lb1
+from repro.graphs.array_backend import lower_instance
 from repro.workloads.generators import clique_instance, random_instance
+
+
+def solve_even(inst):
+    return even_optimal_schedule_compact(lower_instance(inst))
+
 
 SWEEP = [
     # (disks, items, capacity mix)
@@ -32,7 +38,7 @@ def test_t41_optimality_sweep(benchmark):
     )
     for n, m, mix in SWEEP:
         inst = random_instance(n, m, capacities=mix, seed=n + m)
-        sched = even_optimal_schedule(inst)
+        sched = solve_even(inst)
         sched.validate(inst)
         optimal = sched.num_rounds == lb1(inst)
         table.add_row(n, m, str(sorted(mix)), lb1(inst), sched.num_rounds, str(optimal))
@@ -40,7 +46,7 @@ def test_t41_optimality_sweep(benchmark):
     emit(table)
 
     inst = random_instance(20, 400, capacities={2: 0.5, 4: 0.5}, seed=1)
-    benchmark(even_optimal_schedule, inst)
+    benchmark(solve_even, inst)
 
 
 def test_t41_clique_family(benchmark):
@@ -50,15 +56,15 @@ def test_t41_clique_family(benchmark):
     )
     for n, per_pair in ((3, 8), (5, 6), (8, 4), (12, 3)):
         inst = clique_instance(n, per_pair, capacity=2)
-        sched = even_optimal_schedule(inst)
+        sched = solve_even(inst)
         sched.validate(inst)
         table.add_row(n, per_pair, lb1(inst), sched.num_rounds, str(sched.num_rounds == lb1(inst)))
         assert sched.num_rounds == lb1(inst)
     emit(table)
-    benchmark(even_optimal_schedule, clique_instance(8, 4, capacity=2))
+    benchmark(solve_even, clique_instance(8, 4, capacity=2))
 
 
 def test_bench_large_even_instance(benchmark):
     inst = random_instance(80, 5000, capacities={4: 0.5, 8: 0.5}, seed=99)
-    sched = benchmark(even_optimal_schedule, inst)
+    sched = benchmark(solve_even, inst)
     assert sched.num_rounds == lb1(inst)

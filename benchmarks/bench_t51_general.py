@@ -14,9 +14,14 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.core.general import GeneralSolverStats, general_schedule
+from repro.core.general import GeneralSolverStats, general_schedule_compact
 from repro.core.lower_bounds import lower_bound
+from repro.graphs.array_backend import lower_instance
 from repro.workloads.generators import hotspot_instance, random_instance
+
+
+def solve_general(inst, stats=None):
+    return general_schedule_compact(lower_instance(inst), stats=stats)
 
 SWEEP = [
     (8, 40, {1: 0.5, 3: 0.5}),
@@ -35,7 +40,7 @@ def test_t51_excess_sweep(benchmark):
     for n, m, mix in SWEEP:
         inst = random_instance(n, m, capacities=mix, seed=n)
         stats = GeneralSolverStats()
-        sched = general_schedule(inst, stats=stats)
+        sched = solve_general(inst, stats=stats)
         sched.validate(inst)
         lb = lower_bound(inst)
         excess = sched.num_rounds - lb
@@ -48,7 +53,7 @@ def test_t51_excess_sweep(benchmark):
     emit(table)
 
     inst = random_instance(25, 600, capacities={1: 0.2, 3: 0.5, 4: 0.3}, seed=25)
-    benchmark(general_schedule, inst)
+    benchmark(solve_general, inst)
 
 
 def test_t51_ratio_approaches_one(benchmark):
@@ -60,7 +65,8 @@ def test_t51_ratio_approaches_one(benchmark):
     ratios = []
     for m in (50, 200, 800, 3200):
         inst = hotspot_instance(16, num_hot=3, num_items=m, hot_capacity=3, cold_capacity=1, seed=m)
-        sched = general_schedule(inst)
+        sched = solve_general(inst)
+        sched.validate(inst)
         lb = lower_bound(inst)
         ratio = sched.num_rounds / lb
         ratios.append(ratio)
@@ -70,4 +76,4 @@ def test_t51_ratio_approaches_one(benchmark):
     assert ratios[-1] < 1.05
 
     inst = hotspot_instance(16, 3, 800, hot_capacity=3, cold_capacity=1, seed=800)
-    benchmark(general_schedule, inst)
+    benchmark(solve_general, inst)

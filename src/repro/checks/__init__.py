@@ -16,11 +16,10 @@ Three pillars, one theme: *don't trust the solver, check it*.
 * :mod:`repro.checks.hashseed` — a cross-``PYTHONHASHSEED`` subprocess
   harness proving schedules, executor runs, and the flow report itself
   are process-independent.
-* :mod:`repro.checks.engine` — a differential harness proving the flat
-  CSR kernels byte-identical to their object-engine reference
-  (rounds, digests, certificates) across the generator corpus, plus
-  the exact-vs-heuristic battery sandwiching the Theorem 5.1 solver
-  between a verified lower bound and a verified optimum.
+* :mod:`repro.checks.engine` — the engine corpora the frozen plan
+  digests pin, and the exact-vs-heuristic battery sandwiching the
+  Theorem 5.1 solver between a verified lower bound and a verified
+  optimum.
 
 All of them are wired into ``repro-migrate check`` and the CI
 ``static-analysis`` job.
@@ -45,10 +44,8 @@ from repro.checks.callgraph import CallGraph, build_call_graph
 from repro.checks.engine import (
     EngineCase,
     EngineReport,
-    check_engine_equivalence,
     check_exact_vs_heuristic,
     compare_exact_vs_heuristic,
-    compare_with_reference,
 )
 from repro.checks.flow import (
     FLOW_RULES,
@@ -93,10 +90,8 @@ __all__ = [
     "certificate_to_json",
     "certify",
     "check_determinism",
-    "check_engine_equivalence",
     "check_exact_vs_heuristic",
     "compare_exact_vs_heuristic",
-    "compare_with_reference",
     "lint_tree",
     "make_certificate",
     "parse_suppressions",

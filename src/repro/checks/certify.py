@@ -489,11 +489,9 @@ PATCH_CERTIFICATE_SCHEMA_VERSION = 1
 def rounds_digest(rounds: Rounds) -> str:
     """SHA-256 of the exact JSON form of a schedule's rounds.
 
-    Same algorithm as :func:`repro.checks.engine.schedule_digest`
-    (re-implemented here because the engine harness imports this
-    module): deliberately *not* order-normalized — byte-identity is
-    the contract, so the digest must see the rounds exactly as
-    emitted.
+    Deliberately *not* order-normalized — byte-identity is the
+    contract, so the digest must see the rounds exactly as emitted.
+    :func:`repro.checks.engine.schedule_digest` is this function.
     """
     blob = json.dumps([list(rnd) for rnd in rounds], separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

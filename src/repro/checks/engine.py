@@ -1,53 +1,38 @@
-"""Differential engine-equivalence harness (CSR kernels vs object reference).
+"""The engine corpora and the exact-vs-heuristic battery.
 
-The pipeline runs the paper's hot kernels on the flat CSR arrays of
-:mod:`repro.graphs.array_backend`: the Theorem 4.1 even-capacity
-scheduler, the König bipartite scheduler and the Theorem 5.1 general
-solver are registered as ``lowered`` solvers.  Their object-engine
-implementations stay as the **reference** (:data:`REFERENCES`), and the
-kernels claim to be **byte-identical** to them — not "equally valid",
-the *same bytes*: same rounds in the same order, same method labels,
-same canonical fingerprints, same lower-bound certificates.
+The pipeline runs the paper's three polynomial schedulers — the
+Theorem 4.1 even-capacity scheduler, the König bipartite scheduler and
+the Theorem 5.1 general solver — as kernels over the flat CSR arrays of
+:mod:`repro.graphs.array_backend`.  This module holds the corpora that
+pin them:
 
-This module proves the claim differentially instead of sampling it:
-every instance in the generator corpus (all families: even-capacity,
-bipartite, clique, hotspot, regular, mixed multi-component) is planned
-twice — under :func:`reference_engine` and as shipped — under multiple
-seeds, and the harness requires
+* :data:`DEFAULT_CORPUS` covers every generator family and every
+  kernel.  ``tests/data/plan_digests.json`` pins each entry's plan at
+  seeds 0 and 1 — method, rounds, :func:`schedule_digest`, lower bound
+  and ``certified_optimal`` — and ``tests/data/lb_certificates.json``
+  pins its lower-bound certificate.
+* :data:`EXACT_CORPUS` holds small instances with provable optima.
+  :func:`check_exact_vs_heuristic` sandwiches the Theorem 5.1 solver
+  between a verified lower bound and a verified optimum on each.
 
-* identical round lists (compared element by element, order included),
-* identical method labels,
-* identical SHA-256 digests of the canonical schedule JSON,
-* identical verified lower bounds and certificate JSON
-  (:mod:`repro.checks.certify` re-verifies both sides independently).
-
-Wired into ``repro-migrate check --engine``; the cross-``PYTHONHASHSEED``
-battery (:mod:`repro.checks.hashseed`) additionally runs the comparison
-in fresh interpreters under different hash seeds.
+Wired into ``repro-migrate check --engine``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.checks.certify import certificate_to_json
-from repro.core.even_optimal import even_optimal_schedule
-from repro.core.general import (
-    GeneralSolverStats,
-    general_schedule,
-    general_schedule_compact,
+from repro.checks.certify import (
+    make_certificate,
+    rounds_digest,
+    verify_certificate,
+    verify_optimality_certificate,
 )
+from repro.core.general import general_schedule_compact
 from repro.core.problem import MigrationInstance
-from repro.core.schedule import MigrationSchedule
-from repro.core.special_cases import bipartite_optimal_schedule
 from repro.graphs.array_backend import lower_instance
-from repro.pipeline import registry
-from repro.pipeline.planner import PlanResult, plan
-from repro.pipeline.registry import SolveFn
 from repro.workloads.generators import (
     bipartite_instance,
     clique_instance,
@@ -58,55 +43,9 @@ from repro.workloads.generators import (
 )
 
 
-def _reference_even_optimal(
-    instance: MigrationInstance, seed: int, stats: Optional[GeneralSolverStats]
-) -> MigrationSchedule:
-    return even_optimal_schedule(instance)
-
-
-def _reference_bipartite_optimal(
-    instance: MigrationInstance, seed: int, stats: Optional[GeneralSolverStats]
-) -> MigrationSchedule:
-    return bipartite_optimal_schedule(instance)
-
-
-def _reference_general(
-    instance: MigrationInstance, seed: int, stats: Optional[GeneralSolverStats]
-) -> MigrationSchedule:
-    return general_schedule(instance, seed=seed, stats=stats)
-
-
-#: Method name -> the object-engine solver its CSR kernel must match.
-REFERENCES: Dict[str, SolveFn] = {
-    "even_optimal": _reference_even_optimal,
-    "bipartite_optimal": _reference_bipartite_optimal,
-    "general": _reference_general,
-}
-
-
-@contextmanager
-def reference_engine() -> Iterator[None]:
-    """Run the :data:`REFERENCES` solvers in place of the kernels.
-
-    For the duration of the block the registry specs of the kernel
-    methods solve on the object instance with their reference solver;
-    everything else (selection, caching, certification) is unchanged.
-    The swap is in-process only: pool workers re-import the registry
-    and would run the kernels, so code under the swap must plan
-    serially (the default ``parallel=False``).
-    """
-    saved = {name: registry.get_solver(name) for name in REFERENCES}
-    try:
-        for name, solve in REFERENCES.items():
-            registry._REGISTRY[name] = replace(saved[name], solve=solve, lowered=False)
-        yield
-    finally:
-        registry._REGISTRY.update(saved)
-
-
 @dataclass(frozen=True)
 class EngineCase:
-    """One (instance, method, seed) comparison: kernels vs reference."""
+    """One battery case: its verdict, rounds and digest."""
 
     name: str
     ok: bool
@@ -138,15 +77,10 @@ class EngineReport:
         return "\n".join(lines)
 
 
-def schedule_digest(rounds: Sequence[Sequence[int]]) -> str:
-    """SHA-256 of the exact JSON form of a schedule's rounds.
-
-    Deliberately *not* order-normalized: the equivalence contract is
-    byte-identity, so the digest must see the rounds exactly as the
-    engine emitted them, within-round order included.
-    """
-    blob = json.dumps([list(rnd) for rnd in rounds], separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+#: SHA-256 of the exact JSON form of a schedule's rounds, deliberately
+#: *not* order-normalized: the digest sees the rounds exactly as
+#: emitted, within-round order included.
+schedule_digest = rounds_digest
 
 
 def _odd_unit_cycles() -> MigrationInstance:
@@ -164,13 +98,13 @@ def _odd_unit_cycles() -> MigrationInstance:
     return MigrationInstance.from_moves(moves, {v: 1 for v, _w in moves})
 
 
-#: The default differential corpus: every generator family, chosen so
-#: each CSR kernel (even_optimal, bipartite_optimal, general) and the
-#: object-only solvers all get exercised.  ``random/wide-palette``
-#: (an 83-color palette) and ``cycles/odd-unit`` (palette growth and
-#: Phase 2) reach the general solver's paths the other entries do not.
-#: Kept small enough to run in the CI static-analysis job; the
-#: factories are deterministic, so the corpus is too.
+#: The engine corpus: every generator family, chosen so each CSR kernel
+#: (even_optimal, bipartite_optimal, general) and the object-graph
+#: solvers all get exercised.  ``random/wide-palette`` (an 83-color
+#: palette) and ``cycles/odd-unit`` (palette growth and Phase 2) reach
+#: the general solver's paths the other entries do not.  The factories
+#: are deterministic, so the corpus is too; the frozen digests pin
+#: every entry at seeds 0 and 1.
 DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
     (
         "random/mixed-caps",
@@ -226,81 +160,6 @@ DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
 )
 
 
-def compare_with_reference(
-    name: str,
-    instance: MigrationInstance,
-    method: str = "auto",
-    seed: int = 0,
-) -> EngineCase:
-    """Plan ``instance`` with the reference and the kernels; compare.
-
-    Both plans run uncached and certified, so the comparison covers
-    rounds, method labels, the canonical schedule digest, and the
-    independently verified lower bound / certificate JSON.
-    """
-    with reference_engine():
-        obj = plan(instance, method=method, seed=seed, certify=True)
-    arr = plan(instance, method=method, seed=seed, certify=True)
-    problems = _diff_results(obj, arr)
-    if problems:
-        return EngineCase(name=name, ok=False, detail="; ".join(problems))
-    return EngineCase(
-        name=name,
-        ok=True,
-        rounds=obj.schedule.num_rounds,
-        digest=schedule_digest(obj.schedule.rounds),
-    )
-
-
-def _diff_results(obj: PlanResult, arr: PlanResult) -> List[str]:
-    problems: List[str] = []
-    o_rounds = obj.schedule.rounds
-    a_rounds = arr.schedule.rounds
-    if o_rounds != a_rounds:
-        problems.append(
-            f"rounds differ: object={len(o_rounds)} array={len(a_rounds)}, "
-            f"first divergence at {_first_round_divergence(o_rounds, a_rounds)}"
-        )
-    if obj.schedule.method != arr.schedule.method:
-        problems.append(
-            f"method labels differ: {obj.schedule.method!r} vs "
-            f"{arr.schedule.method!r}"
-        )
-    o_digest = schedule_digest(obj.schedule.rounds)
-    a_digest = schedule_digest(arr.schedule.rounds)
-    if o_digest != a_digest:
-        problems.append(f"schedule digests differ: {o_digest} vs {a_digest}")
-    if obj.lower_bound != arr.lower_bound:
-        problems.append(
-            f"lower bounds differ: {obj.lower_bound} vs {arr.lower_bound}"
-        )
-    if obj.certified_optimal != arr.certified_optimal:
-        problems.append(
-            f"certified_optimal differs: {obj.certified_optimal} vs "
-            f"{arr.certified_optimal}"
-        )
-    o_cert = (
-        certificate_to_json(obj.certificate) if obj.certificate is not None else None
-    )
-    a_cert = (
-        certificate_to_json(arr.certificate) if arr.certificate is not None else None
-    )
-    if o_cert != a_cert:
-        problems.append("lower-bound certificates differ")
-    if [c.method for c in obj.components] != [c.method for c in arr.components]:
-        problems.append("per-component method attribution differs")
-    return problems
-
-
-def _first_round_divergence(
-    a: List[List[int]], b: List[List[int]]
-) -> str:
-    for i in range(min(len(a), len(b))):
-        if a[i] != b[i]:
-            return f"round {i}"
-    return "round count"
-
-
 # ----------------------------------------------------------------------
 # exact-vs-heuristic battery
 # ----------------------------------------------------------------------
@@ -351,11 +210,6 @@ def compare_exact_vs_heuristic(name: str, instance: MigrationInstance) -> Engine
     The reported digest covers both schedules, so a regression in
     either solver's bytes shows up even when the round counts agree.
     """
-    from repro.checks.certify import (
-        make_certificate,
-        verify_certificate,
-        verify_optimality_certificate,
-    )
     from repro.exact.search import solve_exact
 
     res = solve_exact(instance)
@@ -394,27 +248,4 @@ def check_exact_vs_heuristic(
         compare_exact_vs_heuristic(f"exact-vs-heuristic/{name}", factory())
         for name, factory in (corpus or EXACT_CORPUS)
     ]
-    return EngineReport(cases=tuple(cases))
-
-
-def check_engine_equivalence(
-    corpus: Optional[
-        Sequence[Tuple[str, str, Callable[[], MigrationInstance]]]
-    ] = None,
-    seeds: Sequence[int] = (0, 1),
-) -> EngineReport:
-    """Run the full differential battery over the corpus.
-
-    Every corpus entry is compared under every seed (seeds matter for
-    the randomized general solver: kernel and reference must agree on
-    every seed's schedule, not just one lucky draw).
-    """
-    cases: List[EngineCase] = []
-    for name, method, factory in corpus or DEFAULT_CORPUS:
-        for seed in seeds:
-            cases.append(
-                compare_with_reference(
-                    f"{name}/seed{seed}", factory(), method=method, seed=seed
-                )
-            )
     return EngineReport(cases=tuple(cases))

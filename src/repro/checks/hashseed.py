@@ -3,7 +3,7 @@
 ``PYTHONHASHSEED`` randomizes ``str`` hashing per process, so any code
 path that iterates a str-keyed ``set`` (or relies on set/dict ordering
 derived from one) produces different schedules in different processes —
-exactly the bug class PR 1 hot-fixed in ``bipartite_coloring``.  The
+exactly the bug class once hot-fixed in the bipartite colorer.  The
 linter catches the pattern statically; this harness catches it
 *behaviorally*: run the planner and the runtime executor in fresh
 subprocesses under two different hash seeds and require byte-identical
@@ -117,15 +117,11 @@ sys.stdout.write(run_campaign(config).canonical_json())
 """
 
 
-#: Plans the same instance with the object reference solvers
-#: (``reference_engine``) and with the CSR kernels, fails if they
-#: diverge in-process, and prints the kernel schedule canonically — so
-#: the engine-equivalence contract is also checked *across* hash seeds
-#: (both engines must be hash-seed independent and agree with each
-#: other in every process).  argv: num_disks num_items instance_seed method
+#: Plans a random instance with capacities 1, 2 and 4 — one component
+#: the general kernel colors on the CSR arrays — and prints the
+#: schedule canonically.  argv: num_disks num_items instance_seed method
 ENGINE_DRIVER = """\
 import json, sys
-from repro.checks.engine import reference_engine
 from repro.pipeline import plan
 from repro.workloads import random_instance
 
@@ -135,29 +131,22 @@ instance = random_instance(
     num_disks, num_items, capacities={1: 0.3, 2: 0.4, 4: 0.3},
     seed=instance_seed,
 )
-with reference_engine():
-    obj = plan(instance, method=method, seed=0).schedule
-arr = plan(instance, method=method, seed=0).schedule
-if obj.rounds != arr.rounds or obj.method != arr.method:
-    sys.exit("CSR kernels diverged from the object reference")
+schedule = plan(instance, method=method, seed=0).schedule
 payload = {
-    "method": arr.method,
-    "rounds": [list(rnd) for rnd in arr.rounds],
+    "method": schedule.method,
+    "rounds": [list(rnd) for rnd in schedule.rounds],
 }
 sys.stdout.write(json.dumps(payload, sort_keys=True))
 """
 
 
 #: Plans a multi-component instance, applies a fixed delta through
-#: ``plan_delta`` with the object reference solvers and with the CSR
-#: kernels, fails if they diverge in-process, and prints the patched
-#: schedule, dispositions and certificate digests canonically — the
-#: incremental replanner must be hash-seed independent end to end
-#: (token maps, patch recoloring, cache write-through, certificates).
-#: argv: seed
+#: ``plan_delta`` and prints the patched schedule, dispositions and
+#: certificate digests canonically — the incremental replanner must be
+#: hash-seed independent end to end (token maps, patch recoloring,
+#: cache write-through, certificates).  argv: seed
 DELTA_DRIVER = """\
-import contextlib, json, random, sys
-from repro.checks.engine import reference_engine
+import json, random, sys
 from repro.core.delta import InstanceDelta
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
@@ -184,21 +173,16 @@ delta = InstanceDelta(
     retarget_moves=(("c2.d0", "c2.d1", "c2.d4"),),
     capacity_changes=(("c3.d0", 2),),
 )
-payloads = []
-for engine in (reference_engine, contextlib.nullcontext):
-    cache = PlanCache(max_entries=512)
-    with engine():
-        prior = plan(instance, "auto", 0, cache=cache, certify=True)
-        result = plan_delta(prior, delta, cache=cache, certify=True)
-    payloads.append({
-        "rounds": [list(rnd) for rnd in result.schedule.rounds],
-        "dispositions": list(result.dispositions),
-        "bound": result.certificate.bound,
-        "patch_digest": result.patch_certificate.result_digest,
-    })
-if payloads[0] != payloads[1]:
-    sys.exit("delta planner diverged between kernels and reference")
-sys.stdout.write(json.dumps(payloads[0], sort_keys=True))
+cache = PlanCache(max_entries=512)
+prior = plan(instance, "auto", 0, cache=cache, certify=True)
+result = plan_delta(prior, delta, cache=cache, certify=True)
+payload = {
+    "rounds": [list(rnd) for rnd in result.schedule.rounds],
+    "dispositions": list(result.dispositions),
+    "bound": result.certificate.bound,
+    "patch_digest": result.patch_certificate.result_digest,
+}
+sys.stdout.write(json.dumps(payload, sort_keys=True))
 """
 
 
@@ -341,14 +325,12 @@ def check_determinism(
     )
     checks.append(
         compare_across_hash_seeds(
-            "engine/array-vs-object", ENGINE_DRIVER, ["12", "60", "7", "auto"],
+            "engine/mixed-capacity", ENGINE_DRIVER, ["12", "60", "7", "auto"],
             hash_seeds,
         )
     )
     checks.append(
-        compare_across_hash_seeds(
-            "delta/array-vs-object", DELTA_DRIVER, ["7"], hash_seeds
-        )
+        compare_across_hash_seeds("delta/replan", DELTA_DRIVER, ["7"], hash_seeds)
     )
     if include_executor:
         checks.append(

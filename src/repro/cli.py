@@ -33,8 +33,7 @@ Subcommands:
 * ``fuzz`` — cross-validate all schedulers on randomized instances.
 * ``check`` — correctness tooling (:mod:`repro.checks`): determinism
   linter, mypy strict gate, cross-``PYTHONHASHSEED`` harness, the
-  differential engine harness (``--engine``, CSR kernels vs their
-  object reference, plus exact vs heuristic), and independent schedule
+  exact-vs-heuristic battery (``--engine``), and independent schedule
   certification (``--certify``).
 """
 
@@ -793,7 +792,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         certificate_to_json,
         certify,
         check_determinism,
-        check_engine_equivalence,
         check_exact_vs_heuristic,
         lint_tree,
         make_certificate,
@@ -928,19 +926,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 gate_failed(CHECK_EXIT_EFFECTS)
 
     if args.engine or run_all:
-        engine_report = check_engine_equivalence()
-        if human:
-            print("engine (CSR kernels vs object reference):")
-            print(engine_report.render())
         exact_report = check_exact_vs_heuristic()
         if human:
             print("engine (exact vs heuristic):")
             print(exact_report.render())
         summary["gates"]["engine"] = {
-            "ok": engine_report.ok and exact_report.ok,
-            "cases": len(engine_report.cases) + len(exact_report.cases),
+            "ok": exact_report.ok,
+            "cases": len(exact_report.cases),
         }
-        if not (engine_report.ok and exact_report.ok):
+        if not exact_report.ok:
             gate_failed(CHECK_EXIT_ENGINE)
 
     summary["ok"] = exit_code == CHECK_EXIT_OK
@@ -1237,10 +1231,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(effect inference, solver contracts, "
                               "async-safety, pool-boundary rules)")
     p_check.add_argument("--engine", action="store_true",
-                         help="run only the differential engine harness "
-                              "(CSR kernels byte-identical to their object "
-                              "reference across the generator corpus) and "
-                              "the exact-vs-heuristic battery")
+                         help="run only the exact-vs-heuristic battery "
+                              "(verified LB <= exact optimum <= Theorem 5.1 "
+                              "heuristic on the small corpus)")
     p_check.add_argument("--fast", action="store_true",
                          help="skip the (slow) executor determinism case")
     p_check.add_argument("--json", action="store_true",

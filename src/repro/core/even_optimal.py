@@ -14,7 +14,8 @@ LB1, hence optimal — is computable in polynomial time:
    oriented ``u -> v`` becomes ``(u_out, v_in)``.
 4. **Split into matchings** (Figure 3 / Lemmas 4.1–4.2): partition H
    into ``Δ'`` subgraphs, each matching every ``v_out``/``v_in``
-   exactly ``c_v/2`` times (:func:`~repro.graphs.matching.quota_split`).
+   exactly ``c_v/2`` times
+   (:meth:`~repro.graphs.matching.QuotaPeeler.split`).
    A subgraph owed an even number ``D`` of them is halved along
    alternating closed trails (a closed trail in a bipartite graph has
    even length, so each half gets exactly half of every degree); at
@@ -27,83 +28,49 @@ LB1, hence optimal — is computable in polynomial time:
 5. **Schedule**: each subgraph, minus augmentation edges, is one
    round; a node sees ``c_v/2 + c_v/2 = c_v`` edge-ends per round
    (Lemma 4.3).
+
+The kernel runs on the flat CSR arrays of
+:mod:`repro.graphs.array_backend`.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.errors import InvalidInstanceError, SolverError
-from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import CompactInstance
-from repro.graphs.euler import compact_euler_orientation, euler_orientation
-from repro.graphs.matching import QuotaPeeler, quota_split
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
-
-
-def even_optimal_schedule(instance: MigrationInstance) -> MigrationSchedule:
-    """Compute an optimal (``Δ'``-round) schedule; all ``c_v`` even.
-
-    The object-engine reference: the pipeline runs
-    :func:`even_optimal_schedule_compact`, which
-    :mod:`repro.checks.engine` proves byte-identical to this function.
-
-    Raises:
-        InvalidInstanceError: if some transfer constraint is odd.
-        SolverError: if an internal feasibility invariant breaks
-            (should never happen; kept as a loud guard).
-    """
-    if not instance.all_even():
-        odd = [v for v, c in instance.capacities.items() if c % 2 == 1]
-        raise InvalidInstanceError(
-            f"even-capacity algorithm requires even c_v; odd at {odd[:5]}"
-        )
-    if instance.num_items == 0:
-        return MigrationSchedule([], method="even_optimal")
-
-    delta_prime = instance.delta_prime()
-    work, real_edges = _augment_to_regular(instance, delta_prime)
-    orientation = euler_orientation(work)
-
-    # Bipartite H: one edge (u_out, v_in) per oriented edge.
-    bip_edges: List[Tuple[Tuple[str, Node], Tuple[str, Node]]] = []
-    bip_eids: List[EdgeId] = []
-    for eid, (tail, head) in orientation.items():
-        bip_edges.append((("out", tail), ("in", head)))
-        bip_eids.append(eid)
-
-    left_quota = {("out", v): instance.capacity(v) // 2 for v in work.nodes}
-    right_quota = {("in", v): instance.capacity(v) // 2 for v in work.nodes}
-
-    parts = quota_split(bip_edges, left_quota, right_quota, delta_prime)
-    rounds = [
-        [bip_eids[i] for i in part if bip_eids[i] in real_edges] for part in parts
-    ]
-
-    schedule = MigrationSchedule(rounds, method="even_optimal")
-    return schedule
+from repro.graphs.euler import compact_euler_orientation
+from repro.graphs.matching import QuotaPeeler
 
 
 def even_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
-    """Array-backend :func:`even_optimal_schedule` (byte-identical).
+    """An optimal (``Δ'``-round) schedule; all ``c_v`` even.
 
-    Same five steps, mirrored onto flat arrays:
+    The module's five steps over flat arrays:
 
     1. Augmentation is arithmetic — loop counts and deficiency flags
-       come straight off the degree/capacity arrays, and the augmented
-       CSR rows are emitted in exactly the order the object engine's
-       ``add_edge`` calls would have produced (original row, then the
-       node's self-loops, then its pairing edge).
+       come straight off the degree/capacity arrays.  Augmented edges
+       are numbered after the real ones: every node's self-loops in
+       node order, then the pairing edges; each augmented CSR row is
+       the node's original row, then its self-loops, then its pairing
+       edge.
     2. The Euler walk runs over those rows
-       (:func:`compact_euler_orientation`), reproducing the object
-       circuit discovery order.
+       (:func:`compact_euler_orientation`).
     3. The oriented bipartite edge list is the orientation order.
     4. :meth:`~repro.graphs.matching.QuotaPeeler.split` partitions it
        into ``Δ'`` parts over int node indices, building one
        :class:`QuotaPeeler` per odd level of the Euler partition.
     5. Rounds lift augmented edge indices ``< num_edges`` (the real
        edges) back to edge ids, ascending within a round.
+
+    Every order above shapes which items share a round; the frozen
+    digests (``tests/data/plan_digests.json``) pin the result.
+
+    Raises:
+        InvalidInstanceError: if some transfer constraint is odd.
+        SolverError: if an internal feasibility invariant breaks
+            (should never happen; kept as a loud guard).
     """
     if not ci.all_even():
         capacities = ci.source.capacities
@@ -137,7 +104,7 @@ def even_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
         raise SolverError("odd number of deficient nodes; parity argument violated")
 
     # Augmented edge numbering: per-node self-loops in node order, then
-    # pairing edges — the exact creation order of _augment_to_regular.
+    # pairing edges.
     pair_of = [-1] * n
     pair_edge = [-1] * n
     aug_edges = m
@@ -189,34 +156,3 @@ def even_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
     edge_ids = graph.edge_ids
     rounds = [[edge_ids[order[i]] for i in part if order[i] < m] for part in parts]
     return MigrationSchedule(rounds, method="even_optimal")
-
-
-def _augment_to_regular(
-    instance: MigrationInstance, delta_prime: int
-) -> Tuple[Multigraph, set]:
-    """Step 1: make ``deg(v) = c_v · Δ'`` for every node.
-
-    Returns the augmented graph and the set of original edge ids.
-    ``c_v·Δ'`` is even (``c_v`` even), and self-loops change degree by
-    2, so after looping each node sits at its target or one below; the
-    one-below nodes are exactly those with odd original degree, whose
-    count is even, so they can be paired with dummy edges.
-    """
-    work = instance.graph.copy()
-    real_edges = set(work.edge_ids())
-    deficient: List[Node] = []
-    for v in work.nodes:
-        target = instance.capacity(v) * delta_prime
-        if work.degree(v) > target:
-            raise SolverError(
-                f"degree {work.degree(v)} of {v!r} exceeds c_v·Δ' = {target}"
-            )
-        while work.degree(v) <= target - 2:
-            work.add_edge(v, v)
-        if work.degree(v) == target - 1:
-            deficient.append(v)
-    if len(deficient) % 2 != 0:
-        raise SolverError("odd number of deficient nodes; parity argument violated")
-    for i in range(0, len(deficient), 2):
-        work.add_edge(deficient[i], deficient[i + 1])
-    return work, real_edges

@@ -6,7 +6,7 @@ The driver follows the paper's two-phase structure:
 (``q`` starts at the certified lower bound — at least as ambitious as
 the paper's ``(1+ε)Δ' + 1``).  It sweeps the uncolored edges applying
 the orbit moves: balancing-orbit and color-orbit progress are realized
-by :meth:`ColoringState.try_color_edge` (common missing color, else
+by :meth:`ArrayColoringState.try_color_edge` (common missing color, else
 ab-path flips — Lemmas 5.1/5.2), which also eliminates *bad* (parallel
 uncolored) edges.  When a sweep makes no progress, the uncolored
 components are classified (:mod:`repro.core.orbits`): if the residue is
@@ -23,33 +23,28 @@ Misra–Gries (Vizing ``Δ+1``) colors the split graph with fresh colors,
 and contraction maps copy-colors back — at most ``c_v`` same-colored
 edges can meet at ``v``, one per copy, so constraints hold (Lemma 5.8).
 
-The object-engine :func:`general_schedule` validates its schedule; the
-pipeline's :func:`general_schedule_compact` leaves that to its callers.
-The number of colors is the quantity the theorem bounds
-(``OPT + O(√OPT)``), and the benchmark harness measures it against
-``LB + 2⌈√LB⌉`` on every run.
+:func:`general_schedule_compact` runs Phase 1 on the flat CSR arrays
+of :mod:`repro.graphs.array_backend` and leaves validating the schedule
+to its callers.  The number of colors is the quantity the theorem
+bounds (``OPT + O(√OPT)``), and the benchmark harness measures it
+against ``LB + 2⌈√LB⌉`` on every run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.orbits import (
-    OrbitReport,
-    bad_edge_groups,
     compact_bad_edge_groups,
     compact_is_delta_witness,
     compact_is_gamma_witness,
     compact_uncolored_components,
-    is_delta_witness,
-    is_gamma_witness,
-    uncolored_components,
 )
 from repro.core.problem import MigrationInstance
-from repro.core.recolor import ArrayColoringState, ColoringState
+from repro.core.recolor import ArrayColoringState
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import CompactInstance, lift_coloring
 from repro.graphs.coloring.vizing import vizing_coloring
@@ -79,71 +74,29 @@ class GeneralSolverStats:
         return self.lower_bound + 2 * math.isqrt(max(0, self.lower_bound)) + 2
 
 
-def general_schedule(
-    instance: MigrationInstance,
-    seed: int = 0,
-    stats: Optional[GeneralSolverStats] = None,
-) -> MigrationSchedule:
-    """Schedule an arbitrary-constraint instance (Theorem 5.1).
-
-    The object-engine reference: the pipeline runs
-    :func:`general_schedule_compact`, which :mod:`repro.checks.engine`
-    proves byte-identical to this function.
-
-    Args:
-        instance: the migration instance.
-        seed: RNG seed for sweep orders and flip tie-breaking.
-        stats: optional mutable stats object filled in during the run.
-
-    Returns:
-        A validated :class:`MigrationSchedule`.
-    """
-    stats = stats if stats is not None else GeneralSolverStats()
-    if instance.num_items == 0:
-        return MigrationSchedule([], method="general")
-
-    lb = lower_bound(instance)
-    stats.lower_bound = lb
-    epsilon = 1.0 / math.sqrt(lb) if lb > 0 else 1.0
-    q0 = max(lb, 1)
-    stats.initial_colors = q0
-
-    state = ColoringState(instance.graph, instance.capacities, q0, seed=seed)
-    residual = _phase1(instance, state, epsilon, stats)
-    stats.phase1_colors = state.q
-
-    coloring: Dict[EdgeId, int] = dict(state.color)
-    if residual is not None:
-        phase2 = _phase2_color_residual(instance, residual)
-        stats.phase2_edges = residual.num_edges
-        stats.phase2_colors = (max(phase2.values()) + 1) if phase2 else 0
-        for eid, c in phase2.items():
-            coloring[eid] = state.q + c
-
-    schedule = MigrationSchedule.from_coloring(coloring, method="general")
-    schedule.validate(instance)
-    return schedule
-
-
 def general_schedule_compact(
     ci: CompactInstance,
     seed: int = 0,
     stats: Optional[GeneralSolverStats] = None,
 ) -> MigrationSchedule:
-    """Array-backend :func:`general_schedule` (byte-identical).
+    """Schedule an arbitrary-constraint instance (Theorem 5.1).
 
     Phase 1 runs entirely on :class:`ArrayColoringState` — the hot
     sweep/flip loop touches only dense int arrays and small dicts of
-    ints.  The cold paths deliberately stay on the reference engine:
-    the lower bound and the Phase 2 residual Vizing pass (a few dozen
-    edges by Corollary 5.1) run against ``ci.source``.  The lifted
-    Phase 1 coloring dict preserves the assignment history order, so
-    ``from_coloring`` sees the same key sequence as the object engine
-    and the schedules match byte for byte.
+    ints.  The cold paths stay on the object instance: the lower bound
+    and the Phase 2 residual Vizing pass (a few dozen edges by
+    Corollary 5.1) run against ``ci.source``.  The lifted Phase 1
+    coloring dict keeps the assignment history order, which
+    ``from_coloring`` fills rounds in; the frozen digests pin it.
 
-    Unlike :func:`general_schedule`, the schedule is returned
-    unvalidated: its callers check it once where it ends up (the
-    planner validates each merged plan, ``exact_bb`` its own schedule).
+    The schedule is returned unvalidated: its callers check it once
+    where it ends up (the planner validates each merged plan,
+    ``exact_bb`` its own schedule).
+
+    Args:
+        ci: the lowered instance.
+        seed: RNG seed for sweep orders and flip tie-breaking.
+        stats: optional mutable stats object filled in during the run.
     """
     stats = stats if stats is not None else GeneralSolverStats()
     if ci.graph.num_edges == 0:
@@ -175,15 +128,16 @@ def general_schedule_compact(
 # Phase 1
 # ----------------------------------------------------------------------
 
-def _phase1(
-    instance: MigrationInstance,
-    state: ColoringState,
+def _phase1_compact(
+    ci: CompactInstance,
+    state: ArrayColoringState,
     epsilon: float,
     stats: GeneralSolverStats,
-) -> Optional[Multigraph]:
+) -> Optional[List[EdgeId]]:
     """Color edges until the residue is a small simple graph (or empty).
 
-    Returns the residual graph ``G₀`` for Phase 2, or None if Phase 1
+    Sweeps the uncolored edges in edge-id order.  Returns the residual
+    graph ``G₀``'s edge ids, ascending, for Phase 2, or None if Phase 1
     colored everything.
     """
     # Hard orbits have at most (q+2)/(q-2Δ'') ≈ 1 + 1/ε nodes
@@ -191,65 +145,6 @@ def _phase1(
     component_cap = max(4, math.ceil(2 + 1.0 / epsilon))
     # Safety net: with 2Δ' - 1 colors even first-fit cannot stall, so
     # palette growth is finite regardless of flip-search luck.
-    hard_palette_cap = max(2 * instance.delta_prime() - 1, state.q)
-
-    order = sorted(state.uncolored)
-    while state.uncolored:
-        stats.sweeps += 1
-        progress = False
-        for eid in list(order):
-            if eid not in state.uncolored:
-                continue
-            stats.flips_attempted += 1
-            if state.try_color_edge(eid):
-                progress = True
-        order = sorted(state.uncolored)
-        if not state.uncolored:
-            return None
-        if progress:
-            continue
-
-        # Stalled sweep: classify the uncolored components.
-        reports = uncolored_components(state)
-        bad = bad_edge_groups(state)
-        all_hard = all(r.kind == "hard" for r in reports)
-        small = all(len(r.nodes) <= component_cap for r in reports)
-        if all_hard and not bad and small:
-            # A collection of hard orbits: ship to Phase 2.  Sorted so
-            # the residual graph's edge enumeration order (which feeds
-            # Phase 2's round-robin node splitting) is a function of
-            # the uncolored id *set*, not of set-iteration order.
-            return instance.graph.edge_subgraph(sorted(state.uncolored))
-
-        # Otherwise the stall plays the role of a witness: grow the
-        # palette (Lemma 5.4 step 3b).  Record whether a formal
-        # witness is actually present, for the diagnostics.
-        if any(is_delta_witness(state, r) or is_gamma_witness(state, r) for r in reports):
-            stats.witnessed_growths += 1
-        state.add_color()
-        stats.palette_growths += 1
-        if state.q > hard_palette_cap:
-            # Unreachable in theory (first-fit succeeds below the cap);
-            # loud guard instead of a silent spin.
-            raise AssertionError(
-                f"palette grew past the 2Δ'-1 safety cap ({hard_palette_cap})"
-            )
-    return None
-
-
-def _phase1_compact(
-    ci: CompactInstance,
-    state: ArrayColoringState,
-    epsilon: float,
-    stats: GeneralSolverStats,
-) -> Optional[List[EdgeId]]:
-    """Array mirror of :func:`_phase1`.
-
-    Returns the sorted edge *ids* of the residual for Phase 2 (the
-    object engine's ``sorted(state.uncolored)`` argument to
-    ``edge_subgraph``), or None if Phase 1 colored everything.
-    """
-    component_cap = max(4, math.ceil(2 + 1.0 / epsilon))
     hard_palette_cap = max(2 * ci.delta_prime() - 1, state.q)
 
     order = state.uncolored_in_id_order()
@@ -268,14 +163,21 @@ def _phase1_compact(
         if progress:
             continue
 
+        # Stalled sweep: classify the uncolored components.
         reports = compact_uncolored_components(state)
-        bad = compact_bad_edge_groups(state)
         all_hard = all(r.kind == "hard" for r in reports)
         small = all(len(r.nodes) <= component_cap for r in reports)
-        if all_hard and not bad and small:
+        if all_hard and small and not compact_bad_edge_groups(state):
+            # A collection of hard orbits: ship to Phase 2.  Sorted so
+            # the residual graph's edge enumeration order (which feeds
+            # Phase 2's round-robin node splitting) is a function of
+            # the uncolored id *set*.
             edge_ids = ci.graph.edge_ids
             return sorted(edge_ids[e] for e in state.uncolored)
 
+        # Otherwise the stall plays the role of a witness: grow the
+        # palette (Lemma 5.4 step 3b).  Record whether a formal
+        # witness is actually present, for the diagnostics.
         if any(
             compact_is_delta_witness(state, r) or compact_is_gamma_witness(state, r)
             for r in reports
@@ -284,6 +186,8 @@ def _phase1_compact(
         state.add_color()
         stats.palette_growths += 1
         if state.q > hard_palette_cap:
+            # Unreachable in theory (first-fit succeeds below the cap);
+            # loud guard instead of a silent spin.
             raise AssertionError(
                 f"palette grew past the 2Δ'-1 safety cap ({hard_palette_cap})"
             )
@@ -303,7 +207,6 @@ def _phase2_color_residual(
     offsets above Phase 1's palette.
     """
     split = Multigraph()
-    copy_of_edge: Dict[EdgeId, Tuple[Tuple[Node, int], Tuple[Node, int]]] = {}
     cursor: Dict[Node, int] = {}
     for v in residual.nodes:
         cursor[v] = 0

@@ -23,14 +23,26 @@ here:
   so every per-color question Phase 1 asks (is ``c`` missing, strongly
   or lightly missing; which colors are; the smallest color missing at
   both endpoints) reads bits instead of scanning the palette.
-  :class:`ColoringState` stays dict-based: it is the reference the
-  array state is checked against, and the delta patcher's state.
+  :class:`ColoringState` stays dict-based over node labels and edge
+  ids: the delta patcher, the greedy baseline and
+  :mod:`repro.core.edge_orbits` color with it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.errors import ScheduleValidationError
 from repro.graphs.array_backend import CompactGraph
@@ -50,6 +62,51 @@ def mask_bits(mask: int) -> List[int]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return bits
+
+
+def _check_node_caches(
+    where: str,
+    cap: int,
+    real_classes: Mapping[int, Sequence[Hashable]],
+    counts: Mapping[int, int],
+    edges_at: Mapping[int, Iterable[Hashable]],
+    loops: AbstractSet[Hashable],
+) -> Dict[int, int]:
+    """Check one node's cached counts and slots against its color classes.
+
+    ``real_classes[c]`` lists the edges of color ``c`` at the node,
+    recomputed from the coloring; a self-loop (in ``loops``) counts
+    twice.  Every cached count must equal its class's size and every
+    ``edges_at`` slot must hold exactly the class's edges.  An absent
+    count equals 0 and an absent slot an empty one, because ``_bump``
+    leaves both behind.  Returns the real counts.
+
+    Raises:
+        ScheduleValidationError: on a capacity violation or a stale
+            cache.
+    """
+    real = {
+        c: sum(2 if e in loops else 1 for e in members)
+        for c, members in real_classes.items()
+    }
+    for c in sorted(set(real) | set(counts)):
+        n = real.get(c, 0)
+        if n > cap:
+            raise ScheduleValidationError(
+                f"node {where} has {n} edges of color {c} but c_v={cap}"
+            )
+        if counts.get(c, 0) != n:
+            raise ScheduleValidationError(
+                f"count drift at ({where}, {c}): cached {counts.get(c, 0)}, real {n}"
+            )
+    for c in sorted(set(real_classes) | set(edges_at)):
+        cached = set(edges_at.get(c, ()))
+        if cached != set(real_classes.get(c, ())):
+            raise ScheduleValidationError(
+                f"edges_at drift at ({where}, {c}): cached {sorted(cached, key=repr)}, "
+                f"real {sorted(real_classes.get(c, ()), key=repr)}"
+            )
+    return real
 
 
 class ColoringState:
@@ -367,7 +424,11 @@ class ColoringState:
     # validation / export
     # ------------------------------------------------------------------
     def validate(self, require_complete: bool = False) -> None:
-        """Recompute all counts from scratch and compare.
+        """Recompute every cache from the coloring and compare.
+
+        Rebuilds each node's color classes from ``color`` alone and
+        checks every capacity, every cached count and every
+        ``edges_at`` slot against them.
 
         Raises:
             ScheduleValidationError: on any inconsistency or capacity
@@ -375,45 +436,35 @@ class ColoringState:
         """
         if require_complete and self.uncolored:
             raise ScheduleValidationError(f"{len(self.uncolored)} edges uncolored")
-        fresh: Dict[Node, Dict[int, int]] = {v: {} for v in self.graph.nodes}
+        classes: Dict[Node, Dict[int, List[EdgeId]]] = {v: {} for v in self.graph.nodes}
+        loops: Set[EdgeId] = set()
         for eid, c in self.color.items():
             u, v = self.graph.endpoints(eid)
             if not 0 <= c < self.q:
                 raise ScheduleValidationError(f"edge {eid} has color {c} outside palette")
+            classes[u].setdefault(c, []).append(eid)
             if u == v:
-                fresh[u][c] = fresh[u].get(c, 0) + 2
+                loops.add(eid)
             else:
-                fresh[u][c] = fresh[u].get(c, 0) + 1
-                fresh[v][c] = fresh[v].get(c, 0) + 1
-        for v, per_color in fresh.items():
-            for c, n in per_color.items():
-                if n > self.cap[v]:
-                    raise ScheduleValidationError(
-                        f"node {v!r} has {n} edges of color {c} but c_v={self.cap[v]}"
-                    )
-                if n != self.count(v, c):
-                    raise ScheduleValidationError(
-                        f"count drift at ({v!r}, {c}): cached {self.count(v, c)}, real {n}"
-                    )
-
-    def colors_used(self) -> int:
-        return len(set(self.color.values()))
+                classes[v].setdefault(c, []).append(eid)
+        for v, per_color in classes.items():
+            _check_node_caches(
+                repr(v), self.cap[v], per_color, self.counts[v], self.edges_at[v], loops
+            )
 
 
 class ArrayColoringState:
-    """Array-backend mirror of :class:`ColoringState` (byte-identical).
+    """:class:`ColoringState` over the arrays of a CSR graph.
 
     Nodes and edges are the dense indices of a
-    :class:`~repro.graphs.array_backend.CompactGraph`.  Every dict the
-    object engine keys by node label or edge id is keyed here by
-    index, and because the compact driver performs the exact same
-    sequence of assigns / unassigns / recolors, the insertion orders
-    that shape flip walks (``edges_at`` slot order, ``new_color_of``
-    application order) are reproduced move for move.  ``color`` stays a
-    real dict — its insertion order *is* the assignment history, which
-    the driver lifts into the coloring dict the object engine would
-    have built.  The RNG is seeded identically and consumed by the same
-    shuffle calls, so tie-breaking matches too.
+    :class:`~repro.graphs.array_backend.CompactGraph`; every dict
+    :class:`ColoringState` keys by node label or edge id is keyed here
+    by index.  Given the same graph, seed and sequence of moves, the two
+    states make the same choices: the insertion orders that shape flip
+    walks (``edges_at`` slot order, ``new_color_of`` application order)
+    and the RNG's shuffles match move for move.  ``color`` stays a real
+    dict — its insertion order *is* the assignment history, which the
+    general solver lifts into the schedule's coloring dict.
 
     Two int bitmasks per node stand in for palette scans; ``_bump``,
     the one place counts change, keeps them in step:
@@ -446,7 +497,7 @@ class ArrayColoringState:
         # counts[v][c]: colored edge-ends of color c at node index v.
         self.counts: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
         # edges_at[v][c]: insertion-ordered dict-as-set of edge indices,
-        # mirroring ColoringState.edges_at slot for slot.
+        # as in ColoringState.edges_at.
         self.edges_at: List[Dict[int, Dict[int, None]]] = [
             {} for _ in range(graph.num_nodes)
         ]
@@ -471,11 +522,11 @@ class ArrayColoringState:
     def uncolored_in_id_order(self) -> List[int]:
         """Uncolored edge indices sorted by edge *id*.
 
-        The object engine sweeps ``sorted(state.uncolored)`` — edge ids
-        ascending.  A component subgraph's enumeration order preserves
-        ids but need not be ascending in them, so index order and id
-        order can differ; sorting by the id key reproduces the object
-        sweep exactly.
+        Phase 1 sweeps the uncolored edges in edge-id order.  A
+        component subgraph's enumeration order preserves ids but need
+        not be ascending in them, so index order and id order can
+        differ; the sweep order shapes the schedule, and the frozen
+        digests pin it.
         """
         return sorted(self.uncolored, key=self.graph.edge_ids.__getitem__)
 
@@ -645,8 +696,8 @@ class ArrayColoringState:
                 return False
             other = graph.other_endpoint(e, cur)
             if other == cur:
-                # Mirror of the object engine: self-loop flips fail the
-                # walk (see ColoringState.attempt_flip).
+                # Self-loop flips fail the walk (see
+                # ColoringState.attempt_flip).
                 return False
             flip_edge(e, f_from, f_to, cur, other)
             if eff(other, f_to) <= cap[other]:
@@ -693,35 +744,35 @@ class ArrayColoringState:
     # validation / export
     # ------------------------------------------------------------------
     def validate(self, require_complete: bool = False) -> None:
+        """:meth:`ColoringState.validate`, plus the masks.
+
+        After the counts and slots check out, each node's ``full`` and
+        ``near`` masks must equal the ones its real counts give.
+        """
         if require_complete and self.uncolored:
             raise ScheduleValidationError(f"{len(self.uncolored)} edges uncolored")
         graph = self.graph
-        fresh: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
+        classes: List[Dict[int, List[int]]] = [{} for _ in range(graph.num_nodes)]
+        loops: Set[int] = set()
         for e, c in self.color.items():
             u, v = graph.edge_u[e], graph.edge_v[e]
             if not 0 <= c < self.q:
                 raise ScheduleValidationError(
                     f"edge {graph.edge_ids[e]} has color {c} outside palette"
                 )
+            classes[u].setdefault(c, []).append(e)
             if u == v:
-                fresh[u][c] = fresh[u].get(c, 0) + 2
+                loops.add(e)
             else:
-                fresh[u][c] = fresh[u].get(c, 0) + 1
-                fresh[v][c] = fresh[v].get(c, 0) + 1
-        for v, per_color in enumerate(fresh):
+                classes[v].setdefault(c, []).append(e)
+        for v, per_color in enumerate(classes):
             cap = self.cap[v]
+            real = _check_node_caches(
+                repr(graph.nodes[v]), cap, per_color, self.counts[v],
+                self.edges_at[v], loops,
+            )
             full, near = 0, self._empty_near(cap)
-            for c, n in per_color.items():
-                if n > cap:
-                    raise ScheduleValidationError(
-                        f"node {graph.nodes[v]!r} has {n} edges of color {c} "
-                        f"but c_v={cap}"
-                    )
-                if n != self.count(v, c):
-                    raise ScheduleValidationError(
-                        f"count drift at ({graph.nodes[v]!r}, {c}): "
-                        f"cached {self.count(v, c)}, real {n}"
-                    )
+            for c, n in real.items():
                 if n >= cap:
                     full |= 1 << c
                 if n >= cap - 1:
@@ -731,6 +782,3 @@ class ArrayColoringState:
                     f"mask drift at {graph.nodes[v]!r}: cached full={self.full[v]:#x} "
                     f"near={self.near[v]:#x}, real full={full:#x} near={near:#x}"
                 )
-
-    def colors_used(self) -> int:
-        return len(set(self.color.values()))

@@ -16,24 +16,23 @@ transfer constraints:
 
 This beats the general Section V algorithm's guarantee (it is
 *exactly* optimal), so :func:`repro.plan` in ``auto`` mode prefers it
-when the transfer graph qualifies.
+when the transfer graph qualifies.  The scheduler runs on the flat CSR
+arrays of :mod:`repro.graphs.array_backend`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import CompactInstance
 from repro.graphs.coloring.bipartite import (
     NotBipartiteError,
-    bipartite_coloring,
     bipartite_sides,
     compact_bipartite_sides,
     compact_konig_coloring,
 )
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
 
 def is_bipartite_instance(instance: MigrationInstance) -> bool:
@@ -45,47 +44,25 @@ def is_bipartite_instance(instance: MigrationInstance) -> bool:
     return True
 
 
-def bipartite_optimal_schedule(instance: MigrationInstance) -> MigrationSchedule:
+def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
     """Optimal (``Δ'``-round) schedule for a bipartite transfer graph.
 
     Works for arbitrary transfer constraints — including the odd
-    capacities that make the general problem NP-hard.  The object-engine
-    reference: the pipeline runs :func:`bipartite_optimal_schedule_compact`,
-    which :mod:`repro.checks.engine` proves byte-identical to this
-    function.
+    capacities that make the general problem NP-hard.  The round-robin
+    node split is arithmetic on the capacity array: copy ``(v, k)`` is
+    split index ``offset[v] + k`` (copies numbered per node in node
+    order, ``k`` ascending), and split edge ``i`` is original edge
+    ``i``, whose ends go to each endpoint's copies in turn.  Copies are
+    named ``"(<node repr>, <k>)"``: the König colorer orders each side
+    by name, and that order shapes which items share a round, so the
+    frozen digests pin it.
+
+    The schedule is returned unvalidated (the ``Δ'`` round count is
+    still asserted): the planner validates each merged or forced plan
+    once, before it is cached.
 
     Raises:
         NotBipartiteError: if the transfer graph is not bipartite.
-    """
-    bipartite_sides(instance.graph)  # raises if not bipartite
-    if instance.num_items == 0:
-        return MigrationSchedule([], method="bipartite_optimal")
-
-    split, edge_map = _split_evenly(instance)
-    coloring = bipartite_coloring(split)
-    original = {eid: coloring[seid] for eid, seid in edge_map.items()}
-    schedule = MigrationSchedule.from_coloring(original, method="bipartite_optimal")
-    schedule.validate(instance)
-    assert schedule.num_rounds == instance.delta_prime(), (
-        "König contraction must land exactly on Δ'"
-    )
-    return schedule
-
-
-def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
-    """Array-backend :func:`bipartite_optimal_schedule` (byte-identical).
-
-    The round-robin node split becomes arithmetic on the capacity
-    array: copy ``(v, k)`` is split index ``offset[v] + k`` (copies are
-    inserted per node in node order, ``k`` ascending — exactly the
-    object's ``add_node`` sequence), and split edge ``i`` is original
-    edge ``i`` (sequential ``add_edge``).  Copy reprs are rebuilt as
-    the tuple repr strings ``"(<node repr>, <k>)"`` so the König
-    colorer's repr-sorted side orders match the object engine's.
-
-    Unlike :func:`bipartite_optimal_schedule`, the schedule is returned
-    unvalidated (the ``Δ'`` round count is still asserted): the planner
-    validates each merged or forced plan once, before it is cached.
     """
     graph = ci.graph
     compact_bipartite_sides(graph)  # raises if not bipartite
@@ -122,27 +99,3 @@ def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule
         "König contraction must land exactly on Δ'"
     )
     return schedule
-
-
-def _split_evenly(
-    instance: MigrationInstance,
-) -> Tuple[Multigraph, Dict[EdgeId, EdgeId]]:
-    """Split ``v`` into ``c_v`` copies, spreading edges round-robin.
-
-    Copy degrees are ``<= ceil(d_v / c_v) <= Δ'``, and splitting
-    preserves bipartiteness (copies inherit their original's side).
-    """
-    split = Multigraph()
-    cursor: Dict[Node, int] = {}
-    for v in instance.graph.nodes:
-        cursor[v] = 0
-        for k in range(instance.capacity(v)):
-            split.add_node((v, k))
-    edge_map: Dict[EdgeId, EdgeId] = {}
-    for eid, u, v in instance.graph.edges():
-        cu = (u, cursor[u] % instance.capacity(u))
-        cv = (v, cursor[v] % instance.capacity(v))
-        cursor[u] += 1
-        cursor[v] += 1
-        edge_map[eid] = split.add_edge(cu, cv)
-    return split, edge_map

@@ -1,33 +1,29 @@
-"""Flat CSR array backend for the solver hot kernels.
+"""Flat CSR array backend for the solver kernels.
 
-The object engine (:class:`~repro.graphs.multigraph.Multigraph` plus the
-dict-of-dict structures built on top of it) is the *reference*
-implementation: easy to audit against the paper, but every adjacency
-step costs a hash lookup and every temporary subgraph costs thousands
-of small dict allocations.  On 100k+-edge transfer multigraphs those
-constant factors dominate the near-linear algorithm of Theorem 5.1.
-
-This module is the representation layer of the raw-speed engine:
+The object graph (:class:`~repro.graphs.multigraph.Multigraph` plus the
+dict-of-dict structures built on top of it) is easy to audit against
+the paper, but every adjacency step costs a hash lookup and every
+temporary subgraph costs thousands of small dict allocations.  On
+100k+-edge transfer multigraphs those constant factors dominate the
+near-linear algorithm of Theorem 5.1, so the three polynomial
+schedulers (Theorem 4.1, König, Theorem 5.1) run on flat arrays:
 
 * :class:`CompactGraph` — an immutable CSR (compressed sparse row)
   snapshot of a ``Multigraph``.  Node indices are dense ints in the
   graph's insertion order; edge indices are dense ints in ``edges()``
   enumeration order; per-node incident rows replicate
-  ``incident_edges(v)`` order exactly.  Because every iteration order
-  of the object engine is preserved as an array order, kernels written
-  against ``CompactGraph`` can mirror the object kernels *step for
-  step* and produce byte-identical schedules.
+  ``incident_edges(v)`` order exactly.
 * :class:`CompactInstance` — a lowered migration instance: a
   ``CompactGraph`` plus a capacity array aligned to node indices and a
   reference to the source object instance (for the cold paths —
-  lower bounds, validation — that stay on the reference engine).
+  lower bounds, validation — that stay on the object graph).
 * Lossless round-trip: ``CompactGraph.from_multigraph`` followed by
   :meth:`CompactGraph.to_multigraph` reproduces the original graph
   exactly — same node order, same edge ids, same per-node adjacency
   slot order, same ``next_edge_id`` high-water mark.
 
-Iteration-order contract (load-bearing, relied on by every compact
-kernel):
+Iteration-order contract (load-bearing: the kernels' schedules depend
+on these orders, and the frozen digests pin them):
 
 * ``nodes[i]`` is the i-th node of ``graph.nodes`` (dict insertion
   order of the object graph).
@@ -43,7 +39,7 @@ kernel):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
@@ -76,8 +72,6 @@ class CompactGraph:
         "degree",
         "next_edge_id",
         "_node_reprs",
-        "_repr_order",
-        "_repr_rank",
     )
 
     def __init__(
@@ -109,8 +103,6 @@ class CompactGraph:
         self.degree: List[int] = degree
         self.next_edge_id: EdgeId = next_edge_id
         self._node_reprs: Optional[List[str]] = None
-        self._repr_order: Optional[List[int]] = None
-        self._repr_rank: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # conversion
@@ -194,9 +186,6 @@ class CompactGraph:
         """Edge indices incident to node index ``v`` (loops once)."""
         return self.inc_edge[self.indptr[v] : self.indptr[v + 1]]
 
-    def is_self_loop(self, e: int) -> bool:
-        return self.edge_u[e] == self.edge_v[e]
-
     def other_endpoint(self, e: int, v: int) -> int:
         u, w = self.edge_u[e], self.edge_v[e]
         if v == u:
@@ -208,57 +197,11 @@ class CompactGraph:
     def max_degree(self) -> int:
         return max(self.degree, default=0)
 
-    # ------------------------------------------------------------------
-    # repr machinery (mirrors ``sorted(..., key=repr)`` object idiom)
-    # ------------------------------------------------------------------
     def node_reprs(self) -> List[str]:
         """``repr`` of every node, cached, aligned to node indices."""
         if self._node_reprs is None:
             self._node_reprs = [repr(v) for v in self.nodes]
         return self._node_reprs
-
-    def repr_order(self) -> List[int]:
-        """Node indices stably sorted by ``repr`` string.
-
-        Mirrors the object engine's ``sorted(nodes, key=repr)`` idiom;
-        the stable tie-break on index matches the object engine
-        whenever node reprs are unique (the same precondition the
-        canonical fingerprint imposes).
-        """
-        if self._repr_order is None:
-            reprs = self.node_reprs()
-            self._repr_order = sorted(range(self.num_nodes), key=reprs.__getitem__)
-        return self._repr_order
-
-    def repr_rank(self) -> List[int]:
-        """Rank of each node index in :meth:`repr_order`."""
-        if self._repr_rank is None:
-            rank = [0] * self.num_nodes
-            for pos, v in enumerate(self.repr_order()):
-                rank[v] = pos
-            self._repr_rank = rank
-        return self._repr_rank
-
-    def parallel_edge_groups(self) -> Dict[Tuple[int, int], List[int]]:
-        """Edge indices grouped by (repr-min, repr-max) endpoint pair.
-
-        The flat-array analogue of the object engine's parallel-edge
-        grouping (``max_multiplicity`` / bad-edge orbit machinery).
-        Group keys use node indices ordered by ``repr`` rank; the list
-        per group is in edge enumeration order.
-        """
-        rank = self.repr_rank()
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for e in range(self.num_edges):
-            u, v = self.edge_u[e], self.edge_v[e]
-            key = (u, v) if rank[u] <= rank[v] else (v, u)
-            groups.setdefault(key, []).append(e)
-        return groups
-
-    def max_multiplicity(self) -> int:
-        """Largest parallel-edge group size (self-loops group too)."""
-        groups = self.parallel_edge_groups()
-        return max((len(g) for g in groups.values()), default=0)
 
     def __repr__(self) -> str:
         return f"CompactGraph(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -270,9 +213,9 @@ class CompactInstance:
 
     ``capacities[i]`` is the capacity of ``graph.nodes[i]``.  The
     ``source`` reference keeps the object instance reachable for the
-    cold paths that intentionally stay on the reference engine (lower
-    bounds, schedule validation, the residual Vizing pass) and for
-    lifting results back into edge-id space.
+    cold paths that stay on the object graph (lower bounds, schedule
+    validation, the residual Vizing pass) and for lifting results back
+    into edge-id space.
     """
 
     graph: CompactGraph
@@ -314,9 +257,9 @@ def lift_rounds(graph: CompactGraph, rounds: List[List[int]]) -> List[List[EdgeI
 def lift_coloring(graph: CompactGraph, color: Dict[int, int]) -> Dict[EdgeId, int]:
     """Map an edge-index-keyed coloring to edge ids, preserving order.
 
-    Dict insertion order is preserved so downstream bucket fills (for
-    example ``MigrationSchedule.from_coloring``) see the same sequence
-    as the object engine.
+    Dict insertion order is preserved, so downstream bucket fills (for
+    example ``MigrationSchedule.from_coloring``) see the coloring in
+    assignment order.
     """
     edge_ids = graph.edge_ids
     return {edge_ids[e]: c for e, c in color.items()}

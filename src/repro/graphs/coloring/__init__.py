@@ -13,11 +13,14 @@ algorithm                 applies to                 colors used
 ========================  =========================  ====================
 :func:`greedy_coloring`   any multigraph             ``<= 2Δ - 1``
 :func:`vizing_coloring`   simple graphs              ``<= Δ + 1``
-:func:`bipartite_coloring`  bipartite multigraphs    ``Δ`` (optimal)
 :func:`euler_split_coloring`  any multigraph         ``<= 3·2^(⌈log2 Δ⌉-1)``
 :func:`kempe_coloring`    any multigraph             heuristic, hard cap
                                                      ``2Δ - 1``
 ========================  =========================  ====================
+
+The optimal ``Δ``-color König colorer of bipartite multigraphs works
+over int node indices and backs the bipartite scheduler; see
+:func:`repro.graphs.coloring.bipartite.compact_konig_coloring`.
 """
 
 from repro.graphs.coloring.base import (
@@ -26,7 +29,6 @@ from repro.graphs.coloring.base import (
 )
 from repro.graphs.coloring.greedy import greedy_coloring
 from repro.graphs.coloring.vizing import vizing_coloring
-from repro.graphs.coloring.bipartite import bipartite_coloring
 from repro.graphs.coloring.euler_split import euler_split_coloring
 from repro.graphs.coloring.kempe import kempe_coloring
 
@@ -35,7 +37,6 @@ __all__ = [
     "validate_proper_coloring",
     "greedy_coloring",
     "vizing_coloring",
-    "bipartite_coloring",
     "euler_split_coloring",
     "kempe_coloring",
 ]

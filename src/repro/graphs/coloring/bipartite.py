@@ -6,27 +6,28 @@ colorable.  The constructive route used here is regularize-then-split:
 1. pad both sides to equal size and greedily add dummy edges between
    degree-deficient nodes until the graph is ``Δ``-regular;
 2. partition the ``Δ``-regular graph into ``Δ`` perfect matchings by
-   Euler partition (:func:`~repro.graphs.matching.quota_split` with
-   unit quotas): at even ``Δ`` halve it along alternating closed
+   Euler partition (:meth:`~repro.graphs.matching.QuotaPeeler.split`
+   with unit quotas): at even ``Δ`` halve it along alternating closed
    trails into two ``Δ/2``-regular halves; at odd ``Δ`` extract one
    perfect matching (Hall) with max-flow and continue on the
    ``(Δ-1)``-regular remainder — about ``log₂ Δ`` flows in all;
 3. give matching ``i`` color ``i`` and report only the colors of real
    edges.
 
-This exact colorer backs the tests of the even-capacity scheduler
-(whose Step 4 is, in essence, a capacitated bipartite coloring) and is
-part of the baseline suite.
+:func:`compact_konig_coloring` runs these steps over dense int nodes;
+it is the colorer of the bipartite scheduler
+(:func:`repro.core.special_cases.bipartite_optimal_schedule_compact`).
+:func:`bipartite_sides` and :func:`compact_bipartite_sides` 2-color a
+graph or reject it.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.graphs.array_backend import CompactGraph
-from repro.graphs.matching import QuotaPeeler, quota_split
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.matching import QuotaPeeler
+from repro.graphs.multigraph import Multigraph, Node
 
 
 class NotBipartiteError(ValueError):
@@ -58,91 +59,19 @@ def bipartite_sides(graph: Multigraph) -> Tuple[Set[Node], Set[Node]]:
     return left, right
 
 
-def bipartite_coloring(graph: Multigraph) -> Dict[EdgeId, int]:
-    """Color a bipartite multigraph with exactly ``Δ`` colors.
-
-    Raises:
-        NotBipartiteError: if the graph is not bipartite.
-    """
-    if graph.num_edges == 0:
-        return {}
-    left, right = bipartite_sides(graph)
-    delta = graph.max_degree()
-
-    # Working edge list: (u, v, real_eid or None).
-    edges: List[Tuple[Node, Node, Optional[EdgeId]]] = []
-    for eid, u, v in graph.edges():
-        if u in left:
-            edges.append((u, v, eid))
-        else:
-            edges.append((v, u, eid))
-
-    # Pad to equal-size sides with fresh dummy nodes.  Sides come back
-    # as sets; sort them so the regularization wiring (and hence the
-    # split matchings) is identical across processes regardless of
-    # hash randomization — schedules must be reproducible byte for
-    # byte from a seed alone.
-    lefts = sorted(left, key=repr)
-    rights = sorted(right, key=repr)
-    fresh = count()
-    while len(lefts) < len(rights):
-        lefts.append(("__pad_left__", next(fresh)))
-    while len(rights) < len(lefts):
-        rights.append(("__pad_right__", next(fresh)))
-
-    # Regularize: greedily wire deficient pairs with dummy edges.
-    deg: Dict[Node, int] = {v: 0 for v in lefts + rights}
-    for u, v, _ in edges:
-        deg[u] += 1
-        deg[v] += 1
-    deficient_left = [v for v in lefts if deg[v] < delta]
-    deficient_right = [v for v in rights if deg[v] < delta]
-    li, ri = 0, 0
-    while li < len(deficient_left):
-        u = deficient_left[li]
-        if deg[u] == delta:
-            li += 1
-            continue
-        w = deficient_right[ri]
-        if deg[w] == delta:
-            ri += 1
-            continue
-        edges.append((u, w, None))
-        deg[u] += 1
-        deg[w] += 1
-
-    # Split into Δ perfect matchings.
-    parts = quota_split(
-        [(u, v) for u, v, _ in edges],
-        dict.fromkeys(lefts, 1),
-        dict.fromkeys(rights, 1),
-        delta,
-    )
-    coloring: Dict[EdgeId, int] = {}
-    for color, part in enumerate(parts):
-        for i in part:
-            real = edges[i][2]
-            if real is not None:
-                coloring[real] = color
-    return coloring
-
-
 # ----------------------------------------------------------------------
-# Array backend (byte-identical mirrors of the functions above)
+# Array backend
 # ----------------------------------------------------------------------
 
 def compact_bipartite_sides(graph: CompactGraph) -> List[int]:
-    """Array mirror of :func:`bipartite_sides` over a CSR snapshot.
+    """:func:`bipartite_sides` over a CSR snapshot.
 
     Returns ``side[v] in {0, 1}`` per node index, with the anchor of
-    each component (first unvisited node in index order, which is the
-    object engine's node insertion order) on side 0 — the same sides
-    the object function computes.  Traversal order differs from the
-    object's set-iteration DFS, which is fine: the 2-coloring of a
-    component is unique given its anchor's side.  On non-bipartite
-    input the raised :class:`NotBipartiteError` may cite a different
-    witness edge than the object engine (error paths are not part of
-    the byte-identity contract).
+    each component (its first node in index order, which is the object
+    graph's node insertion order) on side 0 — the same sides
+    :func:`bipartite_sides` computes: the 2-coloring of a component is
+    unique given its anchor's side, whatever the traversal order.  On
+    non-bipartite input the two may cite different witness edges.
     """
     side = [-1] * graph.num_nodes
     indptr, inc_other = graph.indptr, graph.inc_other
@@ -174,30 +103,28 @@ def compact_konig_coloring(
     edges: List[Tuple[int, int]],
     node_repr: Sequence[str],
 ) -> List[int]:
-    """Array mirror of :func:`bipartite_coloring` (byte-identical).
+    """Color a bipartite multigraph with exactly ``Δ`` colors.
 
-    Nodes are dense ints ``0..num_nodes-1`` standing for the object
-    graph's nodes; ``node_repr[v]`` must be ``repr`` of the node ``v``
-    stands for, because the object function sorts sides by label repr
-    and the mirror must reproduce that order exactly (reprs are assumed
-    unique, the same precondition the canonical fingerprint imposes).
-    ``edges[i]`` is the endpoint pair of the i-th edge in the object
-    graph's ``edges()`` enumeration order, so the result — the color of
-    edge ``i`` at position ``i`` — aligns with the object coloring dict
-    keyed by edge id.
+    Nodes are dense ints ``0..num_nodes-1``, and ``edges[i]`` is the
+    endpoint pair of edge ``i``; the result holds the color of edge
+    ``i`` at position ``i``.  ``node_repr[v]`` names node ``v``: each
+    side is sorted by name before padding, so the regularization wiring
+    and hence the matchings depend on the names alone, not on how the
+    caller numbered the nodes (names are assumed unique, the same
+    precondition the canonical fingerprint imposes).  The ``Δ``
+    matchings come from :meth:`~repro.graphs.matching.QuotaPeeler.split`
+    over side positions.
 
-    The ``Δ`` matchings come from
-    :meth:`~repro.graphs.matching.QuotaPeeler.split` over side
-    positions, which returns the same parts as the object engine's
-    :func:`~repro.graphs.matching.quota_split` over labels.
+    Raises:
+        NotBipartiteError: if the graph is not bipartite.
     """
     m = len(edges)
     if m == 0:
         return []
 
-    # Sides, mirroring bipartite_sides over an adjacency built in edge
-    # order (anchor-per-component on side 0, component anchors in node
-    # index order).
+    # Sides, as bipartite_sides computes them, over an adjacency built
+    # in edge order (anchor-per-component on side 0, component anchors
+    # in node index order).
     adj: List[List[int]] = [[] for _ in range(num_nodes)]
     for u, v in edges:
         adj[u].append(v)
@@ -233,10 +160,9 @@ def compact_konig_coloring(
         (u, v) if side[u] == 0 else (v, u) for u, v in edges
     ]
 
-    # Sides sorted by label repr — exactly the object's
-    # ``sorted(left, key=repr)`` (stable index tie-break is moot when
-    # reprs are unique).  Pad nodes take fresh indices >= num_nodes and
-    # are appended *after* the sort, like the object's fresh pad labels.
+    # Sides sorted by name (the stable index tie-break is moot when
+    # names are unique).  Pad nodes take fresh indices >= num_nodes and
+    # are appended *after* the sort.
     lefts = sorted((v for v in range(num_nodes) if side[v] == 0),
                    key=node_repr.__getitem__)
     rights = sorted((v for v in range(num_nodes) if side[v] == 1),

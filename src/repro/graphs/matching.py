@@ -11,19 +11,17 @@ from a fractional argument (Lemma 4.1) and integrality of max-flow.
   and per right node) so it is reusable for other ``b``-matching needs
   (e.g. the Saia baseline's edge spreading is validated against it in
   tests).
-* :func:`quota_split` partitions a graph whose degrees are ``q_v·D``
-  into ``D`` exact-quota parts by Euler partition (Gabow 1976; Alon,
-  IPL 2003): even ``D`` halves the graph along alternating closed
-  trails, odd ``D`` peels one part by max-flow.  About ``log₂ D`` flows
-  replace the paper's ``D`` peels.
-* :class:`QuotaPeeler` is the flow over dense int indices, and
-  :meth:`QuotaPeeler.split` the int twin of :func:`quota_split`; the
-  two return the same parts.
+* :class:`QuotaPeeler` is the same flow over dense int indices, and
+  :meth:`QuotaPeeler.split` partitions a graph whose degrees are
+  ``q_v·D`` into ``D`` exact-quota parts by Euler partition (Gabow
+  1976; Alon, IPL 2003): even ``D`` halves the graph along alternating
+  closed trails, odd ``D`` peels one part by max-flow.  About
+  ``log₂ D`` flows replace the paper's ``D`` peels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.errors import SolverError
 from repro.graphs.flow import FlowNetwork
@@ -82,18 +80,16 @@ def degree_constrained_subgraph(
 class QuotaPeeler:
     """One exact-quota peel over a flow network on dense int indices.
 
-    The array-backend twin of one :func:`degree_constrained_subgraph`
-    call: the network is built over int node indices instead of
-    interned labels.  :meth:`split` builds one peeler per odd level of
-    the Euler partition.
+    One :func:`degree_constrained_subgraph` call, with the network
+    built over int node indices instead of interned labels.
+    :meth:`split` builds one peeler per odd level of the Euler
+    partition.
 
-    Byte-identity argument: arc order per node is the insertion order,
-    which matches the order ``degree_constrained_subgraph`` uses for
-    the same edges (quota arc first, then unit arcs in edge order), and
-    Dinic's augmentations depend only on the residual graph and that
-    order.  Hence :meth:`peel` performs exactly the augmentations the
-    object engine performs on its freshly built network, and returns
-    exactly the same selection.
+    Arc order per node is the insertion order — the same order
+    ``degree_constrained_subgraph`` uses for the same edges (quota arc
+    first, then unit arcs in edge order) — and Dinic's augmentations
+    depend only on the residual graph and that order, so :meth:`peel`
+    returns the selection ``degree_constrained_subgraph`` returns.
     """
 
     def __init__(
@@ -149,7 +145,7 @@ class QuotaPeeler:
         self._adj = adj
 
     def _dinic(self) -> int:
-        """Dinic mirror specialized for the quota network.
+        """Dinic's algorithm specialized for the quota network.
 
         Same residual-twin layout (twin of handle ``h`` is ``h ^ 1``),
         phase structure and per-node arc order as
@@ -184,8 +180,8 @@ class QuotaPeeler:
                 return total
             it = [0] * n
             # Iterative blocking-flow DFS.  Behaviorally identical to
-            # the object engine's repeated recursive ``_dfs_push``
-            # calls: after an augmentation the recursion would unwind
+            # FlowNetwork's repeated recursive ``_dfs_push`` calls:
+            # after an augmentation the recursion would unwind
             # to the source and re-descend along the unchanged ``it``
             # pointers, re-taking exactly the kept arcs (caps above the
             # first saturated arc are still positive, levels unchanged)
@@ -263,11 +259,14 @@ class QuotaPeeler:
     ) -> List[List[int]]:
         """Partition the edges into ``parts`` exact-quota subgraphs.
 
-        The int twin of :func:`quota_split`, with left node ``i`` and
-        right node ``j`` standing for the ``i``-th and ``j``-th keys of
-        its quota dicts; both return the same parts in the same order.
-        Each odd level peels through ``cls``, so a subclass sees every
-        flow.
+        The graph is split on an explicit stack.  At even ``D`` the
+        walk of :func:`_alternate_trails` halves it along closed trails
+        and both halves recurse with ``D/2`` (the first half's parts
+        come first).  At odd ``D`` one peel extracts an exact-quota
+        part, which Lemma 4.1's fractional flow ``1/D`` per edge shows
+        exists; it comes first, then the parts of the rest with
+        ``D − 1``.  Parts with ``D = 1`` are emitted as they are.  Each
+        odd level peels through ``cls``, so a subclass sees every flow.
 
         Args:
             left_quota / right_quota: quota ``q_v`` per node index.
@@ -370,109 +369,3 @@ def _alternate_trails(
             flag ^= 1
             v = lo[k] + hi[k] - v
     return [k for k in part if not in_b[k]], [k for k in part if in_b[k]]
-
-
-def quota_split(
-    edges: Sequence[Tuple[Node, Node]],
-    left_quota: Dict[Node, int],
-    right_quota: Dict[Node, int],
-    parts: int,
-) -> List[List[int]]:
-    """Partition a bipartite multigraph into ``parts`` exact-quota parts.
-
-    Every node ``v`` must have degree exactly ``q_v·D`` (``D =
-    parts``).  The graph is split on an explicit stack.  At even ``D``
-    the walk of :func:`_alternate_trails` halves it along closed trails
-    and both halves recurse with ``D/2`` (the first half's parts come
-    first).  At odd ``D`` one :func:`degree_constrained_subgraph` call
-    peels an exact-quota part, which Lemma 4.1's fractional flow
-    ``1/D`` per edge shows exists; it comes first, then the parts of
-    the rest with ``D − 1``.  Parts with ``D = 1`` are emitted as they
-    are.
-
-    This is the object-engine reference of :meth:`QuotaPeeler.split`:
-    the trail walk runs over node labels (start nodes in the quota
-    dicts' key order, left before right) and each odd level builds a
-    fresh :class:`FlowNetwork`.
-
-    Returns:
-        ``parts`` lists of ascending indices into ``edges``.
-
-    Raises:
-        SolverError: if some degree is not ``q_v·D``.
-    """
-    degree: Dict[Tuple[int, Node], int] = {(0, u): 0 for u in left_quota}
-    degree.update({(1, v): 0 for v in right_quota})
-    for u, v in edges:
-        degree[(0, u)] = degree.get((0, u), 0) + 1
-        degree[(1, v)] = degree.get((1, v), 0) + 1
-    for (side, node), d in degree.items():
-        q = (right_quota if side else left_quota).get(node, 0)
-        if d != q * parts:
-            raise SolverError(
-                f"{'right' if side else 'left'} node {node!r} has degree {d}, "
-                f"not {q}·{parts}: no {parts} exact-quota parts"
-            )
-
-    nodes = list(degree)
-    out: List[List[int]] = []
-    stack = [(list(range(len(edges))), parts)] if parts else []
-    while stack:
-        part, d = stack.pop()
-        if d == 1:
-            out.append(part)
-        elif d % 2:
-            try:
-                picked = set(degree_constrained_subgraph(
-                    [edges[k] for k in part], left_quota, right_quota
-                ))
-            except InfeasibleMatchingError as exc:
-                raise SolverError(f"peel at {d} parts infeasible: {exc}") from exc
-            rest = [k for i, k in enumerate(part) if i not in picked]
-            stack.append((rest, d - 1))
-            stack.append(([k for i, k in enumerate(part) if i in picked], 1))
-        else:
-            a, b = _halve_labels(part, edges, nodes)
-            stack.append((b, d // 2))
-            stack.append((a, d // 2))
-    return out
-
-
-def _halve_labels(
-    part: List[int],
-    edges: Sequence[Tuple[Node, Node]],
-    nodes: List[Tuple[int, Node]],
-) -> Tuple[List[int], List[int]]:
-    """:func:`_alternate_trails` over node labels.
-
-    ``nodes`` lists ``(0, left)`` and ``(1, right)`` keys in start
-    order; returns the halves ``A`` and ``B`` of ``part``, each in
-    ``part`` order.
-    """
-    rows: Dict[Tuple[int, Node], List[int]] = {v: [] for v in nodes}
-    for k in part:
-        u, v = edges[k]
-        rows[(0, u)].append(k)
-        rows[(1, v)].append(k)
-    cursor = dict.fromkeys(nodes, 0)
-    used: Set[int] = set()
-    in_b: Set[int] = set()
-    for start in nodes:
-        node = start
-        flag = False
-        while True:
-            row = rows[node]
-            i = cursor[node]
-            while i < len(row) and row[i] in used:
-                i += 1
-            if i == len(row):
-                break
-            k = row[i]
-            cursor[node] = i + 1
-            used.add(k)
-            if flag:
-                in_b.add(k)
-            flag = not flag
-            u, v = edges[k]
-            node = (1, v) if node[0] == 0 else (0, u)
-    return [k for k in part if k not in in_b], [k for k in part if k in in_b]

@@ -16,8 +16,7 @@ a :class:`SolverSpec` registered through :func:`register_solver`:
 * ``lowered`` — the solve function takes the component lowered onto
   the flat CSR arrays (:class:`CompactInstance`).  The three kernel
   methods (even-optimal, bipartite-optimal, general) register this
-  way; their object-engine counterparts are kept only as the reference
-  :mod:`repro.checks.engine` compares against.
+  way; the baselines and ``exact_bb`` take the object instance.
 
 The built-in catalog's cost hints order the automatic choice
 even-optimal before bipartite before general, so single-solver

@@ -8,7 +8,9 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro.core.problem import MigrationInstance
-from repro.graphs.multigraph import Multigraph
+from repro.graphs.array_backend import CompactGraph
+from repro.graphs.coloring.bipartite import compact_konig_coloring
+from repro.graphs.multigraph import EdgeId, Multigraph
 
 
 def random_multigraph(
@@ -49,6 +51,17 @@ def even_instance(
     """A random instance whose capacities are all even."""
     assert all(c % 2 == 0 for c in capacity_choices)
     return random_instance(num_nodes, num_edges, capacity_choices, seed=seed)
+
+
+def konig_coloring(graph: Multigraph) -> Dict[EdgeId, int]:
+    """:func:`compact_konig_coloring` of ``graph``, keyed by edge id."""
+    compact = CompactGraph.from_multigraph(graph)
+    colors = compact_konig_coloring(
+        compact.num_nodes,
+        list(zip(compact.edge_u, compact.edge_v)),
+        compact.node_reprs(),
+    )
+    return dict(zip(compact.edge_ids, colors))
 
 
 @pytest.fixture

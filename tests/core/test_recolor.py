@@ -251,3 +251,56 @@ class TestArrayMasks:
             masks[v] = saved
             state.validate()
 
+
+
+def both_states(moves, caps, q):
+    """The object and the array state over ``moves``, node ``"a"``'s key
+    in each, and edge ``i``'s key in each."""
+    g = Multigraph()
+    eids = [g.add_edge(u, v) for u, v in moves]
+    graph = CompactGraph.from_multigraph(g)
+    obj = ColoringState(g, caps, q)
+    arr = ArrayColoringState(graph, [caps[v] for v in graph.nodes], q)
+    return [(obj, "a", eids), (arr, graph.index_of["a"], list(range(len(eids))))]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["object", "array"])
+class TestValidateCaches:
+    """``validate`` checks every cached count and slot, not only the
+    colors some colored edge has at the node."""
+
+    def test_stale_count_of_an_unused_color(self, which):
+        state, a, edges = both_states([("a", "b")], {"a": 3, "b": 3}, 3)[which]
+        state.assign(edges[0], 0)
+        state.validate()
+        state.counts[a][2] = 1
+        with pytest.raises(ScheduleValidationError, match="count drift"):
+            state.validate()
+
+    def test_slot_holding_an_edge_of_another_color(self, which):
+        state, a, edges = both_states(
+            [("a", "b"), ("a", "b")], {"a": 3, "b": 3}, 3
+        )[which]
+        state.assign(edges[0], 0)
+        state.assign(edges[1], 1)
+        state.validate()
+        state.edges_at[a][1][edges[0]] = None
+        with pytest.raises(ScheduleValidationError, match="edges_at drift"):
+            state.validate()
+
+    def test_slot_missing_an_edge(self, which):
+        state, a, edges = both_states([("a", "b")], {"a": 3, "b": 3}, 3)[which]
+        state.assign(edges[0], 0)
+        del state.edges_at[a][0][edges[0]]
+        with pytest.raises(ScheduleValidationError, match="edges_at drift"):
+            state.validate()
+
+    def test_zero_counts_and_empty_slots_are_absent_ones(self, which):
+        state, a, edges = both_states([("a", "b"), ("a", "a")], {"a": 3, "b": 3}, 3)[which]
+        state.assign(edges[0], 0)
+        state.assign(edges[1], 1)
+        state.unassign(edges[0])
+        state.unassign(edges[1])
+        assert state.counts[a] == {0: 0, 1: 0}
+        assert state.edges_at[a] == {0: {}, 1: {}}
+        state.validate()

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.graphs.coloring import (
-    bipartite_coloring,
     euler_split_coloring,
     greedy_coloring,
     kempe_coloring,
@@ -18,7 +17,7 @@ from repro.graphs.coloring.bipartite import NotBipartiteError
 from repro.graphs.coloring.euler_split import euler_split
 from repro.graphs.coloring.vizing import NotSimpleGraphError
 from repro.graphs.multigraph import Multigraph
-from tests.conftest import random_multigraph
+from tests.conftest import konig_coloring, random_multigraph
 
 
 def random_simple_graph(n: int, p: float, seed: int) -> Multigraph:
@@ -169,20 +168,20 @@ class TestBipartite:
     @pytest.mark.parametrize("seed", range(6))
     def test_exactly_delta_colors(self, seed):
         g = random_bipartite_multigraph(5, 7, 30, seed=seed)
-        coloring = bipartite_coloring(g)
+        coloring = konig_coloring(g)
         validate_proper_coloring(g, coloring)
         assert num_colors_used(coloring) == g.max_degree()
 
     def test_parallel_edges(self):
         g = Multigraph(edges=[("l", "r")] * 4)
-        coloring = bipartite_coloring(g)
+        coloring = konig_coloring(g)
         validate_proper_coloring(g, coloring)
         assert num_colors_used(coloring) == 4
 
     def test_odd_cycle_rejected(self):
         g = Multigraph(edges=[("a", "b"), ("b", "c"), ("c", "a")])
         with pytest.raises(NotBipartiteError):
-            bipartite_coloring(g)
+            konig_coloring(g)
 
     def test_empty(self):
-        assert bipartite_coloring(Multigraph()) == {}
+        assert konig_coloring(Multigraph()) == {}

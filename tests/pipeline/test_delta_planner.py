@@ -1,7 +1,5 @@
 """Tests for repro.pipeline.delta: the incremental replanner."""
 
-import contextlib
-
 import pytest
 
 from repro.checks.certify import (
@@ -9,7 +7,6 @@ from repro.checks.certify import (
     rounds_digest,
     verify_patch_certificate,
 )
-from repro.checks.engine import reference_engine
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
@@ -174,20 +171,3 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="instance"):
             plan_delta(stripped, InstanceDelta(), cache=cache)
-
-
-class TestBackends:
-    def test_backend_independent_bytes(self):
-        instance = two_component_instance()
-        delta = InstanceDelta(
-            add_moves=(("c0.d0", "c0.d3"),),
-            remove_moves=(("c1.d0", "c1.d1"),),
-        )
-        digests = []
-        for engine in (reference_engine, contextlib.nullcontext):
-            cache = PlanCache(max_entries=256)
-            with engine():
-                prior = plan(instance, "auto", 0, cache=cache, certify=True)
-                result = plan_delta(prior, delta, cache=cache, certify=True)
-            digests.append(rounds_digest(result.schedule.rounds))
-        assert digests[0] == digests[1]

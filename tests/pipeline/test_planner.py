@@ -6,14 +6,15 @@ import random
 
 import pytest
 
-from repro.checks.certify import CertificationError
+from repro.checks.certify import CertificationError, verify_schedule
 from repro.checks.engine import DEFAULT_CORPUS, EXACT_CORPUS
 from repro.core.delta import InstanceDelta
 from repro.core.errors import ScheduleValidationError
-from repro.core.general import GeneralSolverStats, general_schedule
+from repro.core.general import GeneralSolverStats, general_schedule_compact
 from repro.core.lower_bounds import lower_bound
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan, plan_delta
 from repro.pipeline.cache import CachedPlan
@@ -128,7 +129,8 @@ class TestAutoDecomposedPlanning:
         for seed in range(8):
             inst = multi_component_instance(4, disks_per_component=7,
                                             items_per_component=30, seed=seed)
-            assert plan(inst).num_rounds <= general_schedule(inst, seed=0).num_rounds
+            monolithic = general_schedule_compact(lower_instance(inst), seed=0)
+            assert plan(inst).num_rounds <= verify_schedule(inst, monolithic.rounds)
 
     def test_single_solver_keeps_plain_method_name(self):
         result = plan(even_instance(8, 20, seed=3))
@@ -176,7 +178,7 @@ class TestRestarts:
         # Forcing ``method=`` means "run this algorithm once with this
         # seed" — the unlucky first attempt must come back unimproved.
         inst = clique_instance(5, 3, capacity=1)
-        legacy = general_schedule(inst, seed=3)
+        legacy = general_schedule_compact(lower_instance(inst), seed=3)
         forced = plan(inst, method="general", seed=3)
         assert forced.schedule.rounds == legacy.rounds
 
@@ -198,7 +200,7 @@ class TestForcedMethods:
         inst = random_instance(10, 40, capacity_choices=(1, 3), seed=6)
         result = plan(inst, method="general", stats=stats)
         direct = GeneralSolverStats()
-        expected = general_schedule(inst, seed=0, stats=direct)
+        expected = general_schedule_compact(lower_instance(inst), seed=0, stats=direct)
         assert [sorted(r) for r in result.schedule.rounds] == [
             sorted(r) for r in expected.rounds
         ]

@@ -45,6 +45,10 @@ class TestCatalog:
         with pytest.raises(ValueError, match="already registered"):
             register_solver("general")
 
+    def test_exactly_the_kernels_run_lowered(self):
+        lowered = {name for name in solver_names() if get_solver(name).lowered}
+        assert lowered == {"even_optimal", "bipartite_optimal", "general"}
+
 
 class TestSelection:
     def test_even_instance_selects_even_optimal(self):
@@ -80,7 +84,7 @@ class TestSelection:
 
 class TestExtensibility:
     def test_registered_solver_is_selectable_and_dispatchable(self):
-        from repro.core.general import general_schedule
+        from repro.core.baselines import greedy_schedule
 
         try:
 
@@ -91,7 +95,7 @@ class TestExtensibility:
                 auto=True,
             )
             def _custom(instance, seed, stats):
-                return general_schedule(instance, seed=seed, stats=stats)
+                return greedy_schedule(instance)
 
             inst = random_instance(6, 12, seed=0)
             assert select_solver(inst).name == "test_custom"

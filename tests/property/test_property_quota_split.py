@@ -1,36 +1,32 @@
 """The Euler-partition split kernel (hypothesis plus fixed edge shapes).
 
-:meth:`QuotaPeeler.split` and its object twin :func:`quota_split`
-partition a bipartite multigraph whose degrees are ``q_v·D`` into ``D``
-exact-quota parts: Theorem 4.1's step 4 with ``q_v = c_v/2`` and the
-König colorer with unit quotas.  The claims pinned here:
+:meth:`QuotaPeeler.split` partitions a bipartite multigraph whose
+degrees are ``q_v·D`` into ``D`` exact-quota parts: Theorem 4.1's step
+4 with ``q_v = c_v/2`` and the König colorer with unit quotas.  The
+claims pinned here:
 
 * on random unions of ``D`` exact-quota parts, every returned part has
   exactly ``q_v`` edges at every node, the parts partition the edges,
-  there are ``D`` of them, and the int kernel and the object twin
-  return the same parts;
+  and there are ``D`` of them;
 * against the paper's literal step 4 (one max-flow peel per round, kept
-  below as an oracle), the schedules of both validate with ``Δ'``
-  rounds on the even-instance families;
+  below as an oracle with its own augmentation), the schedules of both
+  validate with ``Δ'`` rounds on the even-instance families;
 * edge shapes — isolated nodes, augmentation made only of self-loops,
-  ``Δ' = 1``, an ``H`` with several components — keep the compact and
-  object schedules identical and optimal;
+  ``Δ' = 1``, an ``H`` with several components — keep the kernel's
+  schedule valid and optimal;
 * a degree that is not ``q_v·D`` raises :class:`SolverError`.
 """
 
 from collections import Counter
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checks.certify import verify_schedule
 from repro.core.errors import SolverError
-from repro.core.even_optimal import (
-    _augment_to_regular,
-    even_optimal_schedule,
-    even_optimal_schedule_compact,
-)
+from repro.core.even_optimal import even_optimal_schedule_compact
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import lower_instance
@@ -39,9 +35,8 @@ from repro.graphs.matching import (
     InfeasibleMatchingError,
     QuotaPeeler,
     degree_constrained_subgraph,
-    quota_split,
 )
-from repro.graphs.multigraph import Multigraph
+from repro.graphs.multigraph import Multigraph, Node
 from repro.workloads.generators import (
     hotspot_instance,
     multi_component_instance,
@@ -75,38 +70,57 @@ def quota_problems(draw):
     return left, right, edges, parts
 
 
-def split_both(left, right, edges, parts):
-    compact = QuotaPeeler.split(
-        left, right, [u for u, _ in edges], [v for _, v in edges], parts
-    )
-    obj = quota_split(edges, dict(enumerate(left)), dict(enumerate(right)), parts)
-    return compact, obj
-
-
 class TestPartitionProperty:
     @given(quota_problems())
     @settings(deadline=None, max_examples=80)
     def test_parts_are_exact_and_partition_the_edges(self, problem):
         left, right, edges, parts = problem
-        compact, obj = split_both(left, right, edges, parts)
-        assert compact == obj
-        assert len(compact) == parts
-        assert sorted(k for part in compact for k in part) == list(range(len(edges)))
-        for part in compact:
+        split = QuotaPeeler.split(
+            left, right, [u for u, _ in edges], [v for _, v in edges], parts
+        )
+        assert len(split) == parts
+        assert sorted(k for part in split for k in part) == list(range(len(edges)))
+        for part in split:
             assert part == sorted(part)
             assert Counter(edges[k][0] for k in part) == Counter(dict(enumerate(left)))
             assert Counter(edges[k][1] for k in part) == Counter(dict(enumerate(right)))
 
 
+def augment_to_regular(
+    instance: MigrationInstance, delta_prime: int
+) -> Tuple[Multigraph, Set[int]]:
+    """Theorem 4.1's step 1 on the object graph: make ``deg(v) = c_v·Δ'``.
+
+    Returns the augmented graph and the set of original edge ids.
+    ``c_v·Δ'`` is even (``c_v`` even), and self-loops change degree by
+    2, so after looping each node sits at its target or one below; the
+    one-below nodes are exactly those with odd original degree, whose
+    count is even, so they can be paired with dummy edges.
+    """
+    work = instance.graph.copy()
+    real_edges = set(work.edge_ids())
+    deficient: List[Node] = []
+    for v in work.nodes:
+        target = instance.capacity(v) * delta_prime
+        assert work.degree(v) <= target
+        while work.degree(v) <= target - 2:
+            work.add_edge(v, v)
+        if work.degree(v) == target - 1:
+            deficient.append(v)
+    assert len(deficient) % 2 == 0
+    for i in range(0, len(deficient), 2):
+        work.add_edge(deficient[i], deficient[i + 1])
+    return work, real_edges
+
+
 def paper_step4_schedule(instance: MigrationInstance) -> MigrationSchedule:
     """Theorem 4.1 with the paper's literal step 4: ``Δ'`` max-flow
     peels, each extracting one exact ``c_v/2`` subgraph from what is
-    left.  The peel loop is the object solver's before the
-    Euler-partition split, verbatim."""
+    left, over the object graph."""
     delta_prime = instance.delta_prime()
     if instance.num_items == 0:
         return MigrationSchedule([], method="even_optimal")
-    work, real_edges = _augment_to_regular(instance, delta_prime)
+    work, real_edges = augment_to_regular(instance, delta_prime)
     orientation = euler_orientation(work)
 
     bip_edges = []
@@ -156,17 +170,15 @@ class TestPaperOracle:
         instance = dict(EVEN_FAMILIES)[family](seed)
         assert instance.all_even()
         for schedule in (paper_step4_schedule(instance),
-                         even_optimal_schedule(instance)):
+                         even_optimal_schedule_compact(lower_instance(instance))):
             schedule.validate(instance)
             assert schedule.num_rounds == instance.delta_prime()
 
 
 def assert_split_schedule_optimal(instance: MigrationInstance) -> None:
-    obj = even_optimal_schedule(instance)
-    arr = even_optimal_schedule_compact(lower_instance(instance))
-    assert obj.rounds == arr.rounds
-    obj.validate(instance)
-    assert obj.num_rounds == instance.delta_prime()
+    schedule = even_optimal_schedule_compact(lower_instance(instance))
+    assert verify_schedule(instance, schedule.rounds) == instance.delta_prime()
+    assert schedule.num_rounds == instance.delta_prime()
 
 
 class TestEdgeShapes:
@@ -183,7 +195,7 @@ class TestEdgeShapes:
         instance = MigrationInstance.from_moves(
             [("a", "b"), ("b", "c"), ("a", "c")] * 2, {"a": 4, "b": 2, "c": 4}
         )
-        work, real = _augment_to_regular(instance, instance.delta_prime())
+        work, real = augment_to_regular(instance, instance.delta_prime())
         added = [(u, v) for eid, u, v in work.edges() if eid not in real]
         assert added and all(u == v for u, v in added)
         assert_split_schedule_optimal(instance)
@@ -207,7 +219,6 @@ class TestEdgeShapes:
 
     def test_no_parts_no_edges(self):
         assert QuotaPeeler.split([1], [1], [], [], 0) == []
-        assert quota_split([], {"l": 1}, {"r": 1}, 0) == []
 
 
 class TestPrecondition:
@@ -215,12 +226,3 @@ class TestPrecondition:
         # Left node 0 has degree 3, not 1·2.
         with pytest.raises(SolverError, match="degree 3"):
             QuotaPeeler.split([1, 1], [1, 1], [0, 0, 0, 1], [0, 1, 1, 0], 2)
-
-    def test_object_rejects_wrong_degree(self):
-        edges = [("l0", "r0"), ("l0", "r1"), ("l0", "r1"), ("l1", "r0")]
-        with pytest.raises(SolverError, match="degree 3"):
-            quota_split(edges, {"l0": 1, "l1": 1}, {"r0": 1, "r1": 1}, 2)
-
-    def test_rejects_node_without_quota(self):
-        with pytest.raises(SolverError):
-            quota_split([("l0", "stray")], {"l0": 1}, {"r0": 1}, 1)

@@ -15,11 +15,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checks.certify import verify_schedule
 from repro.core.baselines import greedy_schedule, saia_schedule
-from repro.core.even_optimal import even_optimal_schedule
-from repro.core.general import general_schedule
+from repro.core.even_optimal import even_optimal_schedule_compact
+from repro.core.general import general_schedule_compact
 from repro.core.lower_bounds import lb1, lower_bound
 from repro.core.problem import MigrationInstance
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 
 NODES = list(range(6))
@@ -36,6 +38,14 @@ caps_strategy = st.lists(st.integers(1, 5), min_size=6, max_size=6)
 even_caps_strategy = st.lists(st.sampled_from([2, 4, 6]), min_size=6, max_size=6)
 
 
+def solve_even(instance):
+    return even_optimal_schedule_compact(lower_instance(instance))
+
+
+def solve_general(instance):
+    return general_schedule_compact(lower_instance(instance))
+
+
 def instance_from(moves, caps):
     graph = Multigraph(nodes=NODES)
     for u, v in moves:
@@ -48,7 +58,7 @@ class TestEvenOptimalProperties:
     @settings(deadline=None, max_examples=80)
     def test_always_exactly_delta_prime(self, moves, caps):
         inst = instance_from(moves, caps)
-        sched = even_optimal_schedule(inst)
+        sched = solve_even(inst)
         sched.validate(inst)
         assert sched.num_rounds == lb1(inst)
 
@@ -58,7 +68,7 @@ class TestGeneralProperties:
     @settings(deadline=None, max_examples=80)
     def test_valid_and_within_theorem_budget(self, moves, caps):
         inst = instance_from(moves, caps)
-        sched = general_schedule(inst)
+        sched = solve_general(inst)
         sched.validate(inst)
         lb = lower_bound(inst)
         assert lb <= sched.num_rounds <= lb + 2 * math.isqrt(lb) + 2
@@ -88,7 +98,8 @@ class TestLowerBoundProperties:
     def test_lb_below_every_schedule(self, moves, caps):
         inst = instance_from(moves, caps)
         lb = lower_bound(inst)
-        assert lb <= general_schedule(inst).num_rounds
+        sched = solve_general(inst)
+        assert lb <= verify_schedule(inst, sched.rounds)
         assert lb <= greedy_schedule(inst).num_rounds
 
     @given(moves_strategy, even_caps_strategy)
@@ -96,4 +107,4 @@ class TestLowerBoundProperties:
     def test_even_case_certifies_lb_tight(self, moves, caps):
         # Theorem 4.1 corollary: with even capacities, LB == OPT == Δ'.
         inst = instance_from(moves, caps)
-        assert lower_bound(inst) == even_optimal_schedule(inst).num_rounds
+        assert lower_bound(inst) == solve_even(inst).num_rounds
