@@ -1,5 +1,8 @@
 """Tests for repro.pipeline.delta: the incremental replanner."""
 
+import math
+import random
+
 import pytest
 
 from repro.checks.certify import (
@@ -9,14 +12,18 @@ from repro.checks.certify import (
 )
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
+from repro.core.schedule import MigrationSchedule
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan, plan_delta
+from repro.pipeline.canonical import rehydrate_rounds
 from repro.pipeline.delta import (
     DISPOSITION_PATCHED,
     DISPOSITION_REUSED,
     DISPOSITION_RESOLVED,
     DeltaPlanResult,
+    _patch_component,
 )
+from tests.conftest import random_instance
 
 
 def two_component_instance():
@@ -171,3 +178,138 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="instance"):
             plan_delta(stripped, InstanceDelta(), cache=cache)
+
+
+def first_fit(instance, eids, capacities=None, palette=None):
+    """Plain first-fit colors for ``eids`` in the given order, at
+    ``capacities`` (the instance's by default); an edge that needs a
+    color at or past ``palette`` is left out."""
+    caps = instance.capacities if capacities is None else capacities
+    load = {}
+    colors = {}
+    for eid in eids:
+        u, v = instance.graph.endpoints(eid)
+        c = 0
+        while load.get((u, c), 0) >= caps[u] or load.get((v, c), 0) >= caps[v]:
+            c += 1
+        if palette is not None and c >= palette:
+            continue
+        load[(u, c)] = load.get((u, c), 0) + 1
+        load[(v, c)] = load.get((v, c), 0) + 1
+        colors[eid] = c
+    return colors
+
+
+def double_star():
+    """``u`` and ``v`` at capacity 1 with 11 leaves each, colored so
+    that ``u`` wears 0..10 and ``v`` 9..19: the new edge ``u-v`` has
+    no common missing color, and the palette (20) is already at the
+    bound (Δ' = 12), so only a flip can color it."""
+    moves = [("u", f"x{i}") for i in range(11)] + [("v", f"y{i}") for i in range(11)]
+    moves.append(("u", "v"))
+    survivors = {e: e for e in range(11)}
+    survivors.update({11 + i: 9 + i for i in range(11)})
+    return MigrationInstance.uniform(moves, 1), survivors
+
+
+def shannon_triangle(k, colored):
+    """Each side of a unit-capacity triangle ``k`` times: χ' = 3k
+    against Δ' = 2k; the first ``colored`` edges survive."""
+    moves = [("a", "b")] * k + [("b", "c")] * k + [("c", "a")] * k
+    instance = MigrationInstance.uniform(moves, 1)
+    return instance, first_fit(instance, range(colored))
+
+
+def stale_capacities(seed):
+    """Survivors first-fit at one more slot per disk than the instance
+    has, so preload rejects some; a quarter of the edges are new."""
+    instance = random_instance(10, 60, capacity_choices=(1, 2, 3), seed=seed)
+    roomier = {v: c + 1 for v, c in instance.capacities.items()}
+    return instance, first_fit(instance, instance.graph.edge_ids()[:45], roomier)
+
+
+def stuck_regular(n, d, cap, seed, shuffle_ids=False):
+    """``d·cap`` random perfect matchings between two sides of ``n``
+    disks at capacity ``cap`` (Δ' = d).  First-fit in a random order
+    at the optimal palette ``d`` gets stuck on some edges; those are
+    the new ones.  ``shuffle_ids`` takes the graph through
+    ``edge_subgraph`` in a shuffled order, so edge ids are not
+    ascending in enumeration order."""
+    rng = random.Random(seed)
+    moves = []
+    for _matching in range(d * cap):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moves += [(f"L{j}", f"R{perm[j]}") for j in range(n)]
+    instance = MigrationInstance.uniform(moves, cap)
+    eids = instance.graph.edge_ids()
+    if shuffle_ids:
+        rng.shuffle(eids)
+        instance = MigrationInstance(
+            instance.graph.edge_subgraph(eids), instance.capacities
+        )
+    order = list(eids)
+    rng.shuffle(order)
+    return instance, first_fit(instance, order, palette=d)
+
+
+#: name -> (instance and survivors, patch seed, token-round digest of
+#: the patch or None for a fallback, recolored edges).
+PATCH_CASES = {
+    "double-star-flip": (
+        double_star, 0,
+        "4d79d630d92df0b933fbe75ea57f1bfb08c7ddc24363b59fefe8850f0b2d01f4", 1,
+    ),
+    "shannon-growth": (
+        lambda: shannon_triangle(2, 4), 1,
+        "6d8cf3447804f54dc1dcb43cee3b2c6ca89760d4af466c2bbdf89c21b8bd7ecc", 2,
+    ),
+    "shannon-bound": (lambda: shannon_triangle(18, 18), 2, None, 0),
+    "stale-capacities": (
+        lambda: stale_capacities(0), 3,
+        "574525d796bb9b0c2ea949303fe82aa0828749cbc3832a4cf7d91ead47715e53", 29,
+    ),
+    "stuck-unit": (
+        lambda: stuck_regular(16, 8, 1, 1), 7,
+        "b8cbed1e47598544fc23972e2c2de7527309a18f252d407709be59f2364114b5", 15,
+    ),
+    "stuck-cap2": (
+        lambda: stuck_regular(12, 6, 2, 2), 8,
+        "bbb1e3e073bf72c5c1e9cb22cfea0cf8faa2215b206a7febe871a32a51123cca", 13,
+    ),
+    "stuck-shuffled-ids": (
+        lambda: stuck_regular(16, 10, 1, 3, shuffle_ids=True), 9,
+        "88d91edafbaeb42c8e84ef954cc3b6c1e7d591dc09d00ae09930cf439bf531aa", 17,
+    ),
+    "stuck-large": (
+        lambda: stuck_regular(32, 16, 1, 4), 10,
+        "38010e12a1c639d20fe10bdc5e1cfce66eae81c509edfcc6988110c6fe15e26e", 39,
+    ),
+}
+
+
+class TestPatchComponent:
+    """``_patch_component`` called directly: each case's token rounds
+    and recolored-edge count are pinned.  ``double-star-flip`` colors
+    its new edge only through a flip, ``shannon-growth`` and
+    ``stuck-cap2`` grow the palette past q₀, ``shannon-bound`` needs
+    54 colors against a bound of 50 and falls back, and
+    ``stale-capacities`` has preload rejections."""
+
+    @pytest.mark.parametrize("name", sorted(PATCH_CASES))
+    def test_pinned(self, name):
+        factory, seed, digest, recolored = PATCH_CASES[name]
+        instance, survivors = factory()
+        outcome, count = _patch_component(instance, survivors, seed)
+        assert count == recolored
+        if digest is None:
+            assert outcome is None
+            return
+        tokens, method = outcome
+        assert method == "patch"
+        assert rounds_digest(tokens) == digest
+        schedule = MigrationSchedule(rehydrate_rounds(instance, tokens))
+        schedule.validate(instance)
+        dp = instance.delta_prime()
+        q0 = max(max(survivors.values()) + 1, dp)
+        assert schedule.num_rounds <= max(q0, dp + 2 * math.isqrt(dp) + 2)
