@@ -16,7 +16,8 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.problem import MigrationInstance
-from repro.core.recolor import ColoringState
+from repro.core.recolor import ArrayColoringState
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 
 
@@ -34,19 +35,25 @@ def regular_bipartite_instance(n: int, d: int, seed: int) -> MigrationInstance:
     return MigrationInstance(g, {v: 1 for v in g.nodes})
 
 
+def coloring_state(inst: MigrationInstance, q: int, seed: int) -> ArrayColoringState:
+    """An empty q-color state over ``inst``'s CSR graph."""
+    ci = lower_instance(inst)
+    return ArrayColoringState(ci.graph, ci.capacities, q, seed=seed)
+
+
 def flip_stats(inst: MigrationInstance, q: int, seed: int):
     """Color everything with q colors; count direct/rescued/stuck."""
-    state = ColoringState(inst.graph, inst.capacities, q, seed=seed)
-    order = inst.graph.edge_ids()
+    state = coloring_state(inst, q, seed)
+    graph = state.graph
+    order = list(range(graph.num_edges))
     random.Random(seed).shuffle(order)
     direct = rescued = stuck = 0
-    for eid in order:
-        u, v = inst.graph.endpoints(eid)
-        c = state.common_missing_color(u, v)
+    for e in order:
+        c = state.common_missing_color(graph.edge_u[e], graph.edge_v[e])
         if c is not None:
-            state.assign(eid, c)
+            state.assign(e, c)
             direct += 1
-        elif state.try_color_edge(eid):
+        elif state.try_color_edge(e):
             rescued += 1
         else:
             stuck += 1
@@ -74,12 +81,12 @@ def test_fig4_flip_rescue_rates(benchmark):
 
 def test_bench_single_flip(benchmark):
     inst = regular_bipartite_instance(32, 16, seed=5)
-    state = ColoringState(inst.graph, inst.capacities, 16, seed=5)
-    for eid in inst.graph.edge_ids():
-        state.try_color_edge(eid)
+    state = coloring_state(inst, 16, seed=5)
+    for e in range(state.graph.num_edges):
+        state.try_color_edge(e)
     saturated = [
         (v, c)
-        for v in inst.graph.nodes
+        for v in range(state.graph.num_nodes)
         for c in range(state.q)
         if state.is_saturated(v, c)
     ]

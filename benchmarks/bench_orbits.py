@@ -16,22 +16,21 @@ import random
 
 import pytest
 
-from benchmarks.bench_fig4_abpaths import regular_bipartite_instance
+from benchmarks.bench_fig4_abpaths import coloring_state, regular_bipartite_instance
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.edge_orbits import explore_orbits, seed_orbits
-from repro.core.recolor import ColoringState
 from repro.workloads.generators import random_instance
 
 
 def first_fit(state, seed):
-    order = state.graph.edge_ids()
+    graph = state.graph
+    order = list(range(graph.num_edges))
     random.Random(seed).shuffle(order)
-    for eid in order:
-        u, v = state.graph.endpoints(eid)
-        c = state.common_missing_color(u, v)
+    for e in order:
+        c = state.common_missing_color(graph.edge_u[e], graph.edge_v[e])
         if c is not None:
-            state.assign(eid, c)
+            state.assign(e, c)
     return state
 
 
@@ -39,15 +38,13 @@ def starved_state(num_disks: int, num_items: int, palette_squeeze: int, seed: in
     """First-fit with a squeezed palette; leftovers become bad edges."""
     inst = random_instance(num_disks, num_items, uniform_capacity=1, seed=seed)
     q = max(1, inst.delta_prime() - palette_squeeze)
-    state = ColoringState(inst.graph, inst.capacities, q, seed=seed)
-    return inst, first_fit(state, seed)
+    return inst, first_fit(coloring_state(inst, q, seed), seed)
 
 
 def adequate_state(n: int, d: int, seed: int):
     """Regular bipartite at its optimal palette (König: q = d works)."""
     inst = regular_bipartite_instance(n, d, seed)
-    state = ColoringState(inst.graph, inst.capacities, d, seed=seed)
-    return inst, first_fit(state, seed)
+    return inst, first_fit(coloring_state(inst, d, seed), seed)
 
 
 def test_orbit_growth_dynamics(benchmark):
@@ -92,10 +89,9 @@ def test_orbit_growth_dynamics(benchmark):
 def bad_edge_groups(state):
     """Groups of parallel uncolored edges (Definition 5.5's bad edges)."""
     groups = {}
-    for eid in sorted(state.uncolored):
-        u, v = state.graph.endpoints(eid)
-        key = (u, v) if repr(u) <= repr(v) else (v, u)
-        groups.setdefault(key, []).append(eid)
+    for e in state.uncolored_in_id_order():
+        u, v = state.graph.edge_u[e], state.graph.edge_v[e]
+        groups.setdefault((min(u, v), max(u, v)), []).append(e)
     return [g for g in groups.values() if len(g) > 1]
 
 

@@ -16,22 +16,22 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
+from repro.core.general import split_by_capacity
 from repro.core.problem import MigrationInstance
-from repro.core.recolor import ColoringState
+from repro.core.recolor import ArrayColoringState
 from repro.core.schedule import MigrationSchedule
-from repro.graphs.array_backend import lower_instance
+from repro.graphs.array_backend import lift_coloring, lower_instance
 from repro.graphs.coloring.euler_split import euler_split_coloring
 from repro.graphs.coloring.kempe import kempe_coloring
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
 
 def saia_schedule(instance: MigrationInstance, use_euler_split: bool = True) -> MigrationSchedule:
     """Saia's copy-split 1.5-approximation baseline."""
     if instance.num_items == 0:
         return MigrationSchedule([], method="saia")
-    split, edge_map = _split_by_capacity(instance)
+    split, edge_map = split_by_capacity(instance.graph, instance.capacity)
     coloring = kempe_coloring(split)
     if use_euler_split:
         alternative = euler_split_coloring(split)
@@ -41,31 +41,6 @@ def saia_schedule(instance: MigrationInstance, use_euler_split: bool = True) -> 
     schedule = MigrationSchedule.from_coloring(original, method="saia")
     schedule.validate(instance)
     return schedule
-
-
-def _split_by_capacity(
-    instance: MigrationInstance,
-) -> Tuple[Multigraph, Dict[EdgeId, EdgeId]]:
-    """Copy each node ``c_v`` times and spread its edges round-robin.
-
-    Returns the split multigraph and the original->split edge id map.
-    Each copy of ``v`` receives at most ``ceil(d_v / c_v)`` edges, so
-    the split graph's max degree is exactly ``Δ'``.
-    """
-    split = Multigraph()
-    cursor: Dict[Node, int] = {}
-    for v in instance.graph.nodes:
-        cursor[v] = 0
-        for k in range(instance.capacity(v)):
-            split.add_node((v, k))
-    edge_map: Dict[EdgeId, EdgeId] = {}
-    for eid, u, v in instance.graph.edges():
-        cu = (u, cursor[u] % instance.capacity(u))
-        cv = (v, cursor[v] % instance.capacity(v))
-        cursor[u] += 1
-        cursor[v] += 1
-        edge_map[eid] = split.add_edge(cu, cv)
-    return split, edge_map
 
 
 def homogeneous_schedule(instance: MigrationInstance) -> MigrationSchedule:
@@ -123,14 +98,17 @@ def greedy_schedule(instance: MigrationInstance) -> MigrationSchedule:
     """
     if instance.num_items == 0:
         return MigrationSchedule([], method="greedy")
-    q = max(1, 2 * instance.delta_prime() - 1)
-    state = ColoringState(instance.graph, instance.capacities, q)
-    for eid in instance.graph.edge_ids():
-        u, v = instance.graph.endpoints(eid)
-        c = state.common_missing_color(u, v)
+    ci = lower_instance(instance)
+    q = max(1, 2 * ci.delta_prime() - 1)
+    state = ArrayColoringState(ci.graph, ci.capacities, q)
+    edge_u, edge_v = ci.graph.edge_u, ci.graph.edge_v
+    for e in range(ci.graph.num_edges):
+        c = state.common_missing_color(edge_u[e], edge_v[e])
         if c is None:
             raise AssertionError("first-fit exceeded its guaranteed palette")
-        state.assign(eid, c)
-    schedule = MigrationSchedule.from_coloring(state.color, method="greedy")
+        state.assign(e, c)
+    schedule = MigrationSchedule.from_coloring(
+        lift_coloring(ci.graph, state.color), method="greedy"
+    )
     schedule.validate(instance)
     return schedule

@@ -3,10 +3,16 @@
 The production solver (:mod:`repro.core.general`) realizes the paper's
 progress lemmas operationally through the flip engine.  This module is
 the *reference* implementation of the structures those lemmas reason
-about — Definition 5.5 (lean/bad edges), Definition 5.6 (edge orbits
-and their growth by alternating paths) and Definition 5.7 (Δ- and
+about — Definition 5.5 (bad edges), Definition 5.6 (edge orbits and
+their growth by alternating paths) and Definition 5.7 (Δ- and
 Γ-witnesses) — exposed for study, tests and the ``bench_orbits``
 experiment that watches orbits grow on deliberately starved palettes.
+
+It reads and moves the same CSR coloring state as the solver,
+:class:`~repro.core.recolor.ArrayColoringState`, so nodes and edges
+are the state graph's dense indices.  Where the order of a choice
+matters, edges go in edge-id order and nodes in the order of their
+labels' ``repr``.
 
 Faithfulness notes:
 
@@ -27,40 +33,24 @@ Faithfulness notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.recolor import ColoringState
-from repro.graphs.multigraph import EdgeId, Node
+from repro.core.recolor import ArrayColoringState
 
 
 @dataclass
 class EdgeOrbit:
-    """A growing edge orbit (Definition 5.6)."""
+    """A growing edge orbit (Definition 5.6), over edge and node indices."""
 
-    seed: Tuple[EdgeId, EdgeId]
-    edges: Set[EdgeId] = field(default_factory=set)
-    vertices: Set[Node] = field(default_factory=set)
-    used_colors: Set[int] = field(default_factory=set)
+    seed: Tuple[int, int]
+    edges: Set[int] = field(default_factory=set)
+    vertices: Set[int] = field(default_factory=set)
     growth_steps: int = 0
 
-    def free_colors(self, state: ColoringState) -> Set[int]:
+    def free_colors(self, state: ArrayColoringState) -> Set[int]:
         """Colors no orbit edge currently wears."""
-        worn = {state.color[eid] for eid in self.edges if eid in state.color}
+        worn = {state.color[e] for e in self.edges if e in state.color}
         return set(range(state.q)) - worn
-
-    def has_lean_edge(self, state: ColoringState) -> bool:
-        """Weak orbit test: a colored orbit edge whose parallels are
-        all colored (Definition 5.5)."""
-        graph = state.graph
-        for eid in self.edges:
-            if eid not in state.color:
-                continue
-            u, v = graph.endpoints(eid)
-            if all(
-                parallel in state.color for parallel in graph.edges_between(u, v)
-            ):
-                return True
-        return False
 
 
 @dataclass
@@ -69,64 +59,71 @@ class GrowthOutcome:
 
     kind: str  # "grown" | "delta_witness" | "gamma_witness" | "exhausted"
     orbit: EdgeOrbit
-    witness_node: Optional[Node] = None
-    added_vertices: Set[Node] = field(default_factory=set)
+    witness_node: Optional[int] = None
+    added_vertices: Set[int] = field(default_factory=set)
 
 
-def seed_orbits(state: ColoringState) -> List[EdgeOrbit]:
-    """One orbit per group of parallel uncolored (bad) edges."""
+def seed_orbits(state: ArrayColoringState) -> List[EdgeOrbit]:
+    """One orbit per group of parallel uncolored (bad) edges.
+
+    Groups are ordered by the ``repr`` of their label pair, and each
+    orbit is seeded with its group's two lowest edge ids.
+    """
     graph = state.graph
-    groups: Dict[Tuple[Node, Node], List[EdgeId]] = {}
-    for eid in sorted(state.uncolored):
-        u, v = graph.endpoints(eid)
-        key = (u, v) if repr(u) <= repr(v) else (v, u)
-        groups.setdefault(key, []).append(eid)
+    labels = graph.nodes
+    reprs = graph.node_reprs()
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for e in state.uncolored_in_id_order():
+        u, v = graph.edge_u[e], graph.edge_v[e]
+        key = (u, v) if reprs[u] <= reprs[v] else (v, u)
+        groups.setdefault(key, []).append(e)
     orbits: List[EdgeOrbit] = []
-    for (u, v), eids in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-        if len(eids) < 2:
+    for (u, v), edges in sorted(
+        groups.items(), key=lambda kv: repr((labels[kv[0][0]], labels[kv[0][1]]))
+    ):
+        if len(edges) < 2:
             continue
-        eids.sort()
-        orbit = EdgeOrbit(seed=(eids[0], eids[1]))
-        orbit.edges.update(eids[:2])
+        orbit = EdgeOrbit(seed=(edges[0], edges[1]))
+        orbit.edges.update(edges[:2])
         orbit.vertices.update((u, v))
         orbits.append(orbit)
     return orbits
 
 
 def trace_ab_path(
-    state: ColoringState, start: Node, a: int, b: int, max_len: Optional[int] = None
-) -> List[EdgeId]:
+    state: ArrayColoringState, start: int, a: int, b: int, max_len: Optional[int] = None
+) -> List[int]:
     """Trace (without flipping) the alternating ab-path from ``start``.
 
     Follows Definition 5.2's shape under capacities: beginning with an
     ``a``-colored edge at ``start`` (which must be missing ``b`` and
-    not missing ``a``), alternating colors; at each node the next edge
-    of the wanted color is taken if available.  The walk may revisit
-    nodes (paths need not be simple) but never reuses an edge.
+    not missing ``a``), alternating colors; at each node the unused
+    edge of the wanted color with the lowest edge id is taken.  The
+    walk may revisit nodes (paths need not be simple) but never reuses
+    an edge.
     """
     if not state.is_missing(start, b) or state.is_missing(start, a):
         return []
-    cap = max_len if max_len is not None else 2 * max(1, state.graph.num_edges)
-    path: List[EdgeId] = []
-    used: Set[EdgeId] = set()
+    graph = state.graph
+    cap = max_len if max_len is not None else 2 * max(1, graph.num_edges)
+    path: List[int] = []
+    used: Set[int] = set()
     cur = start
     want = a
     while len(path) < cap:
-        candidates = [
-            eid for eid in state.edges_at[cur].get(want, ()) if eid not in used
-        ]
+        candidates = [e for e in state.edges_at[cur].get(want, ()) if e not in used]
         if not candidates:
             break
-        eid = min(candidates)
-        path.append(eid)
-        used.add(eid)
-        cur = state.graph.other_endpoint(eid, cur)
+        e = min(candidates, key=graph.edge_ids.__getitem__)
+        path.append(e)
+        used.add(e)
+        cur = graph.other_endpoint(e, cur)
         want = b if want == a else a
     return path
 
 
 def grow_orbit(
-    state: ColoringState, orbit: EdgeOrbit, max_attempts: int = 64
+    state: ArrayColoringState, orbit: EdgeOrbit, max_attempts: int = 64
 ) -> GrowthOutcome:
     """One growth step (Lemma 5.4): extend, or report a witness.
 
@@ -137,10 +134,11 @@ def grow_orbit(
     Γ-witness; otherwise ``exhausted`` (the search budget ran out
     without growth — operationally treated like a witness).
     """
+    graph = state.graph
     free = orbit.free_colors(state)
 
     # Δ-witness check (Definition 5.7, first kind).
-    for v in sorted(orbit.vertices, key=repr):
+    for v in sorted(orbit.vertices, key=graph.node_reprs().__getitem__):
         if not any(state.is_missing(v, c) for c in free):
             return GrowthOutcome("delta_witness", orbit, witness_node=v)
 
@@ -152,8 +150,8 @@ def grow_orbit(
         return GrowthOutcome("gamma_witness", orbit)
 
     attempts = 0
-    for eid in sorted(orbit.edges):
-        x, y = state.graph.endpoints(eid)
+    for e in sorted(orbit.edges, key=graph.edge_ids.__getitem__):
+        x, y = graph.edge_u[e], graph.edge_v[e]
         for a in sorted(free):
             if not state.is_missing(x, a):
                 continue
@@ -172,29 +170,28 @@ def grow_orbit(
                     path = trace_ab_path(state, start, first, second)
                     if not path:
                         continue
-                    new_nodes: Set[Node] = set()
-                    for peid in path:
-                        new_nodes.update(state.graph.endpoints(peid))
+                    new_nodes: Set[int] = set()
+                    for p in path:
+                        new_nodes.update((graph.edge_u[p], graph.edge_v[p]))
                     new_nodes -= orbit.vertices
                     if not new_nodes:
                         continue
                     orbit.edges.update(path)
                     orbit.vertices.update(new_nodes)
-                    orbit.used_colors.update((a, b))
                     orbit.growth_steps += 1
                     return GrowthOutcome("grown", orbit, added_vertices=new_nodes)
     return GrowthOutcome("exhausted", orbit)
 
 
-def resolve_weak_orbit(state: ColoringState, orbit: EdgeOrbit) -> bool:
+def resolve_weak_orbit(state: ArrayColoringState, orbit: EdgeOrbit) -> bool:
     """Lemma 5.3's move on a weak orbit, via the flip engine.
 
     Attempts to color one of the orbit's uncolored edges (possibly
-    after flips).  Returns True on progress; the state is validated by
-    the engine's own invariants either way.
+    after flips), lowest edge id first.  Returns True on progress; the
+    state is validated by the engine's own invariants either way.
     """
-    for eid in sorted(orbit.edges):
-        if eid in state.uncolored and state.try_color_edge(eid):
+    for e in sorted(orbit.edges, key=state.graph.edge_ids.__getitem__):
+        if e in state.uncolored and state.try_color_edge(e):
             return True
     return False
 
@@ -209,7 +206,9 @@ class OrbitTrace:
     resolved: bool
 
 
-def explore_orbits(state: ColoringState, max_growth: int = 100) -> List[OrbitTrace]:
+def explore_orbits(
+    state: ArrayColoringState, max_growth: int = 100
+) -> List[OrbitTrace]:
     """Grow every seeded orbit to its conclusion; return trajectories."""
     traces: List[OrbitTrace] = []
     for orbit in seed_orbits(state):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.orbits import (
@@ -198,6 +198,37 @@ def _phase1_compact(
 # Phase 2
 # ----------------------------------------------------------------------
 
+def split_by_capacity(
+    graph: Multigraph, capacity: Callable[[Node], int]
+) -> Tuple[Multigraph, Dict[EdgeId, EdgeId]]:
+    """Copy each node ``c_v`` times and spread its edges round-robin.
+
+    Node ``v`` becomes ``(v, 0) .. (v, c_v - 1)``; its ``k``-th edge in
+    ``graph.edges()`` order goes to copy ``k mod c_v``, so each copy
+    has degree at most ``ceil(d_v / c_v)``.  A proper coloring of the
+    split graph contracts to a capacitated one: at most ``c_v``
+    same-colored edges meet at ``v``, one per copy (Lemma 5.8).  Phase 2
+    splits the residual graph this way and Saia's baseline the whole
+    transfer graph.
+
+    Returns the split multigraph and the original->split edge id map.
+    """
+    split = Multigraph()
+    cursor: Dict[Node, int] = {}
+    for v in graph.nodes:
+        cursor[v] = 0
+        for k in range(capacity(v)):
+            split.add_node((v, k))
+    edge_map: Dict[EdgeId, EdgeId] = {}
+    for eid, u, v in graph.edges():
+        cu = (u, cursor[u] % capacity(u))
+        cv = (v, cursor[v] % capacity(v))
+        cursor[u] += 1
+        cursor[v] += 1
+        edge_map[eid] = split.add_edge(cu, cv)
+    return split, edge_map
+
+
 def _phase2_color_residual(
     instance: MigrationInstance, residual: Multigraph
 ) -> Dict[EdgeId, int]:
@@ -206,20 +237,6 @@ def _phase2_color_residual(
     Returns colors in a fresh palette ``0..Δ(split)`` which the caller
     offsets above Phase 1's palette.
     """
-    split = Multigraph()
-    cursor: Dict[Node, int] = {}
-    for v in residual.nodes:
-        cursor[v] = 0
-        for k in range(instance.capacity(v)):
-            split.add_node((v, k))
-
-    split_eid_of: Dict[EdgeId, int] = {}
-    for eid, u, v in residual.edges():
-        cu = (u, cursor[u] % instance.capacity(u))
-        cv = (v, cursor[v] % instance.capacity(v))
-        cursor[u] += 1
-        cursor[v] += 1
-        split_eid_of[eid] = split.add_edge(cu, cv)
-
+    split, split_eid_of = split_by_capacity(residual, instance.capacity)
     split_coloring = vizing_coloring(split)
     return {eid: split_coloring[seid] for eid, seid in split_eid_of.items()}

@@ -3,50 +3,39 @@
 This is the engine room of the Section V algorithm.  A *capacitated*
 coloring allows color ``c`` to appear up to ``c_v`` times at node
 ``v``; the paper's Definitions 5.1–5.2 and Figure 4 are implemented
-here:
+here, once, over the CSR arrays of :mod:`repro.graphs.array_backend`:
 
-* :class:`ColoringState` — a partial coloring over ``q`` colors with
-  per-node per-color counts and the *missing* / *strongly missing* /
-  *lightly missing* predicates of Definition 5.1.
-* :meth:`ColoringState.attempt_flip` — an ab-path flip (Definition
-  5.2).  Unlike the ``c_v = 1`` case, an alternating path need not be
-  simple: the walk flips edges ``a→b, b→a, …`` and may revisit nodes;
-  internal visits are capacity-neutral and only the two endpoints'
-  counts change.  The walk is validated against pending deltas and is
-  applied atomically — on failure the state is untouched.
-* :meth:`ColoringState.try_color_edge` — color one uncolored edge
+* :class:`ArrayColoringState` — a partial coloring over ``q`` colors
+  with per-node per-color counts and the *missing* / *strongly
+  missing* / *lightly missing* predicates of Definition 5.1, read off
+  two bitmasks per node.
+* :meth:`ArrayColoringState.attempt_flip` — an ab-path flip
+  (Definition 5.2).  Unlike the ``c_v = 1`` case, an alternating path
+  need not be simple: the walk flips edges ``a→b, b→a, …`` and may
+  revisit nodes; internal visits are capacity-neutral and only the two
+  endpoints' counts change.  The walk is validated against pending
+  deltas and is applied atomically — on failure the state is
+  untouched.
+* :meth:`ArrayColoringState.try_color_edge` — color one uncolored edge
   using a common missing color directly, or after flips that free a
   color at an endpoint (the operational content of Lemmas 5.1–5.3).
-* :class:`ArrayColoringState` — the same state over the CSR arrays of
-  :mod:`repro.graphs.array_backend`, which the pipeline's general
-  solver runs.  Besides the counts it keeps two int bitmasks per node,
-  so every per-color question Phase 1 asks (is ``c`` missing, strongly
-  or lightly missing; which colors are; the smallest color missing at
-  both endpoints) reads bits instead of scanning the palette.
-  :class:`ColoringState` stays dict-based over node labels and edge
-  ids: the delta patcher, the greedy baseline and
-  :mod:`repro.core.edge_orbits` color with it.
+
+The general solver (:mod:`repro.core.general`), the delta patcher
+(:mod:`repro.pipeline.delta`), the greedy baseline and
+:mod:`repro.core.edge_orbits` all color with it: each lowers its
+instance once with :func:`~repro.graphs.array_backend.lower_instance`
+and lifts the coloring back to edge ids with
+:func:`~repro.graphs.array_backend.lift_coloring`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import (
-    AbstractSet,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ScheduleValidationError
 from repro.graphs.array_backend import CompactGraph
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.multigraph import EdgeId
 
 # Budget of (a, b) pairs tried by try_color_edge before giving up.
 DEFAULT_PAIR_BUDGET = 32
@@ -64,407 +53,16 @@ def mask_bits(mask: int) -> List[int]:
     return bits
 
 
-def _check_node_caches(
-    where: str,
-    cap: int,
-    real_classes: Mapping[int, Sequence[Hashable]],
-    counts: Mapping[int, int],
-    edges_at: Mapping[int, Iterable[Hashable]],
-    loops: AbstractSet[Hashable],
-) -> Dict[int, int]:
-    """Check one node's cached counts and slots against its color classes.
-
-    ``real_classes[c]`` lists the edges of color ``c`` at the node,
-    recomputed from the coloring; a self-loop (in ``loops``) counts
-    twice.  Every cached count must equal its class's size and every
-    ``edges_at`` slot must hold exactly the class's edges.  An absent
-    count equals 0 and an absent slot an empty one, because ``_bump``
-    leaves both behind.  Returns the real counts.
-
-    Raises:
-        ScheduleValidationError: on a capacity violation or a stale
-            cache.
-    """
-    real = {
-        c: sum(2 if e in loops else 1 for e in members)
-        for c, members in real_classes.items()
-    }
-    for c in sorted(set(real) | set(counts)):
-        n = real.get(c, 0)
-        if n > cap:
-            raise ScheduleValidationError(
-                f"node {where} has {n} edges of color {c} but c_v={cap}"
-            )
-        if counts.get(c, 0) != n:
-            raise ScheduleValidationError(
-                f"count drift at ({where}, {c}): cached {counts.get(c, 0)}, real {n}"
-            )
-    for c in sorted(set(real_classes) | set(edges_at)):
-        cached = set(edges_at.get(c, ()))
-        if cached != set(real_classes.get(c, ())):
-            raise ScheduleValidationError(
-                f"edges_at drift at ({where}, {c}): cached {sorted(cached, key=repr)}, "
-                f"real {sorted(real_classes.get(c, ()), key=repr)}"
-            )
-    return real
-
-
-class ColoringState:
+class ArrayColoringState:
     """A partial capacitated edge coloring with ``q`` colors.
 
-    Args:
-        graph: the transfer multigraph (self-loops allowed; a self-loop
-            counts twice toward its node's per-color count).
-        capacities: ``c_v`` per node.
-        num_colors: initial palette size ``q``; grows via
-            :meth:`add_color`.
-    """
-
-    def __init__(
-        self,
-        graph: Multigraph,
-        capacities: Mapping[Node, int],
-        num_colors: int,
-        seed: int = 0,
-    ) -> None:
-        self.graph = graph
-        self.cap = dict(capacities)
-        self.q = num_colors
-        self.color: Dict[EdgeId, int] = {}
-        # counts[v][c]: colored edge-ends of color c at v.
-        self.counts: Dict[Node, Dict[int, int]] = {v: {} for v in graph.nodes}
-        # edges_at[v][c]: the edge ids realizing counts[v][c], as an
-        # insertion-ordered dict used as an ordered set.  Iteration
-        # order shapes which edge an ab-walk flips, so it must be a
-        # deterministic function of the assignment history — dict
-        # insertion order is exactly that, whereas a set of ints
-        # iterates in a hash-table order that depends on value
-        # distribution and is unmirrorable by the array backend.
-        self.edges_at: Dict[Node, Dict[int, Dict[EdgeId, None]]] = {
-            v: {} for v in graph.nodes
-        }
-        self.uncolored: Set[EdgeId] = set(graph.edge_ids())
-        self._rng = random.Random(seed)
-
-    # ------------------------------------------------------------------
-    # predicates (Definition 5.1)
-    # ------------------------------------------------------------------
-    def count(self, v: Node, c: int) -> int:
-        return self.counts[v].get(c, 0)
-
-    def is_missing(self, v: Node, c: int) -> bool:
-        """Color ``c`` is missing at ``v``: fewer than ``c_v`` uses."""
-        return self.count(v, c) < self.cap[v]
-
-    def is_strongly_missing(self, v: Node, c: int) -> bool:
-        """``E_c(v) < c_v - 1`` (at least two uses still available)."""
-        return self.count(v, c) < self.cap[v] - 1
-
-    def is_lightly_missing(self, v: Node, c: int) -> bool:
-        """``E_c(v) == c_v - 1`` (exactly one use available)."""
-        return self.count(v, c) == self.cap[v] - 1
-
-    def is_saturated(self, v: Node, c: int) -> bool:
-        return self.count(v, c) >= self.cap[v]
-
-    def missing_colors(self, v: Node) -> List[int]:
-        """All colors missing at ``v`` (ascending)."""
-        return [c for c in range(self.q) if self.is_missing(v, c)]
-
-    def strongly_missing_colors(self, v: Node) -> List[int]:
-        return [c for c in range(self.q) if self.is_strongly_missing(v, c)]
-
-    def common_missing_color(self, u: Node, v: Node) -> Optional[int]:
-        """Smallest color missing at both endpoints, or None.
-
-        For a self-loop caller (``u == v``) this demands two free slots
-        (the loop contributes twice at its node).
-        """
-        if u == v:
-            for c in range(self.q):
-                if self.is_strongly_missing(u, c):
-                    return c
-            return None
-        for c in range(self.q):
-            if self.is_missing(u, c) and self.is_missing(v, c):
-                return c
-        return None
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add_color(self) -> int:
-        """Grow the palette by one; returns the new color index."""
-        self.q += 1
-        return self.q - 1
-
-    def _bump(self, v: Node, c: int, delta: int, eid: EdgeId, adding: bool) -> None:
-        self.counts[v][c] = self.counts[v].get(c, 0) + delta
-        slot = self.edges_at[v].setdefault(c, {})
-        if adding:
-            slot[eid] = None
-        else:
-            slot.pop(eid, None)
-
-    def assign(self, eid: EdgeId, c: int) -> None:
-        """Color uncolored edge ``eid`` with ``c`` (capacity-checked)."""
-        if eid in self.color:
-            raise ScheduleValidationError(f"edge {eid} already colored")
-        u, v = self.graph.endpoints(eid)
-        need = 2 if u == v else 1
-        if self.count(u, c) + need > self.cap[u] or (
-            u != v and self.count(v, c) + 1 > self.cap[v]
-        ):
-            raise ScheduleValidationError(
-                f"assigning color {c} to edge {eid} violates a constraint"
-            )
-        self.color[eid] = c
-        self.uncolored.discard(eid)
-        if u == v:
-            self._bump(u, c, 2, eid, adding=True)
-        else:
-            self._bump(u, c, 1, eid, adding=True)
-            self._bump(v, c, 1, eid, adding=True)
-
-    def unassign(self, eid: EdgeId) -> int:
-        """Uncolor edge ``eid``; returns the color it had."""
-        c = self.color.pop(eid)
-        self.uncolored.add(eid)
-        u, v = self.graph.endpoints(eid)
-        if u == v:
-            self._bump(u, c, -2, eid, adding=False)
-        else:
-            self._bump(u, c, -1, eid, adding=False)
-            self._bump(v, c, -1, eid, adding=False)
-        return c
-
-    def _recolor(self, eid: EdgeId, new: int) -> None:
-        """Internal: change the color of a colored edge (no cap check)."""
-        old = self.color[eid]
-        u, v = self.graph.endpoints(eid)
-        if u == v:
-            self._bump(u, old, -2, eid, adding=False)
-            self._bump(u, new, 2, eid, adding=True)
-        else:
-            self._bump(u, old, -1, eid, adding=False)
-            self._bump(v, old, -1, eid, adding=False)
-            self._bump(u, new, 1, eid, adding=True)
-            self._bump(v, new, 1, eid, adding=True)
-        self.color[eid] = new
-
-    # ------------------------------------------------------------------
-    # ab-path flips (Definition 5.2 / Figure 4)
-    # ------------------------------------------------------------------
-    def attempt_flip(self, start: Node, from_color: int, to_color: int) -> bool:
-        """Flip an alternating walk starting at ``start``.
-
-        The walk flips an edge colored ``from_color`` at ``start`` to
-        ``to_color`` (so ``start`` must be missing ``to_color``), then
-        cascades: whenever the far endpoint would exceed its constraint
-        in the new color, one of its edges in that color is flipped
-        back to the old color, and so on.  Internal nodes are
-        capacity-neutral; the walk ends the first time the far endpoint
-        can absorb the new color.
-
-        Returns True and applies the flip atomically if a valid walk is
-        found; returns False leaving the state untouched.
-        """
-        if from_color == to_color:
-            return False
-        if not self.is_missing(start, to_color):
-            return False
-        slots = self.edges_at[start].get(from_color)
-        if not slots:
-            return False
-
-        cap = self.cap
-        walk_len_cap = _WALK_CAP_FACTOR * max(1, self.graph.num_edges)
-        # pending[(v, c)] = delta vs. committed counts during the walk.
-        pending: Dict[Tuple[Node, int], int] = {}
-        new_color_of: Dict[EdgeId, int] = {}
-        used: Set[EdgeId] = set()
-
-        def eff(v: Node, c: int) -> int:
-            return self.count(v, c) + pending.get((v, c), 0)
-
-        def flip_edge(eid: EdgeId, old: int, new: int, x: Node, y: Node) -> None:
-            new_color_of[eid] = new
-            used.add(eid)
-            if x == y:
-                pending[(x, old)] = pending.get((x, old), 0) - 2
-                pending[(x, new)] = pending.get((x, new), 0) + 2
-            else:
-                for node in (x, y):
-                    pending[(node, old)] = pending.get((node, old), 0) - 1
-                    pending[(node, new)] = pending.get((node, new), 0) + 1
-
-        def pick_edge(v: Node, want: int, target: int) -> Optional[EdgeId]:
-            """An unused edge at ``v`` of color ``want``, to flip to ``target``.
-
-            Prefers an edge whose far endpoint can absorb ``target``
-            immediately (ending the walk).
-            """
-            best: Optional[EdgeId] = None
-            for eid in self.edges_at[v].get(want, ()):  # committed color
-                if eid in used or new_color_of.get(eid, want) != want:
-                    continue
-                other = self.graph.other_endpoint(eid, v)
-                if other != v and eff(other, target) < cap[other]:
-                    return eid
-                if best is None:
-                    best = eid
-            return best
-
-        cur = start
-        f_from, f_to = from_color, to_color
-        steps = 0
-        while True:
-            steps += 1
-            if steps > walk_len_cap:
-                return False
-            eid = pick_edge(cur, f_from, f_to)
-            if eid is None:
-                return False
-            other = self.graph.other_endpoint(eid, cur)
-            if other == cur:
-                # A self-loop flip changes its node by ±2; only valid
-                # if the node absorbs both, which contradicts the walk
-                # invariant (cur is saturated in f_to) — skip loops by
-                # failing this walk.
-                return False
-            flip_edge(eid, f_from, f_to, cur, other)
-            if eff(other, f_to) <= cap[other]:
-                break  # `other` absorbed the new color: walk complete.
-            # `other` now exceeds f_to; continue by flipping one of its
-            # f_to edges back to f_from.
-            cur = other
-            f_from, f_to = f_to, f_from
-
-        # Validate all pending deltas (paranoia: endpoints only).
-        for (v, c), _d in pending.items():
-            if eff(v, c) > cap[v] or eff(v, c) < 0:
-                return False
-        for eid, new in new_color_of.items():
-            self._recolor(eid, new)
-        return True
-
-    def try_color_edge(
-        self, eid: EdgeId, pair_budget: int = DEFAULT_PAIR_BUDGET
-    ) -> bool:
-        """Color one uncolored edge, flipping ab-paths if necessary.
-
-        Implements the operational content of Lemmas 5.1–5.2: first
-        look for a common missing color; otherwise, for colors ``a``
-        missing at one endpoint and ``b`` missing at the other, flip an
-        ab-walk to free a shared color.  Returns True on success.
-        """
-        u, v = self.graph.endpoints(eid)
-        c = self.common_missing_color(u, v)
-        if c is not None:
-            self.assign(eid, c)
-            return True
-        if u == v:
-            return False
-
-        miss_u = self.missing_colors(u)
-        miss_v = self.missing_colors(v)
-        if not miss_u or not miss_v:
-            return False
-        pairs = [(a, b) for a in miss_u for b in miss_v if a != b]
-        self._rng.shuffle(pairs)
-        for a, b in pairs[:pair_budget]:
-            # Free color a at v by flipping an a-walk at v into b — or
-            # free b at u symmetrically; whichever works first.
-            if self.is_saturated(v, a) and self.attempt_flip(v, a, b):
-                c = self.common_missing_color(u, v)
-                if c is not None:
-                    self.assign(eid, c)
-                    return True
-            if self.is_saturated(u, b) and self.attempt_flip(u, b, a):
-                c = self.common_missing_color(u, v)
-                if c is not None:
-                    self.assign(eid, c)
-                    return True
-        return False
-
-    def preload(self, coloring: Mapping[EdgeId, int]) -> List[EdgeId]:
-        """Warm-start the state from a prior (possibly stale) coloring.
-
-        Edges are admitted in ascending edge-id order; an entry is
-        *rejected* — left uncolored, never partially applied — when its
-        color falls outside the current palette or would violate a
-        transfer constraint (both happen when the instance changed
-        under the prior plan: shrunken capacities, removed parallel
-        edges freeing slots other survivors now contend for, …).
-        Entries for edges the graph does not contain raise, because the
-        caller was supposed to restrict the coloring first (see
-        :meth:`repro.core.schedule.MigrationSchedule.restrict`).
-
-        Returns the rejected edge ids, ascending.  This is the repair
-        entry point of incremental replanning: reject list + still
-        uncolored edges are then driven through
-        :meth:`try_color_edge`.
-        """
-        rejected: List[EdgeId] = []
-        for eid in sorted(coloring):
-            u, v = self.graph.endpoints(eid)
-            c = coloring[eid]
-            need = 2 if u == v else 1
-            if (
-                not 0 <= c < self.q
-                or self.count(u, c) + need > self.cap[u]
-                or (u != v and self.count(v, c) + 1 > self.cap[v])
-            ):
-                rejected.append(eid)
-                continue
-            self.assign(eid, c)
-        return rejected
-
-    # ------------------------------------------------------------------
-    # validation / export
-    # ------------------------------------------------------------------
-    def validate(self, require_complete: bool = False) -> None:
-        """Recompute every cache from the coloring and compare.
-
-        Rebuilds each node's color classes from ``color`` alone and
-        checks every capacity, every cached count and every
-        ``edges_at`` slot against them.
-
-        Raises:
-            ScheduleValidationError: on any inconsistency or capacity
-                violation.
-        """
-        if require_complete and self.uncolored:
-            raise ScheduleValidationError(f"{len(self.uncolored)} edges uncolored")
-        classes: Dict[Node, Dict[int, List[EdgeId]]] = {v: {} for v in self.graph.nodes}
-        loops: Set[EdgeId] = set()
-        for eid, c in self.color.items():
-            u, v = self.graph.endpoints(eid)
-            if not 0 <= c < self.q:
-                raise ScheduleValidationError(f"edge {eid} has color {c} outside palette")
-            classes[u].setdefault(c, []).append(eid)
-            if u == v:
-                loops.add(eid)
-            else:
-                classes[v].setdefault(c, []).append(eid)
-        for v, per_color in classes.items():
-            _check_node_caches(
-                repr(v), self.cap[v], per_color, self.counts[v], self.edges_at[v], loops
-            )
-
-
-class ArrayColoringState:
-    """:class:`ColoringState` over the arrays of a CSR graph.
-
     Nodes and edges are the dense indices of a
-    :class:`~repro.graphs.array_backend.CompactGraph`; every dict
-    :class:`ColoringState` keys by node label or edge id is keyed here
-    by index.  Given the same graph, seed and sequence of moves, the two
-    states make the same choices: the insertion orders that shape flip
-    walks (``edges_at`` slot order, ``new_color_of`` application order)
-    and the RNG's shuffles match move for move.  ``color`` stays a real
-    dict — its insertion order *is* the assignment history, which the
-    general solver lifts into the schedule's coloring dict.
+    :class:`~repro.graphs.array_backend.CompactGraph` (self-loops
+    allowed; a self-loop counts twice toward its node's per-color
+    count).  ``color`` is a real dict: its insertion order *is* the
+    assignment history, which callers lift into the schedule's
+    coloring dict.  Where a choice depends on edge order (the sweep,
+    :meth:`preload`), it follows edge *id* order, not index order.
 
     Two int bitmasks per node stand in for palette scans; ``_bump``,
     the one place counts change, keeps them in step:
@@ -477,10 +75,17 @@ class ArrayColoringState:
 
     So the smallest common missing color is the lowest clear bit of
     ``full[u] | full[v]`` below ``q``, and a lightly missing color is a
-    bit of ``near[v] & ~full[v]``.  Bits come out ascending, the order
-    the palette scans visited colors in, so every query returns what
-    the object state's scan returns.  ``counts`` stays: the flip walk
-    adds its pending deltas to them.
+    bit of ``near[v] & ~full[v]``.  Bits come out ascending, so color
+    lists are ascending.  ``counts`` stays: the flip walk adds its
+    pending deltas to them.
+
+    Args:
+        graph: the transfer multigraph's CSR snapshot.
+        capacities: ``c_v`` per node index.
+        num_colors: initial palette size ``q``; grows via
+            :meth:`add_color`.
+        seed: seeds the shuffle of :meth:`try_color_edge`'s color
+            pairs.
     """
 
     def __init__(
@@ -496,8 +101,13 @@ class ArrayColoringState:
         self.color: Dict[int, int] = {}
         # counts[v][c]: colored edge-ends of color c at node index v.
         self.counts: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
-        # edges_at[v][c]: insertion-ordered dict-as-set of edge indices,
-        # as in ColoringState.edges_at.
+        # edges_at[v][c]: the edge indices realizing counts[v][c], as
+        # an insertion-ordered dict used as an ordered set.  Iteration
+        # order shapes which edge an ab-walk flips, so it must be a
+        # deterministic function of the assignment history — dict
+        # insertion order is exactly that, whereas a set of ints
+        # iterates in a hash-table order that depends on value
+        # distribution.
         self.edges_at: List[Dict[int, Dict[int, None]]] = [
             {} for _ in range(graph.num_nodes)
         ]
@@ -537,18 +147,22 @@ class ArrayColoringState:
         return self.counts[v].get(c, 0)
 
     def is_missing(self, v: int, c: int) -> bool:
+        """Color ``c`` is missing at ``v``: fewer than ``c_v`` uses."""
         return not self.full[v] >> c & 1
 
     def is_strongly_missing(self, v: int, c: int) -> bool:
+        """``E_c(v) < c_v - 1`` (at least two uses still available)."""
         return not self.near[v] >> c & 1
 
     def is_lightly_missing(self, v: int, c: int) -> bool:
+        """``E_c(v) == c_v - 1`` (exactly one use available)."""
         return bool((self.near[v] & ~self.full[v]) >> c & 1)
 
     def is_saturated(self, v: int, c: int) -> bool:
         return bool(self.full[v] >> c & 1)
 
     def missing_colors(self, v: int) -> List[int]:
+        """All colors below ``q`` missing at ``v``, ascending."""
         return mask_bits(~self.full[v] & ((1 << self.q) - 1))
 
     def strongly_missing_colors(self, v: int) -> List[int]:
@@ -558,7 +172,7 @@ class ArrayColoringState:
         """Smallest color below ``q`` missing at both endpoints, or None.
 
         The lowest clear bit of ``full[u] | full[v]``; for a self-loop
-        (``u == v``), of ``near[u]``.
+        (``u == v``), of ``near[u]``, since the loop takes two uses.
         """
         busy = self.near[u] if u == v else self.full[u] | self.full[v]
         free = ~busy & ((1 << self.q) - 1)
@@ -570,6 +184,7 @@ class ArrayColoringState:
     # mutation
     # ------------------------------------------------------------------
     def add_color(self) -> int:
+        """Grow the palette by one; returns the new color index."""
         self.q += 1
         return self.q - 1
 
@@ -593,20 +208,29 @@ class ArrayColoringState:
         else:
             slot.pop(e, None)
 
+    def _admits(self, e: int, c: int) -> bool:
+        """Uncolored edge ``e`` can take color ``c`` within capacity.
+
+        A loop needs two free uses of ``c`` at its node (near bit
+        clear), an ordinary edge one at each endpoint (full bits
+        clear).
+        """
+        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
+        busy = self.near[u] if u == v else self.full[u] | self.full[v]
+        return not busy >> c & 1
+
     def assign(self, e: int, c: int) -> None:
+        """Color uncolored edge ``e`` with ``c`` (capacity-checked)."""
         if e in self.color:
             raise ScheduleValidationError(
                 f"edge {self.graph.edge_ids[e]} already colored"
             )
-        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
-        # A loop needs two free uses of c at u (near bit clear), an
-        # ordinary edge one at each endpoint (full bits clear).
-        busy = self.near[u] if u == v else self.full[u] | self.full[v]
-        if busy >> c & 1:
+        if not self._admits(e, c):
             raise ScheduleValidationError(
                 f"assigning color {c} to edge {self.graph.edge_ids[e]} "
                 f"violates a constraint"
             )
+        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         self.color[e] = c
         self.uncolored.discard(e)
         if u == v:
@@ -616,6 +240,7 @@ class ArrayColoringState:
             self._bump(v, c, 1, e, adding=True)
 
     def unassign(self, e: int) -> int:
+        """Uncolor edge ``e``; returns the color it had."""
         c = self.color.pop(e)
         self.uncolored.add(e)
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
@@ -627,6 +252,7 @@ class ArrayColoringState:
         return c
 
     def _recolor(self, e: int, new: int) -> None:
+        """Change the color of a colored edge (no capacity check)."""
         old = self.color[e]
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         if u == v:
@@ -643,6 +269,19 @@ class ArrayColoringState:
     # ab-path flips (Definition 5.2 / Figure 4)
     # ------------------------------------------------------------------
     def attempt_flip(self, start: int, from_color: int, to_color: int) -> bool:
+        """Flip an alternating walk starting at node ``start``.
+
+        The walk flips an edge colored ``from_color`` at ``start`` to
+        ``to_color`` (so ``start`` must be missing ``to_color``), then
+        cascades: whenever the far endpoint would exceed its constraint
+        in the new color, one of its edges in that color is flipped
+        back to the old color, and so on.  Internal nodes are
+        capacity-neutral; the walk ends the first time the far endpoint
+        can absorb the new color.
+
+        Returns True and applies the flip atomically if a valid walk is
+        found; returns False leaving the state untouched.
+        """
         if from_color == to_color:
             return False
         if not self.is_missing(start, to_color):
@@ -654,6 +293,7 @@ class ArrayColoringState:
         cap = self.cap
         graph = self.graph
         walk_len_cap = _WALK_CAP_FACTOR * max(1, graph.num_edges)
+        # pending[(v, c)] = delta vs. committed counts during the walk.
         pending: Dict[Tuple[int, int], int] = {}
         new_color_of: Dict[int, int] = {}
         used: Set[int] = set()
@@ -673,6 +313,9 @@ class ArrayColoringState:
                     pending[(node, new)] = pending.get((node, new), 0) + 1
 
         def pick_edge(v: int, want: int, target: int) -> Optional[int]:
+            """An unused edge at ``v`` of color ``want``, to flip to
+            ``target``; prefers one whose far endpoint can absorb
+            ``target`` immediately (ending the walk)."""
             best: Optional[int] = None
             for e in self.edges_at[v].get(want, ()):  # committed color
                 if e in used or new_color_of.get(e, want) != want:
@@ -696,15 +339,20 @@ class ArrayColoringState:
                 return False
             other = graph.other_endpoint(e, cur)
             if other == cur:
-                # Self-loop flips fail the walk (see
-                # ColoringState.attempt_flip).
+                # A self-loop flip changes its node by ±2; only valid
+                # if the node absorbs both, which contradicts the walk
+                # invariant (cur is saturated in f_to) — skip loops by
+                # failing this walk.
                 return False
             flip_edge(e, f_from, f_to, cur, other)
             if eff(other, f_to) <= cap[other]:
-                break
+                break  # `other` absorbed the new color: walk complete.
+            # `other` now exceeds f_to; continue by flipping one of its
+            # f_to edges back to f_from.
             cur = other
             f_from, f_to = f_to, f_from
 
+        # Validate all pending deltas (paranoia: endpoints only).
         for (v, c), _d in pending.items():
             if eff(v, c) > cap[v] or eff(v, c) < 0:
                 return False
@@ -713,6 +361,13 @@ class ArrayColoringState:
         return True
 
     def try_color_edge(self, e: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+        """Color one uncolored edge, flipping ab-paths if necessary.
+
+        Implements the operational content of Lemmas 5.1–5.2: first
+        look for a common missing color; otherwise, for colors ``a``
+        missing at one endpoint and ``b`` missing at the other, flip an
+        ab-walk to free a shared color.  Returns True on success.
+        """
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         c = self.common_missing_color(u, v)
         if c is not None:
@@ -728,6 +383,8 @@ class ArrayColoringState:
         pairs = [(a, b) for a in miss_u for b in miss_v if a != b]
         self._rng.shuffle(pairs)
         for a, b in pairs[:pair_budget]:
+            # Free color a at v by flipping an a-walk at v into b — or
+            # free b at u symmetrically; whichever works first.
             if self.is_saturated(v, a) and self.attempt_flip(v, a, b):
                 c = self.common_missing_color(u, v)
                 if c is not None:
@@ -740,45 +397,96 @@ class ArrayColoringState:
                     return True
         return False
 
+    def preload(self, coloring: Mapping[EdgeId, int]) -> List[EdgeId]:
+        """Warm-start the state from a prior (possibly stale) coloring.
+
+        ``coloring`` is keyed by edge *id*.  Entries are admitted in
+        ascending edge-id order; an entry is *rejected* — left
+        uncolored, never partially applied — when its color falls
+        outside the current palette or would violate a transfer
+        constraint (both happen when the instance changed under the
+        prior plan: shrunken capacities, removed parallel edges freeing
+        slots other survivors now contend for, …).  Entries for edges
+        the graph does not contain raise, because the caller was
+        supposed to restrict the coloring first (see
+        :meth:`repro.core.schedule.MigrationSchedule.restrict`).
+
+        Returns the rejected edge ids, ascending.  This is the repair
+        entry point of incremental replanning: reject list + still
+        uncolored edges are then driven through
+        :meth:`try_color_edge`.
+        """
+        index_of = self.graph.edge_index_of
+        rejected: List[EdgeId] = []
+        for eid in sorted(coloring):
+            e, c = index_of[eid], coloring[eid]
+            if 0 <= c < self.q and self._admits(e, c):
+                self.assign(e, c)
+            else:
+                rejected.append(eid)
+        return rejected
+
     # ------------------------------------------------------------------
-    # validation / export
+    # validation
     # ------------------------------------------------------------------
     def validate(self, require_complete: bool = False) -> None:
-        """:meth:`ColoringState.validate`, plus the masks.
+        """Recompute every cache from the coloring and compare.
 
-        After the counts and slots check out, each node's ``full`` and
-        ``near`` masks must equal the ones its real counts give.
+        Rebuilds each node's color classes from ``color`` alone and
+        checks every capacity, every cached count (an absent one is 0)
+        and every ``edges_at`` slot (an absent one is empty; ``_bump``
+        leaves zeros and empty slots behind) against them, then the
+        ``full`` and ``near`` masks the real counts give.
+
+        Raises:
+            ScheduleValidationError: on any inconsistency or capacity
+                violation.
         """
         if require_complete and self.uncolored:
             raise ScheduleValidationError(f"{len(self.uncolored)} edges uncolored")
         graph = self.graph
-        classes: List[Dict[int, List[int]]] = [{} for _ in range(graph.num_nodes)]
-        loops: Set[int] = set()
+        classes: List[Dict[int, Set[int]]] = [{} for _ in range(graph.num_nodes)]
+        real: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
         for e, c in self.color.items():
-            u, v = graph.edge_u[e], graph.edge_v[e]
             if not 0 <= c < self.q:
                 raise ScheduleValidationError(
                     f"edge {graph.edge_ids[e]} has color {c} outside palette"
                 )
-            classes[u].setdefault(c, []).append(e)
-            if u == v:
-                loops.add(e)
-            else:
-                classes[v].setdefault(c, []).append(e)
-        for v, per_color in enumerate(classes):
-            cap = self.cap[v]
-            real = _check_node_caches(
-                repr(graph.nodes[v]), cap, per_color, self.counts[v],
-                self.edges_at[v], loops,
-            )
+            # A self-loop visits its node twice: two uses, one slot.
+            for x in (graph.edge_u[e], graph.edge_v[e]):
+                classes[x].setdefault(c, set()).add(e)
+                real[x][c] = real[x].get(c, 0) + 1
+        for v in range(graph.num_nodes):
+            cap, counts, slots = self.cap[v], self.counts[v], self.edges_at[v]
+            where = graph.nodes[v]
+            for c in sorted(set(real[v]) | set(counts)):
+                n = real[v].get(c, 0)
+                if n > cap:
+                    raise ScheduleValidationError(
+                        f"node {where!r} has {n} edges of color {c} but c_v={cap}"
+                    )
+                if counts.get(c, 0) != n:
+                    raise ScheduleValidationError(
+                        f"count drift at ({where!r}, {c}): cached "
+                        f"{counts.get(c, 0)}, real {n}"
+                    )
+            for c in sorted(set(classes[v]) | set(slots)):
+                cached = set(slots.get(c, ()))
+                members = classes[v].get(c, set())
+                if cached != members:
+                    raise ScheduleValidationError(
+                        f"edges_at drift at ({where!r}, {c}): cached "
+                        f"{sorted(graph.edge_ids[e] for e in cached)}, "
+                        f"real {sorted(graph.edge_ids[e] for e in members)}"
+                    )
             full, near = 0, self._empty_near(cap)
-            for c, n in real.items():
+            for c, n in real[v].items():
                 if n >= cap:
                     full |= 1 << c
                 if n >= cap - 1:
                     near |= 1 << c
             if full != self.full[v] or near != self.near[v]:
                 raise ScheduleValidationError(
-                    f"mask drift at {graph.nodes[v]!r}: cached full={self.full[v]:#x} "
+                    f"mask drift at {where!r}: cached full={self.full[v]:#x} "
                     f"near={self.near[v]:#x}, real full={full:#x} near={near:#x}"
                 )

@@ -79,7 +79,7 @@ class MigrationSchedule:
         edges in ``edge_ids``; edges this schedule never colored are
         silently absent (they are the *new* work of a delta).  This is
         the read-side repair primitive of incremental replanning: the
-        result feeds :meth:`repro.core.recolor.ColoringState.preload`.
+        result feeds :meth:`repro.core.recolor.ArrayColoringState.preload`.
         """
         keep = set(edge_ids)
         return {

@@ -17,10 +17,10 @@ schedulers (Theorem 4.1, König, Theorem 5.1) run on flat arrays:
   ``CompactGraph`` plus a capacity array aligned to node indices and a
   reference to the source object instance (for the cold paths —
   lower bounds, validation — that stay on the object graph).
-* Lossless round-trip: ``CompactGraph.from_multigraph`` followed by
-  :meth:`CompactGraph.to_multigraph` reproduces the original graph
-  exactly — same node order, same edge ids, same per-node adjacency
-  slot order, same ``next_edge_id`` high-water mark.
+
+Lowering is one-way: results come back through :func:`lift_rounds` /
+:func:`lift_coloring`, which map edge indices to edge ids; no graph is
+ever rebuilt from the arrays.
 
 Iteration-order contract (load-bearing: the kernels' schedules depend
 on these orders, and the frozen digests pin them):
@@ -70,7 +70,6 @@ class CompactGraph:
         "inc_edge",
         "inc_other",
         "degree",
-        "next_edge_id",
         "_node_reprs",
     )
 
@@ -85,7 +84,6 @@ class CompactGraph:
         inc_edge: List[int],
         inc_other: List[int],
         degree: List[int],
-        next_edge_id: EdgeId,
     ) -> None:
         self.nodes: List[Node] = nodes
         self.index_of: Dict[Node, int] = index_of
@@ -101,7 +99,6 @@ class CompactGraph:
         self.inc_edge: List[int] = inc_edge
         self.inc_other: List[int] = inc_other
         self.degree: List[int] = degree
-        self.next_edge_id: EdgeId = next_edge_id
         self._node_reprs: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
@@ -113,9 +110,8 @@ class CompactGraph:
 
         One scan of ``graph.edges()`` fills the edge arrays and every
         row: a node's incident order is the global edge order filtered
-        to that node (the ``Multigraph`` invariant
-        :meth:`to_multigraph` relies on too), so appending each edge to
-        its endpoints' rows in scan order reproduces
+        to that node (a ``Multigraph`` invariant), so appending each
+        edge to its endpoints' rows in scan order reproduces
         ``incident_edges(v)``.
         """
         nodes = graph.nodes
@@ -155,37 +151,11 @@ class CompactGraph:
             inc_edge=inc_edge,
             inc_other=inc_other,
             degree=degree,
-            next_edge_id=graph.next_edge_id,
         )
-
-    def to_multigraph(self) -> Multigraph:
-        """Lossless inverse of :meth:`from_multigraph`.
-
-        Rebuilds the object graph with the original node order, edge
-        ids, per-node adjacency slot order, degrees, and
-        ``next_edge_id``.  Relies on the ``Multigraph`` invariant that
-        per-node adjacency order equals the global edge enumeration
-        order filtered to that node, so inserting edges in enumeration
-        order reproduces both dict orders exactly.
-        """
-        g = Multigraph()
-        for v in self.nodes:
-            g.add_node(v)
-        edge_u, edge_v, nodes = self.edge_u, self.edge_v, self.nodes
-        for e, eid in enumerate(self.edge_ids):
-            u = nodes[edge_u[e]]
-            v = nodes[edge_v[e]]
-            g.restore_edge(eid, u, v)
-        g.reserve_edge_ids(self.next_edge_id)
-        return g
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def incident_row(self, v: int) -> List[int]:
-        """Edge indices incident to node index ``v`` (loops once)."""
-        return self.inc_edge[self.indptr[v] : self.indptr[v + 1]]
-
     def other_endpoint(self, e: int, v: int) -> int:
         u, w = self.edge_u[e], self.edge_v[e]
         if v == u:
@@ -193,9 +163,6 @@ class CompactGraph:
         if v == w:
             return u
         raise ValueError(f"node index {v} is not an endpoint of edge index {e}")
-
-    def max_degree(self) -> int:
-        return max(self.degree, default=0)
 
     def node_reprs(self) -> List[str]:
         """``repr`` of every node, cached, aligned to node indices."""

@@ -27,10 +27,10 @@ plan cache):
   to the edges incident to ``v``.  This holds under any sequence of
   ``add_edge``/``remove_edge`` (both dicts delete and append
   together) and is preserved by ``copy``/``edge_subgraph``/
-  ``component_graphs``/``restore_edge``.  The CSR conversion boundary
-  (``CompactGraph.from_multigraph``) snapshots exactly this order and
-  its inverse rebuilds it, so conversion round-trips ids and orders
-  exactly.
+  ``component_graphs``.  The CSR snapshot
+  (``CompactGraph.from_multigraph``) fills every node's row in one
+  scan of ``edges()`` because of it, so its rows list each node's
+  edges in ``incident_edges(v)`` order.
 * Self-loop accounting: a self-loop appears **once** in
   ``incident_edges(v)`` (one adjacency slot) but contributes **2** to
   ``degree(v)``; ``sum(degree) == 2 * num_edges`` always.
@@ -91,45 +91,6 @@ class Multigraph:
         else:
             self._degree[u] += 2
         return eid
-
-    def restore_edge(self, eid: EdgeId, u: Node, v: Node) -> None:
-        """Insert an edge under a caller-chosen id.
-
-        The conversion-boundary inverse of enumeration: rebuilding a
-        graph by calling ``restore_edge`` in ``edges()`` order
-        reproduces the original ``_edges`` and per-node adjacency
-        orders exactly (see the adjacency-order invariant in the
-        module docstring).  The id high-water mark is advanced past
-        ``eid`` so later ``add_edge`` calls never collide.
-
-        Raises:
-            ValueError: if ``eid`` is already present.
-        """
-        if eid in self._edges:
-            raise ValueError(f"edge id {eid} already present")
-        self.add_node(u)
-        self.add_node(v)
-        self._edges[eid] = (u, v)
-        self._adj[u][eid] = v
-        if u != v:
-            self._adj[v][eid] = u
-            self._degree[u] += 1
-            self._degree[v] += 1
-        else:
-            self._degree[u] += 2
-        if eid >= self._next_id:
-            self._next_id = eid + 1
-
-    def reserve_edge_ids(self, next_id: EdgeId) -> None:
-        """Raise the id high-water mark to at least ``next_id``.
-
-        Lets a reconstructed graph (e.g. ``CompactGraph.to_multigraph``)
-        keep allocating fresh ids exactly where the source graph would
-        have, even when the source had removed its highest-id edges.
-        The mark never decreases.
-        """
-        if next_id > self._next_id:
-            self._next_id = next_id
 
     def remove_edge(self, eid: EdgeId) -> Tuple[Node, Node]:
         """Remove edge ``eid``; return its endpoints.

@@ -11,11 +11,12 @@ graph into one of three **dispositions**:
   (or a live plan-cache entry): the prior coloring transfers wholesale
   through pair-slot tokens, zero solver work;
 * ``patched`` — some of the component's edges survive from the prior
-  instance: a :class:`repro.core.recolor.ColoringState` is warm-started
-  from the surviving colors (:meth:`~repro.core.recolor.ColoringState.preload`)
-  and only the new / displaced edges are driven through
-  :meth:`~repro.core.recolor.ColoringState.try_color_edge` — ab-path
-  and fan recoloring, the paper's own repair machinery — growing the
+  instance: a :class:`repro.core.recolor.ArrayColoringState` is
+  warm-started from the surviving colors
+  (:meth:`~repro.core.recolor.ArrayColoringState.preload`) and only the
+  new / displaced edges are driven through
+  :meth:`~repro.core.recolor.ArrayColoringState.try_color_edge` —
+  ab-path recoloring, the paper's own repair machinery — growing the
   palette at most to the Theorem 5.1 yardstick
   ``Δ' + 2·⌈√Δ'⌉ + 2``;
 * ``resolved`` — the patch would exceed that degree bound (or no edge
@@ -40,9 +41,9 @@ the independent lower-bound certifier and bound to its inputs by a
 Determinism contract: ``plan_delta(prior, delta)`` is a pure function
 of ``(prior instance, prior schedule bytes, prior seed, delta)`` —
 cache state changes only how much work is done, never the output
-bytes.  The patch path runs on the object :class:`ColoringState`
-(warm starts are not a solver kernel); fallback re-solves run the same
-registered solvers as ``plan()``.
+bytes.  The patch path lowers its component once and colors on the
+same CSR state as the Theorem 5.1 kernel; fallback re-solves run the
+same registered solvers as ``plan()``.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
-from repro.core.recolor import ColoringState
+from repro.core.recolor import ArrayColoringState
 from repro.core.schedule import MigrationSchedule
+from repro.graphs.array_backend import lift_coloring, lower_instance
 from repro.graphs.multigraph import EdgeId
 from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
@@ -126,30 +128,34 @@ def _patch_component(
 ) -> Tuple[Optional[SolveOutcome], int]:
     """Repair one component's coloring around its surviving edges.
 
-    Warm-starts a :class:`ColoringState` from ``survivors`` (prior
-    colors of the edges that outlived the delta), then colors the rest
-    — preload rejects plus genuinely new edges — in ascending edge-id
-    order via ab-path flips, adding colors only when flips fail and
-    never past ``max(q₀, Δ' + 2·⌈√Δ'⌉ + 2)``.
+    Lowers ``instance`` and warm-starts an :class:`ArrayColoringState`
+    from ``survivors`` (prior colors, keyed by edge id, of the edges
+    that outlived the delta), then colors the rest — preload rejects
+    plus genuinely new edges — in ascending edge-id order via ab-path
+    flips, adding colors only when flips fail and never past
+    ``max(q₀, Δ' + 2·⌈√Δ'⌉ + 2)``.
 
     Returns ``((token rounds, "patch"), recolored edges)`` on success,
     ``(None, 0)`` when the degree bound would be exceeded (the caller
     falls back to a full re-solve).
     """
-    dp = instance.delta_prime()
+    ci = lower_instance(instance)
+    dp = ci.delta_prime()
     q0 = max(max(survivors.values()) + 1, dp, 1)
     bound = max(q0, dp + 2 * math.isqrt(dp) + 2)
-    state = ColoringState(instance.graph, instance.capacities, q0, seed=seed)
+    state = ArrayColoringState(ci.graph, ci.capacities, q0, seed=seed)
     state.preload(survivors)
-    todo = sorted(state.uncolored)
-    for eid in todo:
-        while not state.try_color_edge(eid):
+    todo = state.uncolored_in_id_order()
+    for e in todo:
+        while not state.try_color_edge(e):
             if state.q >= bound:
                 return None, 0
             # A fresh color is missing at both endpoints, so the next
             # try_color_edge always succeeds: ≤ 1 growth per edge.
             state.add_color()
-    schedule = MigrationSchedule.from_coloring(state.color, method=PATCH_METHOD)
+    schedule = MigrationSchedule.from_coloring(
+        lift_coloring(ci.graph, state.color), method=PATCH_METHOD
+    )
     return (canonicalize_rounds(instance, schedule.rounds), PATCH_METHOD), len(todo)
 
 

@@ -24,14 +24,22 @@ from repro.graphs.matching import (
 from repro.graphs.multigraph import Multigraph
 
 
-def assert_same_graph(a: Multigraph, b: Multigraph) -> None:
-    """Byte-level structural equality, orders included."""
-    assert a.nodes == b.nodes
-    assert list(a.edges()) == list(b.edges())
-    assert a.next_edge_id == b.next_edge_id
-    for v in a.nodes:
-        assert a.incident_edges(v) == b.incident_edges(v)
-        assert a.degree(v) == b.degree(v)
+def assert_encodes(g: Multigraph) -> CompactGraph:
+    """``from_multigraph(g)``'s arrays give ``g``'s nodes, edge ids,
+    endpoints, rows and degrees, orders included."""
+    compact = CompactGraph.from_multigraph(g)
+    assert compact.nodes == g.nodes
+    assert compact.index_of == {v: i for i, v in enumerate(g.nodes)}
+    assert [
+        (eid, compact.nodes[compact.edge_u[e]], compact.nodes[compact.edge_v[e]])
+        for e, eid in enumerate(compact.edge_ids)
+    ] == list(g.edges())
+    assert compact.edge_index_of == {eid: e for e, eid in enumerate(g.edge_ids())}
+    for i, v in enumerate(g.nodes):
+        row = compact.inc_edge[compact.indptr[i]:compact.indptr[i + 1]]
+        assert [compact.edge_ids[e] for e in row] == g.incident_edges(v)
+        assert compact.degree[i] == g.degree(v)
+    return compact
 
 
 def sample_graph() -> Multigraph:
@@ -44,23 +52,23 @@ def sample_graph() -> Multigraph:
     return g
 
 
-class TestRoundTrip:
+class TestSnapshot:
     def test_lossless(self):
-        g = sample_graph()
-        assert_same_graph(g, CompactGraph.from_multigraph(g).to_multigraph())
+        assert_encodes(sample_graph())
 
     def test_empty(self):
-        g = Multigraph()
-        assert_same_graph(g, CompactGraph.from_multigraph(g).to_multigraph())
+        compact = assert_encodes(Multigraph())
+        assert (compact.num_nodes, compact.num_edges) == (0, 0)
+        assert compact.indptr == [0]
 
     def test_isolated_nodes_survive(self):
-        g = Multigraph(nodes=["x", "y"])
-        back = CompactGraph.from_multigraph(g).to_multigraph()
-        assert back.nodes == ["x", "y"]
-        assert back.num_edges == 0
+        compact = assert_encodes(Multigraph(nodes=["x", "y"]))
+        assert compact.nodes == ["x", "y"]
+        assert compact.indptr == [0, 0, 0]
+        assert compact.num_edges == 0
 
     def test_after_remove_readd_interleaving(self):
-        """Edge-id holes and non-contiguous ids round-trip exactly."""
+        """Edge-id holes and non-contiguous ids are kept exactly."""
         g = Multigraph(nodes=[0, 1, 2])
         e0 = g.add_edge(0, 1)
         g.add_edge(1, 2)
@@ -68,10 +76,12 @@ class TestRoundTrip:
         g.add_edge(0, 2)  # gets a fresh id, not e0's
         e3 = g.add_edge(2, 0)
         g.remove_edge(e3)
-        back = CompactGraph.from_multigraph(g).to_multigraph()
-        assert_same_graph(g, back)
-        # A post-round-trip insertion continues the same id sequence.
-        assert back.add_edge(0, 1) == g.add_edge(0, 1)
+        assert assert_encodes(g).edge_ids == [1, 2]
+
+    def test_non_ascending_ids(self):
+        """An ``edge_subgraph`` enumerates ids in the caller's order."""
+        g = sample_graph().edge_subgraph([4, 1, 3, 0])
+        assert assert_encodes(g).edge_ids == [4, 1, 3, 0]
 
     def test_snapshot_is_immutable_under_source_mutation(self):
         g = sample_graph()
@@ -94,15 +104,16 @@ class TestIterationOrderContract:
         g = sample_graph()
         compact = CompactGraph.from_multigraph(g)
         for i, v in enumerate(g.nodes):
-            row_ids = [compact.edge_ids[e] for e in compact.incident_row(i)]
-            assert row_ids == g.incident_edges(v)
+            row = compact.inc_edge[compact.indptr[i]:compact.indptr[i + 1]]
+            assert [compact.edge_ids[e] for e in row] == g.incident_edges(v)
 
     def test_self_loop_degree_and_row(self):
         g = Multigraph(nodes=["v"])
         loop = g.add_edge("v", "v")
         compact = CompactGraph.from_multigraph(g)
         assert compact.degree[0] == 2  # loops count twice toward degree
-        assert compact.incident_row(0) == [0]  # but appear once per row
+        assert compact.inc_edge == [0]  # but appear once per row
+        assert compact.indptr == [0, 1]
         assert compact.edge_u[0] == compact.edge_v[0] == 0
         assert compact.edge_ids[0] == loop
 

@@ -181,11 +181,18 @@ CALLS = {
 
 
 def non_ascending_instance():
-    """Edge ids out of insertion order, so slots follow ids, not order."""
-    graph = Multigraph(nodes=["a", "b", "c"])
-    for eid, u, v in [(7, "b", "a"), (2, "a", "b"), (5, "c", "a"),
-                      (3, "a", "b"), (9, "c", "b"), (4, "b", "a")]:
-        graph.restore_edge(eid, u, v)
+    """Edge ids out of insertion order, so slots follow ids, not order.
+
+    ``edge_subgraph`` enumerates edges in the order it is given them,
+    which is how a planning path meets non-ascending ids.
+    """
+    ends = {7: ("b", "a"), 2: ("a", "b"), 5: ("c", "a"),
+            3: ("a", "b"), 9: ("c", "b"), 4: ("b", "a")}
+    parent = Multigraph(nodes=["a", "b", "c"])
+    for eid in range(10):
+        assert parent.add_edge(*ends.get(eid, ("a", "c"))) == eid
+    graph = parent.edge_subgraph([7, 2, 5, 3, 9, 4])
+    assert graph.edge_ids() == [7, 2, 5, 3, 9, 4]
     return MigrationInstance(graph, {"a": 1, "b": 2, "c": 1})
 
 
