@@ -1,5 +1,6 @@
 """Tests for the serving wire protocol (repro.serve.protocol)."""
 
+import hashlib
 import json
 
 import pytest
@@ -22,7 +23,9 @@ from repro.serve.protocol import (
     schedule_payload,
     validate_plan_response,
 )
+from repro.workloads.io import instance_to_json
 
+from tests.conftest import random_instance
 from tests.serve.conftest import make_request, wire_instance
 
 KNOWN = ("auto", *solver_names())
@@ -191,6 +194,64 @@ class TestRequestFingerprint:
             with pytest.raises(ProtocolError, match="ambiguous") as info:
                 request_fingerprint(inst, "auto", 0, False)
             assert info.value.code == "bad-request"
+
+
+#: ``(instance, plan_request_payload kwargs)`` whose wire bytes are
+#: pinned below: serve-mixed's small request size, a mid-size certify
+#: request with a timeout, and parallel moves beside an idle disk.
+WIRE_CASES = {
+    "random-14": (random_instance(6, 14, seed=1), {}),
+    "random-80-certify": (
+        random_instance(12, 80, seed=2),
+        {"method": "general", "seed": 5, "certify": True, "timeout": 2.5},
+    ),
+    "parallel-idle": (
+        MigrationInstance.from_moves(
+            [("b", "a"), ("a", "b"), ("a", "b"), ("c", "a")],
+            {"a": 1, "b": 2, "c": 3, "z": 4},
+            extra_nodes=["z"],
+        ),
+        {"seed": 1},
+    ),
+}
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestWireFormPins:
+    """The instance and request wire bytes, and the fingerprint a
+    parsed request carries, are fixed: clients, stores and coalescing
+    keys depend on them."""
+
+    @pytest.mark.parametrize(
+        "case, instance_json, request_bytes, fingerprint",
+        [
+            ("random-14", "f92bff8aefe7d89b", "1f8f225d9b26db82", "c7439e09bf138ebc"),
+            ("random-80-certify", "e3269f98c71d404a", "ea118c38672f10e1", "cdcad8fc57d47022"),
+            ("parallel-idle", "3c4a117babb4a6ac", "e305753689e62b28", "6b8ecc050fcb2724"),
+        ],
+    )
+    def test_pinned(self, case, instance_json, request_bytes, fingerprint):
+        instance, kwargs = WIRE_CASES[case]
+        body = canonical_json(plan_request_payload(instance, **kwargs))
+        assert sha(instance_to_json(instance)) == instance_json
+        assert sha(body) == request_bytes
+        request = parse_plan_request(body, known_methods=KNOWN)
+        assert request.fingerprint[:16] == fingerprint
+
+    def test_malformed_instance_message(self):
+        payload = plan_request_payload(WIRE_CASES["parallel-idle"][0])
+        payload["instance"]["moves"][1] = ["a"]
+        with pytest.raises(ProtocolError) as err:
+            parse_plan_request(canonical_json(payload), known_methods=KNOWN)
+        assert err.value.message == (
+            "invalid instance payload: a move is a [src, dst] pair of disk "
+            "names, got ['a']"
+        )
 
 
 class TestSchedulePayload:
