@@ -483,9 +483,6 @@ def verify_optimality_certificate(
 # patch certificates (incremental replanning)
 # ----------------------------------------------------------------------
 
-PATCH_CERTIFICATE_SCHEMA_VERSION = 1
-
-
 def rounds_digest(rounds: Rounds) -> str:
     """SHA-256 of the exact JSON form of a schedule's rounds.
 
@@ -573,36 +570,3 @@ def verify_patch_certificate(
             raise CertificationError(
                 f"unknown disposition {disp!r} for component {fp[:12]}…"
             )
-
-
-def patch_certificate_to_json(certificate: PatchCertificate) -> Dict[str, Any]:
-    """Serialize to a JSON-compatible dict."""
-    return {
-        "schema_version": PATCH_CERTIFICATE_SCHEMA_VERSION,
-        "prior_digest": certificate.prior_digest,
-        "delta_digest": certificate.delta_digest,
-        "result_digest": certificate.result_digest,
-        "dispositions": [[fp, disp] for fp, disp in certificate.dispositions],
-    }
-
-
-def patch_certificate_from_json(data: Mapping[str, Any]) -> PatchCertificate:
-    """Rebuild a patch certificate from its JSON form.
-
-    Raises:
-        CertificationError: on schema mismatch.
-    """
-    version = data.get("schema_version")
-    if version != PATCH_CERTIFICATE_SCHEMA_VERSION:
-        raise CertificationError(
-            f"patch certificate schema {version!r}; this build reads "
-            f"{PATCH_CERTIFICATE_SCHEMA_VERSION}"
-        )
-    return PatchCertificate(
-        prior_digest=str(data["prior_digest"]),
-        delta_digest=str(data["delta_digest"]),
-        result_digest=str(data["result_digest"]),
-        dispositions=tuple(
-            (str(fp), str(disp)) for fp, disp in data.get("dispositions", [])
-        ),
-    )

@@ -16,8 +16,8 @@ the library is usable end-to-end:
   :class:`repro.runtime.MigrationExecutor` executes schedules through
   them, fault-free or with crashes and replans.
 * :mod:`repro.cluster.eager` — the round-free ablation executor.
-* :mod:`repro.cluster.events` / :mod:`repro.cluster.traces` — event log
-  and serializable execution traces.
+* :mod:`repro.cluster.events` — the typed event log an execution
+  records.
 """
 
 from repro.cluster.disk import Disk

@@ -201,86 +201,12 @@ class InstanceDelta:
             capacity_changes=merged_caps,
         )
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        """JSON form; only deltas over ``str`` disk names round-trip."""
-        for node in self.touched_nodes():
-            if not isinstance(node, str):
-                raise DeltaError(
-                    f"to_json requires str disk names, got {node!r}; "
-                    "use canonical_payload for digest-only use"
-                )
-        return {
-            "schema_version": DELTA_SCHEMA_VERSION,
-            "add": [[u, v] for u, v in self.add_moves],
-            "remove": [[u, v] for u, v in self.remove_moves],
-            "retarget": [[s, o, n] for s, o, n in self.retarget_moves],
-            "capacities": [[node, c] for node, c in self.capacity_changes],
-        }
-
-    @classmethod
-    def from_json(cls, data: Any) -> "InstanceDelta":
-        """Parse :meth:`to_json` output.
-
-        Raises:
-            DeltaError: for anything :meth:`to_json` cannot produce — a
-                payload that is not a mapping, a field that is not a
-                list, an entry of the wrong length, a disk name that is
-                not a ``str`` — or an invalid move or capacity.
-        """
-        if not isinstance(data, Mapping):
-            raise DeltaError(
-                f"a delta is a JSON object, got {type(data).__name__}"
-            )
-        version = data.get("schema_version")
-        if version != DELTA_SCHEMA_VERSION:
-            raise DeltaError(
-                f"delta schema {version!r}; this build reads {DELTA_SCHEMA_VERSION}"
-            )
-
-        def entries(key: str, width: int, names: int) -> List[Tuple[Any, ...]]:
-            """Field ``key`` as tuples of ``width``; the first ``names``
-            items of each are disk names."""
-            raw = data.get(key, [])
-            if not isinstance(raw, (list, tuple)):
-                raise DeltaError(
-                    f"delta field {key!r} must be a list, got {type(raw).__name__}"
-                )
-            out: List[Tuple[Any, ...]] = []
-            for entry in raw:
-                if not isinstance(entry, (list, tuple)) or len(entry) != width:
-                    raise DeltaError(
-                        f"delta field {key!r}: each entry is a list of "
-                        f"{width}, got {entry!r}"
-                    )
-                for node in entry[:names]:
-                    if not isinstance(node, str):
-                        raise DeltaError(
-                            f"delta field {key!r}: disk names are strings, "
-                            f"got {node!r}"
-                        )
-                out.append(tuple(entry))
-            return out
-
-        return cls(
-            add_moves=tuple((u, v) for u, v in entries("add", 2, 2)),
-            remove_moves=tuple((u, v) for u, v in entries("remove", 2, 2)),
-            retarget_moves=tuple(
-                (s, o, n) for s, o, n in entries("retarget", 3, 3)
-            ),
-            capacity_changes=tuple(
-                (node, c) for node, c in entries("capacities", 2, 1)
-            ),
-        )
-
     def canonical_payload(self) -> Dict[str, Any]:
         """Digest-stable description with nodes rendered by ``repr``.
 
-        Unlike :meth:`to_json` this works for any hashable node type,
-        but it is one-way: reprs cannot be resolved back to nodes.
-        Field order is preserved — it is part of the delta's identity.
+        It works for any hashable node type, but it is one-way: reprs
+        cannot be resolved back to nodes.  Field order is preserved —
+        it is part of the delta's identity.
         """
         return {
             "schema_version": DELTA_SCHEMA_VERSION,

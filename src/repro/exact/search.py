@@ -57,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.errors import SolverError
 from repro.core.general import general_schedule_compact
@@ -90,7 +90,6 @@ MAX_TRACKED_SUBSETS = 6
 #: Registry name of the solver (also the schedule ``method`` label).
 EXACT_BB_METHOD = "exact_bb"
 
-CERTIFICATE_FORMAT = "repro-optimality-certificate"
 CERTIFICATE_VERSION = 1
 
 PROOF_MATCHING_LB = "matching-lb"
@@ -165,59 +164,6 @@ class OptimalityCertificate:
     frontier_digest: str
     rounds_digest: str
     version: int = CERTIFICATE_VERSION
-
-    def to_json(self, indent: int = 2) -> str:
-        payload: Dict[str, Any] = {
-            "format": CERTIFICATE_FORMAT,
-            "version": self.version,
-            "objective_kind": self.objective_kind,
-            "objective_digest": self.objective_digest,
-            "instance_digest": self.instance_digest,
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "proof": self.proof,
-            "explored": self.explored,
-            "budget": self.budget,
-            "frontier_digest": self.frontier_digest,
-            "rounds_digest": self.rounds_digest,
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "OptimalityCertificate":
-        """Inverse of :meth:`to_json`.
-
-        Raises:
-            ValueError: on text that is not JSON, a payload that is not
-                an object, a format/version mismatch, a missing field,
-                or a count that is not an integer.
-        """
-        data = json.loads(payload)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"an optimality certificate is a JSON object, got {type(data).__name__}"
-            )
-        if data.get("format") != CERTIFICATE_FORMAT:
-            raise ValueError(
-                f"not an optimality certificate: {data.get('format')!r}"
-            )
-        if data.get("version") != CERTIFICATE_VERSION:
-            raise ValueError(f"unsupported version {data.get('version')!r}")
-        try:
-            return cls(
-                objective_kind=str(data["objective_kind"]),
-                objective_digest=str(data["objective_digest"]),
-                instance_digest=str(data["instance_digest"]),
-                value=int(data["value"]),
-                lower_bound=int(data["lower_bound"]),
-                proof=str(data["proof"]),
-                explored=int(data["explored"]),
-                budget=int(data["budget"]),
-                frontier_digest=str(data["frontier_digest"]),
-                rounds_digest=str(data["rounds_digest"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed optimality certificate: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tests for the event log and migration traces."""
+"""Tests for the event log and what an execution records in it."""
 
 import pytest
 
@@ -8,8 +8,9 @@ from repro.cluster.events import EventLog, ItemMigrated, RoundCompleted, RoundSt
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.cluster.traces import MigrationTrace, replay_trace
 from repro.runtime import MigrationExecutor
+
+from tests.conftest import replay_log
 
 
 class TestEventLog:
@@ -50,37 +51,12 @@ def executed_migration():
 class TestTraces:
     def test_trace_captures_all_transfers(self):
         _cluster, _initial, report = executed_migration()
-        trace = MigrationTrace.from_report(report)
-        assert len(trace.transfers) == len(report.delivered)
-        assert trace.total_time == report.total_time
-        assert sum(trace.round_durations) == pytest.approx(report.total_time)
-
-    def test_json_roundtrip(self):
-        _cluster, _initial, report = executed_migration()
-        trace = MigrationTrace.from_report(report)
-        back = MigrationTrace.from_json(trace.to_json())
-        assert back.total_time == trace.total_time
-        assert len(back.transfers) == len(trace.transfers)
-        assert back.round_durations == trace.round_durations
+        assert len(report.log.of_type(ItemMigrated)) == len(report.delivered)
+        durations = [e.duration for e in report.log.of_type(RoundCompleted)]
+        assert sum(durations) == pytest.approx(report.total_time)
 
     def test_replay_reaches_same_layout(self):
         cluster, initial, report = executed_migration()
-        trace = MigrationTrace.from_report(report)
-        replayed = replay_trace(trace, initial)
+        replayed = replay_log(report, initial)
         for item_id in cluster.layout.items:
             assert replayed.disk_of(item_id) == cluster.layout.disk_of(item_id)
-
-    def test_replay_detects_inconsistency(self):
-        _cluster, initial, report = executed_migration()
-        trace = MigrationTrace.from_report(report)
-        # Corrupt: claim a transfer from a disk the item is not on.
-        bad = trace.transfers[0].__class__(
-            time=trace.transfers[0].time,
-            duration=trace.transfers[0].duration,
-            item_id=trace.transfers[0].item_id,
-            source="ghost",
-            target=trace.transfers[0].target,
-        )
-        trace.transfers[0] = bad
-        with pytest.raises(ValueError, match="inconsistent"):
-            replay_trace(trace, initial)

@@ -7,6 +7,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
+from repro.cluster.events import ItemMigrated
+from repro.cluster.layout import Layout
 from repro.core.problem import MigrationInstance
 from repro.graphs.array_backend import CompactGraph
 from repro.graphs.coloring.bipartite import compact_konig_coloring
@@ -62,6 +64,17 @@ def konig_coloring(graph: Multigraph) -> Dict[EdgeId, int]:
         compact.node_reprs(),
     )
     return dict(zip(compact.edge_ids, colors))
+
+
+def replay_log(report, initial: Layout) -> Layout:
+    """``initial`` after the ``ItemMigrated`` events of an executor's
+    ``report.log``, applied in time order; each item must sit on its
+    event's source first."""
+    layout = initial.copy()
+    for event in sorted(report.log.of_type(ItemMigrated), key=lambda e: e.time):
+        assert layout.disk_of(event.item_id) == event.source, event
+        layout.place(event.item_id, event.target)
+    return layout
 
 
 @pytest.fixture

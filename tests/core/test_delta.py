@@ -51,6 +51,13 @@ class TestValidation:
         assert delta.num_changes == 4
 
 
+    def test_touched_nodes(self):
+        delta = InstanceDelta(
+            add_moves=(("a", "b"),), capacity_changes=(("d", 2),)
+        )
+        assert set(delta.touched_nodes()) == {"a", "b", "d"}
+
+
 class TestApplyDelta:
     def test_add_remove_retarget(self):
         instance = small_instance()
@@ -180,51 +187,3 @@ class TestCompose:
         sequential = apply_delta(apply_delta(instance, d1), d2)
         composed = apply_delta(instance, d1.compose(d2))
         assert fingerprint(sequential) == fingerprint(composed)
-
-
-class TestJson:
-    def test_round_trip(self):
-        delta = InstanceDelta(
-            add_moves=(("a", "b"),),
-            remove_moves=(("b", "c"),),
-            retarget_moves=(("a", "b", "c"),),
-            capacity_changes=(("d", 2),),
-        )
-        assert InstanceDelta.from_json(delta.to_json()) == delta
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            ["not", "a", "mapping"],
-            {"schema_version": 1, "add": 5},
-            {"schema_version": 1, "remove": None},
-            {"schema_version": 1, "add": [["a", "b", "c"]]},
-            {"schema_version": 1, "retarget": [["a", "b"]]},
-            {"schema_version": 1, "capacities": [["a"]]},
-            {"schema_version": 1, "add": ["ab"]},
-            {"schema_version": 1, "add": [[["b"], "a"]]},
-            {"schema_version": 1, "retarget": [["a", "b", 3]]},
-            {"schema_version": 1, "capacities": [[7, 2]]},
-        ],
-        ids=[
-            "not-a-mapping",
-            "field-not-a-list",
-            "field-null",
-            "entry-too-long",
-            "entry-too-short",
-            "capacity-entry-too-short",
-            "entry-is-a-string",
-            "unhashable-node",
-            "int-node",
-            "int-capacity-node",
-        ],
-    )
-    def test_malformed_payload_raises_delta_error(self, payload):
-        with pytest.raises(DeltaError):
-            InstanceDelta.from_json(payload)
-
-    def test_touched_nodes(self):
-        delta = InstanceDelta(
-            add_moves=(("a", "b"),), capacity_changes=(("d", 2),)
-        )
-        assert set(delta.touched_nodes()) == {"a", "b", "d"}

@@ -7,7 +7,7 @@ import pytest
 from repro import MigrationInstance, lower_bound, plan
 from repro.analysis.metrics import compare_methods
 from repro.cluster.network import UnitRates
-from repro.cluster.traces import MigrationTrace, replay_trace
+from repro.cluster.events import ItemMigrated, RoundCompleted
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.generators import (
     bipartite_instance,
@@ -17,6 +17,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.scenarios import scale_out_scenario, vod_rebalance_scenario
 from tests.brute_force import brute_force_rounds
+from tests.conftest import replay_log
 
 
 class TestSchedulerCrossChecks:
@@ -78,8 +79,10 @@ class TestSimulatorPipeline:
         initial = scenario.cluster.layout.copy()
         sched = plan(scenario.instance).schedule
         report = MigrationExecutor(scenario.cluster, scenario.context, sched).run()
-        trace = MigrationTrace.from_report(report)
-        replayed = replay_trace(trace, initial)
+        assert len(report.log.of_type(ItemMigrated)) == len(report.delivered)
+        durations = [e.duration for e in report.log.of_type(RoundCompleted)]
+        assert sum(durations) == pytest.approx(report.total_time)
+        replayed = replay_log(report, initial)
         for item_id in scenario.cluster.layout.items:
             assert replayed.disk_of(item_id) == scenario.cluster.layout.disk_of(item_id)
 

@@ -182,9 +182,3 @@ class TestDeltaAlgebra:
         for move in delta.add_moves:
             expected[move] += 1
         assert directed_moves(apply_delta(instance, delta)) == +expected
-
-    @given(instance_and_delta())
-    @settings(deadline=None, max_examples=40)
-    def test_delta_json_round_trip(self, case):
-        _instance, delta = case
-        assert InstanceDelta.from_json(delta.to_json()) == delta
