@@ -209,13 +209,13 @@ def parse_plan_request(
     if kind not in ("plan", "certify"):
         raise _bad(f"kind must be 'plan' or 'certify', got {kind!r}")
 
-    instance_payload = payload.get("instance")
-    if not isinstance(instance_payload, dict):
+    raw_instance = payload.get("instance")
+    if not isinstance(raw_instance, dict):
         raise _bad("'instance' must be an object (see repro.workloads.io)")
-    from repro.workloads.io import instance_from_json
+    from repro.workloads.io import instance_from_payload
 
     try:
-        instance = instance_from_json(json.dumps(instance_payload))
+        instance = instance_from_payload(raw_instance)
     except (ValueError, KeyError, TypeError) as exc:
         raise _bad(f"invalid instance payload: {exc}") from exc
 
@@ -257,12 +257,12 @@ def plan_request_payload(
     timeout: Optional[float] = None,
 ) -> Dict[str, Any]:
     """The client-side wire form of a plan request."""
-    from repro.workloads.io import instance_to_json
+    from repro.workloads.io import instance_payload
 
     payload: Dict[str, Any] = {
         "version": PROTOCOL_VERSION,
         "kind": "certify" if certify else "plan",
-        "instance": json.loads(instance_to_json(instance)),
+        "instance": instance_payload(instance),
         "method": method,
         "seed": seed,
         "certify": certify,
