@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.errors import ReproError
 from repro.graphs.multigraph import EdgeId
@@ -142,15 +143,16 @@ class BoundedColorObjective(Objective):
     def __init__(self, allowed: Mapping[EdgeId, Iterable[int]]) -> None:
         cleaned: Dict[int, Tuple[int, ...]] = {}
         for eid, indices in allowed.items():
-            rounds = tuple(sorted(set(indices)))
-            if not rounds:
-                raise ObjectiveError(f"edge {eid} has an empty allowed-round set")
-            for r in rounds:
+            values = list(indices)
+            for r in values:
                 if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                     raise ObjectiveError(
                         f"edge {eid} has invalid allowed round {r!r} "
                         "(need a non-negative int)"
                     )
+            rounds = tuple(sorted(set(values)))
+            if not rounds:
+                raise ObjectiveError(f"edge {eid} has an empty allowed-round set")
             cleaned[int(eid)] = rounds
         self._allowed = cleaned
 
@@ -304,11 +306,26 @@ OBJECTIVE_KINDS: Tuple[str, ...] = (
 )
 
 
+def _edge_key(key: str) -> int:
+    """An edge-id key of an objective payload, as :meth:`Objective.payload`
+    writes it: a decimal integer without sign or leading zeros."""
+    if re.fullmatch(r"0|[1-9][0-9]*", key) is None:
+        raise ObjectiveError(f"edge key {key!r} is not an edge id")
+    return int(key)
+
+
 def objective_from_json(payload: str) -> Objective:
     """Inverse of :meth:`Objective.to_json`.
 
+    Rounds, group names and weights reach the constructors as parsed,
+    so they reject what is not an int or a name; nothing is coerced.
+
     Raises:
-        ObjectiveError: on an unrecognized format, version or kind.
+        ObjectiveError: on text that is not JSON, an unrecognized
+            format, version or kind, a missing mapping, an edge key
+            that is not an edge id, an ``allowed`` window that is not a
+            list, or a round, group name or weight the objective's
+            constructor rejects.
     """
     try:
         data = json.loads(payload)
@@ -327,9 +344,14 @@ def objective_from_json(payload: str) -> Objective:
         raw = data.get("allowed")
         if not isinstance(raw, dict):
             raise ObjectiveError("bounded_color payload needs an 'allowed' mapping")
-        return BoundedColorObjective(
-            {int(eid): [int(r) for r in windows] for eid, windows in raw.items()}
-        )
+        allowed: Dict[int, List[Any]] = {}
+        for key, windows in raw.items():
+            if not isinstance(windows, list):
+                raise ObjectiveError(
+                    f"allowed rounds of edge {key!r} must be a list, got {windows!r}"
+                )
+            allowed[_edge_key(key)] = windows
+        return BoundedColorObjective(allowed)
     if kind == GroupCompletionObjective.kind:
         raw_groups = data.get("groups")
         raw_weights = data.get("weights")
@@ -338,14 +360,19 @@ def objective_from_json(payload: str) -> Objective:
                 "group_completion payload needs 'groups' and 'weights' mappings"
             )
         return GroupCompletionObjective(
-            {int(eid): str(name) for eid, name in raw_groups.items()},
-            {str(name): int(w) for name, w in raw_weights.items()},
+            {_edge_key(key): name for key, name in raw_groups.items()}, raw_weights
         )
     raise ObjectiveError(f"unknown objective kind {kind!r}")
 
 
 def load_objective(path: str) -> Objective:
-    """Read an objective previously written with :meth:`Objective.to_json`."""
+    """Read an objective previously written with :meth:`Objective.to_json`.
+
+    Raises:
+        OSError: when the file cannot be read.
+        UnicodeDecodeError: when it is not UTF-8 text.
+        ObjectiveError: as :func:`objective_from_json` lists.
+    """
     with open(path) as handle:
         return objective_from_json(handle.read())
 

@@ -126,13 +126,33 @@ class InMemoryExporter(Exporter):
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
-    """Read a JSONL trace back into a list of records."""
+    """Read a JSONL trace back into a list of records.
+
+    Blank lines are skipped.  Record fields are not checked here; that
+    is :func:`repro.obs.schema.validate_trace`'s job.
+
+    Raises:
+        OSError: when the file cannot be read.
+        ValueError: naming the line when a line is not JSON or not a
+            JSON object (a ``UnicodeDecodeError``, also a
+            ``ValueError``, when the file is not UTF-8 text).
+    """
     records: List[Dict[str, Any]] = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: not JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"line {lineno}: a trace record is a JSON object, "
+                    f"got {type(record).__name__}"
+                )
+            records.append(record)
     return records
 
 
