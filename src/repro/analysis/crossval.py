@@ -49,13 +49,15 @@ class FuzzReport:
 
 DEFAULT_METHODS = ("auto", "general", "saia", "greedy", "homogeneous")
 
+#: Size caps of the random fuzz instances (disks, items).
+MAX_DISKS = 14
+MAX_ITEMS = 120
+
 
 def fuzz_schedulers(
     trials: int = 50,
     methods: Sequence[str] = DEFAULT_METHODS,
     seed: int = 0,
-    max_disks: int = 14,
-    max_items: int = 120,
 ) -> FuzzReport:
     """Run all schedulers on randomized instances and cross-check.
 
@@ -65,8 +67,8 @@ def fuzz_schedulers(
     rng = random.Random(seed)
     report = FuzzReport(trials=trials)
     for trial in range(trials):
-        n = rng.randint(3, max_disks)
-        m = rng.randint(1, max_items)
+        n = rng.randint(3, MAX_DISKS)
+        m = rng.randint(1, MAX_ITEMS)
         mix_choices = [
             {1: 1.0},
             {2: 0.5, 4: 0.5},

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from repro.checks.certify import (
     make_certificate,
@@ -240,12 +240,10 @@ def compare_exact_vs_heuristic(name: str, instance: MigrationInstance) -> Engine
     return EngineCase(name=name, ok=True, rounds=res.value, digest=digest)
 
 
-def check_exact_vs_heuristic(
-    corpus: Optional[Sequence[Tuple[str, Callable[[], MigrationInstance]]]] = None,
-) -> EngineReport:
-    """Run the exact-vs-heuristic battery over the small corpus."""
+def check_exact_vs_heuristic() -> EngineReport:
+    """Run the exact-vs-heuristic battery over :data:`EXACT_CORPUS`."""
     cases = [
         compare_exact_vs_heuristic(f"exact-vs-heuristic/{name}", factory())
-        for name, factory in (corpus or EXACT_CORPUS)
+        for name, factory in EXACT_CORPUS
     ]
     return EngineReport(cases=tuple(cases))

@@ -296,16 +296,14 @@ DEFAULT_PLAN_CASES: Tuple[Tuple[str, int, int, int, str], ...] = (
 
 def check_determinism(
     plan_cases: Optional[Sequence[Tuple[str, int, int, int, str]]] = None,
-    include_executor: bool = True,
-    include_sim: bool = True,
-    include_flow: bool = True,
-    include_gap: bool = True,
-    hash_seeds: Tuple[int, int] = (0, 1),
+    fast: bool = False,
 ) -> DeterminismReport:
     """Run the full cross-hash-seed battery.
 
     Each case is executed twice in fresh interpreters (hash seeds 0 and
-    1 by default) and the canonical JSON outputs must match exactly.
+    1) and the canonical JSON outputs must match exactly.  ``fast``
+    skips the four slow cases: the executor, the sim campaign, the flow
+    report and the gap metrics.
     """
     checks: List[DeterminismCheck] = []
     for name, num_disks, num_items, seed, method in plan_cases or DEFAULT_PLAN_CASES:
@@ -314,46 +312,28 @@ def check_determinism(
                 name,
                 PLAN_DRIVER,
                 [str(num_disks), str(num_items), str(seed), method],
-                hash_seeds,
             )
         )
     checks.append(
         compare_across_hash_seeds(
-            "plan/traced-vs-noop", TRACED_PLAN_DRIVER, ["10", "40", "5", "auto"],
-            hash_seeds,
+            "plan/traced-vs-noop", TRACED_PLAN_DRIVER, ["10", "40", "5", "auto"]
         )
     )
     checks.append(
         compare_across_hash_seeds(
-            "engine/mixed-capacity", ENGINE_DRIVER, ["12", "60", "7", "auto"],
-            hash_seeds,
+            "engine/mixed-capacity", ENGINE_DRIVER, ["12", "60", "7", "auto"]
         )
     )
-    checks.append(
-        compare_across_hash_seeds("delta/replan", DELTA_DRIVER, ["7"], hash_seeds)
-    )
-    if include_executor:
+    checks.append(compare_across_hash_seeds("delta/replan", DELTA_DRIVER, ["7"]))
+    if not fast:
+        checks.append(
+            compare_across_hash_seeds("runtime/executor", EXECUTOR_DRIVER, ["1", "7"])
+        )
         checks.append(
             compare_across_hash_seeds(
-                "runtime/executor", EXECUTOR_DRIVER, ["1", "7"], hash_seeds
+                "sim/cross-hashseed", SIM_DRIVER, ["300", "40", "5"]
             )
         )
-    if include_sim:
-        checks.append(
-            compare_across_hash_seeds(
-                "sim/cross-hashseed", SIM_DRIVER, ["300", "40", "5"], hash_seeds
-            )
-        )
-    if include_flow:
-        checks.append(
-            compare_across_hash_seeds(
-                "checks/flow-report", FLOW_DRIVER, [], hash_seeds
-            )
-        )
-    if include_gap:
-        checks.append(
-            compare_across_hash_seeds(
-                "exact/gap-metrics", GAP_DRIVER, [], hash_seeds
-            )
-        )
+        checks.append(compare_across_hash_seeds("checks/flow-report", FLOW_DRIVER, []))
+        checks.append(compare_across_hash_seeds("exact/gap-metrics", GAP_DRIVER, []))
     return DeterminismReport(checks=tuple(checks))

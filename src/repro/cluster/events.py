@@ -1,15 +1,15 @@
 """Event log for cluster simulations.
 
 Everything the simulator does — round boundaries, individual item
-transfers, disk arrivals/departures, replans after failures — is
-recorded as a typed event with a timestamp, so tests can assert on
-behaviour and traces can be serialized for replay.
+transfers, disk departures, replans after failures — is recorded as a
+typed event with a timestamp, so tests can assert on behaviour and
+replay the transfers onto a layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from dataclasses import dataclass
+from typing import Hashable, List
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,6 @@ class ItemMigrated(Event):
     source: Hashable
     target: Hashable
     duration: float
-
-
-@dataclass(frozen=True)
-class DiskAdded(Event):
-    disk_id: Hashable
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,19 @@ from repro.graphs.coloring.euler_split import euler_split_coloring
 from repro.graphs.coloring.kempe import kempe_coloring
 
 
-def saia_schedule(instance: MigrationInstance, use_euler_split: bool = True) -> MigrationSchedule:
-    """Saia's copy-split 1.5-approximation baseline."""
+def saia_schedule(instance: MigrationInstance) -> MigrationSchedule:
+    """Saia's copy-split 1.5-approximation baseline.
+
+    Colours the split graph with both the Kempe and the Euler-split
+    colourer and keeps the one with fewer colours (Kempe on a tie).
+    """
     if instance.num_items == 0:
         return MigrationSchedule([], method="saia")
     split, edge_map = split_by_capacity(instance.graph, instance.capacity)
     coloring = kempe_coloring(split)
-    if use_euler_split:
-        alternative = euler_split_coloring(split)
-        if len(set(alternative.values())) < len(set(coloring.values())):
-            coloring = alternative
+    alternative = euler_split_coloring(split)
+    if len(set(alternative.values())) < len(set(coloring.values())):
+        coloring = alternative
     original = {eid: coloring[seid] for eid, seid in edge_map.items()}
     schedule = MigrationSchedule.from_coloring(original, method="saia")
     schedule.validate(instance)

@@ -18,7 +18,7 @@ against Shannon's ``⌊3Δ/2⌋`` bound.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
@@ -27,12 +27,14 @@ from repro.graphs.multigraph import EdgeId, Multigraph, Node
 # moderately aggressive budget pays for itself by avoiding q bumps.
 _PAIR_BUDGET = 24
 
+# Random restarts per palette size before widening it.
+_RESTARTS = 2
+
 
 def kempe_coloring(
     graph: Multigraph,
     max_colors: Optional[int] = None,
     seed: int = 0,
-    restarts: int = 2,
 ) -> Dict[EdgeId, int]:
     """Proper edge coloring via first-fit plus Kempe-chain repair.
 
@@ -41,7 +43,6 @@ def kempe_coloring(
         max_colors: optional hard palette cap; ``ValueError`` if the
             cap is below ``2Δ - 1`` and the search fails within it.
         seed: RNG seed for edge-order shuffles on restarts.
-        restarts: random restarts per palette size before widening.
 
     Returns:
         ``edge_id -> color`` using colors ``0..q-1``.
@@ -55,7 +56,7 @@ def kempe_coloring(
 
     q = delta
     while q <= ceiling:
-        for _attempt in range(max(1, restarts)):
+        for _attempt in range(_RESTARTS):
             order = graph.edge_ids()
             if _attempt > 0:
                 rng.shuffle(order)

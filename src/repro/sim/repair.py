@@ -136,8 +136,3 @@ def build_repair_instance(
     capacities = {v: transfer_limits[str(v)] for v in graph.nodes}
     spec.instance = MigrationInstance(graph, capacities)
     return spec
-
-
-def repair_traffic(spec: RepairPlanSpec, scheme: RedundancyScheme, item_size: float) -> float:
-    """Total bytes read over the network by this repair batch."""
-    return len(spec.edge_meta) * scheme.fragment_size(item_size)

@@ -91,11 +91,7 @@ class TestFlowReportDeterminism:
 class TestHarness:
     def test_battery_report_renders(self):
         report = check_determinism(
-            plan_cases=[("plan/tiny", 6, 12, 0, "auto")],
-            include_executor=False,
-            include_sim=False,
-            include_flow=False,
-            include_gap=False,
+            plan_cases=[("plan/tiny", 6, 12, 0, "auto")], fast=True
         )
         assert report.ok
         assert "plan/tiny: ok" in report.render()
