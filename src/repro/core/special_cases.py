@@ -30,7 +30,6 @@ from repro.graphs.array_backend import CompactInstance
 from repro.graphs.coloring.bipartite import (
     NotBipartiteError,
     bipartite_sides,
-    compact_bipartite_sides,
     compact_konig_coloring,
 )
 
@@ -64,8 +63,8 @@ def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule
     Raises:
         NotBipartiteError: if the transfer graph is not bipartite.
     """
+    bipartite_sides(ci.source.graph)  # raises if not bipartite
     graph = ci.graph
-    compact_bipartite_sides(graph)  # raises if not bipartite
     m = graph.num_edges
     if m == 0:
         return MigrationSchedule([], method="bipartite_optimal")

@@ -1,21 +1,14 @@
 """Graph substrates used by the migration scheduler.
 
 This subpackage is self-contained: it provides the multigraph data
-structure, Euler circuits, maximum flow, degree-constrained bipartite
-subgraphs (``b``-matchings) and a family of edge-coloring algorithms.
+structure, its CSR snapshot, Euler circuits and orientations over CSR
+rows, the exact-quota bipartite split of Figure 3 (``b``-matchings by
+max-flow), min-cost flow and a family of edge-coloring algorithms.
 The scheduling algorithms in :mod:`repro.core` are built on top of it.
 """
 
 from repro.graphs.multigraph import Multigraph
-from repro.graphs.euler import euler_circuits, euler_orientation
-from repro.graphs.flow import FlowNetwork, max_flow
-from repro.graphs.matching import degree_constrained_subgraph
 
 __all__ = [
     "Multigraph",
-    "euler_circuits",
-    "euler_orientation",
-    "FlowNetwork",
-    "max_flow",
-    "degree_constrained_subgraph",
 ]

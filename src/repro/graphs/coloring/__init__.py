@@ -11,7 +11,6 @@ Available colorers, by guarantee:
 ========================  =========================  ====================
 algorithm                 applies to                 colors used
 ========================  =========================  ====================
-:func:`greedy_coloring`   any multigraph             ``<= 2Δ - 1``
 :func:`vizing_coloring`   simple graphs              ``<= Δ + 1``
 :func:`euler_split_coloring`  any multigraph         ``<= 3·2^(⌈log2 Δ⌉-1)``
 :func:`kempe_coloring`    any multigraph             heuristic, hard cap
@@ -27,7 +26,6 @@ from repro.graphs.coloring.base import (
     num_colors_used,
     validate_proper_coloring,
 )
-from repro.graphs.coloring.greedy import greedy_coloring
 from repro.graphs.coloring.vizing import vizing_coloring
 from repro.graphs.coloring.euler_split import euler_split_coloring
 from repro.graphs.coloring.kempe import kempe_coloring
@@ -35,7 +33,6 @@ from repro.graphs.coloring.kempe import kempe_coloring
 __all__ = [
     "num_colors_used",
     "validate_proper_coloring",
-    "greedy_coloring",
     "vizing_coloring",
     "euler_split_coloring",
     "kempe_coloring",

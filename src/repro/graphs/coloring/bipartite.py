@@ -17,15 +17,13 @@ colorable.  The constructive route used here is regularize-then-split:
 :func:`compact_konig_coloring` runs these steps over dense int nodes;
 it is the colorer of the bipartite scheduler
 (:func:`repro.core.special_cases.bipartite_optimal_schedule_compact`).
-:func:`bipartite_sides` and :func:`compact_bipartite_sides` 2-color a
-graph or reject it.
+:func:`bipartite_sides` 2-colors an object graph or rejects it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.graphs.array_backend import CompactGraph
 from repro.graphs.matching import QuotaPeeler
 from repro.graphs.multigraph import Multigraph, Node
 
@@ -57,45 +55,6 @@ def bipartite_sides(graph: Multigraph) -> Tuple[Set[Node], Set[Node]]:
     left = {v for v, s in side.items() if s == 0}
     right = {v for v, s in side.items() if s == 1}
     return left, right
-
-
-# ----------------------------------------------------------------------
-# Array backend
-# ----------------------------------------------------------------------
-
-def compact_bipartite_sides(graph: CompactGraph) -> List[int]:
-    """:func:`bipartite_sides` over a CSR snapshot.
-
-    Returns ``side[v] in {0, 1}`` per node index, with the anchor of
-    each component (its first node in index order, which is the object
-    graph's node insertion order) on side 0 — the same sides
-    :func:`bipartite_sides` computes: the 2-coloring of a component is
-    unique given its anchor's side, whatever the traversal order.  On
-    non-bipartite input the two may cite different witness edges.
-    """
-    side = [-1] * graph.num_nodes
-    indptr, inc_other = graph.indptr, graph.inc_other
-    reprs = graph.node_reprs()
-    for start in range(graph.num_nodes):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            sx = side[x]
-            for h in range(indptr[x], indptr[x + 1]):
-                y = inc_other[h]
-                if y == x:
-                    raise NotBipartiteError(f"self-loop at {reprs[x]}")
-                if side[y] < 0:
-                    side[y] = 1 - sx
-                    stack.append(y)
-                elif side[y] == sx:
-                    raise NotBipartiteError(
-                        f"odd cycle through {reprs[x]}-{reprs[y]}"
-                    )
-    return side
 
 
 def compact_konig_coloring(

@@ -18,11 +18,12 @@ evenizing node whenever one exists, so real degrees stay within
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
+from repro.graphs.array_backend import CompactGraph
 from repro.graphs.coloring.base import inherit_palette
 from repro.graphs.coloring.kempe import kempe_coloring
-from repro.graphs.euler import euler_circuits
+from repro.graphs.euler import compact_euler_circuits
 from repro.graphs.multigraph import EdgeId, Multigraph
 
 # Below this max degree we stop splitting and hand the part to the
@@ -63,25 +64,30 @@ def euler_split(graph: Multigraph) -> Tuple[Multigraph, Multigraph]:
     # Evenize: connect odd-degree nodes to a dummy hub (their count is
     # even, so the hub's degree is even too).
     odd_nodes = [v for v in work.nodes if work.degree(v) % 2 == 1]
-    dummy_edges: Set[EdgeId] = set()
     if odd_nodes:
         work.add_node(_DUMMY)
         for v in odd_nodes:
-            dummy_edges.add(work.add_edge(_DUMMY, v))
+            work.add_edge(_DUMMY, v)
 
+    compact = CompactGraph.from_multigraph(work)
+    hub = compact.index_of.get(_DUMMY, -1)
     assignment: Dict[EdgeId, int] = {}
-    for circuit in euler_circuits(work):
-        if not circuit:
-            continue
+    for circuit in compact_euler_circuits(
+        compact.indptr,
+        compact.inc_edge,
+        compact.inc_other,
+        compact.degree,
+        compact.num_edges,
+    ):
         # Rotate the circuit so an odd-length wrap imbalance lands on
         # the dummy hub (whose edges are discarded) when possible.
-        if len(circuit) % 2 == 1 and _DUMMY in work:
-            for i, (_eid, u, _v) in enumerate(circuit):
-                if u == _DUMMY:
+        if len(circuit) % 2 == 1 and hub >= 0:
+            for i, (_e, u, _v) in enumerate(circuit):
+                if u == hub:
                     circuit = circuit[i:] + circuit[:i]
                     break
-        for i, (eid, _u, _v) in enumerate(circuit):
-            assignment[eid] = i % 2
+        for i, (e, _u, _v) in enumerate(circuit):
+            assignment[compact.edge_ids[e]] = i % 2
 
     part_a = graph.edge_subgraph(
         eid for eid in graph.edge_ids() if assignment.get(eid) == 0

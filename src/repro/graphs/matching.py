@@ -6,13 +6,10 @@ into ``Δ'`` subgraphs in which each copy ``v_out``/``v_in`` is matched
 *exactly* ``c_v/2`` times.  Feasibility of one such subgraph follows
 from a fractional argument (Lemma 4.1) and integrality of max-flow.
 
-* :func:`degree_constrained_subgraph` extracts one exact-quota subgraph
-  over node labels.  It is deliberately generic (quotas per left node
-  and per right node) so it is reusable for other ``b``-matching needs
-  (e.g. the Saia baseline's edge spreading is validated against it in
-  tests).
-* :class:`QuotaPeeler` is the same flow over dense int indices, and
-  :meth:`QuotaPeeler.split` partitions a graph whose degrees are
+* :meth:`QuotaPeeler.peel` extracts one exact-quota subgraph (a
+  ``b``-matching with quotas per left and per right node) by Dinic's
+  max-flow over dense int indices.
+* :meth:`QuotaPeeler.split` partitions a graph whose degrees are
   ``q_v·D`` into ``D`` exact-quota parts by Euler partition (Gabow
   1976; Alon, IPL 2003): even ``D`` halves the graph along alternating
   closed trails, odd ``D`` peels one part by max-flow.  About
@@ -21,75 +18,27 @@ from a fractional argument (Lemma 4.1) and integrality of max-flow.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.errors import SolverError
-from repro.graphs.flow import FlowNetwork
-
-Node = Hashable
 
 
 class InfeasibleMatchingError(ValueError):
     """Raised when no subgraph meets every quota exactly."""
 
 
-def degree_constrained_subgraph(
-    edges: Sequence[Tuple[Node, Node]],
-    left_quota: Dict[Node, int],
-    right_quota: Dict[Node, int],
-) -> List[int]:
-    """Select edge indices so each node is matched exactly its quota.
-
-    Args:
-        edges: bipartite edges ``(left, right)``; parallel edges are
-            allowed and are distinguished by their index.
-        left_quota: required number of selected edges at each left node.
-        right_quota: required number of selected edges at each right
-            node.  ``sum(left_quota.values())`` must equal
-            ``sum(right_quota.values())``.
-
-    Returns:
-        Indices into ``edges`` of the selected subgraph.
-
-    Raises:
-        InfeasibleMatchingError: if no exact-quota subgraph exists.
-    """
-    demand_left = sum(left_quota.values())
-    demand_right = sum(right_quota.values())
-    if demand_left != demand_right:
-        raise InfeasibleMatchingError(
-            f"total left quota {demand_left} != total right quota {demand_right}"
-        )
-
-    net = FlowNetwork()
-    source, sink = ("__source__",), ("__sink__",)
-    for left, quota in left_quota.items():
-        net.add_edge(source, ("L", left), quota)
-    for right, quota in right_quota.items():
-        net.add_edge(("R", right), sink, quota)
-    handles = [net.add_edge(("L", u), ("R", v), 1) for u, v in edges]
-
-    value = net.max_flow(source, sink)
-    if value != demand_left:
-        raise InfeasibleMatchingError(
-            f"max flow {value} < required {demand_left}: quotas are infeasible"
-        )
-    return [i for i, h in enumerate(handles) if net.flow_on(h) == 1]
-
-
 class QuotaPeeler:
     """One exact-quota peel over a flow network on dense int indices.
 
-    One :func:`degree_constrained_subgraph` call, with the network
-    built over int node indices instead of interned labels.
-    :meth:`split` builds one peeler per odd level of the Euler
-    partition.
+    The network is Figure 3's: the source feeds each left node its
+    quota, each right node drains its quota into the sink, and every
+    edge is a unit arc from its left to its right end.  :meth:`split`
+    builds one peeler per odd level of the Euler partition.
 
-    Arc order per node is the insertion order — the same order
-    ``degree_constrained_subgraph`` uses for the same edges (quota arc
-    first, then unit arcs in edge order) — and Dinic's augmentations
-    depend only on the residual graph and that order, so :meth:`peel`
-    returns the selection ``degree_constrained_subgraph`` returns.
+    Arc order per node is the insertion order (quota arc first, then
+    unit arcs in edge order), and Dinic's augmentations depend only on
+    the residual graph and that order, so :meth:`peel` is a pure
+    function of the quotas and the edge list.
     """
 
     def __init__(
@@ -105,6 +54,9 @@ class QuotaPeeler:
             left_quota: quota per left node index.
             right_quota: quota per right node index.
             edge_left / edge_right: endpoint indices of unit edge ``k``.
+
+        Raises:
+            InfeasibleMatchingError: if the quota totals differ.
         """
         num_left = len(left_quota)
         num_right = len(right_quota)
@@ -115,9 +67,9 @@ class QuotaPeeler:
                 f"total left quota {self._demand} != "
                 f"total right quota {sum(right_quota)}"
             )
-        # Arc layout (twin of handle h is h ^ 1), in the insertion
-        # order degree_constrained_subgraph uses: source->L quota arcs,
-        # R->sink quota arcs, then unit arcs in edge order.
+        # Arc layout (twin of handle h is h ^ 1), in insertion order:
+        # source->L quota arcs, R->sink quota arcs, then unit arcs in
+        # edge order.
         self._unit_base = 2 * (num_left + num_right)
         to: List[int] = []
         cap: List[int] = []
@@ -147,12 +99,12 @@ class QuotaPeeler:
     def _dinic(self) -> int:
         """Dinic's algorithm specialized for the quota network.
 
-        Same residual-twin layout (twin of handle ``h`` is ``h ^ 1``),
-        phase structure and per-node arc order as
-        :meth:`FlowNetwork.max_flow`, so it performs exactly the same
-        augmentations.  The BFS runs frontier by frontier (levels are a
-        pure function of the residual graph, so any BFS order yields
-        the same array); the blocking-flow DFS is iterative.
+        Each phase levels the residual graph by BFS (twin of handle
+        ``h`` is ``h ^ 1``), then pushes a blocking flow along level
+        arcs, taking each node's arcs in insertion order.  The BFS runs
+        frontier by frontier (levels are a pure function of the
+        residual graph, so any BFS order yields the same array); the
+        blocking-flow DFS is iterative.
         """
         to = self._to
         cap = self._cap
@@ -179,16 +131,14 @@ class QuotaPeeler:
             if level[t] < 0:
                 return total
             it = [0] * n
-            # Iterative blocking-flow DFS.  Behaviorally identical to
-            # FlowNetwork's repeated recursive ``_dfs_push`` calls:
-            # after an augmentation the recursion would unwind
-            # to the source and re-descend along the unchanged ``it``
-            # pointers, re-taking exactly the kept arcs (caps above the
-            # first saturated arc are still positive, levels unchanged)
-            # — so truncating the explicit path at that arc and
-            # continuing visits the same arcs in the same order,
-            # without the recursion depth limit on long zig-zag
-            # residual paths.
+            # Iterative blocking-flow DFS.  After an augmentation a
+            # recursive push would unwind to the source and re-descend
+            # along the unchanged ``it`` pointers, re-taking exactly the
+            # kept arcs (caps above the first saturated arc are still
+            # positive, levels unchanged) — so truncating the explicit
+            # path at that arc and continuing visits the same arcs in
+            # the same order, without the recursion depth limit on long
+            # zig-zag residual paths.
             path = [0]
             arcs_stack: List[int] = []
             while path:
@@ -231,9 +181,9 @@ class QuotaPeeler:
         """Extract one exact-quota subgraph.
 
         Returns:
-            Ascending indices of the selected edges — the same value
-            ``degree_constrained_subgraph`` returns for the same edges
-            and quotas.
+            Ascending indices of the selected edges; left node ``i``
+            has exactly ``left_quota[i]`` of them, right node ``j``
+            exactly ``right_quota[j]``.
 
         Raises:
             InfeasibleMatchingError: if the quotas cannot be met.

@@ -12,6 +12,7 @@ from repro.cluster.layout import Layout
 from repro.core.problem import MigrationInstance
 from repro.graphs.array_backend import CompactGraph
 from repro.graphs.coloring.bipartite import compact_konig_coloring
+from repro.graphs.euler import compact_euler_circuits, compact_euler_orientation
 from repro.graphs.multigraph import EdgeId, Multigraph
 
 
@@ -64,6 +65,34 @@ def konig_coloring(graph: Multigraph) -> Dict[EdgeId, int]:
         compact.node_reprs(),
     )
     return dict(zip(compact.edge_ids, colors))
+
+
+def _euler_rows(graph: Multigraph):
+    """``graph``'s CSR snapshot and the rows the Euler walk takes."""
+    c = CompactGraph.from_multigraph(graph)
+    return c, (c.indptr, c.inc_edge, c.inc_other, c.degree, c.num_edges)
+
+
+def euler_circuits(graph: Multigraph):
+    """:func:`compact_euler_circuits` of ``graph``'s snapshot, lifted to
+    ``(edge_id, from_node, to_node)`` steps."""
+    compact, rows = _euler_rows(graph)
+    nodes, eids = compact.nodes, compact.edge_ids
+    return [
+        [(eids[e], nodes[u], nodes[v]) for e, u, v in circuit]
+        for circuit in compact_euler_circuits(*rows)
+    ]
+
+
+def euler_orientation(graph: Multigraph):
+    """:func:`compact_euler_orientation` of ``graph``'s snapshot, lifted
+    to ``{edge_id: (tail, head)}`` in circuit order."""
+    compact, rows = _euler_rows(graph)
+    order, tail, head = compact_euler_orientation(*rows)
+    nodes = compact.nodes
+    return {
+        compact.edge_ids[e]: (nodes[tail[e]], nodes[head[e]]) for e in order
+    }
 
 
 def replay_log(report, initial: Layout) -> Layout:

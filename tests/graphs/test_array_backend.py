@@ -15,13 +15,9 @@ from repro.graphs.array_backend import (
     lift_rounds,
     lower_instance,
 )
-from repro.graphs.euler import compact_euler_circuits, euler_circuits
-from repro.graphs.matching import (
-    InfeasibleMatchingError,
-    QuotaPeeler,
-    degree_constrained_subgraph,
-)
+from repro.graphs.matching import InfeasibleMatchingError, QuotaPeeler
 from repro.graphs.multigraph import Multigraph
+from tests.flow_oracle import assert_peel_agrees
 
 
 def assert_encodes(g: Multigraph) -> CompactGraph:
@@ -157,30 +153,6 @@ class TestCompactInstance:
         assert list(lifted.items()) == [(eids[3], 0), (eids[1], 1)]
 
 
-class TestCompactEulerCircuits:
-    def test_matches_object_circuits(self):
-        g = Multigraph(nodes=range(5))
-        for u, v in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]:
-            g.add_edge(u, v)
-        compact = CompactGraph.from_multigraph(g)
-        obj = euler_circuits(g)
-        arr = compact_euler_circuits(
-            compact.indptr,
-            compact.inc_edge,
-            compact.inc_other,
-            compact.degree,
-            compact.num_edges,
-        )
-        lifted = [
-            [
-                (compact.edge_ids[e], compact.nodes[u], compact.nodes[v])
-                for e, u, v in circuit
-            ]
-            for circuit in arr
-        ]
-        assert lifted == obj
-
-
 class TestQuotaPeeler:
     @staticmethod
     def _feasible_problem(seed):
@@ -237,22 +209,13 @@ class TestQuotaPeeler:
         return left_quota, right_quota, list(zip(edge_left, edge_right))
 
     @pytest.mark.parametrize("case", [*range(8), "even-top-level"])
-    def test_peel_matches_fresh_dcs(self, case, monkeypatch):
+    def test_peel_meets_quotas(self, case, monkeypatch):
         if case == "even-top-level":
             left_quota, right_quota, edges = self._even_top_level(monkeypatch)
             assert len(edges) > 10_000
         else:
             left_quota, right_quota, edges = self._feasible_problem(case)
-        peeler = QuotaPeeler(
-            left_quota,
-            right_quota,
-            [l for l, _r in edges],
-            [r for _l, r in edges],
-        )
-        fresh = degree_constrained_subgraph(
-            edges, dict(enumerate(left_quota)), dict(enumerate(right_quota))
-        )
-        assert peeler.peel() == fresh
+        assert assert_peel_agrees(left_quota, right_quota, edges) is not None
 
     def test_infeasible_quotas_raise(self):
         with pytest.raises(InfeasibleMatchingError):

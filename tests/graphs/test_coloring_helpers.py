@@ -1,10 +1,6 @@
 """Tests for coloring helper utilities not covered elsewhere."""
 
-import pytest
-
 from repro.graphs.coloring.base import inherit_palette
-from repro.graphs.coloring.greedy import degree_descending_order, greedy_coloring
-from repro.graphs.multigraph import Multigraph
 
 
 class TestInheritPalette:
@@ -22,32 +18,3 @@ class TestInheritPalette:
     def test_empty_parts_skipped(self):
         merged = inherit_palette({0: {}, 1: {5: 0}})
         assert merged == {5: 0}
-
-
-class TestDegreeDescendingOrder:
-    def test_high_pressure_edges_first(self):
-        g = Multigraph()
-        hub_edges = [g.add_edge("hub", f"x{i}") for i in range(5)]
-        lone = g.add_edge("p", "q")
-        order = degree_descending_order(g)
-        assert order[-1] == lone
-        assert set(order[:5]) == set(hub_edges)
-
-    def test_order_is_usable_by_greedy(self):
-        g = Multigraph()
-        for i in range(4):
-            g.add_edge("hub", f"x{i}")
-        coloring = greedy_coloring(g, order=degree_descending_order(g))
-        assert len(set(coloring.values())) == 4
-
-
-class TestGreedyExplicitOrder:
-    def test_order_changes_palette(self):
-        # A path colored middle-edge-last wastes a color; good order
-        # uses 2 for max degree 2.
-        g = Multigraph()
-        e1 = g.add_edge("a", "b")
-        e2 = g.add_edge("b", "c")
-        e3 = g.add_edge("c", "d")
-        good = greedy_coloring(g, order=[e1, e3, e2])
-        assert len(set(good.values())) == 2

@@ -1,11 +1,12 @@
-"""Tests for Euler circuits and orientations."""
+"""Tests for Euler circuits and orientations over CSR rows."""
 
 import random
 
 import pytest
 
-from repro.graphs.euler import NotEulerianError, euler_circuits, euler_orientation
+from repro.graphs.euler import NotEulerianError
 from repro.graphs.multigraph import Multigraph
+from tests.conftest import euler_circuits, euler_orientation
 
 
 def evenized_random_graph(num_nodes: int, num_edges: int, seed: int) -> Multigraph:

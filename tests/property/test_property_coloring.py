@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.graphs.coloring import (
     euler_split_coloring,
-    greedy_coloring,
     kempe_coloring,
     num_colors_used,
     validate_proper_coloring,
@@ -26,16 +25,6 @@ def build(edges):
     for u, v in edges:
         g.add_edge(u, v)
     return g
-
-
-class TestGreedyProperties:
-    @given(edge_lists)
-    def test_always_proper_within_2delta(self, edges):
-        g = build(edges)
-        coloring = greedy_coloring(g)
-        validate_proper_coloring(g, coloring)
-        if g.num_edges:
-            assert num_colors_used(coloring) <= 2 * g.max_degree() - 1
 
 
 class TestKempeProperties:

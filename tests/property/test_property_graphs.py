@@ -3,9 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.euler import euler_circuits, euler_orientation
-from repro.graphs.flow import edmonds_karp, max_flow
 from repro.graphs.multigraph import Multigraph
+from tests.conftest import euler_circuits, euler_orientation
+from tests.flow_oracle import assert_peel_agrees
 
 # A multigraph as a list of (u, v) pairs over a small node universe.
 edge_lists = st.lists(
@@ -80,21 +80,25 @@ class TestEulerProperties:
             assert circuit[0][1] == circuit[-1][2]
 
 
-flow_networks = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 9)).filter(
-        lambda t: t[0] != t[1]
-    ),
-    min_size=1,
-    max_size=25,
-)
+@st.composite
+def quota_networks(draw):
+    """``(left_quota, right_quota, edges)``: quotas with equal totals
+    and random unit edges, feasible or not."""
+    left = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    right = [0] * draw(st.integers(1, 5))
+    for _ in range(sum(left)):
+        right[draw(st.integers(0, len(right) - 1))] += 1
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1)),
+            max_size=25,
+        )
+    )
+    return left, right, edges
 
 
 class TestFlowProperties:
-    @given(flow_networks)
+    @given(quota_networks())
     @settings(deadline=None)
-    def test_dinic_equals_edmonds_karp(self, triples):
-        edges = [(u, v, c) for u, v, c in triples] + [(-1, 0, 15), (5, -2, 15)]
-        value, flows = max_flow(edges, -1, -2)
-        assert value == edmonds_karp(edges, -1, -2)
-        for i, (_u, _v, c) in enumerate(edges):
-            assert 0 <= flows[i] <= c
+    def test_peel_agrees_with_edmonds_karp(self, network):
+        assert_peel_agrees(*network)

@@ -9,8 +9,9 @@ claims pinned here:
   exactly ``q_v`` edges at every node, the parts partition the edges,
   and there are ``D`` of them;
 * against the paper's literal step 4 (one max-flow peel per round, kept
-  below as an oracle with its own augmentation), the schedules of both
-  validate with ``Δ'`` rounds on the even-instance families;
+  below as an oracle with its own augmentation, each peel's flow value
+  checked by the Edmonds–Karp oracle), the schedules of both validate
+  with ``Δ'`` rounds on the even-instance families;
 * edge shapes — isolated nodes, augmentation made only of self-loops,
   ``Δ' = 1``, an ``H`` with several components — keep the kernel's
   schedule valid and optimal;
@@ -30,12 +31,7 @@ from repro.core.even_optimal import even_optimal_schedule_compact
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import lower_instance
-from repro.graphs.euler import euler_orientation
-from repro.graphs.matching import (
-    InfeasibleMatchingError,
-    QuotaPeeler,
-    degree_constrained_subgraph,
-)
+from repro.graphs.matching import QuotaPeeler
 from repro.graphs.multigraph import Multigraph, Node
 from repro.workloads.generators import (
     hotspot_instance,
@@ -43,7 +39,8 @@ from repro.workloads.generators import (
     random_instance,
     regular_instance,
 )
-from tests.conftest import even_instance
+from tests.conftest import euler_orientation, even_instance
+from tests.flow_oracle import assert_peel_agrees
 
 #: 1, 2, powers of two, 2^k ± 1 and primes up to 40.
 PART_COUNTS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 17, 23, 31, 32, 33, 37, 40)
@@ -116,42 +113,31 @@ def augment_to_regular(
 def paper_step4_schedule(instance: MigrationInstance) -> MigrationSchedule:
     """Theorem 4.1 with the paper's literal step 4: ``Δ'`` max-flow
     peels, each extracting one exact ``c_v/2`` subgraph from what is
-    left, over the object graph."""
+    left.  Each peel must be feasible: the flow oracle's max-flow value
+    for its network equals its demand."""
     delta_prime = instance.delta_prime()
     if instance.num_items == 0:
         return MigrationSchedule([], method="even_optimal")
     work, real_edges = augment_to_regular(instance, delta_prime)
     orientation = euler_orientation(work)
 
-    bip_edges = []
-    bip_eids = []
-    for eid, (tail, head) in orientation.items():
-        bip_edges.append((("out", tail), ("in", head)))
-        bip_eids.append(eid)
-
-    left_quota = {("out", v): instance.capacity(v) // 2 for v in work.nodes}
-    right_quota = {("in", v): instance.capacity(v) // 2 for v in work.nodes}
+    index = {v: i for i, v in enumerate(work.nodes)}
+    bip_edges = [(index[tail], index[head]) for tail, head in orientation.values()]
+    bip_eids = list(orientation)
+    quota = [instance.capacity(v) // 2 for v in work.nodes]
 
     remaining = list(range(len(bip_edges)))
     rounds = []
     for step in range(delta_prime):
-        sub = [bip_edges[i] for i in remaining]
-        try:
-            picked = degree_constrained_subgraph(sub, left_quota, right_quota)
-        except InfeasibleMatchingError as exc:
-            raise SolverError(
-                f"matching peel {step}/{delta_prime} infeasible: {exc}"
-            ) from exc
+        picked = assert_peel_agrees(quota, quota, [bip_edges[i] for i in remaining])
+        assert picked is not None, f"peel {step}/{delta_prime} infeasible"
         picked_global = {remaining[i] for i in picked}
         rounds.append(
             [bip_eids[i] for i in sorted(picked_global) if bip_eids[i] in real_edges]
         )
         remaining = [i for i in remaining if i not in picked_global]
-    if remaining:
-        raise SolverError(f"{len(remaining)} augmented edges left after Δ' peels")
-
-    schedule = MigrationSchedule(rounds, method="even_optimal")
-    return schedule
+    assert not remaining, f"{len(remaining)} augmented edges left after Δ' peels"
+    return MigrationSchedule(rounds, method="even_optimal")
 
 
 EVEN_FAMILIES = [
