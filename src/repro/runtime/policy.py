@@ -64,12 +64,16 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0 or self.max_defers < 0:
             raise ValueError("max_retries and max_defers must be >= 0")
-        if self.backoff_base <= 0 or self.backoff_factor < 1 or self.backoff_cap <= 0:
-            raise ValueError("backoff parameters must be positive (factor >= 1)")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        if self.transfer_timeout is not None and self.transfer_timeout <= 0:
-            raise ValueError("transfer_timeout must be positive or None")
+        backoff = (self.backoff_base, self.backoff_factor, self.backoff_cap)
+        if not all(math.isfinite(x) for x in backoff) or (
+            self.backoff_base <= 0 or self.backoff_factor < 1 or self.backoff_cap <= 0
+        ):
+            raise ValueError("backoff parameters must be finite and positive (factor >= 1)")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValueError("jitter must be a finite number >= 0")
+        timeout = self.transfer_timeout
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError("transfer_timeout must be a finite number > 0, or None")
 
     # ------------------------------------------------------------------
     def decide(self, attempts: int, defers: int) -> EscalationAction:

@@ -40,6 +40,7 @@ coalescing history, or cache state.
 from __future__ import annotations
 
 import asyncio
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -67,8 +68,8 @@ class BrokerConfig:
             calls.
         rate_limit: per-client steady admissions/second; 0 disables.
         rate_burst: token-bucket capacity (burst allowance).
-        default_timeout: deadline for requests that do not set one;
-            ``None`` means wait indefinitely.
+        default_timeout: deadline in seconds (finite, > 0) for requests
+            that do not set one; ``None`` means wait indefinitely.
         parallel: forwarded to :func:`repro.plan` — ``"auto"`` lets
             heavy multi-component instances fan into the process
             pool.
@@ -92,6 +93,9 @@ class BrokerConfig:
             raise ValueError("rate_limit must be >= 0")
         if self.rate_burst < 1:
             raise ValueError("rate_burst must be >= 1")
+        timeout = self.default_timeout
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError("default_timeout must be a finite number > 0, or None")
 
 
 class OverloadedError(ProtocolError):

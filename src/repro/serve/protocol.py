@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -236,8 +237,8 @@ def parse_plan_request(
     if timeout is not None:
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
             raise _bad("'timeout' must be a number of seconds")
-        if timeout <= 0:
-            raise _bad("'timeout' must be positive")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise _bad("'timeout' must be a finite positive number of seconds")
         timeout = float(timeout)
     return PlanRequest(
         instance=instance,

@@ -101,7 +101,9 @@ class SimConfig:
         failure_rate: per-disk exponential failure rate (failures per
             sim-second); 0 disables random failures.
         crashes: scripted failures (:class:`~repro.runtime.faults.DiskCrash`,
-            shared with the runtime executor's fault plans).
+            shared with the runtime executor's fault plans); each disk
+            id must sit in a slot of the grid (replacement ids such as
+            ``r0m1d2#1`` included).
         replacement_delay: sim-seconds until a failed disk's slot is
             re-occupied by an empty replacement.
         scrub_interval: per-disk scrub period; 0 disables scrubbing.
@@ -148,6 +150,16 @@ class SimConfig:
             raise ValueError("replacement_delay must be >= 0")
         if self.plan_alpha < 0 or self.plan_beta < 0:
             raise ValueError("plan latency coefficients must be >= 0")
+        if self.crashes:
+            grid = SimTopology.grid(
+                self.racks, self.machines_per_rack, self.disks_per_machine
+            )
+            for crash in self.crashes:
+                if slot_of(crash.disk_id) not in grid.rack_of_slot:
+                    raise ValueError(
+                        f"crash disk {crash.disk_id!r} is in no slot of the "
+                        f"{grid.num_slots}-slot grid"
+                    )
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready echo of the configuration (keys sorted)."""

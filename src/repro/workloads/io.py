@@ -126,9 +126,19 @@ def save_instance(instance: MigrationInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> MigrationInstance:
-    """Read an instance previously written by :func:`save_instance`."""
-    with open(path) as handle:
-        return instance_from_json(handle.read())
+    """Read an instance previously written by :func:`save_instance`.
+
+    Raises:
+        OSError: when the file cannot be read.
+        InvalidInstanceError: when it is not UTF-8 text, or as
+            :func:`instance_from_json` lists.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise InvalidInstanceError("not UTF-8 text") from None
+    return instance_from_json(text)
 
 
 def merge_instances(

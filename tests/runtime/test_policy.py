@@ -73,6 +73,13 @@ class TestValidation:
             {"jitter": -0.1},
             {"transfer_timeout": 0.0},
             {"transfer_timeout": -1.0},
+            {"transfer_timeout": float("nan")},
+            {"transfer_timeout": float("inf")},
+            {"backoff_base": float("nan")},
+            {"backoff_factor": float("inf")},
+            {"backoff_cap": float("inf")},
+            {"jitter": float("nan")},
+            {"jitter": float("inf")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

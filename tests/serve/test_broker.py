@@ -431,6 +431,10 @@ class TestBrokerConfig:
             {"concurrency": 0},
             {"rate_limit": -1.0},
             {"rate_burst": 0},
+            {"default_timeout": 0.0},
+            {"default_timeout": -1.0},
+            {"default_timeout": float("nan")},
+            {"default_timeout": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -122,13 +122,16 @@ class TestParsePlanRequest:
         with pytest.raises(ProtocolError):
             parse_plan_request(canonical_json(payload), known_methods=KNOWN)
 
-    @pytest.mark.parametrize("timeout", ["fast", True, 0, -1.0])
+    @pytest.mark.parametrize(
+        "timeout", ["fast", True, 0, -1.0, float("nan"), float("inf")]
+    )
     def test_bad_timeout(self, timeout):
         inst = wire_instance()
         payload = plan_request_payload(inst)
-        payload["timeout"] = timeout
-        with pytest.raises(ProtocolError):
+        payload["timeout"] = timeout  # json writes NaN / Infinity literals
+        with pytest.raises(ProtocolError) as err:
             parse_plan_request(canonical_json(payload), known_methods=KNOWN)
+        assert err.value.code == "bad-request"
 
     def test_certify_endpoint_flag(self):
         inst = wire_instance()

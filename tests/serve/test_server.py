@@ -18,6 +18,7 @@ from repro.serve import (
     PlanServiceError,
     ServerConfig,
     canonical_json,
+    plan_request_payload,
     schedule_payload,
     start_in_process,
 )
@@ -96,6 +97,18 @@ class TestHttpSurface:
             )
         assert status == 400
         assert b'"bad-request"' in body
+
+    @pytest.mark.parametrize("literal", [b"NaN", b"Infinity"])
+    def test_non_finite_timeout_is_bad_request(self, literal):
+        payload = plan_request_payload(wire_instance())
+        payload["timeout"] = 1.0
+        body = canonical_json(payload).replace(b'"timeout":1.0', b'"timeout":' + literal)
+        with start_in_process(ServerConfig()) as handle:
+            status, reply = raw_request(
+                handle.host, handle.port, "POST", "/v1/plan", body=body
+            )
+        assert status == 400
+        assert b'"bad-request"' in reply
 
     def test_oversized_body_rejected_without_reading(self):
         with start_in_process(ServerConfig()) as handle:

@@ -42,6 +42,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(latent_error_rate=1.5)
 
+    def test_crash_outside_the_grid(self):
+        with pytest.raises(ValueError, match="no slot"):
+            quiet(crashes=(DiskCrash("nosuch", 5.0),))
+        with pytest.raises(ValueError, match="no slot"):
+            quiet(crashes=(DiskCrash("r9m0d0", 5.0),))
+
+    def test_crash_on_a_replacement_id(self):
+        """``r0m1d2#1`` is the first replacement in slot ``r0m1d2``."""
+        assert quiet(crashes=(DiskCrash("r0m1d2#1", 5.0),)).crashes
+
     def test_as_dict_sorted(self):
         keys = list(SimConfig().as_dict())
         assert keys == sorted(keys)

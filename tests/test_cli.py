@@ -51,7 +51,16 @@ _BAD_INSTANCE_FILES = (
     ("one-element-move.json", json.dumps({**_VALID_INSTANCE, "moves": [["a"]]})),
     ("wrong-format.json", json.dumps({**_VALID_INSTANCE, "format": "other"})),
     ("absent.json", None),
+    ("not-utf8.json", b"\xff\xfe{"),
 )
+
+
+def _write(path, content):
+    """Write ``content`` (text or bytes) to ``path``; None writes nothing."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
 
 #: every command that reads an instance file; ``{}`` is the path.
 _INSTANCE_COMMANDS = (
@@ -70,22 +79,27 @@ MALFORMED_INPUT_CASES = [
     pytest.param(
         ("schedule", "{}"), "bad-cap.txt", "cap,a,x\na,b\n", id="schedule-bad-cap"
     ),
+    pytest.param(("plan", "{}"), "bin.txt", b"\xff\xfe{", id="plan-not-utf8-moves"),
+    pytest.param(
+        ("schedule", "{}"), "bin.txt", b"a,b\n\xff\n", id="schedule-not-utf8-moves"
+    ),
 ]
 
 
 def _assert_one_error_line(capsys, path):
+    """Stderr is one ``error: PATH: ...`` line, which is returned."""
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
+    return err
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("command, name, content", MALFORMED_INPUT_CASES)
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
-        if content is not None:
-            path.write_text(content)
+        _write(path, content)
         argv = [str(path) if arg == "{}" else arg for arg in command]
         assert main(argv) == 2
         _assert_one_error_line(capsys, path)
@@ -148,6 +162,35 @@ class TestMalformedObjectiveAndTrace:
             path.write_text(content)
         assert main(["stats", str(path)] + (["--validate"] if validate else [])) == 2
         _assert_one_error_line(capsys, path)
+
+    def test_stats_mistyped_record_exits_2(self, tmp_path, capsys):
+        """Without ``--validate`` each record is shape-checked before it
+        is folded: a string ``wall`` is reported, not a traceback."""
+        path = tmp_path / "mistyped.jsonl"
+        record = {
+            "kind": "span", "name": "pipeline.stage.x", "span": 1,
+            "parent": None, "t0": 0.0, "wall": "slow", "cpu": 0.0, "attrs": {},
+        }
+        path.write_text(json.dumps({"kind": "meta", "schema": 1}) + "\n"
+                        + json.dumps(record) + "\n")
+        assert main(["stats", str(path)]) == 2
+        err = _assert_one_error_line(capsys, path)
+        assert "record 1: span 'wall' must be a number" in err
+
+    def test_stats_folds_a_trace_missing_parents(self, tmp_path, capsys):
+        """The span-forest check stays behind ``--validate``: a killed
+        run's trace, whose parent spans were never written, still folds."""
+        path = tmp_path / "killed.jsonl"
+        record = {
+            "kind": "span", "name": "pipeline.stage.solve", "span": 2,
+            "parent": 1, "t0": 0.0, "wall": 0.5, "cpu": 0.5, "attrs": {},
+        }
+        path.write_text(json.dumps({"kind": "meta", "schema": 1}) + "\n"
+                        + json.dumps(record) + "\n")
+        assert main(["stats", str(path)]) == 0
+        assert "solve" in capsys.readouterr().out
+        assert main(["stats", str(path), "--validate"]) == 1
+        assert "parent 1 not in trace" in capsys.readouterr().err
 
 
 class TestCheckCertify:
@@ -237,6 +280,16 @@ _BAD_FAULT_FLAGS = [
     pytest.param(
         ["--partition", "1:2:,"], "at least one disk", id="partition-empty-group"
     ),
+    pytest.param(
+        ["--crash", "nosuch:5"], "'nosuch' is not in the decommission scenario",
+        id="crash-unknown-disk",
+    ),
+    pytest.param(
+        ["--partition", "2:6:mid-1,nosuch"], "'nosuch' is not in the decommission",
+        id="partition-unknown-disk",
+    ),
+    pytest.param(["--timeout", "nan"], "transfer_timeout must be", id="timeout-nan"),
+    pytest.param(["--timeout", "inf"], "transfer_timeout must be", id="timeout-inf"),
     pytest.param(
         ["--partition", "1:2:mid-1,mid-1"], "duplicate disks", id="partition-disk-twice"
     ),
@@ -533,6 +586,17 @@ class TestServeCommand:
         assert main(["serve", "--queue-size", "0"]) == 2
         assert "invalid serve configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["nan", "-1"])
+    def test_rejects_a_timeout_that_is_not_finite_and_positive(
+        self, capsys, monkeypatch, timeout
+    ):
+        async def must_not_serve(config):
+            raise AssertionError("serve started on a bad configuration")
+
+        monkeypatch.setattr("repro.serve.server.serve", must_not_serve)
+        assert main(["serve", "--timeout", timeout]) == 2
+        assert "default_timeout must be" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.port == 8423
@@ -587,6 +651,12 @@ class TestSimCommand:
     def test_invalid_config_fails(self, capsys):
         assert main(["sim", "--duration", "0"]) == 2
         assert "invalid sim configuration" in capsys.readouterr().err
+
+    def test_unknown_crash_disk_exits_2(self, capsys):
+        assert main(self.SHORT + ["--crash", "nosuch:5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid sim configuration: crash disk 'nosuch'")
+        assert len(err.splitlines()) == 1
 
     def test_trace_out_written(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
