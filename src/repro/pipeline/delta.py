@@ -291,7 +291,7 @@ def plan_delta(
             return outcome
 
         components = _plan_components(
-            patched, seed, stats=None, cache=cache, parallel=False, workers=None,
+            patched, seed, cache=cache, parallel=False, workers=None,
             result=result, tracer=tr, reuse=reuse, solve_stage="patch",
         )
         result.dispositions = tuple(

@@ -85,7 +85,7 @@ def backend_solver(
     return solve_object
 
 
-def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> SolveOutcome:
+def solve_job(job: SolveJob) -> SolveOutcome:
     """Solve one component and return its canonical schedule.
 
     Module-level (not a closure) so it pickles under every
@@ -95,9 +95,8 @@ def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> Solv
     Randomized non-optimal solvers (the general algorithm) whose first
     schedule exceeds the component's lower bound are restarted up to
     :data:`GENERAL_SOLVE_RESTARTS` times with deterministically derived
-    seeds, keeping the shortest schedule.  Restart attempts run with
-    private diagnostics, so a caller-provided ``stats`` describes the
-    first solve only.
+    seeds, keeping the shortest schedule; the first solve's private
+    :class:`GeneralSolverStats` supplies the lower bound.
 
     The schedule is not validated here: the planner validates the
     merged schedule, which holds every component's, once before it
@@ -108,11 +107,9 @@ def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> Solv
 
     spec = get_solver(method)
     solve = backend_solver(spec, instance)
-    run_stats = stats
-    if run_stats is None and spec.randomized and not spec.optimal:
-        run_stats = GeneralSolverStats()
+    run_stats = GeneralSolverStats() if spec.randomized and not spec.optimal else None
     schedule = solve(seed, run_stats)
-    if spec.randomized and not spec.optimal and run_stats is not None:
+    if run_stats is not None:
         for attempt in range(1, GENERAL_SOLVE_RESTARTS + 1):
             if schedule.num_rounds <= run_stats.lower_bound:
                 break

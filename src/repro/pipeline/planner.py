@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.general import GeneralSolverStats
 from repro.core.objectives import Objective
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
@@ -193,7 +192,6 @@ def plan(
     instance: MigrationInstance,
     method: str = "auto",
     seed: int = 0,
-    stats: Optional[GeneralSolverStats] = None,
     *,
     cache: Optional[PlanCache] = None,
     parallel: Union[bool, str] = False,
@@ -218,11 +216,6 @@ def plan(
         seed: base randomness seed.  Component solves draw from seeds
             derived per component fingerprint, so unchanged components
             reproduce their schedules across replans.
-        stats: optional :class:`GeneralSolverStats`, filled by general
-            solves.  Providing it disables caching and parallelism for
-            this call (diagnostics require an in-process solve); under
-            ``"auto"`` with several general components the counters
-            accumulate and the scalar fields reflect the last one.
         cache: optional :class:`PlanCache` consulted and populated per
             component (and per bound when certifying).
         parallel: ``False`` (serial), ``True`` (always pool when ≥ 2
@@ -255,9 +248,6 @@ def plan(
         instance=instance,
         seed=seed,
     )
-    if stats is not None:
-        cache = None
-        parallel = False
     tr = ensure_tracer(tracer)
     obj = objective if objective is not None else instance.objective
 
@@ -270,10 +260,10 @@ def plan(
         if obj.kind != "makespan":
             _plan_objective(instance, obj, method, result, tr)
         elif method != "auto":
-            _plan_forced(instance, method, seed, stats, cache, result, tr)
+            _plan_forced(instance, method, seed, cache, result, tr)
         else:
-            components = _plan_components(instance, seed, stats, cache,
-                                          parallel, workers, result, tr)
+            components = _plan_components(instance, seed, cache, parallel,
+                                          workers, result, tr)
 
         with _stage(tr, result, "certify"):
             if certify:
@@ -299,7 +289,6 @@ def _plan_forced(
     instance: MigrationInstance,
     method: str,
     seed: int,
-    stats: Optional[GeneralSolverStats],
     cache: Optional[PlanCache],
     result: PlanResult,
     tracer: Tracer,
@@ -321,7 +310,7 @@ def _plan_forced(
                 tracer.count(names.PLAN_CACHE_MISSES)
         if schedule is None:
             with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
-                solved = backend_solver(spec, instance)(seed, stats)
+                solved = backend_solver(spec, instance)(seed, None)
             schedule = _round_trip(instance, solved, fp)
         schedule.validate(instance)
         if not cached and cache is not None and fp is not None:
@@ -432,7 +421,6 @@ ReuseStep = Callable[[Component], Optional[SolveOutcome]]
 def _plan_components(
     instance: MigrationInstance,
     seed: int,
-    stats: Optional[GeneralSolverStats],
     cache: Optional[PlanCache],
     parallel: Union[bool, str],
     workers: Optional[int],
@@ -462,7 +450,7 @@ def _plan_components(
         # Nothing to move; resolve exactly like the legacy dispatcher
         # (an empty instance is trivially all-even).
         spec = select_solver(instance)
-        result.schedule = backend_solver(spec, instance)(seed, stats)
+        result.schedule = backend_solver(spec, instance)(seed, None)
         result.schedule.validate(instance)
         return components
 
@@ -507,7 +495,7 @@ def _plan_components(
             solved = []
             for k, job in zip(miss_indices, jobs):
                 with tracer.span(names.SPAN_SOLVE, method=job[1], component=k):
-                    solved.append(solve_job(job, stats))
+                    solved.append(solve_job(job))
         for k, outcome in zip(miss_indices, solved):
             outcomes[k] = outcome
         planned = [out for out in outcomes if out is not None]

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import plan
-from repro.core.general import GeneralSolverStats
+from repro.core.general import GeneralSolverStats, general_schedule_compact
 from repro.core.problem import MigrationInstance
+from repro.graphs.array_backend import lower_instance
 from repro.pipeline.registry import solver_names
 from tests.brute_force import brute_force_rounds
 from tests.conftest import even_instance, random_instance
@@ -71,10 +72,10 @@ class TestDispatch:
         assert result.certified_optimal
         assert result.schedule.num_rounds == brute_force_rounds(inst) == 3
 
-    def test_stats_threaded_to_general(self):
+    def test_general_fills_its_stats(self):
         inst = random_instance(6, 25, capacity_choices=(1, 2), seed=2)
         stats = GeneralSolverStats()
-        plan(inst, method="general", stats=stats)
+        general_schedule_compact(lower_instance(inst), stats=stats)
         assert stats.sweeps >= 1
 
 

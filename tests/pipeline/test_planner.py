@@ -195,16 +195,17 @@ class TestForcedMethods:
         with pytest.raises(ValueError, match="unknown method"):
             plan(mixed_two_component_instance(), method="bogus")
 
-    def test_stats_passthrough(self):
-        stats = GeneralSolverStats()
+    def test_forced_general_is_the_kernel_schedule(self):
+        """A forced general plan is the kernel's schedule; the kernel's
+        own ``stats`` carry its diagnostics (``plan`` takes none)."""
         inst = random_instance(10, 40, capacity_choices=(1, 3), seed=6)
-        result = plan(inst, method="general", stats=stats)
-        direct = GeneralSolverStats()
-        expected = general_schedule_compact(lower_instance(inst), seed=0, stats=direct)
+        result = plan(inst, method="general")
+        stats = GeneralSolverStats()
+        expected = general_schedule_compact(lower_instance(inst), seed=0, stats=stats)
         assert [sorted(r) for r in result.schedule.rounds] == [
             sorted(r) for r in expected.rounds
         ]
-        assert stats.lower_bound == direct.lower_bound
+        assert stats.lower_bound == lower_bound(inst)
 
 
 class TestPlanCacheIntegration:
