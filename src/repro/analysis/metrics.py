@@ -215,7 +215,9 @@ def _fold_timing(
 
 
 def aggregate_trace(records: Sequence[Mapping[str, Any]]) -> TraceStats:
-    """Fold an obs-schema trace into :class:`TraceStats`."""
+    """Fold an obs-schema trace, whose records
+    :func:`repro.obs.schema.validate_record` accepts, into
+    :class:`TraceStats`."""
     stats = TraceStats()
     for record in records:
         kind = record.get("kind")
@@ -236,15 +238,17 @@ def aggregate_trace(records: Sequence[Mapping[str, Any]]) -> TraceStats:
             elif name == names.SPAN_REPLAN:
                 stats.replans += 1
             elif name == names.SPAN_ROUND:
+                # A round that raised closes its span before setting
+                # its counts and times; a missing one folds as 0.
                 stats.rounds.append(
                     {
                         "round": attrs.get("round"),
-                        "wall": float(record.get("wall", 0.0)),
-                        "attempted": int(attrs.get("attempted", 0)),
-                        "succeeded": int(attrs.get("succeeded", 0)),
-                        "failed": int(attrs.get("failed", 0)),
-                        "sim_start": float(attrs.get("sim_start", 0.0)),
-                        "sim_duration": float(attrs.get("sim_duration", 0.0)),
+                        "wall": record.get("wall", 0.0),
+                        "attempted": attrs.get("attempted", 0),
+                        "succeeded": attrs.get("succeeded", 0),
+                        "failed": attrs.get("failed", 0),
+                        "sim_start": attrs.get("sim_start", 0.0),
+                        "sim_duration": attrs.get("sim_duration", 0.0),
                     }
                 )
         elif kind == "counter":

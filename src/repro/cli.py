@@ -155,20 +155,29 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _open_plan_cache(store_path: Optional[str], no_cache: bool = False):
     """A (possibly store-backed, warmed) PlanCache plus its store.
 
-    Returns ``(cache, store)``; the caller must ``flush``/``close``
-    the store when done.  ``--store`` overrides ``--no-cache`` — a
-    persistent store is pointless without a cache in front of it.
+    Returns ``(cache, store)``; the caller must ``close`` the store
+    when done.  ``--store`` overrides ``--no-cache`` — a persistent
+    store is pointless without a cache in front of it.  None means
+    'bail': a store that cannot be opened or warmed was reported as
+    one ``error: PATH: reason`` line.
     """
     from repro.pipeline import PlanCache
 
-    if store_path:
-        from repro.serve.store import open_store
+    if not store_path:
+        return (None if no_cache else PlanCache()), None
+    from repro.serve.store import PlanStore, PlanStoreError
 
-        store = open_store(store_path)
+    store = None
+    try:
+        store = PlanStore(store_path)
         cache = PlanCache(store=store)
         cache.warm()
-        return cache, store
-    return (None if no_cache else PlanCache()), None
+    except PlanStoreError as exc:
+        if store is not None:
+            store.close()
+        _input_error(store_path, exc)
+        return None
+    return cache, store
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -185,8 +194,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             objective.validate(instance)
         except (ObjectiveError, OSError, UnicodeDecodeError) as exc:
             return _input_error(args.objective, exc)
+    opened = _open_plan_cache(args.store, args.no_cache)
+    if opened is None:
+        return 2
+    cache, store = opened
     tracer = _open_tracer(args.trace_out)
-    cache, store = _open_plan_cache(args.store, args.no_cache)
     result = plan(
         instance,
         method=args.method,
@@ -445,13 +457,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "max_defers": args.max_defers,
         "timeout": args.timeout,
     }
-    resuming = args.checkpoint is not None and os.path.exists(args.checkpoint)
-    tracer = _open_tracer(args.trace_out, append=resuming)
     # One cache for the run: the initial plan populates it and crash
     # replans re-solve only the components the crash touched.  With
     # --store the cache also survives across processes (a killed run
     # resumed later replans from persisted solves).
-    plan_cache, plan_store = _open_plan_cache(args.store)
+    opened = _open_plan_cache(args.store)
+    if opened is None:
+        return 2
+    plan_cache, plan_store = opened
+    resuming = args.checkpoint is not None and os.path.exists(args.checkpoint)
+    tracer = _open_tracer(args.trace_out, append=resuming)
 
     if resuming:
         try:
@@ -653,6 +668,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.broker import BrokerConfig
     from repro.serve.server import ServerConfig, serve as serve_main
+    from repro.serve.store import PlanStoreError
 
     try:
         broker = BrokerConfig(
@@ -678,6 +694,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(serve_main(config))
     except KeyboardInterrupt:
         pass  # SIGINT before the loop's handler was installed
+    except PlanStoreError as exc:  # raised before the port is bound
+        return _input_error(args.store, exc)
     return 0
 
 
@@ -1009,9 +1027,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--no-cache", action="store_true",
                         help="disable the component plan cache")
     p_plan.add_argument("--store", metavar="PATH", default=None,
-                        help="persistent plan store (sqlite file or JSONL "
-                             "directory); warms the cache and writes new "
-                             "solves through")
+                        help="persistent plan store (one SQLite file, "
+                             "created if absent); warms the cache and writes "
+                             "new solves through")
     p_plan.add_argument("--certify", action="store_true",
                         help="compose and verify a per-component "
                              "lower-bound certificate (and, where the exact "
@@ -1094,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(appends when resuming; see `stats`)")
     p_run.add_argument("--store", metavar="PATH", default=None,
                        help="persistent plan store shared across runs "
-                            "(sqlite file or JSONL directory)")
+                            "(one SQLite file, created if absent)")
     p_run.set_defaults(func=_cmd_run)
 
     p_serve = sub.add_parser(
@@ -1106,9 +1124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8423,
                          help="bind port (0 picks an ephemeral port)")
     p_serve.add_argument("--store", metavar="PATH", default=None,
-                         help="persistent plan store (sqlite file or JSONL "
-                              "directory); warm-started at boot, flushed at "
-                              "drain")
+                         help="persistent plan store (one SQLite file, "
+                              "created if absent); warm-started at boot, "
+                              "flushed at drain")
     p_serve.add_argument("--queue-size", type=int, default=64,
                          help="admission queue bound (backpressure)")
     p_serve.add_argument("--concurrency", type=int, default=2,

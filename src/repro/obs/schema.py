@@ -9,7 +9,10 @@ kind           required fields
 ``meta``       ``schema`` (int)
 ``span``       ``name`` (str), ``span`` (int ≥ 1), ``parent`` (int or
                null), ``t0``/``wall``/``cpu`` (numbers ≥ 0), ``attrs``
-               (object)
+               (object); a ``runtime.round`` span's ``round``,
+               ``attempted``, ``succeeded`` and ``failed`` attrs, where
+               present, are ints ≥ 0 and its ``sim_start`` and
+               ``sim_duration`` finite numbers ≥ 0
 ``counter``    ``name`` (str), ``value`` (int ≥ 0)
 ``gauge``      ``name`` (str), ``value`` (number)
 ``histogram``  ``name`` (str), ``boundaries`` (sorted number list),
@@ -29,8 +32,10 @@ step.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro.obs.names import SPAN_ROUND
 from repro.obs.trace import TRACE_SCHEMA_VERSION
 
 KINDS = ("meta", "span", "counter", "gauge", "histogram")
@@ -55,8 +60,24 @@ def _check_span(record: Mapping[str, Any], where: str, errors: List[str]) -> Non
         value = record.get(key)
         if not _is_number(value) or value < 0:
             errors.append(f"{where}: span {key!r} must be a number >= 0")
-    if not isinstance(record.get("attrs"), dict):
+    attrs = record.get("attrs")
+    if not isinstance(attrs, dict):
         errors.append(f"{where}: span 'attrs' must be an object")
+    elif record.get("name") == SPAN_ROUND:
+        _check_round_attrs(attrs, where, errors)
+
+
+def _check_round_attrs(attrs: Mapping[str, Any], where: str, errors: List[str]) -> None:
+    """A ``runtime.round`` span's counts and simulated times, where
+    present (a round that raised closes its span without them)."""
+    for key in ("round", "attempted", "succeeded", "failed"):
+        value = attrs.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            errors.append(f"{where}: round attr {key!r} must be an int >= 0")
+    for key in ("sim_start", "sim_duration"):
+        value = attrs.get(key, 0.0)
+        if not _is_number(value) or not math.isfinite(value) or value < 0:
+            errors.append(f"{where}: round attr {key!r} must be a finite number >= 0")
 
 
 def _check_histogram(record: Mapping[str, Any], where: str, errors: List[str]) -> None:

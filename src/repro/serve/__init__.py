@@ -45,13 +45,7 @@ from repro.serve.protocol import (
     validate_plan_response,
 )
 from repro.serve.server import PlanningServer, ServerConfig, serve
-from repro.serve.store import (
-    JsonlPlanStore,
-    PlanStore,
-    PlanStoreError,
-    SqlitePlanStore,
-    open_store,
-)
+from repro.serve.store import PlanStore, PlanStoreError
 
 __all__ = [
     "ERROR_CODES",
@@ -60,7 +54,6 @@ __all__ = [
     "DeadlineError",
     "DrainingError",
     "InProcessServer",
-    "JsonlPlanStore",
     "OverloadedError",
     "PlanClient",
     "PlanOutcome",
@@ -73,10 +66,8 @@ __all__ = [
     "RateLimitedError",
     "RequestBroker",
     "ServerConfig",
-    "SqlitePlanStore",
     "canonical_json",
     "health_response",
-    "open_store",
     "parse_plan_request",
     "parse_response",
     "plan_request_payload",

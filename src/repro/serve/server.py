@@ -47,7 +47,7 @@ from repro.serve.protocol import (
     health_response,
     parse_plan_request,
 )
-from repro.serve.store import PlanStore, open_store
+from repro.serve.store import PlanStore
 
 #: Largest accepted request body (a million-move instance fits).
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -72,9 +72,9 @@ class ServerConfig:
     Attributes:
         host/port: bind address; port 0 picks an ephemeral port
             (see :attr:`PlanningServer.port` after :meth:`start`).
-        store_path: optional persistent plan store
-            (:func:`repro.serve.store.open_store` rules); the cache
-            is warm-started from it and writes through to it.
+        store_path: optional persistent plan store, one SQLite file
+            (:class:`repro.serve.store.PlanStore`); the cache is
+            warm-started from it and writes through to it.
         cache_entries: in-memory plan-cache bound.
         broker: admission/coalescing/deadline knobs.
         trace_out: optional JSONL trace path for this server's spans
@@ -99,12 +99,10 @@ class PlanningServer:
         self, config: Optional[ServerConfig] = None, tracer: Optional[Tracer] = None
     ) -> None:
         self.config = config if config is not None else ServerConfig()
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.config.trace_out:
-            self.tracer = Tracer(JsonlExporter(self.config.trace_out))
-        else:
-            self.tracer = Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
+        #: the ``trace_out`` file :meth:`start` opens once the store has
+        #: (a given ``tracer`` takes precedence).
+        self._trace_file = self.config.trace_out if tracer is None else None
         self.store: Optional[PlanStore] = None
         self.cache: Optional[PlanCache] = None
         self.broker: Optional[RequestBroker] = None
@@ -134,21 +132,29 @@ class PlanningServer:
     async def start(self) -> None:
         """Open the store, warm the cache, start broker and socket.
 
-        Store open and cache warm-up hit the filesystem (SQLite/JSONL),
-        so both run on the default executor — the event loop keeps
-        serving health checks while a large store loads.
+        Store open and cache warm-up read the store's SQLite file, so
+        both run on the default executor — the event loop keeps serving
+        health checks while a large store loads.  A store that cannot
+        be opened or warmed raises
+        :class:`~repro.serve.store.PlanStoreError` before any socket is
+        bound or trace file written.
         """
         if self._server is not None:
             return
         loop = asyncio.get_running_loop()
         if self.config.store_path is not None:
             self.store = await loop.run_in_executor(
-                None, open_store, self.config.store_path
+                None, PlanStore, self.config.store_path
             )
         self.cache = PlanCache(
             max_entries=self.config.cache_entries, store=self.store
         )
         self.warmed_entries = await loop.run_in_executor(None, self.cache.warm)
+        if self._trace_file:
+            exporter = await loop.run_in_executor(
+                None, JsonlExporter, self._trace_file
+            )
+            self.tracer = Tracer(exporter)
         self.broker = RequestBroker(
             cache=self.cache, config=self.config.broker, tracer=self.tracer
         )

@@ -1,4 +1,4 @@
-"""Persistent, content-addressed plan stores.
+"""Persistent, content-addressed plan store.
 
 A :class:`~repro.pipeline.cache.PlanCache` evaporates with its
 process; a :class:`PlanStore` is the durable tier underneath it.
@@ -10,45 +10,29 @@ Fingerprints are relabeling-invariant SHA-256 digests, which makes the
 store content-addressed: byte-identical structure ⇒ same key ⇒ the
 prior solve is reused verbatim.
 
-Two backends behind one ABC:
-
-* :class:`SqlitePlanStore` — a single-file SQLite database; writes
-  buffer in the connection and land on :meth:`flush`/:meth:`close`.
-  The right choice for large stores (point lookups never scan).
-* :class:`JsonlPlanStore` — a directory holding an append-only
-  ``plans.jsonl`` log (last write wins on load) — greppable,
-  diff-able, and trivially mergeable across hosts.
-
-:func:`open_store` picks a backend from the path: ``.db`` /
-``.sqlite`` / ``.sqlite3`` suffixes mean SQLite, anything else is a
-JSONL directory.
-
-Both backends serialize access with a lock, so one store may back the
-planning threads of a server.  Payloads are canonical sorted-key
-JSON; a corrupt record raises :class:`PlanStoreError` at load rather
-than silently serving a wrong plan.
+A store is one SQLite file, whatever the path's suffix.  Writes
+buffer in the connection and land on :meth:`PlanStore.flush` /
+:meth:`PlanStore.close`; a process that exits without either keeps
+exactly what it last committed.  Access is serialized with a lock, so
+one store may back the planning threads of a server.  Payloads are
+canonical sorted-key JSON.  A path that is not a plan store (a text
+file, a directory, another format version) raises
+:class:`PlanStoreError` at open, and a corrupt record raises it when
+it is read, rather than silently serving a wrong plan.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import threading
-from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.pipeline.cache import CachedPlan
 from repro.pipeline.canonical import decode_token_plan, encode_token_plan
 
-#: Store format version, embedded in every backend.
+#: Store format version, kept in the store's ``meta`` table.
 STORE_FORMAT_VERSION = 1
-
-#: Log filename inside a :class:`JsonlPlanStore` directory.
-JSONL_LOG_NAME = "plans.jsonl"
-
-#: Path suffixes routed to the SQLite backend by :func:`open_store`.
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 
 class PlanStoreError(Exception):
@@ -74,60 +58,15 @@ def plan_from_payload(payload: Any) -> CachedPlan:
     return CachedPlan(method=method, rounds=rounds)
 
 
-class PlanStore(ABC):
-    """Durable ``key -> CachedPlan`` mapping (see module docstring).
+class PlanStore:
+    """Durable ``key -> CachedPlan`` mapping in one SQLite file (see
+    module docstring).
 
-    Satisfies :class:`repro.pipeline.cache.PlanStoreLike`, so any
-    backend can be passed straight to ``PlanCache(store=...)``.
-    """
-
-    @abstractmethod
-    def load(self, key: str) -> Optional[CachedPlan]:
-        """The stored plan for ``key``, or ``None``."""
-
-    @abstractmethod
-    def save(self, key: str, plan: CachedPlan) -> None:
-        """Persist ``plan`` under ``key`` (last write wins)."""
-
-    @abstractmethod
-    def keys(self) -> List[str]:
-        """Every stored key, sorted."""
-
-    @abstractmethod
-    def flush(self) -> None:
-        """Force buffered writes to durable storage."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Flush and release the backend; further use is an error."""
-
-    def items(self) -> Iterator[Tuple[str, CachedPlan]]:
-        """Every ``(key, plan)`` pair, sorted by key."""
-        for key in self.keys():
-            plan = self.load(key)
-            if plan is not None:
-                yield key, plan
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __enter__(self) -> "PlanStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# SQLite backend
-# ----------------------------------------------------------------------
-
-class SqlitePlanStore(PlanStore):
-    """Single-file SQLite backend.
-
-    The connection is created with ``check_same_thread=False`` and all
-    access is serialized by the store's own lock, so planner threads
-    can share one instance.
+    Satisfies :class:`repro.pipeline.cache.PlanStoreLike`, so it can be
+    passed straight to ``PlanCache(store=...)``.  The connection is
+    created with ``check_same_thread=False`` and all access is
+    serialized by the store's own lock, so planner threads can share
+    one instance.
     """
 
     def __init__(self, path: str) -> None:
@@ -158,37 +97,44 @@ class SqlitePlanStore(PlanStore):
                         (str(STORE_FORMAT_VERSION),),
                     )
                     conn.commit()
-                elif row[0] != str(STORE_FORMAT_VERSION):
-                    raise PlanStoreError(
-                        f"{self.path!r} has store format {row[0]}, "
-                        f"expected {STORE_FORMAT_VERSION}"
-                    )
             except sqlite3.Error as exc:
+                conn.close()
                 raise PlanStoreError(
                     f"{self.path!r} is not a plan store: {exc}"
                 ) from exc
+            if row is not None and row[0] != str(STORE_FORMAT_VERSION):
+                conn.close()
+                raise PlanStoreError(
+                    f"{self.path!r} has store format {row[0]}, "
+                    f"expected {STORE_FORMAT_VERSION}"
+                )
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
             raise PlanStoreError(f"store {self.path!r} is closed")
         return self._conn
 
+    def _decode(self, key: str, blob: Any) -> CachedPlan:
+        try:
+            payload = json.loads(blob)
+        except (TypeError, ValueError) as exc:
+            raise PlanStoreError(
+                f"corrupt plan payload for key {key!r} in {self.path!r}: {exc}"
+            ) from exc
+        return plan_from_payload(payload)
+
     def load(self, key: str) -> Optional[CachedPlan]:
+        """The stored plan for ``key``, or ``None``."""
         with self._lock:
             row = self._connection().execute(
                 "SELECT payload FROM plans WHERE key = ?", (key,)
             ).fetchone()
         if row is None:
             return None
-        try:
-            payload = json.loads(row[0])
-        except json.JSONDecodeError as exc:
-            raise PlanStoreError(
-                f"corrupt plan payload for key {key!r} in {self.path!r}: {exc}"
-            ) from exc
-        return plan_from_payload(payload)
+        return self._decode(key, row[0])
 
     def save(self, key: str, plan: CachedPlan) -> None:
+        """Persist ``plan`` under ``key`` (last write wins)."""
         blob = json.dumps(plan_to_payload(plan), sort_keys=True, separators=(",", ":"))
         with self._lock:
             self._connection().execute(
@@ -197,161 +143,51 @@ class SqlitePlanStore(PlanStore):
             )
 
     def keys(self) -> List[str]:
+        """Every stored key, sorted."""
         with self._lock:
             rows = self._connection().execute(
                 "SELECT key FROM plans ORDER BY key"
             ).fetchall()
         return [str(row[0]) for row in rows]
 
+    def items(self) -> List[Tuple[str, CachedPlan]]:
+        """Every ``(key, plan)`` pair, sorted by key, from one query.
+
+        Raises:
+            PlanStoreError: on a record :meth:`load` would refuse.
+        """
+        with self._lock:
+            try:
+                rows = self._connection().execute(
+                    "SELECT key, payload FROM plans ORDER BY key"
+                ).fetchall()
+            except sqlite3.Error as exc:
+                raise PlanStoreError(
+                    f"{self.path!r} is not a plan store: {exc}"
+                ) from exc
+        return [(str(key), self._decode(str(key), blob)) for key, blob in rows]
+
     def flush(self) -> None:
+        """Commit buffered writes to the file."""
         with self._lock:
             self._connection().commit()
 
     def close(self) -> None:
+        """Commit and release the file; further use is an error."""
         with self._lock:
             if self._conn is not None:
                 self._conn.commit()
                 self._conn.close()
                 self._conn = None
 
-    def __repr__(self) -> str:
-        return f"SqlitePlanStore({self.path!r})"
+    def __len__(self) -> int:
+        return len(self.keys())
 
+    def __enter__(self) -> "PlanStore":
+        return self
 
-# ----------------------------------------------------------------------
-# JSONL-directory backend
-# ----------------------------------------------------------------------
-
-class JsonlPlanStore(PlanStore):
-    """Append-only JSONL log inside a directory.
-
-    The whole log loads into memory at open (last write per key wins);
-    saves append to an in-memory buffer that :meth:`flush` appends to
-    the log file.  :meth:`compact` rewrites the log with one record
-    per live key.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = str(directory)
-        self._lock = threading.RLock()
-        self._entries: Dict[str, CachedPlan] = {}
-        self._pending: List[Tuple[str, CachedPlan]] = []
-        self._closed = False
-        os.makedirs(self.directory, exist_ok=True)
-        self._log_path = os.path.join(self.directory, JSONL_LOG_NAME)
-        if os.path.exists(self._log_path):
-            self._load_log()
-
-    def _load_log(self) -> None:
-        with open(self._log_path) as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise PlanStoreError(
-                        f"{self._log_path}:{lineno}: corrupt record: {exc}"
-                    ) from exc
-                if not isinstance(record, dict):
-                    raise PlanStoreError(
-                        f"{self._log_path}:{lineno}: record is not an object"
-                    )
-                if record.get("format") == "repro-plan-store":
-                    version = record.get("version")
-                    if version != STORE_FORMAT_VERSION:
-                        raise PlanStoreError(
-                            f"{self._log_path}: store format {version!r}, "
-                            f"expected {STORE_FORMAT_VERSION}"
-                        )
-                    continue
-                key = record.get("key")
-                if not isinstance(key, str):
-                    raise PlanStoreError(
-                        f"{self._log_path}:{lineno}: record has no string 'key'"
-                    )
-                try:
-                    self._entries[key] = plan_from_payload(record.get("plan"))
-                except PlanStoreError as exc:
-                    raise PlanStoreError(f"{self._log_path}:{lineno}: {exc}") from exc
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise PlanStoreError(f"store {self.directory!r} is closed")
-
-    def load(self, key: str) -> Optional[CachedPlan]:
-        with self._lock:
-            self._check_open()
-            return self._entries.get(key)
-
-    def save(self, key: str, plan: CachedPlan) -> None:
-        with self._lock:
-            self._check_open()
-            self._entries[key] = plan
-            self._pending.append((key, plan))
-
-    def keys(self) -> List[str]:
-        with self._lock:
-            self._check_open()
-            return sorted(self._entries)
-
-    def _header_line(self) -> str:
-        return json.dumps(
-            {"format": "repro-plan-store", "version": STORE_FORMAT_VERSION},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def _record_line(self, key: str, plan: CachedPlan) -> str:
-        return json.dumps(
-            {"key": key, "plan": plan_to_payload(plan)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def flush(self) -> None:
-        with self._lock:
-            self._check_open()
-            if not self._pending:
-                return
-            fresh = not os.path.exists(self._log_path)
-            with open(self._log_path, "a") as handle:
-                if fresh:
-                    handle.write(self._header_line() + "\n")
-                for key, plan in self._pending:
-                    handle.write(self._record_line(key, plan) + "\n")
-            self._pending.clear()
-
-    def compact(self) -> None:
-        """Rewrite the log with exactly one record per live key."""
-        with self._lock:
-            self._check_open()
-            tmp_path = self._log_path + ".tmp"
-            with open(tmp_path, "w") as handle:
-                handle.write(self._header_line() + "\n")
-                for key in sorted(self._entries):
-                    handle.write(self._record_line(key, self._entries[key]) + "\n")
-            os.replace(tmp_path, self._log_path)
-            self._pending.clear()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self.flush()
-                self._closed = True
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def __repr__(self) -> str:
-        return f"JsonlPlanStore({self.directory!r})"
-
-
-def open_store(path: str) -> PlanStore:
-    """Open (creating if absent) the store at ``path``.
-
-    A path ending in ``.db`` / ``.sqlite`` / ``.sqlite3`` opens the
-    SQLite backend; anything else is treated as a JSONL directory.
-    """
-    lowered = path.lower()
-    if any(lowered.endswith(suffix) for suffix in SQLITE_SUFFIXES):
-        return SqlitePlanStore(path)
-    return JsonlPlanStore(path)
+        return f"PlanStore({self.path!r})"

@@ -22,7 +22,7 @@ from repro.pipeline.canonical import canonicalize_rounds
 from repro.pipeline.parallel import backend_solver, solve_job
 from repro.pipeline.registry import get_solver
 from repro.pipeline.stages import decompose, merged_method_name
-from repro.serve.store import SqlitePlanStore
+from repro.serve.store import PlanStore
 from repro.workloads.adversarial import petersen_instance
 from repro.workloads.generators import clique_instance, multi_component_instance
 
@@ -529,7 +529,7 @@ class TestValidateOnce:
         monkeypatch.setitem(registry._REGISTRY, "even_optimal",
                             dataclasses.replace(real, solve=drop_an_edge))
         even, _general = decompose(even_and_general_instance())
-        with SqlitePlanStore(str(tmp_path / "plans.db")) as store:
+        with PlanStore(str(tmp_path / "plans.db")) as store:
             cache = PlanCache(store=store)
             for _ in range(2):
                 with pytest.raises(ScheduleValidationError, match="never migrated"):

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline.cache import CachedPlan, PlanCache
-from repro.serve.store import JsonlPlanStore, PlanStore
+from repro.serve.store import PlanStore
 
 
-class MemoryStore(PlanStore):
-    """An in-memory PlanStore — the ABC's contract without disk I/O."""
+class MemoryStore:
+    """An in-memory ``PlanStoreLike``: what ``PlanCache`` needs of a
+    store (``load`` / ``save`` / ``items``) without disk I/O."""
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -33,15 +34,9 @@ class MemoryStore(PlanStore):
         with self._lock:
             self._data[key] = plan
 
-    def keys(self):
+    def items(self):
         with self._lock:
-            return sorted(self._data)
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
+            return sorted(self._data.items())
 
 
 #: A small key universe: (fingerprint, method, seed) triples.
@@ -114,16 +109,16 @@ class TestInterleavedAccessNeverMiskeys:
 
     @settings(max_examples=15, deadline=None)
     @given(ops=ops_strategy)
-    def test_jsonl_backed_cache_round_trips(self, ops, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("plans")
-        store = JsonlPlanStore(str(directory))
+    def test_file_backed_cache_round_trips(self, ops, tmp_path_factory):
+        path = tmp_path_factory.mktemp("plans") / "plans.db"
+        store = PlanStore(str(path))
         cache = PlanCache(max_entries=4, store=store)
         failures = []
         run_ops(cache, ops, failures)
         store.flush()
         assert not failures
         # Reload from disk: every persisted plan still matches its key.
-        reopened = JsonlPlanStore(str(directory))
+        reopened = PlanStore(str(path))
         for key_id in range(len(KEYS)):
             plan = reopened.load(PlanCache.plan_key(*KEYS[key_id]))
             assert plan is None or plan == expected_plan(key_id)

@@ -132,14 +132,6 @@ class TestStoreBackedServer:
             second = handle.client().plan(inst)
         assert second.plan_bytes == first.plan_bytes
 
-    def test_jsonl_store_flushed_at_drain(self, tmp_path):
-        store_dir = tmp_path / "plans"
-        with start_in_process(ServerConfig(store_path=str(store_dir))) as handle:
-            handle.client().plan(wire_instance(seed=9))
-        log = store_dir / "plans.jsonl"
-        assert log.exists()
-        assert len(log.read_text().splitlines()) >= 2  # header + >=1 plan
-
 
 class TestGracefulDrain:
     def test_drain_under_load_finishes_admitted_and_rejects_new(self):

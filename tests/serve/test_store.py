@@ -1,18 +1,17 @@
-"""Tests for the persistent plan stores (repro.serve.store)."""
+"""Tests for the persistent plan store (repro.serve.store)."""
 
-import json
+import os
+import pathlib
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.serve.store import (
-    JSONL_LOG_NAME,
-    STORE_FORMAT_VERSION,
-    JsonlPlanStore,
+    PlanStore,
     PlanStoreError,
-    SqlitePlanStore,
-    open_store,
     plan_from_payload,
     plan_to_payload,
 )
@@ -27,127 +26,143 @@ def sample_plan(tag: str = "a", rounds: int = 2) -> CachedPlan:
     )
 
 
-@pytest.fixture(params=["sqlite", "jsonl"])
-def store_path(request, tmp_path):
-    if request.param == "sqlite":
-        return str(tmp_path / "plans.sqlite")
-    return str(tmp_path / "plans")
+#: Commits one plan, saves a second and exits without a commit or close.
+EXIT_WITHOUT_CLOSE = """
+import os, sys
+from repro.pipeline.cache import CachedPlan
+from repro.serve.store import PlanStore
+
+store = PlanStore(sys.argv[1])
+plan = CachedPlan("general", ((("'a'", "'b'", 0),),))
+store.save("committed", plan)
+store.flush()
+store.save("pending", plan)
+os._exit(0)
+"""
 
 
-class TestBackends:
+@pytest.fixture
+def store_path(tmp_path):
+    return str(tmp_path / "plans.sqlite")
+
+
+class TestPlanStore:
     def test_save_load_round_trip(self, store_path):
         plan = sample_plan()
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             assert store.load("k1") is None
             store.save("k1", plan)
             assert store.load("k1") == plan
 
     def test_persistence_across_reopen(self, store_path):
         plan = sample_plan("b", rounds=3)
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             store.save("k1", plan)
             store.save("k2", sample_plan("c"))
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             assert store.load("k1") == plan
             assert store.keys() == ["k1", "k2"]
             assert len(store) == 2
 
     def test_last_write_wins(self, store_path):
         newer = sample_plan("z", rounds=1)
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             store.save("k", sample_plan("a"))
             store.save("k", newer)
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             assert store.load("k") == newer
 
     def test_items_sorted(self, store_path):
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             store.save("b", sample_plan("b"))
             store.save("a", sample_plan("a"))
             assert [k for k, _ in store.items()] == ["a", "b"]
 
     def test_closed_store_raises(self, store_path):
-        store = open_store(store_path)
+        store = PlanStore(store_path)
         store.close()
         with pytest.raises(PlanStoreError):
             store.load("k")
 
     def test_flush_makes_writes_durable(self, store_path):
-        store = open_store(store_path)
+        store = PlanStore(store_path)
         store.save("k", sample_plan())
         store.flush()
         # A second handle opened before close sees the flushed write.
-        other = open_store(store_path)
+        other = PlanStore(store_path)
         try:
             assert other.load("k") == sample_plan()
         finally:
             other.close()
             store.close()
 
+    def test_exit_without_close_keeps_the_last_commit(self, store_path):
+        """A process that dies between commits leaves a store that
+        opens, holding exactly what it committed."""
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", EXIT_WITHOUT_CLOSE, store_path],
+            env=env, check=True, timeout=60,
+        )
+        with PlanStore(store_path) as store:
+            assert store.keys() == ["committed"]
 
-class TestOpenStoreDispatch:
-    @pytest.mark.parametrize("name", ["p.db", "p.sqlite", "p.SQLITE3"])
-    def test_sqlite_suffixes(self, tmp_path, name):
-        store = open_store(str(tmp_path / name))
-        assert isinstance(store, SqlitePlanStore)
-        store.close()
 
-    def test_anything_else_is_jsonl_directory(self, tmp_path):
-        store = open_store(str(tmp_path / "plans"))
-        assert isinstance(store, JsonlPlanStore)
-        assert (tmp_path / "plans").is_dir()
-        store.close()
+class TestOneFileWhateverTheSuffix:
+    @pytest.mark.parametrize("name", ["p.db", "p.sqlite", "p.SQLITE3", "plans"])
+    def test_opens_one_sqlite_file(self, tmp_path, name):
+        path = tmp_path / name
+        with PlanStore(str(path)) as store:
+            store.save("k", sample_plan())
+        assert path.is_file()
+        with sqlite3.connect(str(path)) as conn:
+            assert conn.execute("SELECT key FROM plans").fetchall() == [("k",)]
 
 
 class TestCorruption:
-    def test_jsonl_corrupt_line(self, tmp_path):
-        directory = tmp_path / "plans"
-        with open_store(str(directory)) as store:
-            store.save("k", sample_plan())
-        log = directory / JSONL_LOG_NAME
-        log.write_text(log.read_text() + "{not json\n")
-        with pytest.raises(PlanStoreError):
-            open_store(str(directory))
-
-    def test_jsonl_wrong_version_header(self, tmp_path):
-        directory = tmp_path / "plans"
-        directory.mkdir()
-        (directory / JSONL_LOG_NAME).write_text(
-            json.dumps({"format": "repro-plan-store", "version": 99}) + "\n"
-        )
-        with pytest.raises(PlanStoreError):
-            open_store(str(directory))
-
-    def test_jsonl_record_without_key(self, tmp_path):
-        directory = tmp_path / "plans"
-        directory.mkdir()
-        (directory / JSONL_LOG_NAME).write_text('{"plan":{}}\n')
-        with pytest.raises(PlanStoreError):
-            open_store(str(directory))
-
     def test_sqlite_wrong_format_version(self, tmp_path):
         path = str(tmp_path / "p.db")
-        SqlitePlanStore(path).close()
+        PlanStore(path).close()
         conn = sqlite3.connect(path)
         conn.execute("UPDATE meta SET value = '99' WHERE key = 'format_version'")
         conn.commit()
         conn.close()
         with pytest.raises(PlanStoreError):
-            SqlitePlanStore(path)
+            PlanStore(path)
 
     def test_sqlite_corrupt_payload(self, tmp_path):
         path = str(tmp_path / "p.db")
-        store = SqlitePlanStore(path)
+        store = PlanStore(path)
         store.save("k", sample_plan())
         store.close()
         conn = sqlite3.connect(path)
         conn.execute("UPDATE plans SET payload = '{oops' WHERE key = 'k'")
         conn.commit()
         conn.close()
-        store = SqlitePlanStore(path)
+        store = PlanStore(path)
         with pytest.raises(PlanStoreError):
             store.load("k")
         store.close()
+
+    @pytest.mark.parametrize("payload", ["'{oops'", "X'FF'"], ids=["text", "blob"])
+    def test_items_raise_on_a_corrupt_row(self, tmp_path, payload):
+        """``items`` is what ``PlanCache.warm`` reads: a corrupt row is
+        a typed error there too, whether it holds broken JSON or bytes
+        that are not text."""
+        path = str(tmp_path / "p.db")
+        with PlanStore(path) as store:
+            store.save("a", sample_plan("a"))
+            store.save("k", sample_plan())
+        conn = sqlite3.connect(path)
+        conn.execute(f"UPDATE plans SET payload = {payload} WHERE key = 'k'")
+        conn.commit()
+        conn.close()
+        with PlanStore(path) as store:
+            with pytest.raises(PlanStoreError, match="corrupt plan payload for key 'k'"):
+                store.items()
+            with pytest.raises(PlanStoreError):
+                PlanCache(store=store).warm()
 
 
 class TestPayloadCodec:
@@ -164,27 +179,9 @@ class TestPayloadCodec:
             plan_from_payload(payload)
 
 
-class TestJsonlCompaction:
-    def test_compact_leaves_one_record_per_key(self, tmp_path):
-        directory = tmp_path / "plans"
-        store = JsonlPlanStore(str(directory))
-        for k in range(5):
-            store.save("k", sample_plan(str(k)))
-        store.flush()
-        log = directory / JSONL_LOG_NAME
-        assert len(log.read_text().splitlines()) == 6  # header + 5 appends
-        store.compact()
-        lines = log.read_text().splitlines()
-        assert len(lines) == 2  # header + 1 live record
-        store.close()
-        reopened = JsonlPlanStore(str(directory))
-        assert reopened.load("k") == sample_plan("4")
-        reopened.close()
-
-
 class TestCacheIntegration:
     def test_write_through_and_fall_through(self, store_path):
-        store = open_store(store_path)
+        store = PlanStore(store_path)
         cache = PlanCache(store=store)
         key = ("f" * 64, "general", 0)
         cache.put_plan(*key, sample_plan())
@@ -198,12 +195,12 @@ class TestCacheIntegration:
         store.close()
 
     def test_warm_restores_across_processes_worth_of_state(self, store_path):
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             cache = PlanCache(store=store)
             cache.put_plan("a" * 64, "auto", 0, sample_plan("a"))
             cache.put_plan("b" * 64, "auto", 1, sample_plan("b"))
             store.flush()
-        with open_store(store_path) as store:
+        with PlanStore(store_path) as store:
             cache = PlanCache(store=store)
             assert cache.warm() == 2
             # Warmed entries hit memory, not the store.

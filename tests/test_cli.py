@@ -177,6 +177,27 @@ class TestMalformedObjectiveAndTrace:
         err = _assert_one_error_line(capsys, path)
         assert "record 1: span 'wall' must be a number" in err
 
+    @pytest.mark.parametrize("validate", [False, True], ids=["plain", "validate"])
+    def test_stats_refuses_a_mistyped_round_attr(self, tmp_path, capsys, validate):
+        """A round span's counts are checked before they are folded: a
+        string count is reported, not a traceback or a coerced row."""
+        path = tmp_path / "round.jsonl"
+        record = {
+            "kind": "span", "name": "runtime.round", "span": 1, "parent": None,
+            "t0": 0.0, "wall": 0.5, "cpu": 0.1,
+            "attrs": {"round": 0, "attempted": "many"},
+        }
+        path.write_text(json.dumps({"kind": "meta", "schema": 1}) + "\n"
+                        + json.dumps(record) + "\n")
+        problem = "record 1: round attr 'attempted' must be an int >= 0"
+        if validate:
+            assert main(["stats", str(path), "--validate"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"invalid ({path}): {problem}\n"
+        else:
+            assert main(["stats", str(path)]) == 2
+            assert problem in _assert_one_error_line(capsys, path)
+
     def test_stats_folds_a_trace_missing_parents(self, tmp_path, capsys):
         """The span-forest check stays behind ``--validate``: a killed
         run's trace, whose parent spans were never written, still folds."""
@@ -527,6 +548,65 @@ class TestPlanStoreFlag:
         ]) == 0
         assert "delivered=90" in capsys.readouterr().out
         assert store.exists()
+
+
+def _bad_store(path, kind):
+    """Make at ``path`` a store that ``--store`` must refuse."""
+    import sqlite3
+
+    from repro.serve.store import PlanStore
+
+    if kind == "text-file":
+        path.write_text("not a database\n")
+        return
+    if kind == "directory":  # as an old JSONL plan store was
+        path.mkdir()
+        return
+    PlanStore(str(path)).close()
+    conn = sqlite3.connect(str(path))
+    if kind == "wrong-version":
+        conn.execute("UPDATE meta SET value = '99' WHERE key = 'format_version'")
+    else:
+        conn.execute("INSERT INTO plans (key, payload) VALUES ('k', '{oops')")
+    conn.commit()
+    conn.close()
+
+
+_BAD_STORES = ("text-file", "directory", "wrong-version", "corrupt-record")
+
+
+class TestBadStore:
+    """``plan``, ``run`` and ``serve`` refuse a store they cannot open or
+    warm with one error line and exit 2, before any trace file is
+    written or port bound."""
+
+    @pytest.fixture
+    def refuse_to_bind(self, monkeypatch):
+        import asyncio
+
+        async def must_not_bind(*args, **kwargs):
+            raise AssertionError("serve bound a port on a refused store")
+
+        monkeypatch.setattr(asyncio, "start_server", must_not_bind)
+
+    @pytest.mark.parametrize("kind", _BAD_STORES)
+    @pytest.mark.parametrize("command", ["plan", "run", "serve"])
+    def test_exits_2_with_one_error_line(
+        self, tmp_path, capsys, refuse_to_bind, command, kind
+    ):
+        store = tmp_path / ("plans" if kind == "directory" else "plans.db")
+        _bad_store(store, kind)
+        trace = tmp_path / "trace.jsonl"
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(_VALID_INSTANCE))
+        argv = {
+            "plan": ["plan", str(instance), "--json"],
+            "run": ["run", "decommission", "--seed", "1"],
+            "serve": ["serve", "--port", "0"],
+        }[command]
+        assert main(argv + ["--store", str(store), "--trace-out", str(trace)]) == 2
+        _assert_one_error_line(capsys, store)
+        assert not trace.exists()
 
 
 class TestStatsMerge:

@@ -4,9 +4,8 @@ Every reader here takes data that may come from a file, a cache or a
 peer: lower-bound certificates (``certificate_from_json``, the bound
 cache), objectives (``objective_from_json``, ``plan --objective``),
 JSONL traces (``repro.obs.load_trace``, ``stats``), token plans in the
-SQLite and JSONL plan stores and in served replies
-(``rehydrate_schedule``), and stored plans that do not fit their
-instance.  Instances, serve requests and checkpoints have their own
+plan store and in served replies (``rehydrate_schedule``), and stored
+plans that do not fit their instance.  Instances, serve requests and checkpoints have their own
 suites.  Whatever the payload holds, the only exception that may
 escape is the typed one the entry point documents: never a
 ``KeyError``, ``TypeError`` or ``AttributeError`` from inside the
@@ -39,12 +38,7 @@ from repro.core.objectives import (
 from repro.obs import load_trace
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.serve.protocol import ProtocolError, rehydrate_schedule, schedule_payload
-from repro.serve.store import (
-    JSONL_LOG_NAME,
-    JsonlPlanStore,
-    PlanStoreError,
-    SqlitePlanStore,
-)
+from repro.serve.store import PlanStore, PlanStoreError
 
 from tests.conftest import random_instance
 
@@ -175,7 +169,7 @@ class TestStoredTokenPlan:
     @pytest.mark.parametrize("token", BAD_TOKENS, ids=BAD_TOKEN_IDS)
     def test_sqlite_load_raises_plan_store_error(self, tmp_path, token):
         path = str(tmp_path / "plans.db")
-        SqlitePlanStore(path).close()
+        PlanStore(path).close()
         conn = sqlite3.connect(path)
         conn.execute(
             "INSERT INTO plans (key, payload) VALUES ('k', ?)",
@@ -183,19 +177,10 @@ class TestStoredTokenPlan:
         )
         conn.commit()
         conn.close()
-        store = SqlitePlanStore(path)
+        store = PlanStore(path)
         with pytest.raises(PlanStoreError, match="malformed token"):
             store.load("k")
         store.close()
-
-    @pytest.mark.parametrize("token", BAD_TOKENS, ids=BAD_TOKEN_IDS)
-    def test_jsonl_open_raises_plan_store_error(self, tmp_path, token):
-        record = {"key": "k", "plan": token_plan_with(token)}
-        log = tmp_path / JSONL_LOG_NAME
-        log.write_text("\n" + json.dumps(record) + "\n")
-        with pytest.raises(PlanStoreError, match="malformed token") as exc:
-            JsonlPlanStore(str(tmp_path))
-        assert str(exc.value).startswith(f"{log}:2: ")
 
 
 class TestServedTokenPlan:
@@ -228,7 +213,7 @@ class TestStoredPlanThatDoesNotFit:
         inst = MigrationInstance.from_moves(
             [("a", "b"), ("b", "c"), ("c", "a")], {"a": 1, "b": 1, "c": 1}
         )
-        store = SqlitePlanStore(str(tmp_path / "plans.db"))
+        store = PlanStore(str(tmp_path / "plans.db"))
         plan(inst, cache=PlanCache(store=store))
         [(key, stored)] = store.items()
         missing = ("'a'", "'b'", 7)
