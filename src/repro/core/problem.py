@@ -13,13 +13,10 @@ the number of rounds (see :mod:`repro.core.schedule`).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.core.errors import InvalidInstanceError
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
-
-if TYPE_CHECKING:  # runtime imports stay lazy: objectives imports nothing back
-    from repro.core.objectives import Objective
+from repro.graphs.multigraph import Multigraph, Node
 
 
 class MigrationInstance:
@@ -30,13 +27,11 @@ class MigrationInstance:
             item never migrates from a disk to itself.
         capacities: ``c_v`` for every node; every graph node must have
             a capacity and every capacity must be a positive integer.
-        objective: what a schedule for this instance is optimized for;
-            ``None`` means the paper's makespan.  A non-``None``
-            objective is validated against the instance at construction
-            (e.g. every item must have an allowed-round set).
 
     The instance is immutable by convention: algorithms copy the graph
-    before augmenting it.
+    before augmenting it.  It carries no objective: ``plan`` and
+    ``solve_exact`` take one as ``objective=``, and ``None`` there
+    means the paper's makespan.
 
     Attributes:
         memo: facts derived from the instance alone, computed once by
@@ -53,13 +48,7 @@ class MigrationInstance:
             a worker reads the canonical form its parent built.
     """
 
-    def __init__(
-        self,
-        graph: Multigraph,
-        capacities: Mapping[Node, int],
-        *,
-        objective: Optional["Objective"] = None,
-    ) -> None:
+    def __init__(self, graph: Multigraph, capacities: Mapping[Node, int]) -> None:
         for eid, u, v in graph.edges():
             if u == v:
                 raise InvalidInstanceError(f"edge {eid} is a self-loop at {u!r}")
@@ -73,10 +62,7 @@ class MigrationInstance:
                 )
         self._graph = graph
         self._capacities = {v: capacities[v] for v in graph.nodes}
-        self._objective = objective
         self.memo: Dict[str, Any] = {}
-        if objective is not None:
-            objective.validate(self)
 
     # ------------------------------------------------------------------
     # constructors
@@ -85,8 +71,8 @@ class MigrationInstance:
     def _from_checked(
         cls, graph: Multigraph, capacities: Dict[Node, int]
     ) -> "MigrationInstance":
-        """A makespan instance whose edges and capacities a parent
-        instance has already checked: no self-loop or capacity scan.
+        """An instance whose edges and capacities a parent instance
+        has already checked: no self-loop or capacity scan.
 
         ``capacities`` must map exactly ``graph.nodes``, in that order;
         it is kept, not copied.  The pipeline builds its component
@@ -95,7 +81,6 @@ class MigrationInstance:
         instance = cls.__new__(cls)
         instance._graph = graph
         instance._capacities = capacities
-        instance._objective = None
         instance.memo = {}
         return instance
 
@@ -135,27 +120,6 @@ class MigrationInstance:
     @property
     def graph(self) -> Multigraph:
         return self._graph
-
-    @property
-    def objective(self) -> "Objective":
-        """The instance's objective; defaults to the paper's makespan."""
-        if self._objective is None:
-            from repro.core.objectives import MAKESPAN
-
-            return MAKESPAN
-        return self._objective
-
-    def has_custom_objective(self) -> bool:
-        """True iff a non-makespan objective was attached."""
-        from repro.core.objectives import MakespanObjective
-
-        return self._objective is not None and not isinstance(
-            self._objective, MakespanObjective
-        )
-
-    def with_objective(self, objective: Optional["Objective"]) -> "MigrationInstance":
-        """Same graph and constraints with a different objective."""
-        return MigrationInstance(self._graph, self._capacities, objective=objective)
 
     @property
     def capacities(self) -> Dict[Node, int]:

@@ -67,6 +67,7 @@ from repro.core.objectives import (
     GroupCompletionObjective,
     MakespanObjective,
     Objective,
+    ensure_objective,
 )
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
@@ -529,8 +530,7 @@ def solve_exact(
     Args:
         instance: at most :data:`EXACT_SEARCH_EDGE_LIMIT` items and
             :data:`EXACT_SEARCH_NODE_LIMIT` disks.
-        objective: defaults to the instance's own objective (which
-            defaults to makespan).
+        objective: ``None`` means makespan.
         node_budget: branch budget; exceeded ⇒
             :class:`ExactBudgetExceeded`.
 
@@ -545,7 +545,7 @@ def solve_exact(
         ExactBudgetExceeded: the budget ran out.
     """
     _check_applicable(instance)
-    obj = instance.objective if objective is None else objective
+    obj = ensure_objective(objective)
     obj.validate(instance)
     search = _Search(instance, obj, node_budget)
 

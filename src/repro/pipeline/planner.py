@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.objectives import Objective
+from repro.core.objectives import Objective, ensure_objective
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.obs import names
@@ -206,8 +206,8 @@ def plan(
         instance: transfer graph + per-disk constraints.
         method: ``"auto"`` for decomposed per-component selection, or
             any registered solver name for a monolithic forced solve.
-        objective: what to optimize.  ``None`` uses the instance's own
-            objective (default makespan).  A non-makespan objective is
+        objective: what to optimize.  ``None`` means the paper's
+            makespan.  A non-makespan objective is
             solved monolithically by an exact solver that declared
             support for it — round indices are wall-clock time under
             these objectives, so the per-component decompose/merge and
@@ -249,7 +249,7 @@ def plan(
         seed=seed,
     )
     tr = ensure_tracer(tracer)
-    obj = objective if objective is not None else instance.objective
+    obj = ensure_objective(objective)
 
     with tr.span(names.SPAN_PLAN, method=method, seed=seed) as root:
         with _stage(tr, result, "normalize"):

@@ -76,12 +76,6 @@ class TestObjectivePlanning:
             inst, result.schedule.rounds
         )
 
-    def test_objective_carried_by_instance(self):
-        inst = tiny_instance()
-        objective = group_objective(inst)
-        result = plan(inst.with_objective(objective))
-        assert result.objective == objective
-
     def test_unsupported_method_rejected(self):
         inst = tiny_instance()
         with pytest.raises(ValueError, match="cannot optimize objective"):
