@@ -23,7 +23,8 @@ Everything is deterministic: the corpus is seeded, the exact search is
 RNG- and clock-free, and the metrics payload is canonical JSON — two
 runs (under any ``PYTHONHASHSEED``) produce identical bytes, which the
 CI ``exact-smoke`` job checks with a literal ``cmp``.  Results accrete
-into ``BENCH_EXACT.json`` keyed by commit, like the other BENCH files.
+into ``BENCH_EXACT.json`` keyed by commit, through the one writer of
+the BENCH files (:func:`repro.analysis.bench.append_bench_entry`).
 
 Run via ``repro-migrate gap`` (``--quick`` for the CI subset,
 ``--report`` for a canonical JSON artifact, ``--bench`` to append the
@@ -32,13 +33,12 @@ BENCH entry).
 
 from __future__ import annotations
 
-import datetime
 import json
 import pathlib
-import subprocess
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.bench import append_bench_entry
 from repro.core.problem import MigrationInstance
 from repro.exact.search import EXACT_SEARCH_EDGE_LIMIT, solve_exact
 from repro.workloads.generators import (
@@ -215,47 +215,6 @@ def canonical_json(metrics: Dict[str, Any]) -> str:
     return json.dumps(metrics, indent=2, sort_keys=True) + "\n"
 
 
-def _current_commit(cwd: pathlib.Path) -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def append_bench_entry(
-    metrics: Dict[str, Any], bench_file: pathlib.Path
-) -> Dict[str, Any]:
-    """Append (or refresh, same commit) one entry in BENCH_EXACT.json.
-
-    Re-running at the same commit replaces that commit's entry, so the
-    file converges to identical bytes no matter how often it runs.
-    """
-    if bench_file.exists():
-        data = json.loads(bench_file.read_text())
-    else:
-        data = {"schema": BENCH_SCHEMA, "entries": []}
-    entry = {
-        "commit": _current_commit(bench_file.resolve().parent),
-        # The entry date is provenance for humans reading the BENCH
-        # file, not part of any schedule; determinism of the *metrics*
-        # is what the exact-smoke job compares.
-        "date": datetime.date.today().isoformat(),  # repro: allow-wall-clock
-        "metrics": metrics,
-    }
-    entries = [e for e in data["entries"] if e.get("commit") != entry["commit"]]
-    entries.append(entry)
-    data["entries"] = entries
-    bench_file.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return entry
-
-
 def render_gap_table(metrics: Dict[str, Any]) -> str:
     """Human summary: one row per family."""
     from repro.analysis.tables import Table
@@ -307,5 +266,5 @@ def run_gap(
     if report_path:
         pathlib.Path(report_path).write_text(canonical_json(metrics))
     if bench_path:
-        append_bench_entry(metrics, pathlib.Path(bench_path))
+        append_bench_entry(pathlib.Path(bench_path), BENCH_SCHEMA, metrics)
     return metrics, (1 if failures else 0)

@@ -7,7 +7,6 @@ from repro.exact.gap import (
     FAMILIES,
     HEURISTIC_METHODS,
     QUICK_SEEDS,
-    append_bench_entry,
     canonical_json,
     collect_gap_metrics,
     render_gap_table,
@@ -85,10 +84,26 @@ class TestRunGap:
         assert len(data["entries"]) == 1
         assert data["entries"][0]["metrics"] == metrics
 
-    def test_bench_refresh_is_idempotent(self, tmp_path):
+    def test_bench_refresh_is_idempotent(self, tmp_path, monkeypatch):
+        """At a clean commit a second run replaces that commit's entry."""
+        monkeypatch.setattr(
+            "repro.analysis.bench.bench_commit", lambda _repo: "0123abcd" * 5
+        )
         bench = tmp_path / "BENCH_EXACT.json"
-        metrics = collect_gap_metrics(quick=True)
-        append_bench_entry(metrics, bench)
+        run_gap(quick=True, bench_path=str(bench))
         first = bench.read_text()
-        append_bench_entry(metrics, bench)
+        run_gap(quick=True, bench_path=str(bench))
         assert bench.read_text() == first
+        assert len(json.loads(first)["entries"]) == 1
+
+    def test_bench_outside_git_replaces_nothing(self, tmp_path, monkeypatch):
+        """``unknown`` entries need not have measured the same code, so
+        each run outside git adds one (the shared writer's rule)."""
+        monkeypatch.setattr(
+            "repro.analysis.bench.bench_commit", lambda _repo: "unknown"
+        )
+        bench = tmp_path / "BENCH_EXACT.json"
+        run_gap(quick=True, bench_path=str(bench))
+        run_gap(quick=True, bench_path=str(bench))
+        entries = json.loads(bench.read_text())["entries"]
+        assert [e["commit"] for e in entries] == ["unknown", "unknown"]

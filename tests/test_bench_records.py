@@ -1,7 +1,8 @@
 """The commit-keyed bench records (``BENCH_*.json``) have one writer.
 
-``benchmarks.conftest.append_bench_entry`` keys each entry by the
-commit it measured.  Only an entry of a clean commit may replace an
+``repro.analysis.bench.append_bench_entry`` (re-exported by
+``benchmarks.conftest`` for the benches, and called by ``gap --bench``)
+keys each entry by the commit it measured.  Only an entry of a clean commit may replace an
 earlier one (of that same commit): numbers from an uncommitted tree or
 from outside git say nothing about any one commit, so they never
 overwrite a recorded entry.
