@@ -30,8 +30,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain, repeat
+from operator import eq
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.lower_bounds import (
     EXACT_LB2_NODE_LIMIT,  # noqa: F401  (re-exported: the public name lives here too)
@@ -113,14 +126,40 @@ def verify_schedule(instance: MigrationInstance, rounds: Rounds) -> int:
 
     Returns the number of non-empty rounds.
 
+    Exactly-once is one count of every scheduled id and a set
+    comparison with the instance's ids; the ids are listed only to
+    name a violation.  Each round's loads are one ``Counter`` over its
+    edges' endpoints, in first-touch order.
+
     Raises:
         CertificationError: on the first violation found.
     """
-    occurrences: Dict[EdgeId, int] = {}
-    for rnd in rounds:
-        for eid in rnd:
-            occurrences[eid] = occurrences.get(eid, 0) + 1
+    occurrences = Counter(chain.from_iterable(rounds))
+    table = instance.graph.edge_table
+    if sum(map(len, rounds)) != len(table) or occurrences.keys() != table.keys():
+        _raise_misplaced(instance, occurrences)
 
+    capacity = instance.capacities
+    nonempty = 0
+    for index, rnd in enumerate(rounds):
+        if len(rnd) == 0:
+            continue
+        nonempty += 1
+        load = Counter(chain.from_iterable([table[eid] for eid in rnd]))
+        for v, used in load.items():
+            if used > capacity[v]:
+                raise CertificationError(
+                    f"round {index}: disk {v!r} performs {used} transfers "
+                    f"but c_v = {capacity[v]}"
+                )
+    return nonempty
+
+
+def _raise_misplaced(
+    instance: MigrationInstance, occurrences: Mapping[EdgeId, int]
+) -> NoReturn:
+    """Name the unknown, then the repeated, then the missing edge ids
+    of a schedule whose ids are not each edge exactly once."""
     known = set(instance.graph.edge_ids())
     unknown = sorted(eid for eid in occurrences if eid not in known)
     if unknown:
@@ -131,28 +170,9 @@ def verify_schedule(instance: MigrationInstance, rounds: Rounds) -> int:
             f"edges scheduled more than once: {duplicated[:5]}"
         )
     missing = sorted(eid for eid in known if eid not in occurrences)
-    if missing:
-        raise CertificationError(
-            f"{len(missing)} edges never scheduled, e.g. {missing[:5]}"
-        )
-
-    nonempty = 0
-    for index, rnd in enumerate(rounds):
-        if len(rnd) == 0:
-            continue
-        nonempty += 1
-        load: Dict[Node, int] = {}
-        for eid in rnd:
-            u, v = instance.graph.endpoints(eid)
-            load[u] = load.get(u, 0) + 1
-            load[v] = load.get(v, 0) + 1 if u != v else load[u] + 1
-        for v, used in load.items():
-            if used > instance.capacity(v):
-                raise CertificationError(
-                    f"round {index}: disk {v!r} performs {used} transfers "
-                    f"but c_v = {instance.capacity(v)}"
-                )
-    return nonempty
+    raise CertificationError(
+        f"{len(missing)} edges never scheduled, e.g. {missing[:5]}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +201,7 @@ def make_certificate(
     if node is not None and delta > 0:
         lb1_part = LB1Witness(
             node=node,
-            degree=_independent_degree(instance, node),
+            degree=instance.graph.degree(node),
             capacity=instance.capacity(node),
             bound=delta,
         )
@@ -291,14 +311,13 @@ def _verify_lb2(instance: MigrationInstance, witness: LB2Witness) -> int:
 
 
 def _independent_degree(instance: MigrationInstance, node: Node) -> int:
-    """Degree by raw edge scan — no reliance on cached degree tables."""
-    degree = 0
-    for _eid, u, v in instance.graph.edges():
-        if u == node:
-            degree += 1
-        if v == node:
-            degree += 1
-    return degree
+    """Degree by raw edge scan — no reliance on cached degree tables.
+
+    One pass over every edge's two ends, counting each end equal to
+    ``node`` (a self-loop's two).
+    """
+    ends = chain.from_iterable(instance.graph.edge_table.values())
+    return sum(map(eq, ends, repeat(node)))
 
 
 def _subset_stats(

@@ -107,9 +107,7 @@ def even_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
     # pairing edges.
     pair_of = [-1] * n
     pair_edge = [-1] * n
-    aug_edges = m
-    for v in range(n):
-        aug_edges += loops[v]
+    aug_edges = m + sum(loops)
     for i in range(0, len(deficient), 2):
         a, b = deficient[i], deficient[i + 1]
         pair_of[a] = b
@@ -122,7 +120,6 @@ def even_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
     indptr: List[int] = [0]
     inc_edge: List[int] = []
     inc_other: List[int] = []
-    degree: List[int] = []
     src_indptr, src_inc_edge, src_inc_other = (
         graph.indptr,
         graph.inc_edge,
@@ -133,15 +130,15 @@ def even_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
         lo, hi = src_indptr[v], src_indptr[v + 1]
         inc_edge.extend(src_inc_edge[lo:hi])
         inc_other.extend(src_inc_other[lo:hi])
-        for k in range(loops[v]):
-            inc_edge.append(loop_base + k)
-            inc_other.append(v)
-        loop_base += loops[v]
+        loop_end = loop_base + loops[v]
+        inc_edge.extend(range(loop_base, loop_end))
+        inc_other.extend([v] * loops[v])
+        loop_base = loop_end
         if pair_edge[v] >= 0:
             inc_edge.append(pair_edge[v])
             inc_other.append(pair_of[v])
         indptr.append(len(inc_edge))
-        degree.append(caps[v] * delta_prime)
+    degree = [c * delta_prime for c in caps]
 
     # Steps 2-3: orient along Euler circuits; the orientation insertion
     # order is the bipartite edge list order.

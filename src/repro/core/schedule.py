@@ -9,7 +9,9 @@ Schedules are interchangeable with capacitated edge colorings: round
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from collections import Counter
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
@@ -108,9 +110,35 @@ class MigrationSchedule:
         exactly one round, (b) no unknown edge appears, and (c) every
         round respects every transfer constraint.
 
+        (a) and (b) together are one set comparison and one length
+        check; the per-edge scan runs only to name the first violation.
+        Each round's loads are one ``Counter`` over its edges'
+        endpoints, in :func:`endpoint_loads`' first-touch order.
+
         Raises:
             ScheduleValidationError: on the first violation found.
         """
+        table = instance.graph.edge_table
+        scheduled = list(chain.from_iterable(self._rounds))
+        try:
+            exact = len(scheduled) == len(table) and table.keys() == set(scheduled)
+        except TypeError:  # an unhashable id: the scan says where
+            exact = False
+        if not exact:
+            self._raise_first_misplaced(instance)
+        capacity = instance.capacities
+        for i, rnd in enumerate(self._rounds):
+            loads = Counter(chain.from_iterable([table[eid] for eid in rnd]))
+            for v, load in loads.items():
+                if load > capacity[v]:
+                    raise ScheduleValidationError(
+                        f"round {i}: disk {v!r} performs {load} transfers "
+                        f"but c_v = {capacity[v]}"
+                    )
+
+    def _raise_first_misplaced(self, instance: MigrationInstance) -> NoReturn:
+        """Raise for the first unknown, repeated or missing edge, in
+        round order, then edge order."""
         seen: Dict[EdgeId, int] = {}
         for i, rnd in enumerate(self._rounds):
             for eid in rnd:
@@ -122,17 +150,9 @@ class MigrationSchedule:
                     )
                 seen[eid] = i
         missing = [eid for eid in instance.graph.edge_ids() if eid not in seen]
-        if missing:
-            raise ScheduleValidationError(
-                f"{len(missing)} items never migrated, e.g. {missing[:5]}"
-            )
-        for i in range(len(self._rounds)):
-            for v, load in self.round_loads(instance, i).items():
-                if load > instance.capacity(v):
-                    raise ScheduleValidationError(
-                        f"round {i}: disk {v!r} performs {load} transfers "
-                        f"but c_v = {instance.capacity(v)}"
-                    )
+        raise ScheduleValidationError(
+            f"{len(missing)} items never migrated, e.g. {missing[:5]}"
+        )
 
     def is_valid(self, instance: MigrationInstance) -> bool:
         """Boolean form of :meth:`validate`."""

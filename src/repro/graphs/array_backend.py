@@ -90,9 +90,9 @@ class CompactGraph:
         self.num_nodes: int = len(nodes)
         self.num_edges: int = len(edge_ids)
         self.edge_ids: List[EdgeId] = edge_ids
-        self.edge_index_of: Dict[EdgeId, int] = {
-            eid: e for e, eid in enumerate(edge_ids)
-        }
+        self.edge_index_of: Dict[EdgeId, int] = dict(
+            zip(edge_ids, range(len(edge_ids)))
+        )
         self.edge_u: List[int] = edge_u
         self.edge_v: List[int] = edge_v
         self.indptr: List[int] = indptr
@@ -108,25 +108,22 @@ class CompactGraph:
     def from_multigraph(cls, graph: Multigraph) -> "CompactGraph":
         """Snapshot ``graph`` into CSR arrays, preserving every order.
 
-        One scan of ``graph.edges()`` fills the edge arrays and every
-        row: a node's incident order is the global edge order filtered
-        to that node (a ``Multigraph`` invariant), so appending each
-        edge to its endpoints' rows in scan order reproduces
-        ``incident_edges(v)``.
+        The edge arrays are read off the graph's edge table, then one
+        scan of them fills every row: a node's incident order is the
+        global edge order filtered to that node (a ``Multigraph``
+        invariant), so appending each edge to its endpoints' rows in
+        scan order reproduces ``incident_edges(v)``.
         """
         nodes = graph.nodes
         index_of = {v: i for i, v in enumerate(nodes)}
-        edge_ids: List[EdgeId] = []
-        edge_u: List[int] = []
-        edge_v: List[int] = []
+        table = graph.edge_table
+        edge_ids: List[EdgeId] = list(table)
+        edge_u = [index_of[u] for u, _ in table.values()]
+        edge_v = [index_of[v] for _, v in table.values()]
         rows: List[List[int]] = [[] for _ in nodes]
         row_others: List[List[int]] = [[] for _ in nodes]
         degree = [0] * len(nodes)
-        for e, (eid, u, v) in enumerate(graph.edges()):
-            ui, vi = index_of[u], index_of[v]
-            edge_ids.append(eid)
-            edge_u.append(ui)
-            edge_v.append(vi)
+        for e, ui, vi in zip(range(len(edge_ids)), edge_u, edge_v):
             rows[ui].append(e)
             row_others[ui].append(vi)
             degree[ui] += 1

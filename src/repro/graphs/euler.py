@@ -7,12 +7,15 @@ traverses each edge to split every node's incident edges into equal
 rows of a :class:`~repro.graphs.array_backend.CompactGraph` (dense int
 nodes and edges):
 
-* :func:`compact_euler_circuits` — one Euler circuit per connected
+* :func:`compact_euler_orientation` — one Euler circuit per connected
   component (Hierholzer's algorithm, linear time), requiring all
-  degrees even.
-* :func:`compact_euler_orientation` — the induced orientation: each
-  node of degree ``d`` ends up with exactly ``d/2`` outgoing and
-  ``d/2`` incoming edge-ends (self-loops contribute one of each).
+  degrees even, read as an orientation: each node of degree ``d`` ends
+  up with exactly ``d/2`` outgoing and ``d/2`` incoming edge-ends
+  (self-loops contribute one of each).
+* :func:`compact_euler_circuits` — the same walk cut into its circuits
+  of ``(edge, from_node, to_node)`` steps.
+
+Both are views of one walk, which writes the orientation as it goes.
 
 An object graph is walked through its snapshot,
 ``CompactGraph.from_multigraph(graph)``, whose ``edge_ids`` and
@@ -26,6 +29,76 @@ from typing import List, Sequence, Tuple
 
 class NotEulerianError(ValueError):
     """Raised when an Euler circuit is requested on an odd-degree graph."""
+
+
+def _hierholzer(
+    indptr: Sequence[int],
+    inc_edge: Sequence[int],
+    inc_other: Sequence[int],
+    degree: Sequence[int],
+    num_edges: int,
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The one Euler walk: ``(order, tail, head, starts)``.
+
+    Start nodes are taken in index order.  From each, the walk follows
+    the current node's first unused row entry until it is stuck, then
+    retreats one edge (to that edge's tail) and tries again; edges are
+    kept as the walk retreats, so each circuit is its retreat order
+    reversed (iterative Hierholzer).  An edge's direction is the one
+    the walk first took it in, written into ``tail``/``head`` then.
+    ``order`` is every circuit in turn and ``starts[c]`` the position
+    in ``order`` where circuit ``c`` begins.  Each row is consumed
+    through an absolute cursor, so the result is a pure function of
+    the rows.
+    """
+    for v, d in enumerate(degree):
+        if d % 2:
+            raise NotEulerianError(f"node index {v} has odd degree {d}")
+    n = len(degree)
+    cursor = list(indptr[:n])
+    ends = indptr[1:]
+    used = bytearray(num_edges)
+    tail = [-1] * num_edges
+    head = [-1] * num_edges
+    order: List[int] = []
+    starts: List[int] = []
+    for start in range(n):
+        i = cursor[start]
+        end = ends[start]
+        while i < end and used[inc_edge[i]]:
+            i += 1
+        cursor[start] = i
+        if i == end:
+            continue  # a used-up row starts no circuit
+        starts.append(len(order))
+        path: List[int] = []
+        tour: List[int] = []
+        v = start
+        while True:
+            i = cursor[v]
+            end = ends[v]
+            while True:  # forward until stuck
+                while i < end and used[inc_edge[i]]:
+                    i += 1
+                if i == end:
+                    break
+                e = inc_edge[i]
+                cursor[v] = i + 1
+                used[e] = 1
+                tail[e] = v
+                v = head[e] = inc_other[i]
+                path.append(e)
+                i = cursor[v]
+                end = ends[v]
+            cursor[v] = i
+            if not path:
+                break
+            e = path.pop()
+            tour.append(e)
+            v = tail[e]
+        tour.reverse()
+        order += tour
+    return order, tail, head, starts
 
 
 def compact_euler_circuits(
@@ -48,56 +121,21 @@ def compact_euler_circuits(
 
     Each returned circuit is a list of ``(edge, from_node, to_node)``
     steps; consecutive steps share a node and the circuit closes on its
-    starting node.  Start nodes are taken in index order, each node's
-    row is consumed through a cursor, and edges are emitted as the walk
-    retreats (iterative Hierholzer), so the output is a pure function
-    of the rows.  Isolated nodes yield no circuit.
+    starting node.  It is a view of the walk
+    :func:`compact_euler_orientation` returns: the same ``order`` cut
+    at each circuit's start, each edge with its ``tail`` and ``head``.
+    Isolated nodes yield no circuit.
 
     Raises:
         NotEulerianError: if some node has odd degree.
     """
-    n = len(degree)
-    for v in range(n):
-        if degree[v] % 2 != 0:
-            raise NotEulerianError(f"node index {v} has odd degree {degree[v]}")
-
-    cursor = [0] * n
-    used = bytearray(num_edges)
-    circuits: List[List[Tuple[int, int, int]]] = []
-
-    for start in range(n):
-        # Skip the used entries of start's row; a used-up row starts no circuit.
-        i = cursor[start]
-        row_end = indptr[start + 1]
-        base = indptr[start]
-        while base + i < row_end and used[inc_edge[base + i]]:
-            i += 1
-        cursor[start] = i
-        if base + i >= row_end:
-            continue
-        stack: List[int] = [start]
-        path_edges: List[Tuple[int, int, int]] = []
-        tour: List[Tuple[int, int, int]] = []
-        while stack:
-            v = stack[-1]
-            base = indptr[v]
-            row_end = indptr[v + 1]
-            i = cursor[v]
-            while base + i < row_end and used[inc_edge[base + i]]:
-                i += 1
-            cursor[v] = i
-            if base + i >= row_end:
-                stack.pop()
-                if path_edges:
-                    tour.append(path_edges.pop())
-            else:
-                e = inc_edge[base + i]
-                used[e] = 1
-                w = inc_other[base + i]
-                path_edges.append((e, v, w))
-                stack.append(w)
-        circuits.append(tour[::-1])
-    return circuits
+    order, tail, head, starts = _hierholzer(
+        indptr, inc_edge, inc_other, degree, num_edges
+    )
+    bounds = zip(starts, starts[1:] + [len(order)])
+    return [
+        [(e, tail[e], head[e]) for e in order[lo:hi]] for lo, hi in bounds
+    ]
 
 
 def compact_euler_orientation(
@@ -120,12 +158,7 @@ def compact_euler_orientation(
     Raises:
         NotEulerianError: if some node has odd degree.
     """
-    order: List[int] = []
-    tail = [-1] * num_edges
-    head = [-1] * num_edges
-    for circuit in compact_euler_circuits(indptr, inc_edge, inc_other, degree, num_edges):
-        for e, u, v in circuit:
-            order.append(e)
-            tail[e] = u
-            head[e] = v
+    order, tail, head, _starts = _hierholzer(
+        indptr, inc_edge, inc_other, degree, num_edges
+    )
     return order, tail, head

@@ -18,6 +18,7 @@ from a fractional argument (Lemma 4.1) and integrality of max-flow.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Sequence, Tuple
 
 from repro.core.errors import SolverError
@@ -69,29 +70,31 @@ class QuotaPeeler:
             )
         # Arc layout (twin of handle h is h ^ 1), in insertion order:
         # source->L quota arcs, R->sink quota arcs, then unit arcs in
-        # edge order.
-        self._unit_base = 2 * (num_left + num_right)
-        to: List[int] = []
-        cap: List[int] = []
-        adj: List[List[int]] = [[] for _ in range(self._sink + 1)]
-        for i, q in enumerate(left_quota):
-            h = len(to)
-            to.extend((1 + i, 0))
-            cap.extend((q, 0))
-            adj[0].append(h)
-            adj[1 + i].append(h + 1)
-        for j, q in enumerate(right_quota):
-            h = len(to)
-            to.extend((self._sink, 1 + num_left + j))
-            cap.extend((q, 0))
-            adj[1 + num_left + j].append(h)
-            adj[self._sink].append(h + 1)
-        for l, r in zip(edge_left, edge_right):
-            h = len(to)
-            to.extend((1 + num_left + r, 1 + l))
-            cap.extend((1, 0))
-            adj[1 + l].append(h)
-            adj[1 + num_left + r].append(h + 1)
+        # edge order.  Each block is written by slice assignment; each
+        # node's row is its quota arc, then its unit arcs in edge order.
+        sink = self._sink
+        quota_end = 2 * num_left
+        unit_base = self._unit_base = 2 * (num_left + num_right)
+        size = unit_base + 2 * len(edge_left)
+        to = [0] * size
+        to[0:quota_end:2] = range(1, 1 + num_left)
+        to[quota_end:unit_base:2] = [sink] * num_right
+        to[quota_end + 1 : unit_base : 2] = range(1 + num_left, sink)
+        to[unit_base::2] = [1 + num_left + r for r in edge_right]
+        to[unit_base + 1 :: 2] = [1 + l for l in edge_left]
+        cap = [0] * size
+        cap[0:quota_end:2] = left_quota
+        cap[quota_end:unit_base:2] = right_quota
+        cap[unit_base::2] = [1] * len(edge_left)
+        adj: List[List[int]] = [list(range(0, quota_end, 2))]
+        adj += [[h] for h in range(1, quota_end, 2)]
+        adj += [[h] for h in range(quota_end, unit_base, 2)]
+        adj.append(list(range(quota_end + 1, unit_base, 2)))
+        left_rows = adj[1 : 1 + num_left]
+        right_rows = adj[1 + num_left : sink]
+        for h, l, r in zip(range(unit_base, size, 2), edge_left, edge_right):
+            left_rows[l].append(h)
+            right_rows[r].append(h + 1)
         self._to = to
         self._cap = cap
         self._adj = adj
@@ -232,11 +235,10 @@ class QuotaPeeler:
             SolverError: if some degree is not ``q_v·D``.
         """
         num_left = len(left_quota)
-        degree = [0] * (num_left + len(right_quota))
-        for v in edge_left:
-            degree[v] += 1
-        for v in edge_right:
-            degree[num_left + v] += 1
+        left_degree = Counter(edge_left)
+        right_degree = Counter(edge_right)
+        degree = [left_degree[v] for v in range(num_left)]
+        degree += [right_degree[v] for v in range(len(right_quota))]
         quota = list(left_quota) + list(right_quota)
         for v, (d, q) in enumerate(zip(degree, quota)):
             if d != q * parts:
@@ -282,14 +284,22 @@ def _alternate_trails(
 ) -> Tuple[List[int], List[int]]:
     """Split a bipartite multigraph with even degrees along closed trails.
 
-    The graph is the edges ``k`` of ``part``, edge ``k`` joining nodes
-    ``lo[k]`` and ``hi[k]``.  Start nodes are taken in index order;
-    from each, the walk follows the current node's first unused edge
-    (in ``part`` order) until it reaches a node with no unused edge,
-    which with even degrees is the start.  Edges alternate between the
-    halves, ``A`` first.  A closed trail in a bipartite graph has even
-    length, so every visit pairs one ``A`` edge with one ``B`` edge,
-    and each half has exactly half of every node's degree.
+    The graph is the edges ``k`` of ``part``, edge ``k`` joining left
+    node ``lo[k]`` and right node ``hi[k]`` (left indices first).
+    Start nodes are taken in index order; from each, the walk follows
+    the current node's first unused edge (in ``part`` order) until it
+    reaches a node with no unused edge, which with even degrees is the
+    start.  Edges alternate between the halves, ``A`` first.  A closed
+    trail in a bipartite graph has even length, so every visit pairs
+    one ``A`` edge with one ``B`` edge, and each half has exactly half
+    of every node's degree.
+
+    Only a left node starts a walk: once every left node has been a
+    start, every edge is used.  So the walk alternates sides, an edge
+    taken from the left is an ``A`` edge and one taken from the right
+    a ``B`` edge, and each iteration takes one of each.  Only the
+    start can run out of unused edges: every other node is left as
+    often as it is entered, so a right node always has one.
 
     Returns:
         The halves ``A`` and ``B`` of ``part``, each in ``part`` order.
@@ -303,7 +313,6 @@ def _alternate_trails(
     in_b = bytearray(len(lo))
     for start in range(num_nodes):
         v = start
-        flag = 0
         while True:
             row = rows[v]
             i = cursor[v]
@@ -315,7 +324,14 @@ def _alternate_trails(
             k = row[i]
             cursor[v] = i + 1
             used[k] = 1
-            in_b[k] = flag
-            flag ^= 1
-            v = lo[k] + hi[k] - v
+            v = hi[k]
+            row = rows[v]
+            i = cursor[v]
+            while used[row[i]]:
+                i += 1
+            k = row[i]
+            cursor[v] = i + 1
+            used[k] = 1
+            in_b[k] = 1
+            v = lo[k]
     return [k for k in part if not in_b[k]], [k for k in part if in_b[k]]

@@ -38,7 +38,18 @@ plan cache):
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 Node = Hashable
 EdgeId = int
@@ -158,6 +169,16 @@ class Multigraph:
         """Iterate over ``(edge_id, u, v)`` triples."""
         for eid, (u, v) in self._edges.items():
             yield eid, u, v
+
+    @property
+    def edge_table(self) -> Mapping[EdgeId, Tuple[Node, Node]]:
+        """Read-only live view ``edge id -> (u, v)`` in ``edges()`` order.
+
+        A per-edge pass that iterates ``edge_table.items()`` or
+        ``.values()`` reads the table's own tuples, with no generator
+        step or fresh triple per edge.
+        """
+        return MappingProxyType(self._edges)
 
     def endpoints(self, eid: EdgeId) -> Tuple[Node, Node]:
         return self._edges[eid]

@@ -64,13 +64,16 @@ def _canonical_form(
 ) -> Tuple[Optional[str], Dict[EdgeId, PairToken]]:
     """``(fingerprint, edge id → token)``, built once per instance.
 
-    One pass takes each node's ``repr`` once and counts the edges of
-    each endpoint pair; the result lives in ``instance.memo``, so every
-    later call on the same instance reads it instead.
+    One pass over the graph's edge table takes each edge's endpoint
+    ranks and counts the edges of each endpoint pair; the result lives
+    in ``instance.memo``, so every later call on the same instance
+    reads it instead.
 
     Pairs are counted under an integer key built from the reprs'
     ranks in sorted order (equal reprs share a rank), so ordering the
     payload's pairs sorts ints, in the same order as the repr pairs.
+    The payload's edge list is joined from the names JSON-quoted once
+    each, the bytes ``json.dumps`` writes for them.
     """
     form: Optional[Tuple[Optional[str], Dict[EdgeId, PairToken]]] = (
         instance.memo.get(_MEMO_KEY)
@@ -84,13 +87,14 @@ def _canonical_form(
     rank_of_name = {r: i for i, r in enumerate(names)}
     rank = {v: rank_of_name[r] for v, r in zip(nodes, reprs)}
     width = len(names)
-    edges: Iterable[Tuple[EdgeId, Node, Node]] = graph.edges()
-    ids = graph.edge_ids()
+    table = graph.edge_table
+    edges: Iterable[Tuple[EdgeId, Tuple[Node, Node]]] = table.items()
+    ids = list(table)
     if ids != sorted(ids):
         edges = sorted(edges)  # slot k is a pair's k-th edge by id
     count: Dict[int, int] = {}
     token_of: Dict[EdgeId, PairToken] = {}
-    for eid, u, v in edges:
+    for eid, (u, v) in edges:
         a, b = rank[u], rank[v]
         if b < a:
             a, b = b, a
@@ -100,16 +104,23 @@ def _canonical_form(
         token_of[eid] = (names[a], names[b], k)
     fp: Optional[str] = None
     if width == len(reprs):  # else two nodes share a repr
-        payload = {
-            "nodes": sorted(
-                [r, instance.capacity(v)] for v, r in zip(nodes, reprs)
-            ),
-            "edges": [
-                [names[pair // width], names[pair % width], n]
-                for pair, n in sorted(count.items())
-            ],
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        quoted = [json.dumps(r) for r in names]
+        pairs = ",".join(
+            [
+                f"[{quoted[pair // width]},{quoted[pair % width]},{count[pair]}]"
+                for pair in sorted(count)
+            ]
+        )
+        caps = sorted([r, instance.capacity(v)] for v, r in zip(nodes, reprs))
+        # json.dumps(payload, sort_keys=True, separators=(",", ":")) of
+        # {"nodes": caps, "edges": [[u_repr, v_repr, n], ...]}.
+        blob = (
+            '{"edges":['
+            + pairs
+            + '],"nodes":'
+            + json.dumps(caps, separators=(",", ":"))
+            + "}"
+        )
         fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     form = instance.memo[_MEMO_KEY] = (fp, token_of)
     return form
