@@ -137,12 +137,18 @@ def _patch_component(
 
     Returns ``((token rounds, "patch"), recolored edges)`` on success,
     ``(None, 0)`` when the degree bound would be exceeded (the caller
-    falls back to a full re-solve).
+    falls back to a full re-solve).  That is known before any flip
+    when a lower bound on every schedule's length exceeds the bound:
+    ``Δ'`` or the LB2 term of the whole component,
+    ``⌈m / ⌊Σ c_v / 2⌋⌉``.
     """
     ci = lower_instance(instance)
     dp = ci.delta_prime()
     q0 = max(max(survivors.values()) + 1, dp, 1)
     bound = max(q0, dp + 2 * math.isqrt(dp) + 2)
+    slots = sum(ci.capacities) // 2
+    if slots and max(dp, -(-ci.graph.num_edges // slots)) > bound:
+        return None, 0
     state = ArrayColoringState(ci.graph, ci.capacities, q0, seed=seed)
     state.preload(survivors)
     todo = state.uncolored_in_id_order()

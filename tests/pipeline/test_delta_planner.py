@@ -12,6 +12,7 @@ from repro.checks.certify import (
 )
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
+from repro.core.recolor import ArrayColoringState
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan, plan_delta
@@ -313,3 +314,43 @@ class TestPatchComponent:
         dp = instance.delta_prime()
         q0 = max(max(survivors.values()) + 1, dp)
         assert schedule.num_rounds <= max(q0, dp + 2 * math.isqrt(dp) + 2)
+
+
+class TestBoundBeyondPatch:
+    """A component whose lower bound already exceeds the patch bound
+    falls back before any flip: ``shannon-bound`` needs
+    ``⌈54 / ⌊3/2⌋⌉ = 54`` rounds against a bound of 50."""
+
+    @staticmethod
+    def counted_flips(monkeypatch):
+        calls = []
+        real = ArrayColoringState.attempt_flip
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(ArrayColoringState, "attempt_flip", counted)
+        return calls
+
+    def test_patch_makes_no_flip(self, monkeypatch):
+        flips = self.counted_flips(monkeypatch)
+        instance, survivors = shannon_triangle(18, 18)
+        assert _patch_component(instance, survivors, 2) == (None, 0)
+        assert flips == []
+
+    def test_plan_delta_bytes(self, monkeypatch):
+        """The fallback's bytes, pinned from the search that ran 390
+        flips before it gave up."""
+        moves = [("a", "b")] * 2 + [("b", "c")] * 2 + [("c", "a")] * 2
+        prior = plan(MigrationInstance.uniform(moves, 1), "auto", 0, certify=True)
+        flips = self.counted_flips(monkeypatch)
+        extra = [("a", "b")] * 16 + [("b", "c")] * 16 + [("c", "a")] * 16
+        result = plan_delta(prior, InstanceDelta(add_moves=extra))
+        assert flips == []
+        assert result.dispositions == (DISPOSITION_RESOLVED,)
+        assert result.fallbacks == 1
+        assert result.num_rounds == result.lower_bound == 54
+        assert rounds_digest(result.schedule.rounds) == (
+            "ab1ca31a5619bc29f69963284546b34aa16270102a5eaaa2940875c1b5b218ad"
+        )
