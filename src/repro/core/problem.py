@@ -40,7 +40,9 @@ class MigrationInstance:
             the edge id → pair-slot token map there,
             :mod:`repro.core.lower_bounds` the LB2 witnesses and
             ``lower_bound``'s value, :mod:`repro.exact.search` the
-            makespan optimum ``exact_bb`` proved.  A memo is only as
+            makespan optimum ``exact_bb`` proved,
+            :mod:`repro.core.special_cases` whether the graph is
+            bipartite.  A memo is only as
             true as that convention: never mutate an instance's graph
             or capacities once it has been used; copy it first, as
             ``apply_delta`` and the Theorem 4.1 augmentation do.  A

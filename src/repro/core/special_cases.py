@@ -34,13 +34,27 @@ from repro.graphs.coloring.bipartite import (
 )
 
 
+#: The ``MigrationInstance.memo`` key of the bipartite verdict.
+_MEMO_KEY = "bipartite"
+
+
 def is_bipartite_instance(instance: MigrationInstance) -> bool:
-    """True iff the transfer graph is bipartite (ignoring isolated nodes)."""
-    try:
-        bipartite_sides(instance.graph)
-    except NotBipartiteError:
-        return False
-    return True
+    """True iff the transfer graph is bipartite (ignoring isolated nodes).
+
+    The verdict is kept in ``instance.memo``, so the scheduler below,
+    run on the component the select stage just tested, does not
+    2-colour it again.
+    """
+    verdict = instance.memo.get(_MEMO_KEY)
+    if verdict is None:
+        try:
+            bipartite_sides(instance.graph)
+        except NotBipartiteError:
+            verdict = False
+        else:
+            verdict = True
+        instance.memo[_MEMO_KEY] = verdict
+    return bool(verdict)
 
 
 def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule:
@@ -63,7 +77,9 @@ def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule
     Raises:
         NotBipartiteError: if the transfer graph is not bipartite.
     """
-    bipartite_sides(ci.source.graph)  # raises if not bipartite
+    if not ci.source.memo.get(_MEMO_KEY):
+        bipartite_sides(ci.source.graph)  # raises if not bipartite
+        ci.source.memo[_MEMO_KEY] = True
     graph = ci.graph
     m = graph.num_edges
     if m == 0:

@@ -4,6 +4,8 @@ import pytest
 
 from repro import plan
 from repro.checks.certify import verify_schedule
+from repro.checks.engine import DEFAULT_CORPUS
+from repro.core import special_cases
 from repro.core.lower_bounds import lb1
 from repro.core.problem import MigrationInstance
 from repro.core.special_cases import (
@@ -120,3 +122,46 @@ class TestDispatch:
         inst = bipartite_instance(4, 4, 30, old_capacity=2, new_capacity=4, seed=2)
         sched = plan(inst, method="auto").schedule
         assert sched.method == "even_optimal"
+
+
+class TestVerdictMemo:
+    """The select stage's bipartite verdict lives in ``instance.memo``,
+    so the König scheduler does not 2-colour the component again."""
+
+    @staticmethod
+    def counted_sides(monkeypatch):
+        calls = []
+        real = special_cases.bipartite_sides
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(special_cases, "bipartite_sides", counted)
+        return calls
+
+    def test_plan_two_colours_the_component_once(self, monkeypatch):
+        factory = {name: f for name, _method, f in DEFAULT_CORPUS}[
+            "bipartite/disk-addition"
+        ]
+        calls = self.counted_sides(monkeypatch)
+        result = plan(factory(), certify=True)
+        assert result.methods_used() == {"bipartite_optimal": 1}
+        assert len(calls) == 1
+
+    def test_kernel_alone_still_checks(self, monkeypatch):
+        calls = self.counted_sides(monkeypatch)
+        inst = bipartite_instance(3, 2, 10, seed=0)
+        solve_bipartite(inst)
+        assert len(calls) == 1
+        assert inst.memo["bipartite"] is True
+
+    def test_forced_solve_after_a_false_verdict_raises(self):
+        tri = MigrationInstance.uniform(
+            [("a", "b"), ("b", "c"), ("c", "a")], capacity=1
+        )
+        assert not is_bipartite_instance(tri)
+        with pytest.raises(NotBipartiteError, match="odd cycle"):
+            solve_bipartite(tri)
+        with pytest.raises(NotBipartiteError, match="odd cycle"):
+            plan(tri, method="bipartite_optimal")
