@@ -23,6 +23,7 @@ from repro.core.lower_bounds import lb1, lower_bound
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.obs import names
+from repro.obs.schema import validate_record
 from repro.pipeline.planner import plan
 
 
@@ -126,7 +127,19 @@ def summarize_runtime_trace(records: Sequence[Mapping[str, Any]]) -> RuntimeSumm
     Works on a full trace or on the concatenation a resumed run
     appends to — records are folded, not assumed contiguous, and each
     process flushes only the counts it added.
+
+    Every record is shape-checked with
+    :func:`repro.obs.schema.validate_record` before any is folded, so
+    the fold reads counts and times as written, as
+    :func:`aggregate_trace` does.
+
+    Raises:
+        ValueError: naming the first record the schema refuses.
     """
+    for index, record in enumerate(records):
+        problems = validate_record(record, index)
+        if problems:
+            raise ValueError(problems[0])
     attempts = delivered = retries = defers = replans = 0
     stranded = crashes = rounds = 0
     failures: Dict[str, int] = {}
@@ -139,17 +152,16 @@ def summarize_runtime_trace(records: Sequence[Mapping[str, Any]]) -> RuntimeSumm
             attrs = record.get("attrs", {})
             if name == names.SPAN_ROUND:
                 rounds += 1
-                attempts += int(attrs.get("attempted", 0))
-                delivered += int(attrs.get("succeeded", 0))
+                attempts += attrs.get("attempted", 0)
+                delivered += attrs.get("succeeded", 0)
                 completion_time = max(
                     completion_time,
-                    float(attrs.get("sim_start", 0.0))
-                    + float(attrs.get("sim_duration", 0.0)),
+                    attrs.get("sim_start", 0.0) + attrs.get("sim_duration", 0.0),
                 )
             elif name == names.SPAN_REPLAN:
                 replans += 1
         elif kind == "counter":
-            value = int(record.get("value", 0))
+            value = record["value"]
             if name.startswith(names.FAILURE_PREFIX):
                 reason = name[len(names.FAILURE_PREFIX):]
                 failures[reason] = failures.get(reason, 0) + value

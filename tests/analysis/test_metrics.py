@@ -8,7 +8,9 @@ from repro.analysis.metrics import (
     compare_methods,
     schedule_quality,
     summarize_ratios,
+    summarize_runtime_trace,
 )
+from repro.obs import names
 from tests.conftest import random_instance
 
 
@@ -59,3 +61,44 @@ class TestSummaries:
 
     def test_empty(self):
         assert summarize_ratios([]) == {"mean": 1.0, "max": 1.0, "p95": 1.0}
+
+
+def round_span(span_id, **attrs):
+    return {
+        "kind": "span", "name": names.SPAN_ROUND, "span": span_id,
+        "parent": None, "t0": 0.0, "wall": 0.0, "cpu": 0.0, "attrs": attrs,
+    }
+
+
+class TestSummarizeRuntimeTrace:
+    def test_refuses_the_mistyped_round_span(self):
+        """The record a mistyped ``runtime.round`` span used to fold
+        into ``attempts=1, delivered=2, completion_time=4.0``."""
+        bad = round_span(
+            1, attempted=True, succeeded=2.7, sim_start="3", sim_duration=1
+        )
+        with pytest.raises(
+            ValueError, match=r"^record 1: round attr 'attempted' must be an int >= 0$"
+        ):
+            summarize_runtime_trace([round_span(1, attempted=1), bad])
+
+    def test_refuses_a_string_count(self):
+        bad = {"kind": "counter", "name": names.RETRIES, "value": "2"}
+        with pytest.raises(ValueError, match=r"^record 0: counter 'value'"):
+            summarize_runtime_trace([bad])
+
+    def test_folds_counts_and_times_as_written(self):
+        summary = summarize_runtime_trace(
+            [
+                round_span(1, round=0, attempted=3, succeeded=2, failed=1,
+                           sim_start=0.0, sim_duration=1.5),
+                round_span(2, round=1, attempted=1, succeeded=1, failed=0,
+                           sim_start=1.5, sim_duration=0.5),
+                {"kind": "counter", "name": names.RETRIES, "value": 1},
+                {"kind": "gauge", "name": names.RUNTIME_FINISHED, "value": 1.0},
+            ]
+        )
+        assert (summary.rounds, summary.attempts, summary.delivered) == (2, 4, 3)
+        assert summary.completion_time == 2.0
+        assert summary.retries == 1
+        assert summary.finished
