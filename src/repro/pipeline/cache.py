@@ -7,9 +7,10 @@ ids differ, and fingerprints ignore those).  The cache makes those
 untouched components free:
 
 * **plan entries** are keyed by
-  ``(fingerprint, method, base seed)`` and hold the schedule in
-  pair-token form (:mod:`repro.pipeline.canonical`), so a hit
-  rehydrates against the new instance's edge ids;
+  ``(fingerprint, requested method, base seed)`` (``"auto"`` or a
+  forced solver's name) and hold the schedule in pair-token form
+  (:mod:`repro.pipeline.canonical`), so a hit rehydrates against the
+  new instance's edge ids;
 * **bound entries** are keyed by fingerprint alone and hold a
   lower-bound certificate in its JSON form
   (:func:`repro.checks.certify.certificate_to_json`) — LB witnesses

@@ -19,7 +19,8 @@ that possible:
   :func:`encode_token_plan` and read by :func:`decode_token_plan`; the
   plan store and the planning service both use it.
 
-Canonicalize-then-rehydrate is applied even on cache misses, so a plan
+A fresh plan keeps its edge ids in :func:`canonical_order` (each
+round sorted by token), the order a cache hit rehydrates to, so a plan
 is byte-identical whether it was solved fresh or served from cache —
 the property the runtime's checkpoint/resume determinism contract
 depends on.
@@ -27,8 +28,7 @@ depends on.
 Both layers come from one pass over an instance's edges, memoized on
 the instance (``MigrationInstance.memo``): the fingerprint and the
 edge id → token map are built by whichever call comes first, and every
-later :func:`fingerprint`, :func:`canonicalize_rounds` or
-:func:`rehydrate_rounds` on the same instance reads them.
+later call on the same instance reads them.
 
 Node ``repr`` collisions (two distinct nodes printing identically)
 would make tokens ambiguous; :func:`fingerprint` returns ``None`` for
@@ -149,6 +149,15 @@ def _pair_slots(instance: MigrationInstance) -> Mapping[EdgeId, PairToken]:
     The map is the instance's memo: read it, never change it.
     """
     return _canonical_form(instance)[1]
+
+
+def canonical_order(
+    instance: MigrationInstance, rounds: Sequence[Sequence[EdgeId]]
+) -> List[List[EdgeId]]:
+    """``rehydrate_rounds(instance, canonicalize_rounds(instance, rounds))``
+    without building tokens: each non-empty round's ids by token order."""
+    token_of = _pair_slots(instance).__getitem__
+    return [sorted(rnd, key=token_of) for rnd in rounds if len(rnd) > 0]
 
 
 def canonicalize_rounds(

@@ -8,8 +8,8 @@ patched instance by triaging every component of the patched transfer
 graph into one of three **dispositions**:
 
 * ``reused`` — the component's fingerprint matches a prior component
-  (or a live plan-cache entry): the prior coloring transfers wholesale
-  through pair-slot tokens, zero solver work;
+  (or a live plan-cache entry): the prior coloring transfers wholesale,
+  each edge taking the prior color of its pair slot, zero solver work;
 * ``patched`` — some of the component's edges survive from the prior
   instance: a :class:`repro.core.recolor.ArrayColoringState` is
   warm-started from the surviving colors
@@ -26,8 +26,9 @@ graph into one of three **dispositions**:
 
 The triage is the reuse step of ``plan()``'s own component loop
 (:func:`repro.pipeline.planner._plan_components`), which runs it for
-each cache miss before any solve.  Every outcome is written through
-the :class:`PlanCache` under the same ``(fingerprint, solver, seed)``
+each cache miss before any solve, and every outcome is edge ids in
+canonical order, like a solve's.  Every outcome is written through
+the :class:`PlanCache` under the same ``(fingerprint, "auto", seed)``
 key ``plan()`` uses, so
 ``plan(patched, "auto", prior.seed, cache=shared)`` after a
 ``plan_delta(..., cache=shared)`` serves the identical bytes — the
@@ -63,9 +64,8 @@ from repro.obs.trace import Tracer, ensure_tracer
 from repro.pipeline.cache import PlanCache
 from repro.pipeline.canonical import (
     PairToken,
-    TokenRounds,
     _pair_slots,
-    canonicalize_rounds,
+    canonical_order,
     derive_patch_seed,
     reprs_unambiguous,
 )
@@ -75,6 +75,7 @@ from repro.pipeline.stages import Component
 
 # Not called here: perfbench/layers.py wraps each as an attribute of
 # this module, so each must stay importable from it.
+from repro.pipeline.canonical import canonicalize_rounds  # noqa: F401  (perfbench)
 from repro.pipeline.canonical import rehydrate_rounds  # noqa: F401  (perfbench)
 from repro.pipeline.parallel import solve_job  # noqa: F401  (perfbench)
 from repro.pipeline.registry import select_solver  # noqa: F401  (perfbench)
@@ -135,11 +136,11 @@ def _patch_component(
     flips, adding colors only when flips fail and never past
     ``max(q₀, Δ' + 2·⌈√Δ'⌉ + 2)``.
 
-    Returns ``((token rounds, "patch"), recolored edges)`` on success,
-    ``(None, 0)`` when the degree bound would be exceeded (the caller
-    falls back to a full re-solve).  That is known before any flip
-    when a lower bound on every schedule's length exceeds the bound:
-    ``Δ'`` or the LB2 term of the whole component,
+    Returns ``((rounds in canonical order, "patch"), recolored edges)``
+    on success, ``(None, 0)`` when the degree bound would be exceeded
+    (the caller falls back to a full re-solve).  That is known before
+    any flip when a lower bound on every schedule's length exceeds the
+    bound: ``Δ'`` or the LB2 term of the whole component,
     ``⌈m / ⌊Σ c_v / 2⌋⌉``.
     """
     ci = lower_instance(instance)
@@ -162,7 +163,7 @@ def _patch_component(
     schedule = MigrationSchedule.from_coloring(
         lift_coloring(ci.graph, state.color), method=PATCH_METHOD
     )
-    return (canonicalize_rounds(instance, schedule.rounds), PATCH_METHOD), len(todo)
+    return (canonical_order(instance, schedule.rounds), PATCH_METHOD), len(todo)
 
 
 def plan_delta(
@@ -259,23 +260,21 @@ def plan_delta(
             comp_slots = _pair_slots(comp.instance)
 
             # A structurally unchanged component: the prior coloring
-            # transfers wholesale through tokens.
+            # transfers wholesale, each edge taking its pair slot's color.
             if fp in prior_method:
-                by_color: Dict[int, List[PairToken]] = {}
-                for token in comp_slots.values():
+                by_color: Dict[int, List[EdgeId]] = {}
+                for eid, token in comp_slots.items():
                     color = prior_token_color.get(token)
                     if color is None:
                         break
-                    by_color.setdefault(color, []).append(token)
+                    by_color.setdefault(color, []).append(eid)
                 else:
                     # Component round i sat in global round i (merge is
                     # index-aligned), so grouping by ascending prior
-                    # color rebuilds the exact prior token rounds.
+                    # color rebuilds the exact prior rounds.
                     dispositions[comp.index] = DISPOSITION_REUSED
-                    tokens: TokenRounds = tuple(
-                        tuple(sorted(by_color[c])) for c in sorted(by_color)
-                    )
-                    return tokens, prior_method[fp]
+                    rounds = [by_color[c] for c in sorted(by_color)]
+                    return canonical_order(comp.instance, rounds), prior_method[fp]
 
             # An edge-level patch around the surviving edges.
             survivors = {

@@ -8,9 +8,9 @@ built for determinism:
 * every job carries its own pre-derived seed
   (:func:`repro.pipeline.canonical.derive_component_seed`), so worker
   processes never consult shared or ambient randomness;
-* results return as canonical pair tokens, the exact representation
-  the serial path round-trips through, so a schedule is byte-identical
-  whichever backend produced it;
+* results return as edge ids in canonical order, the same lists on
+  either backend, so a schedule is byte-identical whichever backend
+  produced it;
 * ``ProcessPoolExecutor.map`` preserves submission order, so the
   caller reassembles results by component index, never by completion
   order.
@@ -31,11 +31,9 @@ from repro.core.general import GeneralSolverStats
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import lower_instance
-from repro.pipeline.canonical import (
-    TokenRounds,
-    canonicalize_rounds,
-    derive_restart_seed,
-)
+from repro.graphs.multigraph import EdgeId
+from repro.pipeline.canonical import canonical_order, derive_restart_seed
+from repro.pipeline.canonical import canonicalize_rounds  # noqa: F401  (perfbench)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.pipeline.registry import LoweredSolveFn, SolveFn, SolverSpec
@@ -43,8 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: One unit of work: (component instance, method name, seed).
 SolveJob = Tuple[MigrationInstance, str, int]
 
-#: One result: (canonical rounds, method label the solver reported).
-SolveOutcome = Tuple[TokenRounds, str]
+#: One result: (edge-id rounds in canonical order, the solver's method label).
+SolveOutcome = Tuple[List[List[EdgeId]], str]
 
 #: Extra seeds tried when a randomized solver lands above a component's
 #: lower bound.  Affordable precisely *because* of decomposition: a
@@ -86,7 +84,7 @@ def backend_solver(
 
 
 def solve_job(job: SolveJob) -> SolveOutcome:
-    """Solve one component and return its canonical schedule.
+    """Solve one component and return its rounds in canonical order.
 
     Module-level (not a closure) so it pickles under every
     multiprocessing start method.  Also used verbatim by the serial
@@ -116,7 +114,7 @@ def solve_job(job: SolveJob) -> SolveOutcome:
             alt = solve(derive_restart_seed(seed, attempt), None)
             if alt.num_rounds < schedule.num_rounds:
                 schedule = alt
-    return canonicalize_rounds(instance, schedule.rounds), schedule.method
+    return canonical_order(instance, schedule.rounds), schedule.method
 
 
 def solve_jobs(

@@ -16,7 +16,8 @@ solver for the whole instance it adds:
   component gets the *exhaustive* LB2 even inside an arbitrarily large
   instance;
 * **plan caching** — replans that touch one component re-solve only
-  that component (:mod:`repro.pipeline.cache`);
+  that component (:mod:`repro.pipeline.cache`), keyed by the requested
+  method, so an entry holds what ``plan(·, method, seed)`` returns;
 * **parallel solving** — independent components solve concurrently
   (:mod:`repro.pipeline.parallel`) with per-component derived seeds
   and an order-stable merge, so the schedule is byte-identical to a
@@ -48,6 +49,7 @@ from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.pipeline.canonical import (
+    canonical_order,
     canonicalize_rounds,
     derive_component_seed,
     fingerprint,
@@ -61,13 +63,7 @@ from repro.pipeline.parallel import (
     solve_jobs,
 )
 from repro.pipeline.registry import SolverSpec, get_solver, select_solver
-from repro.pipeline.stages import (
-    Component,
-    decompose,
-    merge,
-    merged_method_name,
-    normalize,
-)
+from repro.pipeline.stages import Component, decompose, merge, normalize
 
 #: pipeline stages, in execution order (the timing dict's key set).
 STAGES = ("normalize", "decompose", "select", "solve", "merge", "certify")
@@ -174,18 +170,34 @@ def _stage(tracer: Tracer, result: PlanResult, name: str) -> Iterator[None]:
     result.stage_timings[name] = result.stage_timings.get(name, 0.0) + wall
 
 
-def _round_trip(
-    instance: MigrationInstance,
-    schedule: MigrationSchedule,
-    fp: Optional[str],
-) -> MigrationSchedule:
-    """Canonicalize-and-rehydrate so output bytes never depend on the
-    solver's internal edge ordering (or on cache hit/miss history)."""
-    if fp is None:
-        return schedule
-    tokens = canonicalize_rounds(instance, schedule.rounds)
-    rounds = rehydrate_rounds(instance, tokens)
-    return MigrationSchedule(rounds, method=schedule.method)
+def _cache_lookup(
+    cache: Optional[PlanCache], instance: MigrationInstance, method: str,
+    seed: int, tracer: Tracer,
+) -> Optional[SolveOutcome]:
+    """The entry for ``plan(instance, method, seed)`` in edge ids, or
+    ``None``; ``ScheduleValidationError`` if it names a pair slot
+    ``instance`` lacks (a corrupt or foreign stored plan)."""
+    fp = fingerprint(instance)
+    if cache is None or fp is None:
+        return None
+    hit = cache.get_plan(fp, method, seed)
+    if hit is None:
+        tracer.count(names.PLAN_CACHE_MISSES)
+        return None
+    tracer.count(names.PLAN_CACHE_HITS)
+    return rehydrate_rounds(instance, hit.rounds), hit.method
+
+
+def _cache_write(
+    cache: Optional[PlanCache], instance: MigrationInstance, method: str,
+    seed: int, outcome: SolveOutcome,
+) -> None:
+    """Write a validated ``plan(instance, method, seed)`` outcome through
+    ``cache`` in pair-token form; nothing without a cache or fingerprint."""
+    fp = fingerprint(instance)
+    if cache is not None and fp is not None:
+        tokens = canonicalize_rounds(instance, outcome[0])
+        cache.put_plan(fp, method, seed, CachedPlan(method=outcome[1], rounds=tokens))
 
 
 def plan(
@@ -217,7 +229,7 @@ def plan(
             derived per component fingerprint, so unchanged components
             reproduce their schedules across replans.
         cache: optional :class:`PlanCache` consulted and populated per
-            component (and per bound when certifying).
+            component under ``method`` (and per bound when certifying).
         parallel: ``False`` (serial), ``True`` (always pool when ≥ 2
             components miss the cache), or ``"auto"`` (pool only when
             the estimated work clears :data:`PARALLEL_AUTO_THRESHOLD`).
@@ -296,31 +308,19 @@ def _plan_forced(
     spec = get_solver(method)
     with _stage(tracer, result, "solve"):
         fp = fingerprint(instance)
-        cached = False
-        schedule: Optional[MigrationSchedule] = None
-        if cache is not None and fp is not None:
-            hit = cache.get_plan(fp, spec.name, seed)
-            if hit is not None:
-                schedule = MigrationSchedule(
-                    rehydrate_rounds(instance, hit.rounds), method=hit.method
-                )
-                cached = True
-                tracer.count(names.PLAN_CACHE_HITS)
-            else:
-                tracer.count(names.PLAN_CACHE_MISSES)
-        if schedule is None:
+        outcome = _cache_lookup(cache, instance, spec.name, seed, tracer)
+        cached = outcome is not None
+        if outcome is None:
             with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
                 solved = backend_solver(spec, instance)(seed, None)
-            schedule = _round_trip(instance, solved, fp)
+            rounds = solved.rounds
+            if fp is not None:  # else never cached: the solver's order stands
+                rounds = canonical_order(instance, rounds)
+            outcome = (rounds, solved.method)
+        schedule = MigrationSchedule(outcome[0], method=outcome[1])
         schedule.validate(instance)
-        if not cached and cache is not None and fp is not None:
-            cache.put_plan(
-                fp, spec.name, seed,
-                CachedPlan(
-                    method=schedule.method,
-                    rounds=canonicalize_rounds(instance, schedule.rounds),
-                ),
-            )
+        if not cached:
+            _cache_write(cache, instance, spec.name, seed, outcome)
     if cached:
         tracer.count(names.PLAN_COMPONENTS_CACHED)
     else:
@@ -431,16 +431,18 @@ def _plan_components(
 ) -> List[Component]:
     """Plan component by component; returns ``decompose(instance)``.
 
-    Each component is looked up in ``cache``; a miss goes to ``reuse``
-    (the delta planner's step) and then, if still unplanned, to its
-    solver.  The merged schedule is validated against ``instance``
+    Each component is looked up in ``cache`` under ``"auto"``; a miss
+    goes to ``reuse`` (the delta planner's step) and then, if still
+    unplanned, to its solver.  Every outcome is edge ids in canonical
+    order.  The merged schedule is validated against ``instance``
     once; only then is every outcome not served by the cache written
     through.  The merged schedule and per-component attribution land
     in ``result``.  ``solve_stage`` names the stage that times the
     lookup, reuse and solve.
 
     Raises:
-        ScheduleValidationError: if the merged schedule is invalid;
+        ScheduleValidationError: if a cache entry names a pair slot its
+            component lacks, or if the merged schedule is invalid;
             nothing has been written through.
     """
     with _stage(tracer, result, "decompose"):
@@ -468,16 +470,10 @@ def _plan_components(
         ]
         outcomes: List[Optional[SolveOutcome]] = [None] * len(components)
         cached_flags = [False] * len(components)
-        for k, (comp, spec) in enumerate(zip(components, selections)):
-            if cache is not None and comp.fingerprint is not None:
-                hit = cache.get_plan(comp.fingerprint, spec.name, seed)
-                if hit is not None:
-                    outcomes[k] = (hit.rounds, hit.method)
-                    cached_flags[k] = True
-                    tracer.count(names.PLAN_CACHE_HITS)
-                    continue
-                tracer.count(names.PLAN_CACHE_MISSES)
-            if reuse is not None:
+        for k, comp in enumerate(components):
+            outcomes[k] = _cache_lookup(cache, comp.instance, "auto", seed, tracer)
+            cached_flags[k] = outcomes[k] is not None
+            if not cached_flags[k] and reuse is not None:
                 outcomes[k] = reuse(comp)
 
         miss_indices = [k for k, out in enumerate(outcomes) if out is None]
@@ -508,24 +504,16 @@ def _plan_components(
     with _stage(tracer, result, "merge"):
         result.schedule = merge(
             instance,
-            [
-                rehydrate_rounds(comp.instance, tokens)
-                for comp, (tokens, _method) in zip(components, planned)
-            ],
-            [method for _tokens, method in planned],
+            [rounds for rounds, _method in planned],
+            [method for _rounds, method in planned],
         )
         # Every component schedule, whatever its source, is part of the
         # merged one, so this one validation covers them all before any
         # is written through.
         result.schedule.validate(instance)
-        if cache is not None:
-            for k, (comp, spec) in enumerate(zip(components, selections)):
-                if comp.fingerprint is not None and not cached_flags[k]:
-                    tokens, method = planned[k]
-                    cache.put_plan(
-                        comp.fingerprint, spec.name, seed,
-                        CachedPlan(method=method, rounds=tokens),
-                    )
+        for k, comp in enumerate(components):
+            if not cached_flags[k]:
+                _cache_write(cache, comp.instance, "auto", seed, planned[k])
 
     result.parallel = use_pool
     result.workers = workers if (use_pool and workers) else 1
@@ -535,12 +523,12 @@ def _plan_components(
             num_disks=comp.num_disks,
             num_items=comp.num_items,
             method=method,
-            rounds=len(tokens),
+            rounds=len(rounds),
             seed=seeds[k],
             cached=cached_flags[k],
             fingerprint=comp.fingerprint,
         )
-        for k, (comp, (tokens, method)) in enumerate(zip(components, planned))
+        for k, (comp, (rounds, method)) in enumerate(zip(components, planned))
     ]
     return components
 

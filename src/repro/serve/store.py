@@ -3,7 +3,8 @@
 A :class:`~repro.pipeline.cache.PlanCache` evaporates with its
 process; a :class:`PlanStore` is the durable tier underneath it.
 Entries are exactly the cache's plan entries — keyed by
-``fingerprint:method:seed`` (:meth:`PlanCache.plan_key`) and holding a
+``fingerprint:method:seed`` (:meth:`PlanCache.plan_key`; the method
+``plan`` was asked for) and holding a
 :class:`~repro.pipeline.cache.CachedPlan` in pair-token form — so a
 store is nothing more than a cache mirror that survives restarts.
 Fingerprints are relabeling-invariant SHA-256 digests, which makes the
@@ -31,8 +32,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.pipeline.cache import CachedPlan
 from repro.pipeline.canonical import decode_token_plan, encode_token_plan
 
-#: Store format version, kept in the store's ``meta`` table.
-STORE_FORMAT_VERSION = 1
+#: Store format version, kept in the store's ``meta`` table.  Format 1
+#: keyed an auto plan by its selected solver, the key a forced plan of
+#: that solver also used; format 2 keys by the requested method.
+STORE_FORMAT_VERSION = 2
 
 
 class PlanStoreError(Exception):

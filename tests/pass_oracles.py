@@ -18,6 +18,9 @@ order, same digests, same error messages — and
 * :func:`csr_arrays` — ``CompactGraph.from_multigraph``'s arrays from
   one scan of the ``edges()`` generator;
 * :func:`canonical_form` — the fingerprint and edge id → token map;
+* :func:`canonical_order` — a fresh plan's rounds turned into sorted
+  token rounds and back into edge ids, the round trip the planner
+  made before ``repro.pipeline.canonical.canonical_order``;
 * :func:`validate` / :func:`verify_schedule` — the two schedule
   checks, one edge at a time.
 """
@@ -33,6 +36,7 @@ from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance
 from repro.graphs.euler import NotEulerianError
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.pipeline.canonical import canonicalize_rounds, rehydrate_rounds
 
 PairToken = Tuple[str, str, int]
 
@@ -254,6 +258,13 @@ def canonical_form(
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return fp, token_of
+
+
+def canonical_order(
+    instance: MigrationInstance, rounds: Sequence[Sequence[EdgeId]]
+) -> List[List[EdgeId]]:
+    """Each non-empty round's ids in token order, by way of tokens."""
+    return rehydrate_rounds(instance, canonicalize_rounds(instance, rounds))
 
 
 def validate(rounds: Sequence[Sequence[EdgeId]], instance: MigrationInstance) -> None:

@@ -16,7 +16,7 @@ from repro.core.recolor import ArrayColoringState
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.multigraph import Multigraph
 from repro.pipeline import PlanCache, plan, plan_delta
-from repro.pipeline.canonical import rehydrate_rounds
+from repro.pipeline.canonical import canonical_order, canonicalize_rounds
 from repro.pipeline.delta import (
     DISPOSITION_PATCHED,
     DISPOSITION_REUSED,
@@ -290,8 +290,8 @@ PATCH_CASES = {
 
 
 class TestPatchComponent:
-    """``_patch_component`` called directly: each case's token rounds
-    and recolored-edge count are pinned.  ``double-star-flip`` colors
+    """``_patch_component`` called directly: each case's rounds (by
+    their token form) and recolored-edge count are pinned.  ``double-star-flip`` colors
     its new edge only through a flip, ``shannon-growth`` and
     ``stuck-cap2`` grow the palette past q₀, ``shannon-bound`` needs
     54 colors against a bound of 50 and falls back, and
@@ -306,10 +306,11 @@ class TestPatchComponent:
         if digest is None:
             assert outcome is None
             return
-        tokens, method = outcome
+        rounds, method = outcome
         assert method == "patch"
-        assert rounds_digest(tokens) == digest
-        schedule = MigrationSchedule(rehydrate_rounds(instance, tokens))
+        assert rounds_digest(canonicalize_rounds(instance, rounds)) == digest
+        assert rounds == canonical_order(instance, rounds)
+        schedule = MigrationSchedule(rounds)
         schedule.validate(instance)
         dp = instance.delta_prime()
         q0 = max(max(survivors.values()) + 1, dp)

@@ -452,7 +452,7 @@ class TestValidateOnce:
         longer = [rounds[0][1:], *rounds[1:], rounds[0][:1]]
         MigrationSchedule(longer).validate(comp.instance)
         cache = PlanCache()
-        cache.put_plan(comp.fingerprint, "exact_bb", 0, CachedPlan(
+        cache.put_plan(comp.fingerprint, "auto", 0, CachedPlan(
             method="exact_bb", rounds=canonicalize_rounds(comp.instance, longer),
         ))
         with pytest.raises(CertificationError, match="re-proven optimum is 4"):
@@ -490,8 +490,8 @@ class TestValidateOnce:
         real = delta._patch_component
 
         def overfull(instance, survivors, seed):
-            (tokens, method), recolored = real(instance, survivors, seed)
-            one_round = (tuple(sorted(t for rnd in tokens for t in rnd)),)
+            (rounds, method), recolored = real(instance, survivors, seed)
+            one_round = [sorted(eid for rnd in rounds for eid in rnd)]
             return (one_round, method), recolored
 
         cache = PlanCache()
@@ -510,11 +510,11 @@ class TestValidateOnce:
             even.instance, plan(even.instance).schedule.rounds
         )
         cache = PlanCache()
-        cache.put_plan(even.fingerprint, "even_optimal", 0,
+        cache.put_plan(even.fingerprint, "auto", 0,
                        CachedPlan(method="even_optimal", rounds=tokens[1:]))
         with pytest.raises(ScheduleValidationError, match="never migrated"):
             plan(inst, cache=cache)
-        assert cache.get_plan(general.fingerprint, "general", 0) is None
+        assert cache.get_plan(general.fingerprint, "auto", 0) is None
 
     def test_forced_plan_is_validated_before_it_is_cached(self, monkeypatch, tmp_path):
         from repro.pipeline import registry

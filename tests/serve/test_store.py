@@ -131,6 +131,19 @@ class TestCorruption:
         with pytest.raises(PlanStoreError):
             PlanStore(path)
 
+    def test_format_1_store_is_refused(self, tmp_path):
+        """Format 1 keyed an auto-path component by its selected
+        solver's name, the key a forced plan of that solver also used,
+        so no such store is read."""
+        path = str(tmp_path / "p.db")
+        PlanStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE meta SET value = '1' WHERE key = 'format_version'")
+        conn.commit()
+        conn.close()
+        with pytest.raises(PlanStoreError, match="has store format 1, expected 2$"):
+            PlanStore(path)
+
     def test_sqlite_corrupt_payload(self, tmp_path):
         path = str(tmp_path / "p.db")
         store = PlanStore(path)

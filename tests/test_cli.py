@@ -564,15 +564,18 @@ def _bad_store(path, kind):
         return
     PlanStore(str(path)).close()
     conn = sqlite3.connect(str(path))
-    if kind == "wrong-version":
-        conn.execute("UPDATE meta SET value = '99' WHERE key = 'format_version'")
+    if kind in ("wrong-version", "format-1"):
+        version = "99" if kind == "wrong-version" else "1"
+        conn.execute("UPDATE meta SET value = ? WHERE key = 'format_version'", (version,))
     else:
         conn.execute("INSERT INTO plans (key, payload) VALUES ('k', '{oops')")
     conn.commit()
     conn.close()
 
 
-_BAD_STORES = ("text-file", "directory", "wrong-version", "corrupt-record")
+#: ``format-1`` is a store from before plans were keyed by the
+#: requested method.
+_BAD_STORES = ("text-file", "directory", "wrong-version", "format-1", "corrupt-record")
 
 
 class TestBadStore:

@@ -209,7 +209,7 @@ class TestServedTokenPlan:
 class TestStoredPlanThatDoesNotFit:
     def test_plan_raises_schedule_validation_error(self, tmp_path):
         """A stored token naming a slot the component lacks fails typed
-        in the merge, not as a bare ``KeyError``."""
+        at lookup, not as a bare ``KeyError``."""
         inst = MigrationInstance.from_moves(
             [("a", "b"), ("b", "c"), ("c", "a")], {"a": 1, "b": 1, "c": 1}
         )

@@ -39,7 +39,7 @@ from repro.graphs.matching import (
     _alternate_trails,
 )
 from repro.graphs.multigraph import Multigraph
-from repro.pipeline.canonical import _canonical_form
+from repro.pipeline.canonical import _canonical_form, canonical_order
 from tests import pass_oracles
 
 
@@ -296,6 +296,36 @@ class TestCanonicalForm:
             graph.add_edge(u, nodes[(i + 2) % len(nodes)])
         instance = MigrationInstance(graph, {v: 2 for v in nodes})
         assert _canonical_form(instance) == pass_oracles.canonical_form(instance)
+
+
+@st.composite
+def instance_rounds(draw):
+    """``(instance, rounds)``: a canonical-form instance's edges, or some
+    of them, dealt in a shuffled order into rounds that may stay empty,
+    and now and then an id the instance lacks."""
+    instance = draw(canonical_instances())
+    rng = draw(st.randoms(use_true_random=False))
+    ids = instance.graph.edge_ids()
+    rng.shuffle(ids)
+    if draw(st.booleans()):
+        ids = ids[: draw(st.integers(0, len(ids)))]
+    if draw(st.integers(0, 9)) == 0:
+        ids.insert(rng.randrange(len(ids) + 1), instance.graph.next_edge_id + 2)
+    rounds: List[List[int]] = [[] for _ in range(draw(st.integers(1, 6)))]
+    for eid in ids:
+        rng.choice(rounds).append(eid)
+    return instance, rounds
+
+
+class TestCanonicalOrder:
+    """``canonical_order`` against the token round trip it replaced."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(instance_rounds())
+    def test_equals_round_trip(self, args):
+        instance, rounds = args
+        live = outcome(canonical_order, instance, rounds)
+        assert live == outcome(pass_oracles.canonical_order, instance, rounds)
 
 
 # ----------------------------------------------------------------------
