@@ -16,11 +16,11 @@ concurrency, so flattening sizes flattens the impact on clients.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.graphs.multigraph import EdgeId, Node
+from repro.graphs.multigraph import Node
 
 
 def round_size_stats(schedule: MigrationSchedule) -> Dict[str, float]:

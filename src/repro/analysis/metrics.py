@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.lower_bounds import lb1, lower_bound
 from repro.core.problem import MigrationInstance

@@ -6,7 +6,7 @@ renderer keeps them aligned and dependency-free.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 class Table:

@@ -10,7 +10,7 @@ ignores but end-to-end experiments should not silently violate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 DiskId = Hashable

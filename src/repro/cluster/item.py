@@ -8,7 +8,7 @@ sizes through its time model so non-uniform experiments are possible
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 ItemId = Hashable

@@ -15,7 +15,7 @@ two layout policies the paper's introduction motivates:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.disk import Disk, DiskId
 from repro.cluster.item import DataItem, ItemId

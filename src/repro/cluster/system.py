@@ -10,7 +10,7 @@ the engine can execute schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.disk import Disk, DiskId
 from repro.cluster.item import DataItem, ItemId

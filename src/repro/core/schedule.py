@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, NoReturn, Sequence
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.problem import MigrationInstance

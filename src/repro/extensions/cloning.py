@@ -26,8 +26,8 @@ paper's model (disk ``v`` joins at most ``c_v`` transfers per round):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Set, Tuple
 
 from repro.core.errors import InvalidInstanceError, ScheduleValidationError
 

@@ -26,7 +26,7 @@ optimum: on ``Γ'``-bound workloads with idle capacity it approaches
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import ScheduleValidationError

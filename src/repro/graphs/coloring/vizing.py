@@ -13,7 +13,7 @@ self-loops) — exactly what Phase 1 guarantees for ``G₀``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
 

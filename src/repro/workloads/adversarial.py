@@ -17,7 +17,7 @@ than look realistic:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.core.problem import MigrationInstance
 from repro.extensions.cloning import CloningInstance

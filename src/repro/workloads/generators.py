@@ -25,7 +25,7 @@ Capacity mixes are expressed as ``{c_value: fraction}``; see
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph, Node

@@ -33,8 +33,8 @@ are byte-identical across processes and ``PYTHONHASHSEED`` values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.delta import InstanceDelta
 from repro.core.problem import MigrationInstance
