@@ -6,7 +6,9 @@ partial colorings left behind by first-fit:
 * **starved palette** (``q < OPT``, dense multigraphs): growth quickly
   dead-ends in Δ-/Γ-witnesses — exactly Lemma 5.4's promise that a
   too-small palette betrays itself structurally (the algorithm then
-  adds a color, justified by the witness);
+  adds a color, justified by the witness).  At ``c = 1`` every orbit
+  stops at its seed pair; at ``c = 2`` a disk with a spare slot lets
+  some orbits grow (Definition 5.6) before they stop;
 * **adequate palette** (``q = OPT``, regular bipartite): the bad-edge
   orbits resolve — a recoloring exists and the machinery (via the flip
   engine) finds it, so no new color is spent.
@@ -34,9 +36,11 @@ def first_fit(state, seed):
     return state
 
 
-def starved_state(num_disks: int, num_items: int, palette_squeeze: int, seed: int):
+def starved_state(
+    num_disks: int, num_items: int, palette_squeeze: int, seed: int, capacity: int = 1
+):
     """First-fit with a squeezed palette; leftovers become bad edges."""
-    inst = random_instance(num_disks, num_items, uniform_capacity=1, seed=seed)
+    inst = random_instance(num_disks, num_items, uniform_capacity=capacity, seed=seed)
     q = max(1, inst.delta_prime() - palette_squeeze)
     return inst, first_fit(coloring_state(inst, q, seed), seed)
 
@@ -53,17 +57,21 @@ def test_orbit_growth_dynamics(benchmark):
         ["regime", "graph", "orbits", "max size", "witnesses", "resolved"],
     )
     total_witnesses = 0
-    for n, m, squeeze in ((3, 60, 3), (4, 150, 4), (5, 200, 5)):
-        _inst, state = starved_state(n, m, squeeze, seed=n * 7)
-        traces = explore_orbits(state)
-        state.validate()
-        witnesses = sum(1 for t in traces if "witness" in t.outcome)
-        total_witnesses += witnesses
-        table.add_row(
-            f"starved (q=Δ'-{squeeze})", f"{n}d/{m}e", len(traces),
-            max((t.final_size for t in traces), default=0),
-            witnesses, sum(1 for t in traces if t.resolved),
-        )
+    grown = 0  # c = 2 orbits that grew past their seed pair
+    for capacity in (1, 2):
+        for n, m, squeeze in ((3, 60, 3), (4, 150, 4), (5, 200, 5)):
+            _inst, state = starved_state(n, m, squeeze, seed=n * 7, capacity=capacity)
+            traces = explore_orbits(state)
+            state.validate()
+            witnesses = sum(1 for t in traces if "witness" in t.outcome)
+            total_witnesses += witnesses
+            if capacity == 2:
+                grown += sum(1 for t in traces if t.final_size > 2)
+            table.add_row(
+                f"starved c={capacity} (q=Δ'-{squeeze})", f"{n}d/{m}e", len(traces),
+                max((t.final_size for t in traces), default=0),
+                witnesses, sum(1 for t in traces if t.resolved),
+            )
     total_resolved = 0
     for n, d in ((12, 9), (16, 12), (24, 16)):
         _inst, state = adequate_state(n, d, seed=n // 3)
@@ -78,6 +86,7 @@ def test_orbit_growth_dynamics(benchmark):
         )
     emit(table)
     assert total_witnesses > 0, "starved palettes must produce witnesses"
+    assert grown > 0, "some c=2 orbit must grow past its seed pair"
 
     def kernel():
         _i, fresh = starved_state(5, 200, 5, seed=35)
