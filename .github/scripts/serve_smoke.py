@@ -3,9 +3,11 @@
 
 Boots a real server subprocess with a persistent store and a trace,
 fires 50 concurrent client requests (duplicate-heavy) at it, asserts
-every one succeeds with consistent plan bytes, scrapes ``/metrics``,
-then SIGTERMs the server and asserts a clean graceful-drain exit 0
-with the store flushed.
+every one succeeds with consistent plan bytes, checks that a
+``general`` request after an ``auto`` one for the same instance gets
+the direct ``general`` plan's bytes, scrapes ``/metrics``, then
+SIGTERMs the server and asserts a clean graceful-drain exit 0 with the
+store flushed.
 
 Run:  python .github/scripts/serve_smoke.py
 """
@@ -20,7 +22,9 @@ import threading
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
+from repro.pipeline import plan  # noqa: E402
 from repro.serve.client import PlanClient  # noqa: E402
+from repro.serve.protocol import canonical_json, schedule_payload  # noqa: E402
 from repro.workloads.generators import random_instance  # noqa: E402
 from repro.workloads.io import (  # noqa: E402
     instance_from_json,
@@ -90,6 +94,24 @@ def main() -> int:
         )
         coalesced = sum(1 for o in outcomes if o.coalesced)
         print(f"all {REQUESTS} requests succeeded; {coalesced} coalesced")
+
+        # One component, no idle disk, and the auto and general paths
+        # plan it differently: each request must get its own plan, not
+        # the other path's cache entry.
+        inst = instance_from_json(
+            instance_to_json(
+                random_instance(
+                    10, 120, capacities={1: 0.6, 2: 0.2, 3: 0.2}, seed=23
+                )
+            )
+        )
+        client = PlanClient(host, port, client_id="smoke-keys")
+        auto = client.plan(inst, method="auto")
+        general = client.plan(inst, method="general")
+        direct = canonical_json(schedule_payload(inst, plan(inst, "general").schedule))
+        assert general.plan_bytes == direct, "general after auto is not its own plan"
+        assert auto.plan_bytes != general.plan_bytes
+        print("general after auto: direct general bytes")
 
         metrics = PlanClient(host, port).metrics_text()
         assert "repro_serve_requests_admitted" in metrics
