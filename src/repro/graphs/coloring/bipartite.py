@@ -3,16 +3,19 @@
 König's edge-coloring theorem: a bipartite multigraph is ``Δ``-edge-
 colorable.  The constructive route used here is regularize-then-split:
 
-1. pad both sides to equal size and greedily add dummy edges between
-   degree-deficient nodes until the graph is ``Δ``-regular;
+1. pad both sides to equal size and greedily wire degree-deficient
+   pairs with dummy edges until the graph is ``Δ``-regular; each
+   wired pair takes the smaller of its two deficiencies at once and
+   stays one padding count, never a run of edges;
 2. partition the ``Δ``-regular graph into ``Δ`` perfect matchings by
    Euler partition (:meth:`~repro.graphs.matching.QuotaPeeler.split`
-   with unit quotas): at even ``Δ`` halve it along alternating closed
-   trails into two ``Δ/2``-regular halves; at odd ``Δ`` extract one
-   perfect matching (Hall) with max-flow and continue on the
-   ``(Δ-1)``-regular remainder — about ``log₂ Δ`` flows in all;
-3. give matching ``i`` color ``i`` and report only the colors of real
-   edges.
+   with unit quotas and the counts as its padding): at even ``Δ``
+   halve it along alternating closed trails into two ``Δ/2``-regular
+   halves; at odd ``Δ`` extract one perfect matching (Hall) with
+   max-flow and continue on the ``(Δ-1)``-regular remainder — about
+   ``log₂ Δ`` flows in all;
+3. give matching ``i`` color ``i``; the dummies appear in no matching
+   ``split`` returns, so every returned edge is real.
 
 :func:`compact_konig_coloring` runs these steps over dense int nodes;
 it is the colorer of the bipartite scheduler
@@ -114,7 +117,7 @@ def compact_konig_coloring(
         deg[v] += 1
     delta = max(deg)
 
-    # Working edge list, left-oriented; index < m is the real edge i.
+    # The real edges, left-oriented.
     work: List[Tuple[int, int]] = [
         (u, v) if side[u] == 0 else (v, u) for u, v in edges
     ]
@@ -132,8 +135,12 @@ def compact_konig_coloring(
     while len(rights) < len(lefts):
         rights.append(len(deg))
         deg.append(0)
+    left_pos = {v: i for i, v in enumerate(lefts)}
+    right_pos = {v: i for i, v in enumerate(rights)}
 
-    # Regularize: greedily wire deficient pairs with dummy edges.
+    # Regularize: greedily wire deficient pairs, each with the smaller
+    # of its two deficiencies, as padding counts over side positions.
+    pads: Dict[Tuple[int, int], int] = {}
     deficient_left = [v for v in lefts if deg[v] < delta]
     deficient_right = [v for v in rights if deg[v] < delta]
     li, ri = 0, 0
@@ -146,23 +153,22 @@ def compact_konig_coloring(
         if deg[w] == delta:
             ri += 1
             continue
-        work.append((u, w))
-        deg[u] += 1
-        deg[w] += 1
+        k = delta - max(deg[u], deg[w])
+        pads[left_pos[u], right_pos[w]] = k
+        deg[u] += k
+        deg[w] += k
 
     # Split into Δ perfect matchings over side positions.
-    left_pos = {v: i for i, v in enumerate(lefts)}
-    right_pos = {v: i for i, v in enumerate(rights)}
     parts = QuotaPeeler.split(
         [1] * len(lefts),
         [1] * len(rights),
         [left_pos[u] for u, _ in work],
         [right_pos[w] for _, w in work],
         delta,
+        pads,
     )
     color_of = [-1] * m
     for color, part in enumerate(parts):
         for i in part:
-            if i < m:
-                color_of[i] = color
+            color_of[i] = color
     return color_of

@@ -11,7 +11,7 @@ neither of them computed (:func:`assert_peel_agrees`).
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 
@@ -76,19 +76,24 @@ def quota_network_flow(
     left_quota: Sequence[int],
     right_quota: Sequence[int],
     edges: Sequence[Tuple[int, int]],
+    pads: Optional[Mapping[Tuple[int, int], int]] = None,
 ) -> int:
     """Max-flow value of Figure 3's network for one exact-quota peel.
 
     The source feeds left node ``i`` up to ``left_quota[i]``, right node
     ``j`` drains up to ``right_quota[j]`` into the sink, and each
     ``(i, j)`` in ``edges`` is a unit arc: the network
-    :class:`~repro.graphs.matching.QuotaPeeler` builds.  A peel meeting
-    every quota exists exactly when this value equals the total quota.
+    :class:`~repro.graphs.matching.QuotaPeeler` builds.  Each padding
+    pair ``(i, j)`` with count ``c`` adds ``c`` more unit arcs, where
+    the peeler has one arc of capacity ``c``.  A peel meeting every
+    quota exists exactly when this value equals the total quota.
     """
     arcs: List[Tuple[Node, Node, int]] = []
     arcs += [("source", ("L", i), q) for i, q in enumerate(left_quota)]
     arcs += [(("R", j), "sink", q) for j, q in enumerate(right_quota)]
     arcs += [(("L", i), ("R", j), 1) for i, j in edges]
+    for (i, j), c in (pads or {}).items():
+        arcs += [(("L", i), ("R", j), 1)] * c
     return edmonds_karp(arcs, "source", "sink")
 
 
@@ -96,27 +101,35 @@ def assert_peel_agrees(
     left_quota: Sequence[int],
     right_quota: Sequence[int],
     edges: Sequence[Tuple[int, int]],
+    pads: Optional[Mapping[Tuple[int, int], int]] = None,
 ) -> Optional[List[int]]:
     """Check one :meth:`QuotaPeeler.peel` against the oracle.
 
     The peel raises :class:`InfeasibleMatchingError` exactly when the
     oracle's max flow is below the total quota; otherwise it returns
-    ascending, distinct edge indices that meet every quota exactly.
-    Returns the selection, or ``None`` when the quotas are infeasible.
+    ascending, distinct edge indices that, with each padding pair's
+    :meth:`~QuotaPeeler.pad_flows` units (at most its count), meet
+    every quota exactly.  Returns the selection, or ``None`` when the
+    quotas are infeasible.
     """
     peeler = QuotaPeeler(
-        left_quota, right_quota, [i for i, _ in edges], [j for _, j in edges]
+        left_quota, right_quota, [i for i, _ in edges], [j for _, j in edges], pads
     )
-    if quota_network_flow(left_quota, right_quota, edges) < sum(left_quota):
+    if quota_network_flow(left_quota, right_quota, edges, pads) < sum(left_quota):
         with pytest.raises(InfeasibleMatchingError):
             peeler.peel()
         return None
     picked = peeler.peel()
     assert picked == sorted(set(picked))
-    assert Counter(edges[k][0] for k in picked) == Counter(
-        {i: q for i, q in enumerate(left_quota) if q}
-    )
-    assert Counter(edges[k][1] for k in picked) == Counter(
-        {j: q for j, q in enumerate(right_quota) if q}
-    )
+    flows = peeler.pad_flows()
+    pads = pads or {}
+    assert len(flows) == len(pads)
+    left: Counter = Counter(edges[k][0] for k in picked)
+    right: Counter = Counter(edges[k][1] for k in picked)
+    for ((i, j), c), f in zip(pads.items(), flows):
+        assert 0 <= f <= c
+        left[i] += f
+        right[j] += f
+    assert +left == Counter({i: q for i, q in enumerate(left_quota) if q})
+    assert +right == Counter({j: q for j, q in enumerate(right_quota) if q})
     return picked

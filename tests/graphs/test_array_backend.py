@@ -179,22 +179,27 @@ class TestQuotaPeeler:
         return left_quota, right_quota, edges
 
     @staticmethod
-    def _even_top_level(monkeypatch):
-        """The network ``H`` that a flow-bound even plan splits first:
-        64 disks at capacity 2 or 4 and 8000 random moves, so about 14k
-        edges, with rows of over a hundred arcs at every node."""
+    def _even_top_level_instance():
+        """A flow-bound even plan: 64 disks at capacity 2 or 4 and 8000
+        random moves, ``Δ' = 141``, padded at most disks."""
         import random
-
-        from repro.core import even_optimal
 
         rng = random.Random(7)
         disks = [f"d{i}" for i in range(64)]
         moves = list(zip(disks, disks[1:]))
         while len(moves) < 8000:
             moves.append(tuple(rng.sample(disks, 2)))
-        inst = MigrationInstance.from_moves(
+        return MigrationInstance.from_moves(
             moves, {v: rng.choice((2, 4)) for v in disks}
         )
+
+    @classmethod
+    def _even_top_level(cls, monkeypatch):
+        """The network ``H`` that the flow-bound even plan splits first:
+        its 8000 real edges, with rows of over a hundred arcs at every
+        node, and its padding counts."""
+        from repro.core import even_optimal
+
         captured = []
 
         class Capture(QuotaPeeler):
@@ -204,18 +209,43 @@ class TestQuotaPeeler:
                 return super().split(*args)
 
         monkeypatch.setattr(even_optimal, "QuotaPeeler", Capture)
-        even_optimal.even_optimal_schedule_compact(lower_instance(inst))
-        left_quota, right_quota, edge_left, edge_right, _parts = captured[0]
-        return left_quota, right_quota, list(zip(edge_left, edge_right))
+        even_optimal.even_optimal_schedule_compact(
+            lower_instance(cls._even_top_level_instance())
+        )
+        left_quota, right_quota, edge_left, edge_right, _parts, pads = captured[0]
+        return left_quota, right_quota, list(zip(edge_left, edge_right)), pads
 
     @pytest.mark.parametrize("case", [*range(8), "even-top-level"])
     def test_peel_meets_quotas(self, case, monkeypatch):
+        pads = None
         if case == "even-top-level":
-            left_quota, right_quota, edges = self._even_top_level(monkeypatch)
-            assert len(edges) > 10_000
+            left_quota, right_quota, edges, pads = self._even_top_level(monkeypatch)
+            assert len(edges) == 8000
+            assert sum(pads.values()) > 5000
         else:
             left_quota, right_quota, edges = self._feasible_problem(case)
-        assert assert_peel_agrees(left_quota, right_quota, edges) is not None
+        assert assert_peel_agrees(left_quota, right_quota, edges, pads) is not None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_padded_peel_meets_quotas(self, seed):
+        """Half of each feasible problem's edges as padding counts."""
+        import random
+
+        rng = random.Random(100 + seed)
+        left_quota, right_quota, edges = self._feasible_problem(seed)
+        pads = {}
+        real = []
+        for pair in edges:
+            if rng.random() < 0.5:
+                pads[pair] = pads.get(pair, 0) + 1
+            else:
+                real.append(pair)
+        assert assert_peel_agrees(left_quota, right_quota, real, pads) is not None
+
+    def test_padded_infeasible_peel_raises(self):
+        """Left node 0 needs 2 units but reaches only right node 0, which
+        drains 1: the oracle's flow is 1 and the peel raises."""
+        assert assert_peel_agrees([2, 0], [1, 1], [(0, 0)], {(0, 0): 1}) is None
 
     def test_infeasible_quotas_raise(self):
         with pytest.raises(InfeasibleMatchingError):
@@ -223,3 +253,59 @@ class TestQuotaPeeler:
         peeler = QuotaPeeler([1, 1], [1, 1], [0], [0])
         with pytest.raises(InfeasibleMatchingError):
             peeler.peel()
+
+
+class TestSplitWork:
+    """Machine-independent work of the Theorem 4.1 split: edge-steps
+    (edges handed to the trail walk, virtual edges included) and peel
+    arcs (unit plus pad arcs over every peeler).  Padding rides as
+    counts, so both follow the real items, not ``Σ c_v·Δ'/2``; the
+    ceilings are far below the padded-edge kernel's 94,656 / 42,534 and
+    2,048,000 / 205,000."""
+
+    @staticmethod
+    def _work(instance, monkeypatch):
+        from repro.checks.certify import verify_schedule
+        from repro.core import even_optimal
+        from repro.graphs import matching
+
+        steps = arcs = 0
+        walk = matching._alternate_trails
+
+        def counted_walk(part, *args):
+            nonlocal steps
+            steps += len(part)
+            return walk(part, *args)
+
+        class Counted(QuotaPeeler):
+            def __init__(self, left_quota, right_quota, edge_left, edge_right,
+                         pads=None):
+                nonlocal arcs
+                arcs += len(edge_left) + len(pads or ())
+                super().__init__(left_quota, right_quota, edge_left, edge_right, pads)
+
+        monkeypatch.setattr(matching, "_alternate_trails", counted_walk)
+        monkeypatch.setattr(even_optimal, "QuotaPeeler", Counted)
+        sched = even_optimal.even_optimal_schedule_compact(lower_instance(instance))
+        assert verify_schedule(instance, sched.rounds) == instance.delta_prime()
+        return steps, arcs
+
+    @pytest.mark.parametrize(
+        "case, work, ceiling",
+        [
+            ("even-top-level", (53_952, 24_246), (60_000, 27_000)),
+            ("hub-drain", (54_780, 4_251), (60_000, 5_000)),
+        ],
+        ids=["even-top-level", "hub-drain"],
+    )
+    def test_work_pins(self, case, work, ceiling, monkeypatch):
+        from repro.workloads.generators import hotspot_instance
+
+        if case == "even-top-level":
+            instance = TestQuotaPeeler._even_top_level_instance()
+        else:
+            instance = hotspot_instance(200, 2, 4000, seed=9)
+            assert instance.delta_prime() == 1025
+        got = self._work(instance, monkeypatch)
+        assert got[0] <= ceiling[0] and got[1] <= ceiling[1]
+        assert got == work

@@ -14,7 +14,7 @@ order, same digests, same error messages — and
   walk with a node stack and ``(edge, from, to)`` steps, and the
   orientation read off the circuits;
 * :func:`peeler_network` — the Figure 3 network's ``(to, cap, adj)``
-  arrays, one edge at a time;
+  arrays, one edge (and one padding pair) at a time;
 * :func:`csr_arrays` — ``CompactGraph.from_multigraph``'s arrays from
   one scan of the ``edges()`` generator;
 * :func:`canonical_form` — the fingerprint and edge id → token map;
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checks.certify import CertificationError
 from repro.core.errors import ScheduleValidationError
@@ -147,8 +147,10 @@ def peeler_network(
     right_quota: Sequence[int],
     edge_left: Sequence[int],
     edge_right: Sequence[int],
+    pads: Optional[Mapping[Tuple[int, int], int]] = None,
 ) -> Tuple[List[int], List[int], List[List[int]]]:
-    """The quota network's ``(to, cap, adj)``, arcs appended in order."""
+    """The quota network's ``(to, cap, adj)``, arcs appended in order:
+    quota arcs, one unit arc per edge, one arc per padding pair."""
     num_left = len(left_quota)
     num_right = len(right_quota)
     sink = 1 + num_left + num_right
@@ -171,6 +173,12 @@ def peeler_network(
         h = len(to)
         to.extend((1 + num_left + r, 1 + l))
         cap.extend((1, 0))
+        adj[1 + l].append(h)
+        adj[1 + num_left + r].append(h + 1)
+    for (l, r), c in (pads or {}).items():
+        h = len(to)
+        to.extend((1 + num_left + r, 1 + l))
+        cap.extend((c, 0))
         adj[1 + l].append(h)
         adj[1 + num_left + r].append(h + 1)
     return to, cap, adj

@@ -104,10 +104,11 @@ class TestAlternateTrails:
 
 @st.composite
 def euler_rows(draw):
-    """CSR rows of a multigraph with even degrees, shaped like the
-    Theorem 4.1 augmentation: random edges in shuffled row order, then
-    each node's self-loops, then one pairing edge per odd node; some
-    nodes isolated."""
+    """CSR rows of a multigraph with even degrees, shaped like an
+    augmentation: random edges in shuffled row order, then each node's
+    self-loops (the Theorem 4.1 kernel keeps its loops as padding
+    counts, but the walk takes loops), then one pairing edge per odd
+    node; some nodes isolated."""
     n = draw(st.integers(1, 8))
     rng = draw(st.randoms(use_true_random=False))
     ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(draw(st.integers(0, 25)))]
@@ -170,7 +171,8 @@ class TestEulerWalk:
 
 @st.composite
 def quota_networks(draw):
-    """Quotas with zeros (equal totals) and edges, some nodes isolated."""
+    """Quotas with zeros (equal totals), edges and padding pairs (none,
+    empty or a few, keys in drawn order), some nodes isolated."""
     left = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     right = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     gap = sum(left) - sum(right)
@@ -181,7 +183,12 @@ def quota_networks(draw):
     m = draw(st.integers(0, 20))
     edge_left = draw(st.lists(st.integers(0, len(left) - 1), min_size=m, max_size=m))
     edge_right = draw(st.lists(st.integers(0, len(right) - 1), min_size=m, max_size=m))
-    return left, right, edge_left, edge_right
+    pads = draw(st.one_of(st.none(), st.dictionaries(
+        st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1)),
+        st.integers(1, 4),
+        max_size=6,
+    )))
+    return left, right, edge_left, edge_right, pads
 
 
 class TestPeelerNetwork:
@@ -192,6 +199,7 @@ class TestPeelerNetwork:
         expected = pass_oracles.peeler_network(*args)
         assert (peeler._to, peeler._cap, peeler._adj) == expected
         assert peeler._unit_base == 2 * (len(args[0]) + len(args[1]))
+        assert peeler._pad_base == peeler._unit_base + 2 * len(args[2])
 
     def test_unequal_totals_message(self):
         with pytest.raises(
