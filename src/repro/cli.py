@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
 from repro.core.errors import InvalidInstanceError
 from repro.core.problem import MigrationInstance
-from repro.pipeline.planner import plan
+from repro.pipeline.planner import StoredPlanMismatchError, plan
 from repro.pipeline.registry import solver_names
 from repro.workloads.generators import random_instance
 from repro.workloads.scenarios import (
@@ -180,6 +180,15 @@ def _open_plan_cache(store_path: Optional[str], no_cache: bool = False):
     return cache, store
 
 
+def _store_mismatch(path: str, store: Any, tracer: Any, exc: Exception) -> int:
+    """A ``--store`` record that does not fit its component: close the
+    store and tracer, report one ``error: PATH: ...`` line, exit 2."""
+    store.close()
+    if tracer is not None:
+        tracer.close()
+    return _input_error(path, exc)
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     try:
         instance = _load_cli_instance(args)
@@ -199,17 +208,22 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 2
     cache, store = opened
     tracer = _open_tracer(args.trace_out)
-    result = plan(
-        instance,
-        method=args.method,
-        seed=args.seed,
-        cache=cache,
-        parallel=args.parallel,
-        workers=args.workers,
-        certify=args.certify,
-        tracer=tracer,
-        objective=objective,
-    )
+    try:
+        result = plan(
+            instance,
+            method=args.method,
+            seed=args.seed,
+            cache=cache,
+            parallel=args.parallel,
+            workers=args.workers,
+            certify=args.certify,
+            tracer=tracer,
+            objective=objective,
+        )
+    except StoredPlanMismatchError as exc:
+        if store is None:
+            raise
+        return _store_mismatch(args.store, store, tracer, exc)
     if store is not None:
         print(
             f"# store={args.store} entries={len(store.keys())} "
@@ -467,54 +481,58 @@ def _cmd_run(args: argparse.Namespace) -> int:
     plan_cache, plan_store = opened
     resuming = args.checkpoint is not None and os.path.exists(args.checkpoint)
     tracer = _open_tracer(args.trace_out, append=resuming)
-
-    if resuming:
-        try:
-            saved_config, state = load_checkpoint(args.checkpoint)
-            if saved_config != config:
-                print(
-                    f"checkpoint {args.checkpoint} was written by a different run "
-                    f"configuration; refusing to resume", file=sys.stderr,
+    try:
+        if resuming:
+            try:
+                saved_config, state = load_checkpoint(args.checkpoint)
+                if saved_config != config:
+                    print(
+                        f"checkpoint {args.checkpoint} was written by a different run "
+                        f"configuration; refusing to resume", file=sys.stderr,
+                    )
+                    return 2
+                executor = restore_executor(
+                    scenario.cluster, state, faults=faults, policy=policy,
+                    rate_model=_rate_model(args.time_model), method=args.method,
+                    seed=args.seed, cache=plan_cache, tracer=tracer,
                 )
+            except CheckpointError as exc:
+                print(f"cannot resume: {exc}", file=sys.stderr)
                 return 2
-            executor = restore_executor(
-                scenario.cluster, state, faults=faults, policy=policy,
-                rate_model=_rate_model(args.time_model), method=args.method,
-                seed=args.seed, cache=plan_cache, tracer=tracer,
+            print(f"resumed from {args.checkpoint} at round {executor.rounds_executed}")
+        else:
+            schedule = plan(
+                scenario.instance, method=args.method, seed=args.seed,
+                cache=plan_cache, tracer=tracer,
+            ).schedule
+            executor = MigrationExecutor(
+                scenario.cluster, scenario.context, schedule,
+                faults=faults, policy=policy,
+                rate_model=_rate_model(args.time_model),
+                method=args.method, seed=args.seed, cache=plan_cache,
+                tracer=tracer,
             )
-        except CheckpointError as exc:
-            print(f"cannot resume: {exc}", file=sys.stderr)
-            return 2
-        print(f"resumed from {args.checkpoint} at round {executor.rounds_executed}")
-    else:
-        schedule = plan(
-            scenario.instance, method=args.method, seed=args.seed,
-            cache=plan_cache, tracer=tracer,
-        ).schedule
-        executor = MigrationExecutor(
-            scenario.cluster, scenario.context, schedule,
-            faults=faults, policy=policy,
-            rate_model=_rate_model(args.time_model),
-            method=args.method, seed=args.seed, cache=plan_cache,
-            tracer=tracer,
-        )
 
-    remaining = args.max_rounds
-    while True:
-        chunk = args.checkpoint_every if args.checkpoint else None
-        if remaining is not None:
-            chunk = min(chunk, remaining) if chunk is not None else remaining
-        before = executor.rounds_executed
-        report = executor.run(max_rounds=chunk)
-        if args.checkpoint:
-            save_checkpoint(args.checkpoint, executor, config=config)
-        ran = executor.rounds_executed - before
-        if remaining is not None:
-            remaining -= ran
-        if report.finished or (remaining is not None and remaining <= 0):
-            break
-        if chunk is None or ran == 0:
-            break
+        remaining = args.max_rounds
+        while True:
+            chunk = args.checkpoint_every if args.checkpoint else None
+            if remaining is not None:
+                chunk = min(chunk, remaining) if chunk is not None else remaining
+            before = executor.rounds_executed
+            report = executor.run(max_rounds=chunk)
+            if args.checkpoint:
+                save_checkpoint(args.checkpoint, executor, config=config)
+            ran = executor.rounds_executed - before
+            if remaining is not None:
+                remaining -= ran
+            if report.finished or (remaining is not None and remaining <= 0):
+                break
+            if chunk is None or ran == 0:
+                break
+    except StoredPlanMismatchError as exc:
+        if plan_store is None:
+            raise
+        return _store_mismatch(args.store, plan_store, tracer, exc)
     if tracer is not None:
         tracer.close()
     if plan_store is not None:

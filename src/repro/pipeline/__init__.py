@@ -24,6 +24,7 @@ from repro.pipeline.planner import (
     STAGES,
     ComponentPlan,
     PlanResult,
+    StoredPlanMismatchError,
     plan,
 )
 from repro.pipeline.registry import (
@@ -57,6 +58,7 @@ __all__ = [
     "PlanCache",
     "PlanResult",
     "SolverSpec",
+    "StoredPlanMismatchError",
     "TokenRounds",
     "canonicalize_rounds",
     "decompose",

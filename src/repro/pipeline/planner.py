@@ -42,6 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core.errors import ScheduleValidationError
 from repro.core.objectives import Objective, ensure_objective
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
@@ -170,12 +171,17 @@ def _stage(tracer: Tracer, result: PlanResult, name: str) -> Iterator[None]:
     result.stage_timings[name] = result.stage_timings.get(name, 0.0) + wall
 
 
+class StoredPlanMismatchError(ScheduleValidationError):
+    """A cached or stored plan names a pair slot its component lacks:
+    the record is corrupt or was written for another instance."""
+
+
 def _cache_lookup(
     cache: Optional[PlanCache], instance: MigrationInstance, method: str,
     seed: int, tracer: Tracer,
 ) -> Optional[SolveOutcome]:
     """The entry for ``plan(instance, method, seed)`` in edge ids, or
-    ``None``; ``ScheduleValidationError`` if it names a pair slot
+    ``None``; :class:`StoredPlanMismatchError` if it names a pair slot
     ``instance`` lacks (a corrupt or foreign stored plan)."""
     fp = fingerprint(instance)
     if cache is None or fp is None:
@@ -185,7 +191,13 @@ def _cache_lookup(
         tracer.count(names.PLAN_CACHE_MISSES)
         return None
     tracer.count(names.PLAN_CACHE_HITS)
-    return rehydrate_rounds(instance, hit.rounds), hit.method
+    try:
+        rounds = rehydrate_rounds(instance, hit.rounds)
+    except ScheduleValidationError as exc:
+        raise StoredPlanMismatchError(
+            f"the {method!r} plan stored for component {fp[:12]} does not fit it: {exc}"
+        ) from None
+    return rounds, hit.method
 
 
 def _cache_write(
@@ -251,6 +263,8 @@ def plan(
 
     Raises:
         ValueError: for an unknown method.
+        StoredPlanMismatchError: if a ``cache`` entry (say, a tampered
+            store record) names a pair slot its component lacks.
     """
     timings: Dict[str, float] = {name: 0.0 for name in STAGES}
     result = PlanResult(
@@ -441,9 +455,10 @@ def _plan_components(
     lookup, reuse and solve.
 
     Raises:
-        ScheduleValidationError: if a cache entry names a pair slot its
-            component lacks, or if the merged schedule is invalid;
-            nothing has been written through.
+        StoredPlanMismatchError: if a cache entry names a pair slot its
+            component lacks.
+        ScheduleValidationError: if the merged schedule is invalid.
+            Either way, nothing has been written through.
     """
     with _stage(tracer, result, "decompose"):
         components = decompose(instance)

@@ -612,6 +612,47 @@ class TestBadStore:
         assert not trace.exists()
 
 
+def _tamper_slot(path):
+    """Rewrite one stored token to slot 7 of a pair with fewer than 8
+    items: the record still decodes, but names a pair slot its
+    component lacks."""
+    import sqlite3
+    from collections import Counter
+
+    conn = sqlite3.connect(str(path))
+    key, payload = conn.execute("SELECT key, payload FROM plans ORDER BY key").fetchone()
+    record = json.loads(payload)
+    items = Counter((u, v) for rnd in record["rounds"] for u, v, _ in rnd)
+    token = next(t for rnd in record["rounds"] for t in rnd if items[t[0], t[1]] < 8)
+    token[2] = 7
+    conn.execute("UPDATE plans SET payload = ? WHERE key = ?", (json.dumps(record), key))
+    conn.commit()
+    conn.close()
+
+
+class TestStoredPlanThatDoesNotFit:
+    """``plan`` and ``run`` on a store whose record names a pair slot
+    its component lacks close the store and exit 2 with one error
+    line, with no traceback."""
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        store = tmp_path / "plans.db"
+        instance = tmp_path / "instance.json"
+        assert main(["generate", str(instance), "--disks", "4", "--items", "6"]) == 0
+        argv = {
+            "plan": ["plan", str(instance), "--json"],
+            "run": ["run", "decommission", "--seed", "1"],
+        }[command] + ["--store", str(store)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        _tamper_slot(store)
+        trace = tmp_path / "trace.jsonl"
+        assert main(argv + ["--trace-out", str(trace)]) == 2
+        err = _assert_one_error_line(capsys, store)
+        assert ", 7) names no pair slot of this instance" in err
+
+
 class TestStatsMerge:
     def _write_trace(self, tmp_path, name, seed):
         workload = tmp_path / f"w{seed}.json"
