@@ -9,7 +9,10 @@ where the solve stage dominates:
   (Δ' ≈ 1600);
 * a 30k-edge variant of the same family (mid-size scaling point);
 * a 3000-node 68-regular configuration-model instance — small Δ',
-  DFS-bound.
+  DFS-bound;
+* a hub drain: two hot disks shed 4,000 items to 198 cold ones
+  (Δ' = 1025), where nearly all of Theorem 4.1's augmentation is
+  padding, which the split carries as counts.
 
 Every case is even-capacity, so its plan must take exactly Δ' rounds
 (Theorem 4.1), and ``repro.checks.certify.verify_schedule`` must
@@ -39,7 +42,11 @@ from repro.analysis.tables import Table
 from repro.checks.certify import CertificationError, verify_schedule
 from repro.core.problem import MigrationInstance
 from repro.pipeline.planner import plan
-from repro.workloads.generators import random_instance, regular_instance
+from repro.workloads.generators import (
+    hotspot_instance,
+    random_instance,
+    regular_instance,
+)
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ENGINE.json"
 BENCH_SCHEMA = "bench-engine/v1"
@@ -68,6 +75,10 @@ CASES: Tuple[BenchCase, ...] = (
     BenchCase(
         name="regular-3000x68",
         factory=lambda: regular_instance(3000, 68, capacity=2, seed=3),
+    ),
+    BenchCase(
+        name="hub-drain-4k",
+        factory=lambda: hotspot_instance(200, 2, 4_000, seed=9),
     ),
     BenchCase(
         name="random-8k-even-smoke",
