@@ -1,6 +1,6 @@
 """EXP-PIPE — the staged planning pipeline vs monolithic dispatch.
 
-Three claims, each measured:
+Two claims, each measured:
 
 1. **Decomposition win-rate** — on multi-component mixed-parity
    instances, per-component planning is never worse than the
@@ -10,14 +10,10 @@ Three claims, each measured:
    above its lower bound on is cheaply restarted with fresh seeds —
    affordable only because a restart re-solves one small component,
    never the whole instance.
-2. **Parallel solving** — independent components solve concurrently;
-   on 8 heavy components the pool beats serial wall time ≥ 1.5× while
-   producing byte-identical schedules.
-3. **Cached replanning** — after a single-component change, a cached
+2. **Cached replanning** — after a single-component change, a cached
    replan re-solves only the affected component.
 """
 
-import os
 import random
 import time
 
@@ -92,30 +88,6 @@ def test_pipe_decomposition_win_rate(benchmark):
     inst = multi_component_instance(6, disks_per_component=5,
                                     items_per_component=50, seed=42)
     benchmark(plan, inst)
-
-
-def test_pipe_parallel_speedup():
-    """8 heavy components: process-pool solve ≥ 1.5× faster, same bytes."""
-    inst = heavy_multi_component(8, seed=3)
-
-    t0 = time.perf_counter()
-    serial = plan(inst)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = plan(inst, parallel=True)
-    parallel_s = time.perf_counter() - t0
-
-    assert parallel.schedule.rounds == serial.schedule.rounds
-    assert parallel.schedule.method == serial.schedule.method
-    speedup = serial_s / parallel_s
-    emit_line(
-        f"EXP-PIPEb: parallel component solving — serial {serial_s:.2f}s, "
-        f"parallel {parallel_s:.2f}s ({os.cpu_count()} cores), "
-        f"speedup {speedup:.2f}x, byte-identical schedules"
-    )
-    if os.cpu_count() and os.cpu_count() >= 4:
-        assert speedup >= 1.5, f"parallel speedup only {speedup:.2f}x"
 
 
 def test_pipe_cached_replan():

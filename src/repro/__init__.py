@@ -17,8 +17,8 @@ Quickstart::
 :func:`repro.plan` is the planning API: it runs the staged pipeline
 and returns a :class:`PlanResult` carrying the validated schedule plus
 per-stage timings and per-component attribution; it accepts
-``method``, ``seed``, ``cache``, ``parallel``, ``certify`` and
-``tracer``.  When the instance *changes* instead of arriving fresh,
+``method``, ``seed``, ``cache``, ``certify`` and ``tracer``.  When the
+instance *changes* instead of arriving fresh,
 :func:`repro.plan_delta` absorbs an
 :class:`InstanceDelta <repro.core.delta.InstanceDelta>` by patching
 the prior schedule — byte-identical to a full replan, at a fraction
@@ -29,8 +29,8 @@ Package map:
 * :mod:`repro.core` — the scheduling algorithms (Sections III–V).
 * :mod:`repro.pipeline` — the staged planning pipeline (normalize →
   decompose → select → solve → merge → certify) behind
-  :func:`repro.plan`, with per-component attribution, caching,
-  parallel solving and lower-bound certification.
+  :func:`repro.plan`, with per-component attribution, caching and
+  lower-bound certification.
 * :mod:`repro.graphs` — multigraph, Euler, flow, matching, coloring
   substrates.
 * :mod:`repro.cluster` — a storage-cluster simulator: disks, layouts

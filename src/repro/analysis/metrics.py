@@ -206,8 +206,8 @@ class TraceStats:
     spans: int = 0
     #: stage name -> {"wall", "cpu", "calls"} for ``pipeline.stage.*``.
     stages: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: solver method -> {"wall", "cpu", "calls"} for ``pipeline.solve``
-    #: (pool solves land under ``"pool"``).
+    #: solver method -> {"wall", "cpu", "calls"} for ``pipeline.solve``,
+    #: one span per component solve.
     solvers: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: one row per ``runtime.round`` span, in trace order.
     rounds: List[Dict[str, Any]] = field(default_factory=list)
@@ -243,8 +243,6 @@ def aggregate_trace(records: Sequence[Mapping[str, Any]]) -> TraceStats:
                 )
             elif name == names.SPAN_SOLVE:
                 _fold_timing(stats.solvers, str(attrs.get("method", "?")), record)
-            elif name == names.SPAN_SOLVE_POOL:
-                _fold_timing(stats.solvers, "pool", record)
             elif name == names.SPAN_PLAN:
                 stats.plans += 1
             elif name == names.SPAN_REPLAN:

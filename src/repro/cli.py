@@ -214,8 +214,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             method=args.method,
             seed=args.seed,
             cache=cache,
-            parallel=args.parallel,
-            workers=args.workers,
             certify=args.certify,
             tracer=tracer,
             objective=objective,
@@ -239,8 +237,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     )
     print(
         f"# components={len(result.components)} "
-        f"solved={result.components_solved} cached={result.components_cached} "
-        f"parallel={result.parallel}"
+        f"solved={result.components_solved} cached={result.components_cached}"
     )
     print("stage timings:")
     for stage in result.stage_timings:
@@ -695,8 +692,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             rate_limit=args.rate,
             rate_burst=args.burst,
             default_timeout=args.timeout,
-            parallel="auto" if args.parallel else False,
-            workers=args.workers,
         )
         config = ServerConfig(
             host=args.host,
@@ -1025,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser(
         "plan",
         help="staged planning pipeline: stage timings, per-component "
-             "attribution, caching, parallel solving",
+             "attribution, caching",
     )
     p_plan.add_argument("moves_file")
     p_plan.add_argument("--method", choices=_METHODS, default="auto")
@@ -1038,10 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--report", metavar="PATH", default=None,
                         help="write a JSON plan report: rounds, per-component "
                              "method attribution, cache hits")
-    p_plan.add_argument("--parallel", action="store_true",
-                        help="solve components in a process pool")
-    p_plan.add_argument("--workers", type=int, default=None,
-                        help="pool width for --parallel")
     p_plan.add_argument("--no-cache", action="store_true",
                         help="disable the component plan cache")
     p_plan.add_argument("--store", metavar="PATH", default=None,
@@ -1155,11 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-client burst allowance")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="default per-request deadline in seconds")
-    p_serve.add_argument("--parallel", action="store_true",
-                         help="let heavy instances fan components into the "
-                              "process pool (plan parallel='auto')")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="process-pool width for --parallel")
     p_serve.add_argument("--trace-out", metavar="PATH", default=None,
                          help="write this server's repro.obs JSONL trace "
                               "(see `stats`; multiple server traces merge)")

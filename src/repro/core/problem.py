@@ -46,8 +46,7 @@ class MigrationInstance:
             true as that convention: never mutate an instance's graph
             or capacities once it has been used; copy it first, as
             ``apply_delta`` and the Theorem 4.1 augmentation do.  A
-            pickled instance (a process-pool job) carries its memo, so
-            a worker reads the canonical form its parent built.
+            pickled instance carries its memo.
     """
 
     def __init__(self, graph: Multigraph, capacities: Mapping[Node, int]) -> None:

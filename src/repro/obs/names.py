@@ -144,9 +144,6 @@ SPAN_STAGE_PREFIX = "pipeline.stage."
 #: One span per in-process component solve (attrs: method, component).
 SPAN_SOLVE = "pipeline.solve"
 
-#: One span covering a parallel pool solve of several components.
-SPAN_SOLVE_POOL = "pipeline.solve.pool"
-
 #: One span per executed runtime round (attrs: round, attempted,
 #: succeeded, failed, sim_start, sim_duration).
 SPAN_ROUND = "runtime.round"

@@ -20,7 +20,6 @@ from repro.pipeline.canonical import (
 from repro.pipeline.delta import DELTA_STAGES, DeltaPlanResult, plan_delta
 from repro.pipeline.parallel import GENERAL_SOLVE_RESTARTS
 from repro.pipeline.planner import (
-    PARALLEL_AUTO_THRESHOLD,
     STAGES,
     ComponentPlan,
     PlanResult,
@@ -46,7 +45,6 @@ from repro.pipeline.stages import (
 __all__ = [
     "DELTA_STAGES",
     "GENERAL_SOLVE_RESTARTS",
-    "PARALLEL_AUTO_THRESHOLD",
     "STAGES",
     "CachedPlan",
     "CacheStats",

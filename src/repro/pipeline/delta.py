@@ -296,8 +296,8 @@ def plan_delta(
             return outcome
 
         components = _plan_components(
-            patched, seed, cache=cache, parallel=False, workers=None,
-            result=result, tracer=tr, reuse=reuse, solve_stage="patch",
+            patched, seed, cache=cache, result=result, tracer=tr,
+            reuse=reuse, solve_stage="patch",
         )
         result.dispositions = tuple(
             DISPOSITION_REUSED

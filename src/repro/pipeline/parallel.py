@@ -1,31 +1,21 @@
-"""Parallel component solving via ``ProcessPoolExecutor``.
+"""One component solve, with restarts.
 
-Components are node-disjoint sub-instances, so they can be solved in
-any order — including simultaneously — without coordination.  What
-must *not* depend on scheduling luck is the output, so the backend is
-built for determinism:
+:func:`solve_job` solves one component of a decomposed instance and
+returns its rounds as edge ids in canonical order.  The planner's
+component loop calls it, one component after another, for every
+component the plan cache does not serve.  Each call carries its own
+pre-derived seed (:func:`repro.pipeline.canonical.derive_component_seed`),
+so a component's schedule depends only on the component, the method
+and the seed, never on which other components share the instance.
 
-* every job carries its own pre-derived seed
-  (:func:`repro.pipeline.canonical.derive_component_seed`), so worker
-  processes never consult shared or ambient randomness;
-* results return as edge ids in canonical order, the same lists on
-  either backend, so a schedule is byte-identical whichever backend
-  produced it;
-* ``ProcessPoolExecutor.map`` preserves submission order, so the
-  caller reassembles results by component index, never by completion
-  order.
-
-Workers re-import the solver registry (the job function is
-module-level, as ``spawn``-based platforms require) and pay instance
-pickling costs, so parallelism only wins when per-component solve time
-dominates — the planner's ``parallel="auto"`` mode applies a
-work-size threshold before spinning up a pool.
+The module is named for the process pool it once also held.  The name
+stays because ``perfbench/layers.py`` patches ``backend_solver``,
+``lower_instance`` and ``canonicalize_rounds`` by this module path.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, cast
 
 from repro.core.general import GeneralSolverStats
 from repro.core.problem import MigrationInstance
@@ -37,9 +27,6 @@ from repro.pipeline.canonical import canonicalize_rounds  # noqa: F401  (perfben
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.pipeline.registry import LoweredSolveFn, SolveFn, SolverSpec
-
-#: One unit of work: (component instance, method name, seed).
-SolveJob = Tuple[MigrationInstance, str, int]
 
 #: One result: (edge-id rounds in canonical order, the solver's method label).
 SolveOutcome = Tuple[List[List[EdgeId]], str]
@@ -83,12 +70,9 @@ def backend_solver(
     return solve_object
 
 
-def solve_job(job: SolveJob) -> SolveOutcome:
-    """Solve one component and return its rounds in canonical order.
-
-    Module-level (not a closure) so it pickles under every
-    multiprocessing start method.  Also used verbatim by the serial
-    path: one code path, two execution backends.
+def solve_job(instance: MigrationInstance, method: str, seed: int) -> SolveOutcome:
+    """Solve one component with ``method`` and return its rounds in
+    canonical order.
 
     Randomized non-optimal solvers (the general algorithm) whose first
     schedule exceeds the component's lower bound are restarted up to
@@ -100,7 +84,6 @@ def solve_job(job: SolveJob) -> SolveOutcome:
     merged schedule, which holds every component's, once before it
     caches or returns anything.
     """
-    instance, method, seed = job
     from repro.pipeline.registry import get_solver
 
     spec = get_solver(method)
@@ -115,22 +98,3 @@ def solve_job(job: SolveJob) -> SolveOutcome:
             if alt.num_rounds < schedule.num_rounds:
                 schedule = alt
     return canonical_order(instance, schedule.rounds), schedule.method
-
-
-def solve_jobs(
-    jobs: Sequence[SolveJob],
-    max_workers: Optional[int] = None,
-) -> List[SolveOutcome]:
-    """Solve every job, in a process pool when it can possibly help.
-
-    Args:
-        jobs: the components to solve; results come back in the same
-            order.
-        max_workers: pool width; ``None`` lets the executor pick.
-            A single job (or ``max_workers=1``) short-circuits to the
-            serial path — no pool, no pickling.
-    """
-    if len(jobs) <= 1 or max_workers == 1:
-        return [solve_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(solve_job, jobs))

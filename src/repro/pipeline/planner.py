@@ -17,16 +17,16 @@ solver for the whole instance it adds:
   instance;
 * **plan caching** — replans that touch one component re-solve only
   that component (:mod:`repro.pipeline.cache`), keyed by the requested
-  method, so an entry holds what ``plan(·, method, seed)`` returns;
-* **parallel solving** — independent components solve concurrently
-  (:mod:`repro.pipeline.parallel`) with per-component derived seeds
-  and an order-stable merge, so the schedule is byte-identical to a
-  serial solve.
+  method, so an entry holds what ``plan(·, method, seed)`` returns.
+
+Components the cache does not serve are solved one after another by
+:func:`repro.pipeline.parallel.solve_job`, each with a seed derived
+from its fingerprint, and merged in component order.
 
 Determinism contract: ``plan(instance, method, seed)`` is a pure
-function of its arguments — cache state, parallelism and interruption
-history change only *how much work* is done, never the bytes of the
-resulting schedule.  Stage timings are diagnostics and exempt (they
+function of its arguments — cache state and interruption history
+change only *how much work* is done, never the bytes of the resulting
+schedule.  Stage timings are diagnostics and exempt (they
 are wall-clock measurements by nature).
 
 A forced ``method=`` (anything but ``"auto"``) solves monolithically,
@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.objectives import Objective, ensure_objective
@@ -56,22 +56,12 @@ from repro.pipeline.canonical import (
     fingerprint,
     rehydrate_rounds,
 )
-from repro.pipeline.parallel import (
-    SolveJob,
-    SolveOutcome,
-    backend_solver,
-    solve_job,
-    solve_jobs,
-)
+from repro.pipeline.parallel import SolveOutcome, backend_solver, solve_job
 from repro.pipeline.registry import SolverSpec, get_solver, select_solver
 from repro.pipeline.stages import Component, decompose, merge, normalize
 
 #: pipeline stages, in execution order (the timing dict's key set).
 STAGES = ("normalize", "decompose", "select", "solve", "merge", "certify")
-
-#: estimated work units above which ``parallel="auto"`` spawns a pool
-#: (roughly: edge-membership operations inside the solver + LB search).
-PARALLEL_AUTO_THRESHOLD = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -96,8 +86,6 @@ class PlanResult:
     requested_method: str
     components: List[ComponentPlan] = field(default_factory=list)
     stage_timings: Dict[str, float] = field(default_factory=dict)
-    parallel: bool = False
-    workers: int = 1
     #: verified ``max(LB1, LB2)``; ``None`` unless ``certify=True``.
     lower_bound: Optional[int] = None
     #: the composed lower-bound certificate (``certify=True`` only).
@@ -143,23 +131,6 @@ class PlanResult:
         return used
 
 
-def _estimated_cost(component: Component) -> int:
-    """Rough solver + lower-bound work units for one component.
-
-    The dominant kernel for small components is the exhaustive LB2 the
-    general solver runs for graphs of ≤ 14 nodes: up to ``2^n``
-    subsets at ``O(n)`` each, independent of ``m`` since the counts
-    ride the enumeration, so ``m · 2^n`` overstates it.  The formula
-    only steers ``parallel="auto"`` and is kept as calibrated.  Larger
-    components cost roughly ``n·m``.
-    """
-    n = component.num_disks
-    m = component.num_items
-    if n <= 14:
-        return m * (1 << n)
-    return m * n
-
-
 @contextmanager
 def _stage(tracer: Tracer, result: PlanResult, name: str) -> Iterator[None]:
     """Time one pipeline stage into ``stage_timings`` and wrap it in a
@@ -172,8 +143,29 @@ def _stage(tracer: Tracer, result: PlanResult, name: str) -> Iterator[None]:
 
 
 class StoredPlanMismatchError(ScheduleValidationError):
-    """A cached or stored plan names a pair slot its component lacks:
-    the record is corrupt or was written for another instance."""
+    """A cached or stored plan does not fit its component: it names a
+    pair slot the component lacks, or is not a valid schedule of it.
+    The record is corrupt or was written for another instance."""
+
+
+def _stored_plan_mismatch(
+    method: str, fp: str, exc: ScheduleValidationError
+) -> StoredPlanMismatchError:
+    return StoredPlanMismatchError(
+        f"the {method!r} plan stored for component {fp[:12]} does not fit it: {exc}"
+    )
+
+
+def _check_stored(
+    instance: MigrationInstance, method: str, fp: str, outcome: SolveOutcome
+) -> None:
+    """Raise :class:`StoredPlanMismatchError` unless the cache-served
+    ``outcome`` is a valid schedule of ``instance``.  Called only after
+    a validation failed, to name the stored plan at fault."""
+    try:
+        MigrationSchedule(outcome[0], method=outcome[1]).validate(instance)
+    except ScheduleValidationError as exc:
+        raise _stored_plan_mismatch(method, fp, exc) from None
 
 
 def _cache_lookup(
@@ -182,7 +174,8 @@ def _cache_lookup(
 ) -> Optional[SolveOutcome]:
     """The entry for ``plan(instance, method, seed)`` in edge ids, or
     ``None``; :class:`StoredPlanMismatchError` if it names a pair slot
-    ``instance`` lacks (a corrupt or foreign stored plan)."""
+    ``instance`` lacks (a corrupt or foreign stored plan).  Whether the
+    entry is a valid schedule is left to the caller's validation."""
     fp = fingerprint(instance)
     if cache is None or fp is None:
         return None
@@ -194,9 +187,7 @@ def _cache_lookup(
     try:
         rounds = rehydrate_rounds(instance, hit.rounds)
     except ScheduleValidationError as exc:
-        raise StoredPlanMismatchError(
-            f"the {method!r} plan stored for component {fp[:12]} does not fit it: {exc}"
-        ) from None
+        raise _stored_plan_mismatch(method, fp, exc) from None
     return rounds, hit.method
 
 
@@ -218,8 +209,6 @@ def plan(
     seed: int = 0,
     *,
     cache: Optional[PlanCache] = None,
-    parallel: Union[bool, str] = False,
-    workers: Optional[int] = None,
     certify: bool = False,
     tracer: Optional[Tracer] = None,
     objective: Optional[Objective] = None,
@@ -242,10 +231,6 @@ def plan(
             reproduce their schedules across replans.
         cache: optional :class:`PlanCache` consulted and populated per
             component under ``method`` (and per bound when certifying).
-        parallel: ``False`` (serial), ``True`` (always pool when ≥ 2
-            components miss the cache), or ``"auto"`` (pool only when
-            the estimated work clears :data:`PARALLEL_AUTO_THRESHOLD`).
-        workers: pool width for parallel solving.
         certify: verify the schedule and compose a per-component
             lower-bound certificate (fills ``lower_bound``,
             ``certificate`` and ``certified_optimal``).  Off by
@@ -253,7 +238,7 @@ def plan(
             work the hot planning path must not pay implicitly.
         tracer: optional :class:`repro.obs.Tracer`.  The call becomes
             a ``pipeline.plan`` span with one child span per stage and
-            per in-process solve; cache hits/misses and component
+            per component solve; cache hits/misses and component
             counts land in the tracer's metrics registry.  The default
             no-op tracer makes instrumentation free — and the output
             schedule never depends on the tracer either way.
@@ -264,7 +249,7 @@ def plan(
     Raises:
         ValueError: for an unknown method.
         StoredPlanMismatchError: if a ``cache`` entry (say, a tampered
-            store record) names a pair slot its component lacks.
+            store record) does not fit its component.
     """
     timings: Dict[str, float] = {name: 0.0 for name in STAGES}
     result = PlanResult(
@@ -288,8 +273,7 @@ def plan(
         elif method != "auto":
             _plan_forced(instance, method, seed, cache, result, tr)
         else:
-            components = _plan_components(instance, seed, cache, parallel,
-                                          workers, result, tr)
+            components = _plan_components(instance, seed, cache, result, tr)
 
         with _stage(tr, result, "certify"):
             if certify:
@@ -332,7 +316,12 @@ def _plan_forced(
                 rounds = canonical_order(instance, rounds)
             outcome = (rounds, solved.method)
         schedule = MigrationSchedule(outcome[0], method=outcome[1])
-        schedule.validate(instance)
+        try:
+            schedule.validate(instance)
+        except ScheduleValidationError as exc:
+            if cached and fp is not None:
+                raise _stored_plan_mismatch(spec.name, fp, exc) from None
+            raise
         if not cached:
             _cache_write(cache, instance, spec.name, seed, outcome)
     if cached:
@@ -436,8 +425,6 @@ def _plan_components(
     instance: MigrationInstance,
     seed: int,
     cache: Optional[PlanCache],
-    parallel: Union[bool, str],
-    workers: Optional[int],
     result: PlanResult,
     tracer: Tracer,
     reuse: Optional[ReuseStep] = None,
@@ -450,15 +437,17 @@ def _plan_components(
     unplanned, to its solver.  Every outcome is edge ids in canonical
     order.  The merged schedule is validated against ``instance``
     once; only then is every outcome not served by the cache written
-    through.  The merged schedule and per-component attribution land
-    in ``result``.  ``solve_stage`` names the stage that times the
+    through.  Only if that validation fails is each cache-served
+    component validated against its own instance, to name a stored
+    plan at fault.  The merged schedule and per-component attribution
+    land in ``result``.  ``solve_stage`` names the stage that times the
     lookup, reuse and solve.
 
     Raises:
-        StoredPlanMismatchError: if a cache entry names a pair slot its
-            component lacks.
-        ScheduleValidationError: if the merged schedule is invalid.
-            Either way, nothing has been written through.
+        StoredPlanMismatchError: if a cache entry does not fit its
+            component.
+        ScheduleValidationError: if the merged schedule is otherwise
+            invalid.  Either way, nothing has been written through.
     """
     with _stage(tracer, result, "decompose"):
         components = decompose(instance)
@@ -492,23 +481,10 @@ def _plan_components(
                 outcomes[k] = reuse(comp)
 
         miss_indices = [k for k, out in enumerate(outcomes) if out is None]
-        jobs: List[SolveJob] = [
-            (components[k].instance, selections[k].name, seeds[k])
-            for k in miss_indices
-        ]
-        use_pool = _should_parallelize(parallel, [components[k] for k in miss_indices])
-        if use_pool:
-            # Spans cannot propagate out of pool workers; one umbrella
-            # span stands in for the whole batch.
-            with tracer.span(names.SPAN_SOLVE_POOL, jobs=len(jobs)):
-                solved = solve_jobs(jobs, max_workers=workers)
-        else:
-            solved = []
-            for k, job in zip(miss_indices, jobs):
-                with tracer.span(names.SPAN_SOLVE, method=job[1], component=k):
-                    solved.append(solve_job(job))
-        for k, outcome in zip(miss_indices, solved):
-            outcomes[k] = outcome
+        for k in miss_indices:
+            method = selections[k].name
+            with tracer.span(names.SPAN_SOLVE, method=method, component=k):
+                outcomes[k] = solve_job(components[k].instance, method, seeds[k])
         planned = [out for out in outcomes if out is not None]
         assert len(planned) == len(components)  # every index is filled above
         if miss_indices:
@@ -525,13 +501,17 @@ def _plan_components(
         # Every component schedule, whatever its source, is part of the
         # merged one, so this one validation covers them all before any
         # is written through.
-        result.schedule.validate(instance)
+        try:
+            result.schedule.validate(instance)
+        except ScheduleValidationError:
+            for k, comp in enumerate(components):
+                if cached_flags[k] and comp.fingerprint is not None:
+                    _check_stored(comp.instance, "auto", comp.fingerprint, planned[k])
+            raise
         for k, comp in enumerate(components):
             if not cached_flags[k]:
                 _cache_write(cache, comp.instance, "auto", seed, planned[k])
 
-    result.parallel = use_pool
-    result.workers = workers if (use_pool and workers) else 1
     result.components = [
         ComponentPlan(
             index=comp.index,
@@ -546,19 +526,6 @@ def _plan_components(
         for k, (comp, (rounds, method)) in enumerate(zip(components, planned))
     ]
     return components
-
-
-def _should_parallelize(
-    parallel: Union[bool, str], miss_components: Sequence[Component]
-) -> bool:
-    if parallel is False or len(miss_components) < 2:
-        return False
-    if parallel is True:
-        return True
-    if parallel == "auto":
-        total = sum(_estimated_cost(c) for c in miss_components)
-        return total >= PARALLEL_AUTO_THRESHOLD
-    raise ValueError(f"parallel must be True, False or 'auto', got {parallel!r}")
 
 
 # ----------------------------------------------------------------------

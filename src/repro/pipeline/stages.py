@@ -28,8 +28,8 @@ is the concatenation of every component's round ``i`` (components are
 node-disjoint, so no transfer constraint can be violated by the
 union), giving ``max_k rounds(component_k)`` rounds total.  Components
 are processed in a canonical order (ascending minimum node ``repr``),
-so the merge is order-stable regardless of solve order — in
-particular, parallel solving cannot reorder the output.
+so the merged bytes depend on the components alone, never on which of
+them the cache served and which were solved.
 """
 
 from __future__ import annotations

@@ -21,10 +21,8 @@ owns every concurrency decision the service makes:
 * **one flight per consumer** — each of ``concurrency`` consumers takes
   one queued flight, checks its deadline, solves it on a planner
   thread and marks it done before taking the next, so the admission
-  queue bounds every flight not being solved.  Each solve is a
-  :func:`repro.plan` call, which (with ``parallel=`` configured) fans
-  components into the existing :mod:`repro.pipeline.parallel`
-  ``ProcessPoolExecutor`` path;
+  queue bounds every flight not being solved.  Each solve is one
+  :func:`repro.plan` call on that thread;
 * **graceful drain** — :meth:`RequestBroker.drain` stops admission
   (new requests get a typed ``draining`` error), finishes every
   admitted solve, then retires the consumers and planner threads.
@@ -44,7 +42,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
@@ -70,10 +68,6 @@ class BrokerConfig:
         rate_burst: token-bucket capacity (burst allowance).
         default_timeout: deadline in seconds (finite, > 0) for requests
             that do not set one; ``None`` means wait indefinitely.
-        parallel: forwarded to :func:`repro.plan` — ``"auto"`` lets
-            heavy multi-component instances fan into the process
-            pool.
-        workers: process-pool width for ``parallel`` solving.
     """
 
     max_queue: int = 64
@@ -81,8 +75,6 @@ class BrokerConfig:
     rate_limit: float = 0.0
     rate_burst: int = 8
     default_timeout: Optional[float] = None
-    parallel: Union[bool, str] = False
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -392,8 +384,6 @@ class RequestBroker:
             method=request.method,
             seed=request.seed,
             cache=self.cache,
-            parallel=self.config.parallel,
-            workers=self.config.workers,
             certify=request.certify,
         )
         core: Dict[str, Any] = {

@@ -92,7 +92,7 @@ class TestMemo:
         assert copy.memo == {}
 
     def test_pickle_carries_the_memo(self, triangle_instance):
-        """A process-pool job reads the canonical form its parent built."""
+        """An unpickled instance reads the canonical form built before."""
         import pickle
 
         from repro.pipeline.canonical import _pair_slots, fingerprint

@@ -1,4 +1,4 @@
-"""Tests for the staged planner: decomposition, caching, parallelism."""
+"""Tests for the staged planner: decomposition, restarts, caching."""
 
 import dataclasses
 import importlib
@@ -164,14 +164,14 @@ class TestRestarts:
         # round above what other seeds reach on this K5 multigraph.
         inst = clique_instance(5, 3, capacity=1)
         first = backend_solver(get_solver("general"), inst)(3, None).num_rounds
-        tokens, _ = solve_job((inst, "general", 3))
+        tokens, _ = solve_job(inst, "general", 3)
         assert len(tokens) < first
 
     def test_restarted_solve_is_never_worse_than_first_attempt(self):
         inst = clique_instance(5, 3, capacity=1)
         for seed in range(6):
             first = backend_solver(get_solver("general"), inst)(seed, None).num_rounds
-            tokens, _ = solve_job((inst, "general", seed))
+            tokens, _ = solve_job(inst, "general", seed)
             assert len(tokens) <= first
 
     def test_forced_general_keeps_legacy_single_seed_bytes(self):
@@ -253,25 +253,6 @@ class TestPlanCacheIntegration:
         plan(inst, seed=0, cache=cache)
         result = plan(inst, seed=1, cache=cache)
         assert result.components_cached == 0
-
-
-class TestParallelSolving:
-    def test_parallel_matches_serial_bytes(self):
-        inst = multi_component_instance(4, disks_per_component=6,
-                                        items_per_component=25, seed=5)
-        serial = plan(inst)
-        parallel = plan(inst, parallel=True, workers=2)
-        assert parallel.schedule.rounds == serial.schedule.rounds
-        assert parallel.schedule.method == serial.schedule.method
-        assert parallel.parallel is True
-
-    def test_parallel_auto_stays_serial_on_tiny_instances(self):
-        result = plan(mixed_two_component_instance(), parallel="auto")
-        assert result.parallel is False
-
-    def test_invalid_parallel_value(self):
-        with pytest.raises(ValueError, match="parallel"):
-            plan(multi_component_instance(2, seed=0), parallel="yes")
 
 
 class TestCertification:

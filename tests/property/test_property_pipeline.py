@@ -13,7 +13,7 @@ The invariants the decomposition refactor must never violate:
   it is a theorem.)
 * merged schedules validate against the parent instance and pass the
   independent certifier's round-trip;
-* caching and parallelism never change schedule bytes.
+* caching never changes schedule bytes.
 """
 
 from hypothesis import given, settings

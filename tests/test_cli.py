@@ -612,31 +612,54 @@ class TestBadStore:
         assert not trace.exists()
 
 
-def _tamper_slot(path):
-    """Rewrite one stored token to slot 7 of a pair with fewer than 8
-    items: the record still decodes, but names a pair slot its
-    component lacks."""
-    import sqlite3
+def _slot_seven(rounds):
+    """One token names slot 7 of a pair with fewer than 8 items."""
     from collections import Counter
+
+    items = Counter((u, v) for rnd in rounds for u, v, _ in rnd)
+    token = next(t for rnd in rounds for t in rnd if items[t[0], t[1]] < 8)
+    token[2] = 7
+
+
+def _slot_twice(rounds):
+    """The last round's first token becomes a copy of round 0's first."""
+    rounds[-1][0] = list(rounds[0][0])
+
+
+def _overfilled_round(rounds):
+    """Every token moves into round 0."""
+    rounds[:] = [[token for rnd in rounds for token in rnd]]
+
+
+def _tamper_store(path, rewrite):
+    """Rewrite the rounds of the store's first record with ``rewrite``:
+    the record still decodes, but does not fit its component."""
+    import sqlite3
 
     conn = sqlite3.connect(str(path))
     key, payload = conn.execute("SELECT key, payload FROM plans ORDER BY key").fetchone()
     record = json.loads(payload)
-    items = Counter((u, v) for rnd in record["rounds"] for u, v, _ in rnd)
-    token = next(t for rnd in record["rounds"] for t in rnd if items[t[0], t[1]] < 8)
-    token[2] = 7
+    assert len(record["rounds"]) >= 2
+    rewrite(record["rounds"])
     conn.execute("UPDATE plans SET payload = ? WHERE key = ?", (json.dumps(record), key))
     conn.commit()
     conn.close()
 
 
 class TestStoredPlanThatDoesNotFit:
-    """``plan`` and ``run`` on a store whose record names a pair slot
-    its component lacks close the store and exit 2 with one error
-    line, with no traceback."""
+    """``plan`` and ``run`` on a store whose record decodes but does not
+    fit its component close the store and exit 2 with one error line,
+    with no traceback."""
 
     @pytest.mark.parametrize("command", ["plan", "run"])
-    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("rewrite, reason", [
+        (_slot_seven, r", 7\) names no pair slot of this instance$"),
+        (_slot_twice, r"does not fit it: edge \d+ scheduled twice \(rounds 0 and \d+\)$"),
+        (_overfilled_round, r"does not fit it: round 0: disk .* transfers but c_v = \d+$"),
+    ], ids=["slot-seven", "slot-twice", "overfilled-round"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, rewrite, reason):
+        import re
+
         store = tmp_path / "plans.db"
         instance = tmp_path / "instance.json"
         assert main(["generate", str(instance), "--disks", "4", "--items", "6"]) == 0
@@ -646,11 +669,11 @@ class TestStoredPlanThatDoesNotFit:
         }[command] + ["--store", str(store)]
         assert main(argv) == 0
         capsys.readouterr()
-        _tamper_slot(store)
+        _tamper_store(store, rewrite)
         trace = tmp_path / "trace.jsonl"
         assert main(argv + ["--trace-out", str(trace)]) == 2
         err = _assert_one_error_line(capsys, store)
-        assert ", 7) names no pair slot of this instance" in err
+        assert re.search(reason, err)
 
 
 class TestStatsMerge:

@@ -15,7 +15,7 @@ from repro.cli import main
 from repro.extensions.online import run_online
 from repro.pipeline import PlanCache, plan
 from repro.runtime import MigrationExecutor
-from repro.serve import PlanServiceError, ServerConfig, start_in_process
+from repro.serve import BrokerConfig, PlanServiceError, ServerConfig, start_in_process
 from repro.workloads.io import save_instance
 from repro.workloads.scenarios import decommission_scenario
 from tests.conftest import random_instance
@@ -84,6 +84,33 @@ class TestRetiredSpellings:
             main(["plan", str(path), "--json", "--method", "exact"])
         assert exc.value.code == 2
         assert "invalid choice: 'exact'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kwargs", [{"parallel": True}, {"workers": 2}])
+    def test_plan_pool_kwargs_are_gone(self, kwargs):
+        """Components solve one after another; no pool to switch on or size."""
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            plan(random_instance(4, 8, seed=1), **kwargs)
+
+    def test_broker_pool_fields_are_gone(self):
+        with pytest.raises(TypeError, match="parallel"):
+            BrokerConfig(parallel="auto")
+
+    @pytest.mark.parametrize("command", ["plan", "serve"])
+    @pytest.mark.parametrize("flag", [["--parallel"], ["--workers", "2"]])
+    def test_cli_pool_flags_are_gone(self, tmp_path, capsys, command, flag):
+        """Refused by the parser, before an instance is read or a port bound."""
+        path = tmp_path / "inst.json"
+        save_instance(random_instance(4, 8, seed=1), str(path))
+        # An instance file is not a plan store: were the flag accepted,
+        # serve would exit 2 on the store before binding a port.
+        argv = {
+            "plan": ["plan", str(path), "--json"],
+            "serve": ["serve", "--port", "0", "--store", str(path)],
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(argv[command] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_served_exact_method_is_gone(self):
         with start_in_process(ServerConfig()) as handle:

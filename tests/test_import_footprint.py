@@ -7,7 +7,8 @@ all (the fuzz harness validates with
 imports the entry points, plans one all-even, one odd-capacity
 bipartite and one mixed instance with certification, so the split
 kernel runs through both ``even_optimal`` and the König colorer, and
-then reports which of the heavy packages are loaded.
+then reports which of the heavy packages are loaded.  Planning also
+starts no process, so ``multiprocessing`` is not loaded either.
 """
 
 import json
@@ -41,7 +42,9 @@ mixed = MigrationInstance.from_moves(
 methods = set()
 for inst in (MigrationInstance.from_moves(even_moves, even_caps), bipartite, mixed):
     methods.update(plan(inst, certify=True).methods_used())
-loaded = [name for name in ("numpy", "networkx") if name in sys.modules]
+loaded = [
+    name for name in ("numpy", "networkx", "multiprocessing") if name in sys.modules
+]
 print(json.dumps({"methods": sorted(methods), "loaded": loaded}))
 """
 

@@ -28,7 +28,6 @@ from repro.checks.certify import (
     certificate_to_json,
     make_certificate,
 )
-from repro.core.errors import ScheduleValidationError
 from repro.core.objectives import (
     BoundedColorObjective,
     GroupCompletionObjective,
@@ -36,6 +35,7 @@ from repro.core.objectives import (
     objective_from_json,
 )
 from repro.obs import load_trace
+from repro.pipeline import StoredPlanMismatchError
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.serve.protocol import ProtocolError, rehydrate_schedule, schedule_payload
 from repro.serve.store import PlanStore, PlanStoreError
@@ -206,20 +206,33 @@ class TestServedTokenPlan:
         assert exc.value.code == "bad-request"
 
 
+def _missing_slot(rounds):
+    """Round 0's first token names slot 7, which the pair lacks."""
+    return ((("'a'", "'b'", 7),) + rounds[0][1:],) + rounds[1:]
+
+
+def _slot_twice(rounds):
+    """The last round's first token repeats round 0's first."""
+    return rounds[:-1] + ((rounds[0][0],) + rounds[-1][1:],)
+
+
 class TestStoredPlanThatDoesNotFit:
-    def test_plan_raises_schedule_validation_error(self, tmp_path):
-        """A stored token naming a slot the component lacks fails typed
-        at lookup, not as a bare ``KeyError``."""
+    @pytest.mark.parametrize("tamper, message", [
+        (_missing_slot, re.escape(repr(("'a'", "'b'", 7)))),
+        (_slot_twice, r"does not fit it: edge \d+ scheduled twice"),
+    ], ids=["missing-slot", "slot-twice"])
+    def test_plan_raises_schedule_validation_error(self, tmp_path, tamper, message):
+        """A stored plan naming a slot the component lacks, or a real
+        slot twice, fails typed as :class:`StoredPlanMismatchError`, not
+        as a bare ``KeyError`` or an unattributed invalid schedule."""
         inst = MigrationInstance.from_moves(
             [("a", "b"), ("b", "c"), ("c", "a")], {"a": 1, "b": 1, "c": 1}
         )
         store = PlanStore(str(tmp_path / "plans.db"))
         plan(inst, cache=PlanCache(store=store))
         [(key, stored)] = store.items()
-        missing = ("'a'", "'b'", 7)
-        bad_round = (missing,) + stored.rounds[0][1:]
-        store.save(key, CachedPlan(stored.method, (bad_round,) + stored.rounds[1:]))
-        with pytest.raises(ScheduleValidationError, match=re.escape(repr(missing))):
+        store.save(key, CachedPlan(stored.method, tamper(stored.rounds)))
+        with pytest.raises(StoredPlanMismatchError, match=message):
             plan(inst, cache=PlanCache(store=store))
         store.close()
 
