@@ -13,12 +13,10 @@ from repro.pipeline.canonical import (
     canonicalize_rounds,
     derive_component_seed,
     derive_patch_seed,
-    derive_restart_seed,
     fingerprint,
     rehydrate_rounds,
 )
 from repro.pipeline.delta import DELTA_STAGES, DeltaPlanResult, plan_delta
-from repro.pipeline.parallel import GENERAL_SOLVE_RESTARTS
 from repro.pipeline.planner import (
     STAGES,
     ComponentPlan,
@@ -44,7 +42,6 @@ from repro.pipeline.stages import (
 
 __all__ = [
     "DELTA_STAGES",
-    "GENERAL_SOLVE_RESTARTS",
     "STAGES",
     "CachedPlan",
     "CacheStats",
@@ -62,7 +59,6 @@ __all__ = [
     "decompose",
     "derive_component_seed",
     "derive_patch_seed",
-    "derive_restart_seed",
     "fingerprint",
     "get_solver",
     "merge",

@@ -265,13 +265,3 @@ def derive_patch_seed(seed: int, component_fingerprint: str) -> int:
     blob = f"patch:{seed}:{component_fingerprint}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
-
-def derive_restart_seed(seed: int, attempt: int) -> int:
-    """A fresh seed for restart ``attempt`` of a randomized solver.
-
-    Same guarantees as :func:`derive_component_seed`: deterministic,
-    process-independent, ``PYTHONHASHSEED``-independent.  Attempt 0 is
-    reserved for the original seed and never derived.
-    """
-    blob = f"restart:{seed}:{attempt}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")

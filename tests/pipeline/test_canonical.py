@@ -15,7 +15,6 @@ from repro.pipeline.canonical import (
     canonicalize_rounds,
     decode_token_plan,
     derive_component_seed,
-    derive_restart_seed,
     encode_token_plan,
     fingerprint,
     rehydrate_rounds,
@@ -274,12 +273,3 @@ class TestDerivedSeeds:
         assert derive_component_seed(0, fp1) != derive_component_seed(1, fp1)
         assert derive_component_seed(0, fp1) != derive_component_seed(0, fp2)
 
-
-class TestRestartSeeds:
-    def test_deterministic_and_distinct_per_attempt(self):
-        seeds = [derive_restart_seed(7, a) for a in (1, 2, 3)]
-        assert seeds == [derive_restart_seed(7, a) for a in (1, 2, 3)]
-        assert len(set(seeds)) == 3
-
-    def test_varies_with_base_seed(self):
-        assert derive_restart_seed(0, 1) != derive_restart_seed(1, 1)

@@ -1,4 +1,4 @@
-"""Tests for the staged planner: decomposition, restarts, caching."""
+"""Tests for the staged planner: decomposition, the Saia fallback, caching."""
 
 import dataclasses
 import importlib
@@ -151,28 +151,30 @@ class TestAutoDecomposedPlanning:
         assert result.components == []
 
 
-class TestRestarts:
-    """Seed restarts for randomized solvers in the solve stage."""
+class TestFallback:
+    """One Saia solve for a component a non-optimal solver plans above
+    its lower bound, kept only if strictly shorter."""
 
     def test_only_general_is_randomized_in_catalog(self):
         assert get_solver("general").randomized is True
         assert get_solver("even_optimal").randomized is False
         assert get_solver("bipartite_optimal").randomized is False
 
-    def test_restart_improves_an_unlucky_seed(self):
-        # Seed 3 makes the general solver's first attempt land one
-        # round above what other seeds reach on this K5 multigraph.
+    def test_fallback_reaches_the_bound_on_an_unlucky_seed(self):
+        # Seed 3 makes the general solver land one round above this K5
+        # multigraph's bound; Saia's Euler split reaches the bound.
         inst = clique_instance(5, 3, capacity=1)
         first = backend_solver(get_solver("general"), inst)(3, None).num_rounds
-        tokens, _ = solve_job(inst, "general", 3)
-        assert len(tokens) < first
+        rounds, method = solve_job(inst, "general", 3)
+        assert (first, len(rounds), method) == (16, 15, "saia")
+        assert lower_bound(inst) == 15
 
-    def test_restarted_solve_is_never_worse_than_first_attempt(self):
+    def test_fallback_is_never_worse_than_first_attempt(self):
         inst = clique_instance(5, 3, capacity=1)
         for seed in range(6):
             first = backend_solver(get_solver("general"), inst)(seed, None).num_rounds
-            tokens, _ = solve_job(inst, "general", seed)
-            assert len(tokens) <= first
+            rounds, _ = solve_job(inst, "general", seed)
+            assert len(rounds) <= first
 
     def test_forced_general_keeps_legacy_single_seed_bytes(self):
         # Forcing ``method=`` means "run this algorithm once with this
@@ -181,6 +183,44 @@ class TestRestarts:
         legacy = general_schedule_compact(lower_instance(inst), seed=3)
         forced = plan(inst, method="general", seed=3)
         assert forced.schedule.rounds == legacy.rounds
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_saia_runs_once_per_component_above_its_bound(self, seed, monkeypatch):
+        from repro.pipeline import registry
+
+        solved = []
+
+        def saia(instance):
+            solved.append(sorted(instance.graph.nodes)[0].split(".")[0])
+            return real(instance)
+
+        real = registry.saia_schedule
+        monkeypatch.setattr(registry, "saia_schedule", saia)
+        result = plan(rack_fleet_instance(seed))
+        assert sorted(solved) == ["o0", "o1"]  # the two odd cycles, once each
+        methods = {c.num_items: c.method for c in result.components}
+        assert [methods[20], methods[21]] == ["saia", "saia"]
+        assert result.methods_used() == {"general": 4, "saia": 2}
+
+    @pytest.mark.parametrize("rounds_of", [
+        lambda general: general.rounds,
+        lambda general: [[eid] for rnd in general.rounds for eid in rnd],
+    ], ids=["as-long", "longer"])
+    def test_fallback_that_is_not_shorter_is_not_kept(self, rounds_of, monkeypatch):
+        from repro.pipeline import registry
+
+        inst = MigrationInstance.from_moves(*odd_cycle("o", 5, 4))
+        general = backend_solver(get_solver("general"), inst)(0, None)
+        calls = []
+
+        def saia(instance):
+            calls.append(instance)
+            return MigrationSchedule(rounds_of(general), method="saia")
+
+        monkeypatch.setattr(registry, "saia_schedule", saia)
+        rounds, method = solve_job(inst, "general", 0)
+        assert calls == [inst]
+        assert (lower_bound(inst), len(rounds), method) == (10, 12, "general")
 
 
 class TestForcedMethods:
@@ -280,11 +320,20 @@ class TestCertification:
         assert cache.stats.bound_hits == 3
 
 
+def odd_cycle(label, n, repeat):
+    """``(moves, capacities)`` of a unit-capacity cycle of ``n`` disks
+    with ``repeat`` items per link: ``general`` plans the 5-disk,
+    4-item cycle in 12 rounds against a bound of 10."""
+    nodes = [f"{label}.d{i:02d}" for i in range(n)]
+    moves = [(nodes[i], nodes[(i + 1) % n]) for i in range(n) for _ in range(repeat)]
+    return moves, dict.fromkeys(nodes, 1)
+
+
 def rack_fleet_instance(seed):
     """Three mixed-capacity racks of 6-11 disks (exhaustive LB2), two
-    unit-capacity odd cycles whose general solves restart, and one
-    20-disk random component (heuristic LB2), all solved by the
-    general solver."""
+    unit-capacity odd cycles that ``general`` plans above their bound
+    and Saia solves again, and one 20-disk random component (heuristic
+    LB2), the racks and the random component solved by ``general``."""
     rng = random.Random(seed)
     moves, caps = [], {}
 
@@ -301,18 +350,16 @@ def rack_fleet_instance(seed):
         n = rng.randint(6, 11)
         chained(f"r{r}", n, rng.randint(20, 40) - (n - 1))
     for k, (n, repeat) in enumerate(((5, 4), (7, 3))):
-        nodes = [f"o{k}.d{i:02d}" for i in range(n)]
-        for i in range(n):
-            moves.extend([(nodes[i], nodes[(i + 1) % n])] * repeat)
-        for v in nodes:
-            caps[v] = 1
+        cycle_moves, cycle_caps = odd_cycle(f"o{k}", n, repeat)
+        moves.extend(cycle_moves)
+        caps.update(cycle_caps)
     chained("big", 20, 60)
     return MigrationInstance.from_moves(moves, caps)
 
 
 class TestOneBoundPerComponent:
     """A certified plan computes each component's LB2 once: the
-    general solver's restarts and the certifier reuse it."""
+    fallback's trigger and the certifier reuse the general solver's."""
 
     @pytest.mark.parametrize("seed", range(2))
     def test_lb2_runs_once_per_component(self, seed, monkeypatch):
@@ -337,8 +384,8 @@ class TestOneBoundPerComponent:
                             counted("general_solves", registry.general_schedule_compact))
 
         result = plan(rack_fleet_instance(seed), certify=True)
-        assert result.methods_used() == {"general": 6}
-        assert calls["general_solves"] > len(result.components)  # restarts ran
+        assert result.methods_used() == {"general": 4, "saia": 2}
+        assert calls["general_solves"] == len(result.components) == 6
         exact = sum(1 for c in result.components
                     if c.num_disks <= lower_bounds.EXACT_LB2_NODE_LIMIT)
         assert calls["enumerations"] == exact == 5
@@ -446,23 +493,30 @@ class TestValidateOnce:
         assert result.dispositions == ("reused", "patched")
         assert calls == {"validate": 1, "lb2_all_even": 0, "lb2_other": 1}
 
-    def test_restart_that_drops_edges_is_not_cached(self, monkeypatch):
+    def test_fallback_that_drops_edges_is_not_cached(self, monkeypatch):
         from repro.pipeline import registry
 
-        real = registry.general_schedule_compact
+        real = registry.saia_schedule
+        calls = []
 
-        def general(ci, seed=0, stats=None):
-            schedule = real(ci, seed=seed, stats=stats)
-            if stats is not None:  # a first attempt: force the restarts
-                stats.lower_bound = 0
-                return schedule
-            # A restart: one round shorter, with that round's edges lost.
+        def saia(instance):
+            # One round shorter than Saia's, with that round's edges lost.
+            calls.append(instance)
+            schedule = real(instance)
             return MigrationSchedule(schedule.rounds[:-1], method=schedule.method)
 
-        monkeypatch.setattr(registry, "general_schedule_compact", general)
+        monkeypatch.setattr(registry, "saia_schedule", saia)
+        # The triangle sits at its bound; the cycle does not.
+        base = even_and_general_instance()
+        cycle_moves, cycle_caps = odd_cycle("o", 5, 4)
+        inst = MigrationInstance.from_moves(
+            [(u, v) for _eid, u, v in base.graph.edges()] + cycle_moves,
+            {**{v: base.capacity(v) for v in base.graph.nodes}, **cycle_caps},
+        )
         cache = PlanCache()
         with pytest.raises(ScheduleValidationError, match="never migrated"):
-            plan(even_and_general_instance(), cache=cache)
+            plan(inst, cache=cache)
+        assert len(calls) == 1
         assert len(cache) == 0
 
     def test_patch_that_overfills_a_disk_is_not_cached(self, monkeypatch):

@@ -91,6 +91,13 @@ class TestRetiredSpellings:
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             plan(random_instance(4, 8, seed=1), **kwargs)
 
+    @pytest.mark.parametrize("name", ["GENERAL_SOLVE_RESTARTS", "derive_restart_seed"])
+    def test_restart_names_are_gone(self, name):
+        """A component above its bound falls back to Saia once; it is
+        no longer re-solved with derived seeds."""
+        with pytest.raises(ImportError, match=name):
+            exec(f"from repro.pipeline import {name}", {})
+
     def test_broker_pool_fields_are_gone(self):
         with pytest.raises(TypeError, match="parallel"):
             BrokerConfig(parallel="auto")
