@@ -6,10 +6,10 @@ Two claims, each measured:
    instances, per-component planning is never worse than the
    monolithic general solver and strictly better on some instances:
    an even or bipartite component is promoted to its optimal
-   algorithm, and a component the randomized general solver lands
-   above its lower bound on is cheaply restarted with fresh seeds —
-   affordable only because a restart re-solves one small component,
-   never the whole instance.
+   algorithm, and a component the general solver lands above its
+   lower bound on is solved once more with Saia's baseline, kept only
+   if strictly shorter — affordable only because the fallback
+   re-solves one small component, never the whole instance.
 2. **Cached replanning** — after a single-component change, a cached
    replan re-solves only the affected component.
 """

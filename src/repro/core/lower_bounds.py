@@ -21,8 +21,9 @@ subset is a self-contained proof of the bound that
 :mod:`repro.checks.certify` re-verifies without trusting this module.
 
 Both LB2 witnesses and :func:`lower_bound`'s value are computed once
-per instance and kept in ``MigrationInstance.memo``: the general
-solver's restarts and the certifier read the first computation.  A
+per instance and kept in ``MigrationInstance.memo``: the solve stage's
+fallback check reads the value the general solver computed, and the
+certifier reads the first computation.  A
 memo hit still applies :func:`lb2_exact`'s node limit, and witnesses
 come back as fresh lists that callers may sort or keep.
 """

@@ -65,6 +65,7 @@ ERROR_CODES = (
     "draining",
     "deadline",
     "not-found",
+    "stored-plan-mismatch",
     "internal",
 )
 

@@ -15,7 +15,8 @@ import pytest
 
 from repro.obs import names
 from repro.obs.trace import Tracer
-from repro.pipeline.cache import PlanCache
+from repro.pipeline import plan
+from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.serve.broker import (
     BrokerConfig,
     DeadlineError,
@@ -25,6 +26,7 @@ from repro.serve.broker import (
     RequestBroker,
 )
 from repro.serve.protocol import ProtocolError
+from repro.serve.store import PlanStore
 
 from tests.serve.conftest import make_request, wire_instance
 
@@ -330,6 +332,34 @@ class TestFailures:
         error, broker = asyncio.run(scenario())
         assert error.code == "internal"
         assert "solver exploded" in error.message
+        assert broker.tracer.metrics.counters[names.SERVE_REQUESTS_FAILED] == 1
+
+    def test_stored_plan_that_does_not_fit_is_typed(self, tmp_path):
+        """A stored record naming a real pair slot twice answers
+        ``stored-plan-mismatch``, not ``internal``."""
+        instance = wire_instance()
+        with PlanStore(str(tmp_path / "plans.db")) as store:
+            plan(instance, cache=PlanCache(store=store))
+            key, stored = max(store.items(), key=lambda item: len(item[1].rounds))
+            rounds = stored.rounds
+            # The last round's first token repeats round 0's first.
+            twice = rounds[:-1] + ((rounds[0][0],) + rounds[-1][1:],)
+            store.save(key, CachedPlan(stored.method, twice))
+
+            async def scenario():
+                broker = RequestBroker(
+                    cache=PlanCache(store=store), config=BrokerConfig(), tracer=Tracer()
+                )
+                await broker.start()
+                with pytest.raises(ProtocolError) as err:
+                    await broker.submit(make_request(instance))
+                await broker.drain()
+                return err.value, broker
+
+            error, broker = asyncio.run(scenario())
+        assert (error.code, error.http_status) == ("stored-plan-mismatch", 500)
+        assert "does not fit it" in error.message
+        assert "scheduled twice" in error.message
         assert broker.tracer.metrics.counters[names.SERVE_REQUESTS_FAILED] == 1
 
 

@@ -1,5 +1,7 @@
 """Tests for the persistent plan store (repro.serve.store)."""
 
+import hashlib
+import json
 import os
 import pathlib
 import sqlite3
@@ -10,11 +12,14 @@ import pytest
 
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.serve.store import (
+    STORE_FORMAT_VERSION,
     PlanStore,
     PlanStoreError,
     plan_from_payload,
     plan_to_payload,
 )
+
+from tests.pipeline.test_frozen_digests import DIGESTS_PATH
 
 
 def sample_plan(tag: str = "a", rounds: int = 2) -> CachedPlan:
@@ -109,6 +114,29 @@ class TestPlanStore:
             assert store.keys() == ["committed"]
 
 
+#: The store format the frozen plan digests were last pinned to, and a
+#: sha256 of their sorted ``(entry, digest)`` pairs.
+PINNED_DIGESTS = (
+    3, "2a99b97ae08ddf30a5398d4edea1675be3dfbb9251d9ca72e4cf4321af3d675f"
+)
+
+
+def test_store_format_moves_with_the_frozen_digests():
+    """A plan the store holds was written by some planner; when the
+    frozen digests move, the plans under the same keys move with them,
+    and only a new format keeps an older store from serving them."""
+    with open(DIGESTS_PATH, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    pairs = sorted((name, record.get("digest")) for name, record in frozen.items())
+    digest = hashlib.sha256(json.dumps(pairs).encode("utf-8")).hexdigest()
+    assert (STORE_FORMAT_VERSION, digest) == PINNED_DIGESTS, (
+        "tests/data/plan_digests.json changed: if an existing entry's digest "
+        "moved, bump repro.serve.store.STORE_FORMAT_VERSION and re-pin "
+        "PINNED_DIGESTS; if entries were only added or removed, re-pin it "
+        "with the same format"
+    )
+
+
 class TestOneFileWhateverTheSuffix:
     @pytest.mark.parametrize("name", ["p.db", "p.sqlite", "p.SQLITE3", "plans"])
     def test_opens_one_sqlite_file(self, tmp_path, name):
@@ -131,17 +159,23 @@ class TestCorruption:
         with pytest.raises(PlanStoreError):
             PlanStore(path)
 
-    def test_format_1_store_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_format_1_store_is_refused(self, tmp_path, version):
         """Format 1 keyed an auto-path component by its selected
-        solver's name, the key a forced plan of that solver also used,
-        so no such store is read."""
+        solver's name, the key a forced plan of that solver also used;
+        format 2 holds plans of the planner before the Saia fallback.
+        No such store is read."""
         path = str(tmp_path / "p.db")
         PlanStore(path).close()
         conn = sqlite3.connect(path)
-        conn.execute("UPDATE meta SET value = '1' WHERE key = 'format_version'")
+        conn.execute(
+            "UPDATE meta SET value = ? WHERE key = 'format_version'", (str(version),)
+        )
         conn.commit()
         conn.close()
-        with pytest.raises(PlanStoreError, match="has store format 1, expected 2$"):
+        with pytest.raises(
+            PlanStoreError, match=f"has store format {version}, expected 3$"
+        ):
             PlanStore(path)
 
     def test_sqlite_corrupt_payload(self, tmp_path):

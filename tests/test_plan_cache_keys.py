@@ -1,8 +1,8 @@
 """Plan cache entries are keyed by the method ``plan`` was asked for.
 
 The auto path solves a component with a fingerprint-derived seed and
-restarts; a forced plan solves the whole instance with the base seed
-and none.  On an instance that is one component with no idle disk the
+may fall back to Saia; a forced plan solves the whole instance with
+the base seed and no fallback.  On an instance that is one component with no idle disk the
 two fingerprints are equal, so an entry keyed by the solver's name
 would let either path read the other's plan.  Entries are keyed by
 ``"auto"`` or by the forced solver's name instead: on one cache, one
